@@ -10,12 +10,10 @@
 //! cargo run -p topk-bench --bin experiments --release -- --throughput --sharded 8   # 8 workers
 //! cargo run -p topk-bench --bin experiments --release -- --scaling --quick          # scaling smoke
 //! cargo run -p topk-bench --bin experiments --release -- --check-floors FILE.json   # validate only
-//! cargo run -p topk-bench --bin experiments --release -- --campaign                 # scenario grid
-//! cargo run -p topk-bench --bin experiments --release -- --campaign --quick         # CI smoke
-//! cargo run -p topk-bench --bin experiments --release -- --campaign --quick --faults-only
-//! cargo run -p topk-bench --bin experiments --release -- --campaign --quick --membership-only
-//! cargo run -p topk-bench --bin experiments --release -- --campaign --quick --multiquery-only
+//! cargo run -p topk-bench --bin experiments --release -- --campaign                 # scenarios/ library
+//! cargo run -p topk-bench --bin experiments --release -- --campaign --quick         # CI ratchet
 //! cargo run -p topk-bench --bin experiments --release -- --check-competitive-floors FILE.json
+//! cargo run -p topk-bench --bin experiments --release -- --scenario FILE.json       # one file
 //! ```
 //!
 //! Prints one aligned table per experiment (the tables quoted in
@@ -42,38 +40,23 @@
 //! full-scale curve is embedded in `BENCH_throughput.json` and guarded by
 //! `--check-floors`.
 //!
-//! `--campaign` runs the scenario campaign (see `topk_bench::campaign`): the
-//! full generator × protocol × ε × n grid with empirical competitive ratios
-//! against OPT, written to `BENCH_competitive.json` (overridable with `--out`)
-//! and self-validated against the floor table. `--baseline COMMITTED.json`
-//! additionally holds every freshly measured cell to the ceilings of the
-//! committed report — the CI ratchet (the full grid contains the quick grid
-//! verbatim, and the cells are bit-deterministic, so a regression past the
-//! committed headroom fails the run). `--faults-only` re-measures just the
-//! fault axis (`topk_bench::campaign::run_faults_report`) — the cheap smoke
-//! CI runs on every push, written to `BENCH_faults_quick.json` by default and
-//! ratcheted against the committed full report's fault cells via
-//! `--baseline`. `--membership-only` is the same smoke mode for the
-//! membership axis (`topk_bench::campaign::run_membership_report`): the
-//! churn grid re-measured and ratcheted against the committed report's
-//! membership cells, written to `BENCH_membership_quick.json` by default.
-//! `--multiquery-only` is the same smoke mode for the multi-query axis
-//! (`topk_bench::campaign::run_multiquery_report`): the shared-population
-//! plan grid re-measured, its amortization held to the committed ceilings,
-//! written to `BENCH_multiquery_quick.json` by default.
-//! `--check-competitive-floors FILE` re-validates a committed
-//! campaign report without re-measuring. All numeric bars of both check
-//! modes live in `topk_bench::floors::FloorTable`.
+//! `--campaign` runs the scenario campaign (see `topk_bench::campaign`): every
+//! file of the `scenarios/` library — read from the working directory, so run
+//! it from the repository root — under every protocol, with empirical
+//! competitive ratios against OPT, written to `BENCH_competitive.json`
+//! (overridable with `--out`) and checked by the one campaign checker.
+//! `--quick` runs only the files with at most 1024 nodes, each at its full
+//! length, written to `BENCH_competitive_quick.json` by default.
+//! `--baseline COMMITTED.json` additionally holds every freshly measured cell
+//! to the ceilings committed for the same (file, protocol) key — the CI
+//! ratchet. `--check-competitive-floors FILE` re-validates a committed
+//! full-scale report against the library without re-measuring: a missing,
+//! extra or stale cell fails it. All numeric bars of both check modes live
+//! in `topk_bench::floors::FloorTable`.
 //!
-//! The *scenario-file* modes work on the declarative JSON scenarios under
-//! `scenarios/` (schema in `docs/SCENARIOS.md`, loader in
-//! `topk_bench::scenario`): `--scenario FILE` runs one cell under every
-//! protocol (its fault/membership companions included), `--scenario-dir DIR`
-//! runs a whole library (`--quick` caps the horizon and skips the largest
-//! populations, logging every cap). `--emit-scenarios DIR` regenerates the
-//! canonical library from the compiled-in grids, and `--check-scenarios DIR`
-//! fails when the directory differs from that derivation by a single byte —
-//! the CI guard that keeps `scenarios/` and `standard_grid` the same object.
+//! `--scenario FILE` runs one scenario file (schema in `docs/SCENARIOS.md`,
+//! loader in `topk_bench::scenario`) through the same runner and checker:
+//! every protocol, or its query plan, with its fault and membership plans.
 //!
 //! The *trace* modes record and re-drive full runs (`topk_bench::replay`,
 //! wire format in `topk_wire::trace`): `--scenario FILE --record OUT.trace`
@@ -108,15 +91,45 @@ fn report_floors(report: &throughput::ThroughputReport) -> ! {
     std::process::exit(1);
 }
 
-fn report_competitive_floors(report: &campaign::CompetitiveReport) -> ! {
-    let failures = campaign::check_competitive_floors(report);
+/// The campaign's scenario library, relative to the working directory.
+const LIBRARY: &str = "scenarios";
+
+fn load_library_or_exit() -> Vec<scenario::ScenarioFile> {
+    match scenario::load_scenario_dir(Path::new(LIBRARY)) {
+        Ok(files) if !files.is_empty() => files,
+        Ok(_) => {
+            eprintln!("{LIBRARY}: no scenario files found (run from the repository root)");
+            std::process::exit(1);
+        }
+        Err(e) => {
+            eprintln!("invalid scenario library: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+fn read_report_or_exit(path: &Path) -> campaign::CompetitiveReport {
+    let json = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    serde_json::from_str(&json).unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()))
+}
+
+fn report_competitive_floors(
+    report: &campaign::CompetitiveReport,
+    library: &[scenario::ScenarioFile],
+) -> ! {
+    let failures = campaign::check_competitive_floors(report, library);
     if failures.is_empty() {
         let floors = FloorTable::STANDARD.competitive;
         println!(
-            "competitive floors ok: {} cells, >= {} protocols x >= {} families, 0 invalid steps, every ratio within its ceiling",
+            "competitive floors ok: {} cells of the {} selection of {} scenario files, >= {} protocols x >= {} families, >= {} fault families, >= {} churn plans, every invalid-step bar held, every ratio within its ceiling",
             report.cells.len(),
+            report.scale,
+            library.len(),
             floors.min_protocols,
             floors.min_generators,
+            floors.min_fault_families,
+            floors.min_membership_plans,
         );
         std::process::exit(0);
     }
@@ -126,141 +139,15 @@ fn report_competitive_floors(report: &campaign::CompetitiveReport) -> ! {
     std::process::exit(1);
 }
 
-fn run_faults_bench(quick: bool, out: PathBuf, baseline: Option<PathBuf>) -> ! {
-    let report = campaign::run_faults_report(quick, |line| eprintln!("{line}"));
-    std::fs::write(&out, campaign::to_json(&report)).expect("write fault campaign json");
-    eprintln!("wrote {}", out.display());
-    if let Some(path) = baseline {
-        // The fault ratchet: hold the freshly measured fault cells to the
-        // ratio and degradation ceilings committed in the full report.
-        let json = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-        let committed: campaign::CompetitiveReport = serde_json::from_str(&json)
-            .unwrap_or_else(|e| panic!("cannot parse baseline {}: {e}", path.display()));
-        let failures = campaign::check_against_baseline(&report, &committed);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("FAULT FLOOR REGRESSION: {f}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!(
-            "baseline ok: all {} fault cells within the ceilings committed in {}",
-            report.fault_cells.len(),
-            path.display()
-        );
-    }
-    let floors = FloorTable::STANDARD.competitive;
-    let failures = campaign::check_fault_cells(&report.fault_cells, &floors, &report.scale);
-    if failures.is_empty() {
-        println!(
-            "fault floors ok: {} fault cells across >= {} families, every ratio/degradation within its ceiling, damage within {}‰ of steps",
-            report.fault_cells.len(),
-            floors.min_fault_families,
-            floors.fault_invalid_fraction_permille,
-        );
-        std::process::exit(0);
-    }
-    for f in &failures {
-        eprintln!("FAULT FLOOR REGRESSION: {f}");
-    }
-    std::process::exit(1);
-}
-
-fn run_membership_bench(quick: bool, out: PathBuf, baseline: Option<PathBuf>) -> ! {
-    let report = campaign::run_membership_report(quick, |line| eprintln!("{line}"));
-    std::fs::write(&out, campaign::to_json(&report)).expect("write membership campaign json");
-    eprintln!("wrote {}", out.display());
-    if let Some(path) = baseline {
-        // The membership ratchet: hold the freshly measured membership cells
-        // to the ratio and degradation ceilings committed in the full report.
-        let json = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-        let committed: campaign::CompetitiveReport = serde_json::from_str(&json)
-            .unwrap_or_else(|e| panic!("cannot parse baseline {}: {e}", path.display()));
-        let failures = campaign::check_against_baseline(&report, &committed);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("MEMBERSHIP FLOOR REGRESSION: {f}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!(
-            "baseline ok: all {} membership cells within the ceilings committed in {}",
-            report.membership_cells.len(),
-            path.display()
-        );
-    }
-    let floors = FloorTable::STANDARD.competitive;
-    let failures =
-        campaign::check_membership_cells(&report.membership_cells, &floors, &report.scale);
-    if failures.is_empty() {
-        println!(
-            "membership floors ok: {} membership cells across >= {} churn plans, every ratio/degradation within its ceiling, invalid steps within {}‰",
-            report.membership_cells.len(),
-            floors.min_membership_plans,
-            floors.membership_invalid_fraction_permille,
-        );
-        std::process::exit(0);
-    }
-    for f in &failures {
-        eprintln!("MEMBERSHIP FLOOR REGRESSION: {f}");
-    }
-    std::process::exit(1);
-}
-
-fn run_multiquery_bench(quick: bool, out: PathBuf, baseline: Option<PathBuf>) -> ! {
-    let report = campaign::run_multiquery_report(quick, |line| eprintln!("{line}"));
-    std::fs::write(&out, campaign::to_json(&report)).expect("write multiquery campaign json");
-    eprintln!("wrote {}", out.display());
-    if let Some(path) = baseline {
-        // The multi-query ratchet: hold the freshly measured amortization of
-        // every cell to the ceiling committed in the full report.
-        let json = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-        let committed: campaign::CompetitiveReport = serde_json::from_str(&json)
-            .unwrap_or_else(|e| panic!("cannot parse baseline {}: {e}", path.display()));
-        let failures = campaign::check_against_baseline(&report, &committed);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("MULTIQUERY FLOOR REGRESSION: {f}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!(
-            "baseline ok: all {} multi-query cells within the amortization ceilings committed in {}",
-            report.multiquery_cells.len(),
-            path.display()
-        );
-    }
-    let floors = FloorTable::STANDARD.competitive;
-    let failures =
-        campaign::check_multiquery_cells(&report.multiquery_cells, &floors, &report.scale);
-    if failures.is_empty() {
-        println!(
-            "multiquery floors ok: {} multi-query cells across twin/overlap/disjoint plans, every amortization within its ceiling, invalid steps within {}‰, shared runs amortize on at least one cell",
-            report.multiquery_cells.len(),
-            floors.multiquery_invalid_fraction_permille,
-        );
-        std::process::exit(0);
-    }
-    for f in &failures {
-        eprintln!("MULTIQUERY FLOOR REGRESSION: {f}");
-    }
-    std::process::exit(1);
-}
-
 fn run_campaign_bench(quick: bool, out: PathBuf, baseline: Option<PathBuf>) -> ! {
-    let report = campaign::run_campaign(quick, |line| eprintln!("{line}"));
+    let library = load_library_or_exit();
+    let report = campaign::run_campaign(&library, quick, |line| eprintln!("{line}"));
     std::fs::write(&out, campaign::to_json(&report)).expect("write campaign json");
     eprintln!("wrote {}", out.display());
     if let Some(path) = baseline {
-        // The ratchet: hold the freshly measured cells to the ceilings of the
-        // committed report (the full grid contains the quick grid verbatim).
-        let json = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-        let committed: campaign::CompetitiveReport = serde_json::from_str(&json)
-            .unwrap_or_else(|e| panic!("cannot parse baseline {}: {e}", path.display()));
+        // The ratchet: hold the freshly measured cells to the ceilings
+        // committed for the same (file, protocol) keys.
+        let committed = read_report_or_exit(&path);
         let failures = campaign::check_against_baseline(&report, &committed);
         if !failures.is_empty() {
             for f in &failures {
@@ -274,14 +161,11 @@ fn run_campaign_bench(quick: bool, out: PathBuf, baseline: Option<PathBuf>) -> !
             path.display()
         );
     }
-    report_competitive_floors(&report)
+    report_competitive_floors(&report, &library)
 }
 
 fn check_competitive_floors_only(path: PathBuf) -> ! {
-    let json = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    let report: campaign::CompetitiveReport = serde_json::from_str(&json)
-        .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()));
+    let report = read_report_or_exit(&path);
     eprintln!(
         "checking competitive floors of {} ({} scale, {} cells)",
         path.display(),
@@ -289,7 +173,7 @@ fn check_competitive_floors_only(path: PathBuf) -> ! {
         report.cells.len()
     );
     // The committed report this mode guards must be a full-scale run — a
-    // quick-scale file would cover a thinner grid than the acceptance bar.
+    // quick-scale file leaves out the large-n probes.
     if report.scale != "full" {
         eprintln!(
             "COMPETITIVE FLOOR REGRESSION: {} is a '{}'-scale report; the committed report must be full-scale",
@@ -298,7 +182,7 @@ fn check_competitive_floors_only(path: PathBuf) -> ! {
         );
         std::process::exit(1);
     }
-    report_competitive_floors(&report)
+    report_competitive_floors(&report, &load_library_or_exit())
 }
 
 fn run_scaling_bench(quick: bool, out: PathBuf) -> ! {
@@ -381,43 +265,6 @@ fn check_floors_only(path: PathBuf) -> ! {
     report_floors(&report)
 }
 
-fn run_emit_scenarios(dir: PathBuf) -> ! {
-    match scenario::emit_library(&dir) {
-        Ok(names) => {
-            println!(
-                "wrote {} scenario files into {} (canonical derivation of the standard grids)",
-                names.len(),
-                dir.display()
-            );
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("--emit-scenarios failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn run_check_scenarios(dir: PathBuf) -> ! {
-    let problems = scenario::check_library_sync(&dir);
-    if problems.is_empty() {
-        println!(
-            "scenario library ok: {} canonical files, byte-identical to the compiled-in grids",
-            scenario::standard_library().len()
-        );
-        std::process::exit(0);
-    }
-    for p in &problems {
-        eprintln!("SCENARIO LIBRARY DRIFT: {p}");
-    }
-    eprintln!(
-        "{} problem(s); regenerate with: experiments --emit-scenarios {}",
-        problems.len(),
-        dir.display()
-    );
-    std::process::exit(1);
-}
-
 fn load_scenario_or_exit(path: &Path) -> scenario::ScenarioFile {
     match scenario::load_scenario(path) {
         Ok(file) => file,
@@ -458,6 +305,27 @@ fn run_record(scenario_path: PathBuf, out: PathBuf, protocol_name: Option<String
         out.display()
     );
     std::process::exit(0);
+}
+
+fn run_scenario(path: PathBuf) -> ! {
+    let file = load_scenario_or_exit(&path);
+    let cells = campaign::run_file(&file, &mut PhaseSolver::new());
+    for cell in &cells {
+        println!("{cell}");
+    }
+    let failures = campaign::check_cells(&cells, std::slice::from_ref(&file));
+    if failures.is_empty() {
+        println!(
+            "scenario ok: {} cells of {}, every bar held",
+            cells.len(),
+            file.name
+        );
+        std::process::exit(0);
+    }
+    for f in &failures {
+        eprintln!("SCENARIO FAILURE: {f}");
+    }
+    std::process::exit(1);
 }
 
 fn run_replay(path: PathBuf, engine_name: Option<String>) -> ! {
@@ -508,158 +376,6 @@ fn run_replay(path: PathBuf, engine_name: Option<String>) -> ! {
     std::process::exit(i32::from(diverged));
 }
 
-/// Caps one scenario for a `--quick` smoke run. Returns `None` (with a log
-/// line) when the cell is too large to smoke at all.
-fn quick_cap(mut file: scenario::ScenarioFile) -> Option<scenario::ScenarioFile> {
-    const MAX_QUICK_N: usize = 1024;
-    const MAX_QUICK_STEPS: usize = 60;
-    if file.spec.n > MAX_QUICK_N {
-        eprintln!(
-            "skip {} (n = {} exceeds the quick cap of {MAX_QUICK_N})",
-            file.name, file.spec.n
-        );
-        return None;
-    }
-    if file.spec.steps > MAX_QUICK_STEPS {
-        eprintln!(
-            "cap  {} ({} steps -> {MAX_QUICK_STEPS} for the quick run)",
-            file.name, file.spec.steps
-        );
-        file.spec.steps = MAX_QUICK_STEPS;
-    }
-    Some(file)
-}
-
-fn run_scenario_cells(files: Vec<scenario::ScenarioFile>, quick: bool) -> ! {
-    let mut solver = PhaseSolver::new();
-    let mut failures: Vec<String> = Vec::new();
-    let mut cells = 0usize;
-    for file in files {
-        let Some(file) = (if quick { quick_cap(file) } else { Some(file) }) else {
-            continue;
-        };
-        // Per-scenario floor overrides (schema v2) take effect here: the
-        // file's `floors` block replaces the corresponding standard bars.
-        let floors = file.effective_floors();
-        if let Some(queries) = &file.queries {
-            // A multi-query scenario is one shared-engine cell, not a
-            // per-protocol loop — the plan embeds each query's protocol.
-            let plan = campaign::MultiQueryPlanSpec {
-                name: file.name.clone(),
-                queries: queries.clone(),
-            };
-            let cell = campaign::run_multiquery_cell(&file.spec, &plan, &floors);
-            cells += 1;
-            println!(
-                "{:<44} queries={:<2} messages={:>9} independent={:>9} amortization={:>6.3} invalid={}",
-                file.name,
-                queries.len(),
-                cell.messages,
-                cell.independent_messages,
-                cell.amortization,
-                cell.invalid_steps
-            );
-            let step_budget = (file.spec.steps * queries.len()) as u64;
-            let allowed = floors.multiquery_invalid_fraction_permille * step_budget / 1000;
-            if cell.invalid_steps > allowed {
-                failures.push(format!(
-                    "{}: {} invalid steps exceed the {}‰ multi-query bar ({} allowed)",
-                    file.name,
-                    cell.invalid_steps,
-                    floors.multiquery_invalid_fraction_permille,
-                    allowed
-                ));
-            }
-            continue;
-        }
-        for protocol in campaign::ProtocolKind::ALL {
-            // The clean cell is both the base measurement and the reference
-            // the fault/membership companions are compared against.
-            let clean = campaign::run_cell(&file.spec, protocol, &floors, &mut solver);
-            cells += 1;
-            if let Some(fault) = &file.fault {
-                let cell = campaign::run_fault_cell(
-                    &file.spec,
-                    fault,
-                    protocol,
-                    &floors,
-                    &mut solver,
-                    clean.messages,
-                );
-                println!(
-                    "{:<44} {:>13} fault={:<7} messages={:>9} ratio={:>7.2} degradation={:>5.2} invalid={}",
-                    file.name,
-                    protocol.name(),
-                    cell.fault_family,
-                    cell.messages,
-                    cell.ratio,
-                    cell.degradation,
-                    cell.invalid_steps
-                );
-            } else if let Some(plan) = &file.membership {
-                let cell = campaign::run_membership_cell(
-                    &file.spec,
-                    plan,
-                    protocol,
-                    &floors,
-                    &mut solver,
-                    clean.messages,
-                );
-                println!(
-                    "{:<44} {:>13} churn={:<9} messages={:>9} ratio={:>7.2} degradation={:>5.2} invalid={}",
-                    file.name,
-                    protocol.name(),
-                    plan.name(),
-                    cell.messages,
-                    cell.ratio,
-                    cell.degradation,
-                    cell.invalid_steps
-                );
-            } else {
-                println!(
-                    "{:<44} {:>13} messages={:>9} ratio={:>7.2} invalid={}",
-                    file.name,
-                    protocol.name(),
-                    clean.messages,
-                    clean.ratio,
-                    clean.invalid_steps
-                );
-                if clean.invalid_steps > 0 {
-                    failures.push(format!(
-                        "{} under {}: {} invalid steps on a fault-free run",
-                        file.name,
-                        protocol.name(),
-                        clean.invalid_steps
-                    ));
-                }
-                // An overridden poll-factor bar gates the clean cells of
-                // exactly this scenario (the standard bar only gates the
-                // compiled-in campaign grid).
-                if file.floors.is_some() {
-                    let poll = (file.spec.n * file.spec.steps).max(1) as f64;
-                    let factor = clean.messages as f64 / poll;
-                    if factor > floors.max_poll_factor {
-                        failures.push(format!(
-                            "{} under {}: poll factor {factor:.3} exceeds the scenario's {:.3} bar",
-                            file.name,
-                            protocol.name(),
-                            floors.max_poll_factor
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    if failures.is_empty() {
-        println!("scenario run ok: {cells} cells, every fault-free cell valid at every step");
-        std::process::exit(0);
-    }
-    for f in &failures {
-        eprintln!("SCENARIO FAILURE: {f}");
-    }
-    std::process::exit(1);
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Full;
@@ -668,9 +384,6 @@ fn main() {
     let mut throughput_mode = false;
     let mut scaling_mode = false;
     let mut campaign_mode = false;
-    let mut faults_only = false;
-    let mut membership_only = false;
-    let mut multiquery_only = false;
     let mut quick = false;
     let mut out: Option<PathBuf> = None;
     let mut sharded_workers = 4usize;
@@ -680,11 +393,8 @@ fn main() {
     let mut check_competitive_path: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
     let mut scenario_path: Option<PathBuf> = None;
-    let mut scenario_dir: Option<PathBuf> = None;
     let mut record_path: Option<PathBuf> = None;
     let mut replay_path: Option<PathBuf> = None;
-    let mut emit_scenarios_dir: Option<PathBuf> = None;
-    let mut check_scenarios_dir: Option<PathBuf> = None;
     let mut protocol_name: Option<String> = None;
     let mut engine_name: Option<String> = None;
     let mut iter = args.into_iter();
@@ -694,9 +404,6 @@ fn main() {
             "--throughput" => throughput_mode = true,
             "--scaling" => scaling_mode = true,
             "--campaign" => campaign_mode = true,
-            "--faults-only" => faults_only = true,
-            "--membership-only" => membership_only = true,
-            "--multiquery-only" => multiquery_only = true,
             "--quick" => quick = true,
             "--sharded" => {
                 let parsed = iter.next().and_then(|w| w.parse::<usize>().ok());
@@ -750,13 +457,6 @@ fn main() {
                 };
                 scenario_path = Some(PathBuf::from(path));
             }
-            "--scenario-dir" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--scenario-dir requires a directory argument");
-                    std::process::exit(2);
-                };
-                scenario_dir = Some(PathBuf::from(path));
-            }
             "--record" => {
                 let Some(path) = iter.next() else {
                     eprintln!("--record requires an output trace file argument");
@@ -770,20 +470,6 @@ fn main() {
                     std::process::exit(2);
                 };
                 replay_path = Some(PathBuf::from(path));
-            }
-            "--emit-scenarios" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--emit-scenarios requires a directory argument");
-                    std::process::exit(2);
-                };
-                emit_scenarios_dir = Some(PathBuf::from(path));
-            }
-            "--check-scenarios" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--check-scenarios requires a directory argument");
-                    std::process::exit(2);
-                };
-                check_scenarios_dir = Some(PathBuf::from(path));
             }
             "--protocol" => {
                 let Some(name) = iter.next() else {
@@ -808,9 +494,14 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: experiments [--small] [--json DIR] [e1 e2 ... e8]\n       experiments --throughput [--quick] [--sharded THREADS] [--remote CONNS] [--out FILE]\n       experiments --scaling [--quick] [--out FILE]\n       experiments --campaign [--quick] [--faults-only | --membership-only | --multiquery-only] [--out FILE] [--baseline COMMITTED.json]\n       experiments --check-floors FILE.json\n       experiments --check-competitive-floors FILE.json\n       experiments --scenario FILE.json [--quick]\n       experiments --scenario FILE.json --record OUT.trace [--protocol NAME]\n       experiments --scenario-dir DIR [--quick]\n       experiments --replay FILE.trace [--engine NAME]\n       experiments --emit-scenarios DIR\n       experiments --check-scenarios DIR"
+                    "usage: experiments [--small] [--json DIR] [e1 e2 ... e8]\n       experiments --throughput [--quick] [--sharded THREADS] [--remote CONNS] [--out FILE]\n       experiments --scaling [--quick] [--out FILE]\n       experiments --campaign [--quick] [--out FILE] [--baseline COMMITTED.json]\n       experiments --check-floors FILE.json\n       experiments --check-competitive-floors FILE.json\n       experiments --scenario FILE.json\n       experiments --scenario FILE.json --record OUT.trace [--protocol NAME]\n       experiments --replay FILE.trace [--engine NAME]"
                 );
                 return;
+            }
+            // A retired option must fail loudly, not run as an experiment id.
+            other if other.starts_with("--") => {
+                eprintln!("unknown option {other} (see --help)");
+                std::process::exit(2);
             }
             other => wanted.push(other.to_lowercase()),
         }
@@ -828,8 +519,6 @@ fn main() {
             || remote_conns.is_some()
             || check_competitive_path.is_some()
             || baseline_path.is_some()
-            || faults_only
-            || membership_only
         {
             eprintln!("--check-floors does not combine with other modes or flags");
             std::process::exit(2);
@@ -848,20 +537,13 @@ fn main() {
             || sharded_set
             || remote_conns.is_some()
             || baseline_path.is_some()
-            || faults_only
-            || membership_only
         {
             eprintln!("--check-competitive-floors does not combine with other modes or flags");
             std::process::exit(2);
         }
         check_competitive_floors_only(path);
     }
-    let scenario_mode = scenario_path.is_some()
-        || scenario_dir.is_some()
-        || record_path.is_some()
-        || replay_path.is_some()
-        || emit_scenarios_dir.is_some()
-        || check_scenarios_dir.is_some();
+    let scenario_mode = scenario_path.is_some() || record_path.is_some() || replay_path.is_some();
     if scenario_mode {
         if throughput_mode
             || scaling_mode
@@ -872,17 +554,12 @@ fn main() {
             || sharded_set
             || remote_conns.is_some()
             || baseline_path.is_some()
-            || faults_only
-            || membership_only
             || out.is_some()
+            || quick
         {
             eprintln!(
                 "the scenario/trace modes do not combine with the benchmark modes or their flags"
             );
-            std::process::exit(2);
-        }
-        if scenario_path.is_some() && scenario_dir.is_some() {
-            eprintln!("--scenario and --scenario-dir are mutually exclusive");
             std::process::exit(2);
         }
         if protocol_name.is_some() && record_path.is_none() {
@@ -893,33 +570,8 @@ fn main() {
             eprintln!("--engine only applies to --replay");
             std::process::exit(2);
         }
-        if let Some(dir) = emit_scenarios_dir {
-            if scenario_path.is_some()
-                || scenario_dir.is_some()
-                || record_path.is_some()
-                || replay_path.is_some()
-                || check_scenarios_dir.is_some()
-                || quick
-            {
-                eprintln!("--emit-scenarios is a standalone mode");
-                std::process::exit(2);
-            }
-            run_emit_scenarios(dir);
-        }
-        if let Some(dir) = check_scenarios_dir {
-            if scenario_path.is_some()
-                || scenario_dir.is_some()
-                || record_path.is_some()
-                || replay_path.is_some()
-                || quick
-            {
-                eprintln!("--check-scenarios is a standalone mode");
-                std::process::exit(2);
-            }
-            run_check_scenarios(dir);
-        }
         if let Some(path) = replay_path {
-            if scenario_path.is_some() || scenario_dir.is_some() || record_path.is_some() || quick {
+            if scenario_path.is_some() || record_path.is_some() {
                 eprintln!("--replay only combines with --engine");
                 std::process::exit(2);
             }
@@ -930,27 +582,10 @@ fn main() {
                 eprintln!("--record needs --scenario FILE to know what to run");
                 std::process::exit(2);
             };
-            if scenario_dir.is_some() || quick {
-                eprintln!("--record only combines with --scenario and --protocol");
-                std::process::exit(2);
-            }
             run_record(path, out_path, protocol_name);
         }
         if let Some(path) = scenario_path {
-            run_scenario_cells(vec![load_scenario_or_exit(&path)], quick);
-        }
-        if let Some(dir) = scenario_dir {
-            match scenario::load_scenario_dir(&dir) {
-                Ok(files) if files.is_empty() => {
-                    eprintln!("{}: no scenario files found", dir.display());
-                    std::process::exit(1);
-                }
-                Ok(files) => run_scenario_cells(files, quick),
-                Err(e) => {
-                    eprintln!("invalid scenario library: {e}");
-                    std::process::exit(1);
-                }
-            }
+            run_scenario(path);
         }
         unreachable!("every scenario mode dispatches above");
     }
@@ -970,60 +605,15 @@ fn main() {
             eprintln!("--campaign does not combine with --throughput/--small/--json/--sharded/--remote/experiment ids (use --quick, --out and --baseline)");
             std::process::exit(2);
         }
-        if (faults_only as u8) + (membership_only as u8) + (multiquery_only as u8) > 1 {
-            eprintln!(
-                "--faults-only, --membership-only and --multiquery-only are mutually exclusive"
-            );
-            std::process::exit(2);
-        }
         // Quick runs default to their own file: a bare `--campaign --quick`
         // must never clobber the committed full-scale report.
-        let default_out = if faults_only {
-            if quick {
-                "BENCH_faults_quick.json"
-            } else {
-                "BENCH_faults.json"
-            }
-        } else if membership_only {
-            if quick {
-                "BENCH_membership_quick.json"
-            } else {
-                "BENCH_membership.json"
-            }
-        } else if multiquery_only {
-            if quick {
-                "BENCH_multiquery_quick.json"
-            } else {
-                "BENCH_multiquery.json"
-            }
-        } else if quick {
+        let default_out = if quick {
             "BENCH_competitive_quick.json"
         } else {
             "BENCH_competitive.json"
         };
         let out = out.unwrap_or_else(|| PathBuf::from(default_out));
-        if faults_only {
-            run_faults_bench(quick, out, baseline_path);
-        }
-        if membership_only {
-            run_membership_bench(quick, out, baseline_path);
-        }
-        if multiquery_only {
-            run_multiquery_bench(quick, out, baseline_path);
-        }
         run_campaign_bench(quick, out, baseline_path);
-    }
-    if faults_only {
-        eprintln!("--faults-only only applies to --campaign");
-        std::process::exit(2);
-    }
-    if membership_only {
-        eprintln!("--membership-only only applies to --campaign");
-        std::process::exit(2);
-    }
-    if multiquery_only {
-        eprintln!("--multiquery-only only applies to --campaign");
-        std::process::exit(2);
     }
     if baseline_path.is_some() {
         eprintln!("--baseline only applies to --campaign");

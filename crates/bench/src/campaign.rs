@@ -1,72 +1,48 @@
-//! The scenario campaign: a declarative grid of workloads × protocols whose
-//! empirical competitive ratios are ratcheted in CI.
+//! The scenario campaign: every file of the `scenarios/` library run under
+//! every protocol, with empirical competitive ratios ratcheted in CI.
 //!
 //! The paper's entire contribution is *competitive analysis* — message counts
 //! of the online protocols measured against the offline OPT (Cor. 3.3,
-//! Thm. 4.5, Thm. 5.8) — yet a benchmark that only tracks steps/sec would
-//! happily wave through a protocol change that doubles message counts. The
-//! campaign closes that gap: a grid of [`ScenarioSpec`]s (generator family ×
-//! regime parameters × `ε` × `n`, expressed as plain data and serialised into
-//! the report) is run under **every** protocol, each cell's message count is
-//! divided by the OPT lower bound computed by `topk-offline` on the very trace
-//! the protocol saw, and the resulting ratios — with a headroom ceiling per
-//! cell — are committed as `BENCH_competitive.json`.
+//! Thm. 4.5, Thm. 5.8, Cor. 5.9) — yet a benchmark that only tracks steps/sec
+//! would happily wave through a protocol change that doubles message counts.
+//! The campaign closes that gap.
 //!
-//! `--check-competitive-floors` then re-validates the committed report:
-//! correctness (zero invalid output steps anywhere), coverage (at least the
-//! [`crate::floors::CompetitiveFloors`] protocol × family grid), ceiling
-//! consistency (every ceiling is exactly the formula of the floor table in
-//! force — hand-raised ceilings are rejected), and the paper-shape invariant
-//! that `DenseProtocol` beats the exact monitor on dense inputs (Thm. 5.8).
-//! Because every generator, engine and protocol is deterministic under its
-//! seed, regenerating the report on any machine reproduces identical message
-//! counts — a regression shows up as a reviewable diff of the committed JSON,
-//! not as noise.
+//! **The library is the campaign.** Each scenario file ([`ScenarioFile`]) is
+//! one workload, and [`run_file`] turns it into [`Cell`]s: one per protocol,
+//! or a single cell for a file with a `queries` plan. There is one runner
+//! ([`run_cell`]): the indexed engine — wrapped in a [`FaultyTransport`] when
+//! the file has a fault plan — driven by `run_with_membership_observed` with
+//! the file's membership schedule, if any. OPT (`topk-offline`) decomposes
+//! exactly the rows the driver delivered, so adaptive families (the
+//! Theorem 5.1 adversary) are measured on the trace they realised against
+//! each protocol's filters, and churned populations on the masked rows the
+//! model holds. A file's *companion* — its fault and/or membership plan —
+//! adds a [`Degradation`] block measured against the *clean twin*, the same
+//! file run without its companion. A query plan runs jointly on one shared
+//! engine and is measured against the same queries run independently
+//! ([`Amortization`]).
 //!
-//! Adaptive families (the Theorem 5.1 adversary) are handled by recording the
-//! rows the adversary actually emitted against each protocol's filters and
-//! decomposing *that* trace: the ratio is per-realised-instance, exactly the
-//! quantity the lower-bound proof bounds.
-//!
-//! ## The fault axis
-//!
-//! The paper proves its bounds under reliable synchronous channels and a
-//! fixed population; the campaign's *fault axis* measures what happens when
-//! those assumptions break (ROADMAP item 2). [`standard_fault_grid`] pairs
-//! non-adaptive base scenarios with one [`FaultSpec`] per fault family —
-//! reply latency, upstream message drop, node crash/rejoin — and
-//! [`run_fault_cell`] re-runs each protocol on a
-//! [`FaultyTransport`]-wrapped engine. A [`FaultCell`] records the absolute
-//! ratio (against the same OPT lower bound, computed on the *intended*
-//! trace), the **degradation** (messages relative to the fault-free run of
-//! the identical scenario), the recovery traffic, and the fraction of steps
-//! whose output broke the ε-top-k definition — faults legitimately break
-//! validity (a crashed node cannot report), so fault cells get their own
-//! permille bar instead of the fault-free `max_invalid_steps = 0` gate.
-//! Every fault plan is seed-driven and deterministic, so fault cells ratchet
-//! in CI exactly like the base cells.
-//!
-//! ## The membership axis
-//!
-//! The fault axis keeps the population fixed; the *membership axis* churns it
-//! (ROADMAP item: dynamic membership). [`standard_membership_grid`] pairs the
-//! same non-adaptive base scenarios with a [`MembershipPlanSpec`] — a seeded
-//! churn plan (`topk_gen::MembershipWorkload::churn`) under which live nodes
-//! leave and rejoin with filter reassignment — and [`run_membership_cell`]
-//! drives each protocol through `run_with_membership` on a normal engine. A
-//! [`MembershipCell`] records the absolute ratio against the OPT decomposition
-//! of the **masked** trace (dead slots pinned to 0 — the value vector the
-//! model actually holds, and the trace an offline algorithm facing the same
-//! churn would see), the degradation against the churn-free twin, the
-//! `Recovery`-labelled rejoin replay traffic, and the join/leave counts of the
-//! plan. Churn plans are pure functions of their seeds, so membership cells
-//! ratchet in CI exactly like the base and fault cells
-//! ([`check_membership_cells`], `--membership-only`).
+//! [`run_campaign`] writes `BENCH_competitive.json` ([`CompetitiveReport`]):
+//! one cell per (file name, protocol), each carrying the CRC-32 [`digest`] of
+//! its file's canonical bytes. [`check_competitive_floors`] is the one
+//! checker. It holds every cell to the bars of [`FloorTable::STANDARD`]
+//! (tightened, never loosened, by the file's `floors` override), recomputes
+//! every ratio from its counts, requires every ceiling to equal the floor
+//! formula, demands protocol × family, fault-family, churn-plan and
+//! plan-shape coverage, and fails on a missing, extra or stale cell.
+//! [`check_against_baseline`] is the ratchet's teeth: CI re-measures the
+//! quick selection — every file with at most [`QUICK_MAX_N`] nodes, at its
+//! full length — and holds each fresh ratio to the ceiling committed for the
+//! same (file, protocol) key. Every generator, fault plan, churn plan, engine
+//! and protocol is deterministic under its seed, so a regression is a
+//! reviewable diff of the committed JSON, never noise.
 
 use crate::floors::{CompetitiveFloors, FloorTable};
+use crate::scenario::{scenario_to_json, ScenarioFile};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use topk_core::monitor::{run_adaptive_observed, run_with_membership_observed, Monitor};
+use std::fmt;
+use topk_core::monitor::{run_with_membership_observed, Monitor, RunReport, StepObservation};
 use topk_core::queryset::{run_query_set, QuerySet};
 use topk_core::{CombinedMonitor, DenseMonitor, ExactTopKMonitor, HalfEpsMonitor, TopKMonitor};
 use topk_gen::{
@@ -75,7 +51,7 @@ use topk_gen::{
     RegimeSwitchWorkload, Trace, ZipfLoadWorkload,
 };
 use topk_model::prelude::*;
-use topk_net::{FaultyTransport, IndexedEngine};
+use topk_net::{FaultyTransport, IndexedEngine, Network};
 use topk_offline::{ApproxOfflineOpt, ExactOfflineOpt, OfflineCost, PhaseSolver};
 
 /// A workload generator plus its regime parameters, as serialisable data.
@@ -338,8 +314,8 @@ impl ProtocolKind {
     }
 }
 
-/// One cell of the scenario grid: a generator configuration at a concrete
-/// population size, `k`, error and seed.
+/// The workload of one scenario file: a generator configuration at a
+/// concrete population size, `k`, error, horizon and seed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// The workload family and its regime parameters.
@@ -370,90 +346,6 @@ fn label_counts(map: BTreeMap<String, u64>) -> Vec<LabelCount> {
     map.into_iter()
         .map(|(label, count)| LabelCount { label, count })
         .collect()
-}
-
-/// One measured cell: a scenario run under one protocol, with its competitive
-/// ratio against the paper's adversary for that protocol.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CampaignCell {
-    /// The scenario that was run (embedded verbatim for reproducibility).
-    pub scenario: ScenarioSpec,
-    /// Protocol name (see [`ProtocolKind::name`]).
-    pub protocol: String,
-    /// Total messages the online protocol sent.
-    pub messages: u64,
-    /// Interactive protocol rounds used.
-    pub rounds: u64,
-    /// Steps at which the output violated the ε-top-k definition (gated to 0).
-    pub invalid_steps: u64,
-    /// OPT lower bound (phase count) on the realised trace.
-    pub opt_lower: u64,
-    /// OPT upper bound (`(k + 1)` messages per phase) on the realised trace.
-    pub opt_upper: u64,
-    /// The offline adversary's error (`None` = exact adversary).
-    pub opt_eps: Option<Epsilon>,
-    /// Empirical competitive ratio: `messages / max(opt_lower, 1)`.
-    pub ratio: f64,
-    /// Ratcheted ratio ceiling (`CompetitiveFloors::ceiling(ratio)` at
-    /// generation time) enforced by `--check-competitive-floors`.
-    pub ceiling: f64,
-    /// Message attribution by protocol phase (the `CostMeter` label taxonomy).
-    pub messages_by_label: Vec<LabelCount>,
-    /// Message attribution by workload regime (non-empty only for families
-    /// that expose regime segments, i.e. `regime-switch`).
-    pub messages_by_regime: Vec<LabelCount>,
-}
-
-impl CampaignCell {
-    /// The generator family of this cell.
-    pub fn family(&self) -> &'static str {
-        self.scenario.generator.family()
-    }
-}
-
-/// One fault-axis cell: a scenario run under one protocol on a faulty
-/// transport, with both its absolute competitive ratio and its degradation
-/// relative to the fault-free run of the identical scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultCell {
-    /// The scenario that was run (embedded verbatim for reproducibility).
-    pub scenario: ScenarioSpec,
-    /// Protocol name (see [`ProtocolKind::name`]).
-    pub protocol: String,
-    /// The fault plan in force (embedded verbatim; fully determines the run
-    /// together with the scenario).
-    pub fault: FaultSpec,
-    /// The fault family ([`FaultSpec::family`]) — the coverage key.
-    pub fault_family: String,
-    /// Total messages the online protocol sent, recovery traffic included.
-    pub messages: u64,
-    /// Messages of the fault-free run of the identical scenario/protocol.
-    pub clean_messages: u64,
-    /// Messages attributed to fault recovery (rejoin replays).
-    pub recovery_messages: u64,
-    /// Steps at which the output violated the ε-top-k definition. Unlike
-    /// base cells this may be non-zero — gated as a permille fraction of
-    /// `scenario.steps` by `fault_invalid_fraction_permille`.
-    pub invalid_steps: u64,
-    /// OPT lower bound on the *intended* trace (what the nodes would have
-    /// observed on a reliable network — the adversary's cost is fault-free).
-    pub opt_lower: u64,
-    /// Empirical competitive ratio: `messages / max(opt_lower, 1)`.
-    pub ratio: f64,
-    /// Ratcheted ratio ceiling, same formula as base cells.
-    pub ceiling: f64,
-    /// Degradation factor: `messages / max(clean_messages, 1)`.
-    pub degradation: f64,
-    /// Ratcheted degradation ceiling (`CompetitiveFloors::ceiling` applied
-    /// to the degradation) — a recovery-machinery regression shows up here
-    /// even when the absolute ratio stays under its own ceiling.
-    pub degradation_ceiling: f64,
-    /// Node crashes the fault plan executed.
-    pub crashes: u64,
-    /// Node rejoins (each preceded by a recovery replay).
-    pub rejoins: u64,
-    /// Messages lost in transit (charged but never delivered).
-    pub dropped_messages: u64,
 }
 
 /// A seeded membership churn plan, as serialisable data.
@@ -495,97 +387,214 @@ impl MembershipPlanSpec {
     }
 }
 
-/// One membership-axis cell: a scenario run under one protocol while the
-/// population churns, with both its absolute competitive ratio (against the
-/// OPT decomposition of the masked trace) and its degradation relative to the
-/// churn-free run of the identical scenario.
+/// The quick selection's population bound: `--campaign --quick` runs every
+/// library file with at most this many nodes, at its full length. Only the
+/// large-`n` tractability probes fall outside it.
+pub const QUICK_MAX_N: usize = 1024;
+
+/// Whether `file` belongs to the quick selection (see [`QUICK_MAX_N`]).
+pub fn is_quick(file: &ScenarioFile) -> bool {
+    file.spec.n <= QUICK_MAX_N
+}
+
+/// CRC-32 of the file's canonical bytes ([`scenario_to_json`]): what ties a
+/// committed cell to the exact scenario it measured.
+pub fn digest(file: &ScenarioFile) -> u32 {
+    topk_wire::crc32::crc32(scenario_to_json(file).as_bytes())
+}
+
+/// The key protocol of a query-plan cell: the plan's protocol names, in
+/// registration order, joined by `+`.
+fn plan_protocol(queries: &[QuerySpec]) -> String {
+    let names: Vec<&str> = queries.iter().map(|q| q.protocol.as_str()).collect();
+    names.join("+")
+}
+
+/// The protocol keys `file` defines cells for: every protocol, or the plan
+/// key of a query-plan file.
+fn cell_protocols(file: &ScenarioFile) -> Vec<String> {
+    match &file.queries {
+        Some(queries) => vec![plan_protocol(queries)],
+        None => ProtocolKind::ALL.map(|p| p.name().to_string()).to_vec(),
+    }
+}
+
+/// The shape of a query plan, derived from its subsets: `twin` when every
+/// query watches the same nodes, `disjoint` when no two share a node,
+/// `overlap` otherwise.
+fn plan_shape(file: &ScenarioFile) -> Option<&'static str> {
+    let queries = file.queries.as_ref()?;
+    let sets: Vec<BTreeSet<NodeId>> = queries
+        .iter()
+        .map(|q| q.subset.resolve(file.spec.n).into_iter().collect())
+        .collect();
+    let shape = if sets.windows(2).all(|w| w[0] == w[1]) {
+        "twin"
+    } else if sets
+        .iter()
+        .enumerate()
+        .all(|(i, a)| sets[i + 1..].iter().all(|b| a.is_disjoint(b)))
+    {
+        "disjoint"
+    } else {
+        "overlap"
+    };
+    Some(shape)
+}
+
+/// A single-query run measured against the offline adversary of its
+/// protocol's theorem.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MembershipCell {
-    /// The scenario that was run (embedded verbatim for reproducibility).
-    pub scenario: ScenarioSpec,
-    /// Protocol name (see [`ProtocolKind::name`]).
-    pub protocol: String,
-    /// The churn plan in force (embedded verbatim; fully determines the
-    /// schedule together with the scenario).
-    pub plan: MembershipPlanSpec,
-    /// The plan name ([`MembershipPlanSpec::name`]) — the coverage key.
-    pub plan_name: String,
-    /// Total messages the online protocol sent, rejoin replays included.
-    pub messages: u64,
-    /// Messages of the churn-free run of the identical scenario/protocol.
-    pub clean_messages: u64,
-    /// Messages attributed to rejoin replays (the `Recovery` label).
-    pub recovery_messages: u64,
-    /// Steps at which the output violated the ε-top-k definition **on the
-    /// masked row**. Gated as a permille fraction of `scenario.steps` by
-    /// `membership_invalid_fraction_permille` (strictly tighter than the
-    /// fault bar: churn is visible to the validator, so only the departure
-    /// re-resolution transient is excused).
-    pub invalid_steps: u64,
-    /// Leave events the plan executed within the horizon.
-    pub leaves: u64,
-    /// Join events the plan executed within the horizon.
-    pub joins: u64,
-    /// OPT lower bound on the *masked* trace (dead slots pinned to 0 — the
-    /// offline adversary faces the same churn the online protocol does).
+pub struct Competitive {
+    /// Interactive protocol rounds used.
+    pub rounds: u64,
+    /// OPT lower bound (phase count) on the delivered trace.
     pub opt_lower: u64,
+    /// OPT upper bound (`(k + 1)` messages per phase) on the delivered trace.
+    pub opt_upper: u64,
+    /// The offline adversary's error (`None` = exact adversary).
+    pub opt_eps: Option<Epsilon>,
     /// Empirical competitive ratio: `messages / max(opt_lower, 1)`.
     pub ratio: f64,
-    /// Ratcheted ratio ceiling, same formula as base cells.
+    /// Ratcheted ratio ceiling (`CompetitiveFloors::ceiling(ratio)`).
     pub ceiling: f64,
-    /// Degradation factor: `messages / max(clean_messages, 1)`.
-    pub degradation: f64,
-    /// Ratcheted degradation ceiling — a rejoin-replay regression shows up
-    /// here even when the absolute ratio stays under its own ceiling.
-    pub degradation_ceiling: f64,
+    /// Message attribution by protocol phase (the `CostMeter` label taxonomy).
+    pub messages_by_label: Vec<LabelCount>,
+    /// Message attribution by workload regime (non-empty only for families
+    /// that expose regime segments, i.e. `regime-switch`).
+    pub messages_by_regime: Vec<LabelCount>,
 }
 
-/// A multi-query plan, as serialisable data: the query set registered against
-/// one shared engine. Together with a [`ScenarioSpec`] it fully determines a
-/// multi-query cell — specs embed the protocol name, `k`, `ε` and subset of
-/// every query in registration order.
+/// What a file's companion (fault plan, membership plan or both) cost,
+/// against the clean twin.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MultiQueryPlanSpec {
-    /// Stable plan name — the coverage key (`twin` / `overlap` / `disjoint`).
-    pub name: String,
-    /// The queries, in registration order.
-    pub queries: Vec<QuerySpec>,
+pub struct Degradation {
+    /// Messages of the clean twin (the same file without its companion).
+    pub clean_messages: u64,
+    /// `messages / max(clean_messages, 1)`.
+    pub factor: f64,
+    /// Ratcheted ceiling (`CompetitiveFloors::ceiling(factor)`): a recovery
+    /// regression shows here even when the ratio stays under its own ceiling.
+    pub ceiling: f64,
+    /// Messages under the `Recovery` label (rejoin and join replays).
+    pub recovery_messages: u64,
+    /// Node crashes the fault plan executed.
+    pub crashes: u64,
+    /// Node rejoins after a crash.
+    pub rejoins: u64,
+    /// Messages lost in transit (charged but never delivered).
+    pub dropped_messages: u64,
+    /// Leave events the membership plan executed within the horizon.
+    pub leaves: u64,
+    /// Join events the membership plan executed within the horizon.
+    pub joins: u64,
 }
 
-/// One multi-query cell: a scenario run under a [`MultiQueryPlanSpec`] on one
-/// shared engine, measured against the sum of the same queries run
-/// independently — the amortization the shared-filter design claims.
+/// A query plan run jointly on one shared engine against the sum of its
+/// queries run independently — the amortization the shared-filter design
+/// claims.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MultiQueryCell {
-    /// The scenario that was run (embedded verbatim for reproducibility).
-    pub scenario: ScenarioSpec,
-    /// The query plan in force (embedded verbatim; fully determines the run
-    /// together with the scenario).
-    pub plan: MultiQueryPlanSpec,
-    /// The plan name ([`MultiQueryPlanSpec::name`]) — the coverage key.
-    pub plan_name: String,
-    /// Total messages of the joint run (everything on one engine).
-    pub messages: u64,
-    /// Sum of the message counts of each query run independently on its own
-    /// fresh engine over the identical rows — the un-amortized baseline.
+pub struct Amortization {
+    /// Sum of the message counts of each query run alone on its own fresh
+    /// engine over the identical rows.
     pub independent_messages: u64,
+    /// `messages / max(independent_messages, 1)`; below 1 sharing pays.
+    pub factor: f64,
+    /// Ratcheted ceiling (`CompetitiveFloors::ceiling(factor)`).
+    pub ceiling: f64,
     /// Per-query attributed cost in [`SPLIT_SCALE`]-ths of a message, in
-    /// registration order. Sums to exactly `messages × SPLIT_SCALE` (the
-    /// ledger invariant the query-set driver itself asserts).
+    /// registration order; sums to exactly `messages × SPLIT_SCALE`.
     pub per_query_units: Vec<u64>,
-    /// Reports the joint run delivered (routing volume, for context).
+    /// Violation reports the joint run delivered (routing volume).
     pub deliveries: u64,
-    /// Invalid output steps summed over the queries, each validated against
-    /// its own subset-restricted row. Gated as a permille fraction of
-    /// `steps × queries` by `multiquery_invalid_fraction_permille`.
+}
+
+/// One measured cell: a scenario file under one protocol, or a query-plan
+/// file's whole plan. `(scenario, protocol)` is its key in the report.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Cell {
+    /// The scenario's name (its file stem in `scenarios/`).
+    pub scenario: String,
+    /// [`digest`] of the file the cell measured.
+    pub digest: u32,
+    /// Protocol name, or a query plan's protocols joined by `+`.
+    pub protocol: String,
+    /// Total messages sent, recovery traffic included.
+    pub messages: u64,
+    /// Output steps that broke the ε-top-k definition (summed over the
+    /// queries of a plan, each validated on its own subset).
     pub invalid_steps: u64,
-    /// Amortization factor: `messages / max(independent_messages, 1)`.
-    /// Below 1 the shared run is cheaper than its independent baseline.
-    pub amortization: f64,
-    /// Ratcheted amortization ceiling (`CompetitiveFloors::ceiling` applied
-    /// to the amortization) — a sharing regression shows up here even though
-    /// no OPT ratio exists for the joint run.
-    pub amortization_ceiling: f64,
+    /// Ratio against OPT; absent for a query plan, which has no OPT.
+    pub competitive: Option<Competitive>,
+    /// Cost of the file's companion; present exactly when it has one.
+    pub degradation: Option<Degradation>,
+    /// Sharing gain of a query plan; present exactly for query-plan files.
+    pub amortization: Option<Amortization>,
+}
+
+/// One ratcheted measure of a cell: `(value, numerator, denominator,
+/// ceiling)`, where `value` must equal `numerator / max(denominator, 1)`.
+type Measure = (f64, u64, u64, f64);
+
+impl Cell {
+    /// The cell's ratcheted measures, each present exactly when its block is:
+    /// the ratio against OPT, the degradation against the clean twin and the
+    /// amortization against the independent runs.
+    fn measures(&self) -> [(&'static str, Option<Measure>); 3] {
+        let m = self.messages;
+        [
+            (
+                "ratio",
+                self.competitive
+                    .as_ref()
+                    .map(|c| (c.ratio, m, c.opt_lower, c.ceiling)),
+            ),
+            (
+                "degradation",
+                self.degradation
+                    .as_ref()
+                    .map(|d| (d.factor, m, d.clean_messages, d.ceiling)),
+            ),
+            (
+                "amortization",
+                self.amortization
+                    .as_ref()
+                    .map(|a| (a.factor, m, a.independent_messages, a.ceiling)),
+            ),
+        ]
+    }
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:<38} {:>13}: {:>8} msgs",
+            self.scenario, self.protocol, self.messages
+        )?;
+        if let Some(c) = &self.competitive {
+            write!(
+                f,
+                " / opt {:>5} = ratio {:>8.2} (ceiling {:.2})",
+                c.opt_lower, c.ratio, c.ceiling
+            )?;
+        }
+        if let Some(d) = &self.degradation {
+            write!(
+                f,
+                ", clean {} = degradation {:.2}",
+                d.clean_messages, d.factor
+            )?;
+        }
+        if let Some(a) = &self.amortization {
+            write!(
+                f,
+                ", independent {} = amortization {:.3}",
+                a.independent_messages, a.factor
+            )?;
+        }
+        write!(f, ", {} invalid steps", self.invalid_steps)
+    }
 }
 
 /// The campaign output, serialised to `BENCH_competitive.json`.
@@ -593,159 +602,64 @@ pub struct MultiQueryCell {
 pub struct CompetitiveReport {
     /// Schema identifier (`"competitive"`).
     pub bench: String,
-    /// `"quick"` (CI smoke) or `"full"` (the committed report).
+    /// `"full"` (every library file — the committed report) or `"quick"`
+    /// (the files [`is_quick`] selects).
     pub scale: String,
-    /// The competitive floor table the report was generated against.
+    /// The floor table the report was generated against.
     pub floors: CompetitiveFloors,
-    /// All measured fault-free cells.
-    pub cells: Vec<CampaignCell>,
-    /// All measured fault-axis cells (see [`FaultCell`]).
-    pub fault_cells: Vec<FaultCell>,
-    /// All measured membership-axis cells (see [`MembershipCell`]).
-    pub membership_cells: Vec<MembershipCell>,
-    /// All measured multi-query-axis cells (see [`MultiQueryCell`]).
-    pub multiquery_cells: Vec<MultiQueryCell>,
+    /// Every measured cell, in library order.
+    pub cells: Vec<Cell>,
 }
 
-/// The standard scenario grid.
-///
-/// Every family appears at `n = 64`. The full grid is a strict **superset**
-/// of the quick grid: it contains every quick cell verbatim (same steps and
-/// seeds) plus longer-horizon variants, a second error (`ε = 1/4`), a larger
-/// population per family, and two large-`n` tractability probes that exercise
-/// the buffer-reusing OPT solver at campaign scale. The superset property is
-/// what gives the CI smoke run its ratchet: every quick cell it measures has
-/// a committed counterpart with a committed ceiling to compare against
-/// (see [`check_against_baseline`]).
-pub fn standard_grid(quick: bool) -> Vec<ScenarioSpec> {
-    let quick_steps = 60usize;
-    let steps = 240usize;
-    let k = 4usize;
-    // The dense-neighbourhood family runs at the Theorem 5.8 operating point
-    // (k = 8, the E6 configuration): the dense-vs-exact separation the floor
-    // check asserts needs the k-th value to sit well inside the pack.
-    let dense_k = 8usize;
-    let families: [GeneratorSpec; 8] = [
-        GeneratorSpec::Zipf { peak_load: 100_000 },
-        GeneratorSpec::Noise {
-            sigma: 12,
-            z: 1 << 18,
-        },
-        GeneratorSpec::RandomWalk {
-            delta: 1 << 20,
-            max_step: 1 << 10,
-            move_permille: 300,
-        },
-        GeneratorSpec::Gap { high_base: 1 << 20 },
-        GeneratorSpec::Adversarial {
-            sigma: 16,
-            y0: 1 << 20,
-        },
-        GeneratorSpec::RegimeSwitch {
-            sigma: 12,
-            z: 1 << 18,
-            segment_len: 20,
-        },
-        GeneratorSpec::CorrelatedBurst {
-            base_load: 50_000,
-            factor: 8,
-            group: 8,
-            burst_permille: 100,
-        },
-        GeneratorSpec::Churn {
-            z: 1 << 18,
-            churn_permille: 80,
-        },
-    ];
-    let eps_base = Epsilon::TENTH;
-    let mut grid = Vec::new();
-    for (i, generator) in families.into_iter().enumerate() {
-        let seed = 0xCA3C + i as u64;
-        let k = match generator {
-            GeneratorSpec::Noise { .. } => dense_k,
-            _ => k,
-        };
-        // The quick cell — identical in both grids (the ratchet anchor).
-        grid.push(ScenarioSpec {
-            generator,
-            n: 64,
-            k,
-            eps: eps_base,
-            steps: quick_steps,
-            seed,
-        });
-        if !quick {
-            grid.push(ScenarioSpec {
-                generator,
-                n: 64,
-                k,
-                eps: eps_base,
-                steps,
-                seed,
-            });
-            grid.push(ScenarioSpec {
-                generator,
-                n: 64,
-                k,
-                eps: Epsilon::new(1, 4).unwrap(),
-                steps,
-                seed,
-            });
-            grid.push(ScenarioSpec {
-                generator,
-                n: 256,
-                k,
-                eps: eps_base,
-                steps,
-                seed,
-            });
-        }
-    }
-    if !quick {
-        // Tractability probes: the OPT decomposition (and the engines) must
-        // stay fast at n = 10⁵ — quiet walks and churn keep the message volume
-        // sane while still exercising full-width rows.
-        grid.push(ScenarioSpec {
-            generator: GeneratorSpec::RandomWalk {
-                delta: 1 << 30,
-                max_step: 1 << 10,
-                move_permille: 10,
-            },
-            n: 100_000,
-            k,
-            eps: eps_base,
-            steps: 100,
-            seed: 0xB16,
-        });
-        // The churn probe stops at 2·10⁴: `DenseProtocol`'s server-side
-        // regrouping makes per-step churn at 10⁵ nodes a minutes-per-cell
-        // affair (an engine-side optimisation target, not a campaign one).
-        grid.push(ScenarioSpec {
-            generator: GeneratorSpec::Churn {
-                z: 1 << 18,
-                churn_permille: 2,
-            },
-            n: 20_000,
-            k,
-            eps: eps_base,
-            steps: 100,
-            seed: 0xB17,
-        });
-    }
-    grid
-}
-
-/// Runs one scenario under one protocol and measures its competitive ratio.
-pub fn run_cell(
-    spec: &ScenarioSpec,
+/// Drives `file` under `protocol` on `net`: its workload for `steps` steps
+/// and its membership schedule, if any. The one driver behind every campaign
+/// cell and every recorded trace.
+pub(crate) fn drive(
+    file: &ScenarioFile,
     protocol: ProtocolKind,
-    floors: &CompetitiveFloors,
-    solver: &mut PhaseSolver,
-) -> CampaignCell {
+    net: &mut dyn Network,
+    observer: impl FnMut(StepObservation<'_>),
+) -> RunReport {
+    let spec = &file.spec;
     let mut workload = spec.generator.build(spec.n, spec.k, spec.eps, spec.seed);
     let mut monitor = protocol.build_monitor(spec.k, spec.eps);
-    let mut net = IndexedEngine::new(spec.n, spec.seed);
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(spec.steps);
+    let schedule = file
+        .membership
+        .map(|plan| plan.build(spec.n, spec.steps as u64));
+    let mut emitted = 0usize;
+    run_with_membership_observed(
+        monitor.as_mut(),
+        net,
+        spec.eps,
+        |filters| {
+            if emitted == spec.steps {
+                return None;
+            }
+            emitted += 1;
+            Some(workload.next_step_adaptive(filters))
+        },
+        |step| {
+            schedule
+                .as_ref()
+                .map_or_else(Vec::new, |s| s.events_at(step).to_vec())
+        },
+        observer,
+    )
+}
+
+/// One run of a file under one protocol, with what the observer collected.
+struct Observed {
+    report: RunReport,
+    /// The rows the driver delivered (masked under churn) — OPT's input.
+    rows: Vec<Vec<Value>>,
+    regime_messages: BTreeMap<String, u64>,
+    faults: FaultStats,
+    leaves: u64,
+    joins: u64,
+}
+
+fn observe(file: &ScenarioFile, protocol: ProtocolKind) -> Observed {
+    let spec = &file.spec;
     // A second, never-stepped instance of the regime-switching generator
     // serves as the step → regime oracle, so the attribution below uses the
     // generator's own `regime_of_step` instead of a re-derived formula.
@@ -765,715 +679,370 @@ pub fn run_cell(
         )),
         _ => None,
     };
-    let mut regime_msgs: BTreeMap<String, u64> = BTreeMap::new();
-    let mut prev_total = 0u64;
-    let mut emitted = 0usize;
-    let report = run_adaptive_observed(
-        monitor.as_mut(),
-        &mut net,
-        spec.eps,
-        |filters| {
-            if emitted == spec.steps {
-                return None;
-            }
-            emitted += 1;
-            let row = workload.next_step_adaptive(filters);
-            rows.push(row.clone());
-            Some(row)
-        },
-        |obs| {
-            if let Some(probe) = &regime_probe {
-                let regime = probe.regime_of_step(obs.step);
-                *regime_msgs.entry(regime.name().to_string()).or_insert(0) +=
-                    obs.messages_total - prev_total;
-                prev_total = obs.messages_total;
-            }
-        },
-    );
-    let trace = Trace::new(rows).expect("campaign rows are rectangular and non-empty");
-    let opt: OfflineCost = match protocol.adversary() {
-        Adversary::Exact => ExactOfflineOpt::new(spec.k).cost_with(solver, &trace),
-        Adversary::Approx => ApproxOfflineOpt::new(spec.k, spec.eps).cost_with(solver, &trace),
-        Adversary::HalfEps => ApproxOfflineOpt::half_of(spec.k, spec.eps).cost_with(solver, &trace),
-    }
-    .expect("grid scenarios always satisfy 1 <= k < n");
-    let ratio = opt.competitive_ratio(report.messages());
-    let mut by_label: BTreeMap<String, u64> = BTreeMap::new();
-    for ((label, _kind), count) in &report.stats.by_label_kind {
-        *by_label.entry(label.to_string()).or_insert(0) += count;
-    }
-    CampaignCell {
-        scenario: *spec,
-        protocol: protocol.name().to_string(),
-        messages: report.messages(),
-        rounds: report.stats.rounds,
-        invalid_steps: report.invalid_steps,
-        opt_lower: opt.lower_bound,
-        opt_upper: opt.upper_bound,
-        opt_eps: opt.eps,
-        ratio,
-        ceiling: floors.ceiling(ratio),
-        messages_by_label: label_counts(by_label),
-        messages_by_regime: label_counts(regime_msgs),
-    }
-}
-
-/// The standard fault grid: base scenarios × one spec per fault family.
-///
-/// The base scenarios are **non-adaptive** families (noise at the dense
-/// operating point, random walks), so the intended trace — and therefore the
-/// OPT lower bound and the fault-free `clean_messages` — is identical with
-/// and without the fault layer; the difference between a fault cell and its
-/// clean twin is purely what the fault plan did. The three fault families
-/// are chosen to stay within the protocols' *monitoring* invariants: upstream
-/// drops lose reports the server simply never learns of, same-run latency
-/// delays truthful replies, and crash/rejoin re-syncs filters before a node's
-/// next observation is admitted. (Downstream drops and reply reordering are
-/// harness capabilities exercised by the raw-`Network` fault tests; steering
-/// them through the full monitors could violate protocol preconditions the
-/// paper assumes, which would measure broken plumbing rather than graceful
-/// degradation.)
-///
-/// Like [`standard_grid`], the full grid contains every quick cell verbatim
-/// (the ratchet anchor) plus longer-horizon variants.
-pub fn standard_fault_grid(quick: bool) -> Vec<(ScenarioSpec, FaultSpec)> {
-    let bases = [
-        (
-            GeneratorSpec::Noise {
-                sigma: 12,
-                z: 1 << 18,
-            },
-            8usize, // the Theorem 5.8 dense operating point
-        ),
-        (
-            GeneratorSpec::RandomWalk {
-                delta: 1 << 20,
-                max_step: 1 << 10,
-                move_permille: 300,
-            },
-            4usize,
-        ),
-    ];
-    // Intensities are calibrated against the floor bars at the *full*
-    // 240-step horizon (see the ignored `calibrate_fault_grid` test): the
-    // crash churn is stationary — per-node 10‰/step with 5-step outages
-    // settles near 3 of 64 nodes down — so the steady-state invalid
-    // fraction, not the quick 60-step transient, is what must clear
-    // `fault_invalid_fraction_permille`.
-    let faults = [
-        FaultSpec::latency_rounds(0xFA01, 0, 1),
-        FaultSpec::drop_upstream(0xFA02, 150),
-        FaultSpec::crash_rejoin(0xFA03, 10, 5, 8),
-    ];
-    let mut grid = Vec::new();
-    for (i, (generator, k)) in bases.into_iter().enumerate() {
-        let seed = 0xFA10 + i as u64;
-        for fault in faults {
-            // The quick cell — identical in both grids (the ratchet anchor).
-            grid.push((
-                ScenarioSpec {
-                    generator,
-                    n: 64,
-                    k,
-                    eps: Epsilon::TENTH,
-                    steps: 60,
-                    seed,
-                },
-                fault,
-            ));
-            if !quick {
-                grid.push((
-                    ScenarioSpec {
-                        generator,
-                        n: 64,
-                        k,
-                        eps: Epsilon::TENTH,
-                        steps: 240,
-                        seed,
-                    },
-                    fault,
-                ));
-            }
-        }
-    }
-    grid
-}
-
-/// Runs one fault cell: the scenario under `protocol` on a
-/// [`FaultyTransport`]-wrapped engine executing `fault`.
-///
-/// `clean_messages` is the message count of the fault-free run of the same
-/// scenario/protocol (the caller measures it once per pair and reuses it
-/// across the pair's fault cells).
-pub fn run_fault_cell(
-    spec: &ScenarioSpec,
-    fault: &FaultSpec,
-    protocol: ProtocolKind,
-    floors: &CompetitiveFloors,
-    solver: &mut PhaseSolver,
-    clean_messages: u64,
-) -> FaultCell {
-    let mut workload = spec.generator.build(spec.n, spec.k, spec.eps, spec.seed);
-    let mut monitor = protocol.build_monitor(spec.k, spec.eps);
-    let mut net = FaultyTransport::new(IndexedEngine::new(spec.n, spec.seed), *fault);
     let mut rows: Vec<Vec<Value>> = Vec::with_capacity(spec.steps);
-    let mut emitted = 0usize;
-    let report = run_adaptive_observed(
-        monitor.as_mut(),
-        &mut net,
-        spec.eps,
-        |filters| {
-            if emitted == spec.steps {
-                return None;
-            }
-            emitted += 1;
-            let row = workload.next_step_adaptive(filters);
-            rows.push(row.clone());
-            Some(row)
-        },
-        |_| {},
-    );
-    // The adversary decomposes the *intended* trace: OPT runs on a reliable
-    // network, so the fault cell's ratio is online-under-faults vs
-    // offline-without-faults — the degradation the paper cannot bound.
-    let trace = Trace::new(rows).expect("campaign rows are rectangular and non-empty");
-    let opt: OfflineCost = match protocol.adversary() {
-        Adversary::Exact => ExactOfflineOpt::new(spec.k).cost_with(solver, &trace),
-        Adversary::Approx => ApproxOfflineOpt::new(spec.k, spec.eps).cost_with(solver, &trace),
-        Adversary::HalfEps => ApproxOfflineOpt::half_of(spec.k, spec.eps).cost_with(solver, &trace),
-    }
-    .expect("grid scenarios always satisfy 1 <= k < n");
-    let ratio = opt.competitive_ratio(report.messages());
-    let degradation = report.messages() as f64 / clean_messages.max(1) as f64;
-    let fs = net.fault_stats();
-    FaultCell {
-        scenario: *spec,
-        protocol: protocol.name().to_string(),
-        fault: *fault,
-        fault_family: fault.family().to_string(),
-        messages: report.messages(),
-        clean_messages,
-        recovery_messages: report.stats.messages_of_label(ProtocolLabel::Recovery),
-        invalid_steps: report.invalid_steps,
-        opt_lower: opt.lower_bound,
-        ratio,
-        ceiling: floors.ceiling(ratio),
-        degradation,
-        degradation_ceiling: floors.ceiling(degradation),
-        crashes: fs.crashes,
-        rejoins: fs.rejoins,
-        dropped_messages: fs.dropped(),
-    }
-}
-
-/// Runs the fault axis: every [`standard_fault_grid`] pair × every protocol,
-/// measuring each pair's fault-free twin once for the degradation baseline.
-pub fn run_fault_campaign(
-    quick: bool,
-    floors: &CompetitiveFloors,
-    solver: &mut PhaseSolver,
-    log: impl Fn(&str),
-) -> Vec<FaultCell> {
-    let mut clean_cache: BTreeMap<String, u64> = BTreeMap::new();
-    let mut cells = Vec::new();
-    for (spec, fault) in standard_fault_grid(quick) {
-        for protocol in ProtocolKind::ALL {
-            let clean_key = format!("{spec:?}/{}", protocol.name());
-            let clean_messages = *clean_cache
-                .entry(clean_key)
-                .or_insert_with(|| run_cell(&spec, protocol, floors, solver).messages);
-            let cell = run_fault_cell(&spec, &fault, protocol, floors, solver, clean_messages);
-            log(&format!(
-                "campaign: {:>16} n={:>6} fault={:>7} {:>13}: {:>8} msgs (clean {:>8}) = degradation {:>6.2}, ratio {:>8.2}, {:>2} invalid steps",
-                cell.scenario.generator.family(),
-                spec.n,
-                cell.fault_family,
-                cell.protocol,
-                cell.messages,
-                cell.clean_messages,
-                cell.degradation,
-                cell.ratio,
-                cell.invalid_steps,
-            ));
-            cells.push(cell);
-        }
-    }
-    cells
-}
-
-/// The standard membership grid: base scenarios × one churn plan per
-/// intensity.
-///
-/// The bases are the same **non-adaptive** families as
-/// [`standard_fault_grid`] (noise at the dense operating point, random
-/// walks), so the churn-free `clean_messages` twin is exactly a base-campaign
-/// run of the scenario. Two plans cover the coverage floor
-/// (`min_membership_plans`): a *mild* plan (about one departure per step
-/// somewhere in the population, brief outages) and an *aggressive* plan
-/// (several concurrent outages, the live floor doing real work). Both floors
-/// stay far above `k = 8`, so the monitored top-k is always defined. Like the
-/// other grids, the full grid contains every quick cell verbatim (the ratchet
-/// anchor) plus longer-horizon variants.
-pub fn standard_membership_grid(quick: bool) -> Vec<(ScenarioSpec, MembershipPlanSpec)> {
-    let bases = [
-        (
-            GeneratorSpec::Noise {
-                sigma: 12,
-                z: 1 << 18,
-            },
-            8usize, // the Theorem 5.8 dense operating point
-        ),
-        (
-            GeneratorSpec::RandomWalk {
-                delta: 1 << 20,
-                max_step: 1 << 10,
-                move_permille: 300,
-            },
-            4usize,
-        ),
-    ];
-    let plans = [
-        MembershipPlanSpec {
-            seed: 0xAB01,
-            leave_permille: 15,
-            downtime: 4,
-            min_live: 56,
-        },
-        MembershipPlanSpec {
-            seed: 0xAB02,
-            leave_permille: 60,
-            downtime: 8,
-            min_live: 40,
-        },
-    ];
-    let mut grid = Vec::new();
-    for (i, (generator, k)) in bases.into_iter().enumerate() {
-        let seed = 0xAB10 + i as u64;
-        for plan in plans {
-            // The quick cell — identical in both grids (the ratchet anchor).
-            grid.push((
-                ScenarioSpec {
-                    generator,
-                    n: 64,
-                    k,
-                    eps: Epsilon::TENTH,
-                    steps: 60,
-                    seed,
-                },
-                plan,
-            ));
-            if !quick {
-                grid.push((
-                    ScenarioSpec {
-                        generator,
-                        n: 64,
-                        k,
-                        eps: Epsilon::TENTH,
-                        steps: 240,
-                        seed,
-                    },
-                    plan,
-                ));
-            }
-        }
-    }
-    grid
-}
-
-/// Runs one membership cell: the scenario under `protocol` while the
-/// population churns according to `plan`.
-///
-/// The OPT decomposition runs on the **masked** trace — the rows as the model
-/// holds them, dead slots pinned to 0 — because an offline algorithm facing
-/// the same churn sees exactly those values; decomposing the raw workload
-/// output would charge OPT for phase changes among values nobody observed.
-/// `clean_messages` is the message count of the churn-free run of the same
-/// scenario/protocol (the caller measures it once per pair and reuses it
-/// across the pair's membership cells).
-pub fn run_membership_cell(
-    spec: &ScenarioSpec,
-    plan: &MembershipPlanSpec,
-    protocol: ProtocolKind,
-    floors: &CompetitiveFloors,
-    solver: &mut PhaseSolver,
-    clean_messages: u64,
-) -> MembershipCell {
-    let mut workload = spec.generator.build(spec.n, spec.k, spec.eps, spec.seed);
-    let schedule = plan.build(spec.n, spec.steps as u64);
-    let mut monitor = protocol.build_monitor(spec.k, spec.eps);
-    let mut net = IndexedEngine::new(spec.n, spec.seed);
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(spec.steps);
-    let mut emitted = 0usize;
-    let report = run_with_membership_observed(
-        monitor.as_mut(),
-        &mut net,
-        spec.eps,
-        |filters| {
-            if emitted == spec.steps {
-                return None;
-            }
-            emitted += 1;
-            Some(workload.next_step_adaptive(filters))
-        },
-        schedule.driver(),
-        // The observer sees the masked row (the driver masks before
-        // delivery) — record that as the trace OPT decomposes.
-        |obs| rows.push(obs.row.to_vec()),
-    );
-    let trace = Trace::new(rows).expect("campaign rows are rectangular and non-empty");
-    let opt: OfflineCost = match protocol.adversary() {
-        Adversary::Exact => ExactOfflineOpt::new(spec.k).cost_with(solver, &trace),
-        Adversary::Approx => ApproxOfflineOpt::new(spec.k, spec.eps).cost_with(solver, &trace),
-        Adversary::HalfEps => ApproxOfflineOpt::half_of(spec.k, spec.eps).cost_with(solver, &trace),
-    }
-    .expect("grid scenarios always satisfy 1 <= k < n");
-    let ratio = opt.competitive_ratio(report.messages());
-    let degradation = report.messages() as f64 / clean_messages.max(1) as f64;
-    let mut leaves = 0u64;
-    let mut joins = 0u64;
-    for t in 0..spec.steps as u64 {
-        for event in schedule.events_at(t) {
+    let mut regime_messages: BTreeMap<String, u64> = BTreeMap::new();
+    let (mut prev_total, mut leaves, mut joins) = (0u64, 0u64, 0u64);
+    let observer = |obs: StepObservation<'_>| {
+        rows.push(obs.row.to_vec());
+        for event in obs.events {
             match event {
                 MembershipEvent::Leave(_) => leaves += 1,
                 MembershipEvent::Join(_) => joins += 1,
             }
         }
-    }
-    MembershipCell {
-        scenario: *spec,
-        protocol: protocol.name().to_string(),
-        plan: *plan,
-        plan_name: plan.name(),
-        messages: report.messages(),
-        clean_messages,
-        recovery_messages: report.stats.messages_of_label(ProtocolLabel::Recovery),
-        invalid_steps: report.invalid_steps,
+        if let Some(probe) = &regime_probe {
+            let regime = probe.regime_of_step(obs.step);
+            *regime_messages
+                .entry(regime.name().to_string())
+                .or_insert(0) += obs.messages_total - prev_total;
+            prev_total = obs.messages_total;
+        }
+    };
+    let engine = IndexedEngine::new(spec.n, spec.seed);
+    let (report, faults) = match file.fault {
+        Some(fault) => {
+            let mut net = FaultyTransport::new(engine, fault);
+            let report = drive(file, protocol, &mut net, observer);
+            (report, net.fault_stats())
+        }
+        None => {
+            let mut net = engine;
+            let report = drive(file, protocol, &mut net, observer);
+            (report, FaultStats::default())
+        }
+    };
+    Observed {
+        report,
+        rows,
+        regime_messages,
+        faults,
         leaves,
         joins,
-        opt_lower: opt.lower_bound,
-        ratio,
-        ceiling: floors.ceiling(ratio),
+    }
+}
+
+/// Runs `file` under `protocol` and measures its competitive ratio — plus,
+/// when the file has a companion, its degradation against the clean twin.
+pub fn run_cell(file: &ScenarioFile, protocol: ProtocolKind, solver: &mut PhaseSolver) -> Cell {
+    let spec = &file.spec;
+    let floors = file.effective_floors();
+    let run = observe(file, protocol);
+    let messages = run.report.messages();
+    let trace = Trace::new(run.rows).expect("campaign rows are rectangular and non-empty");
+    let opt: OfflineCost = match protocol.adversary() {
+        Adversary::Exact => ExactOfflineOpt::new(spec.k).cost_with(solver, &trace),
+        Adversary::Approx => ApproxOfflineOpt::new(spec.k, spec.eps).cost_with(solver, &trace),
+        Adversary::HalfEps => ApproxOfflineOpt::half_of(spec.k, spec.eps).cost_with(solver, &trace),
+    }
+    .expect("scenario files always satisfy 1 <= k < n");
+    let ratio = opt.competitive_ratio(messages);
+    let mut by_label: BTreeMap<String, u64> = BTreeMap::new();
+    for ((label, _kind), count) in &run.report.stats.by_label_kind {
+        *by_label.entry(label.to_string()).or_insert(0) += count;
+    }
+    let degradation = (file.fault.is_some() || file.membership.is_some()).then(|| {
+        let twin = ScenarioFile {
+            fault: None,
+            membership: None,
+            ..file.clone()
+        };
+        let clean_messages = observe(&twin, protocol).report.messages();
+        let factor = messages as f64 / clean_messages.max(1) as f64;
+        Degradation {
+            clean_messages,
+            factor,
+            ceiling: floors.ceiling(factor),
+            recovery_messages: run.report.stats.messages_of_label(ProtocolLabel::Recovery),
+            crashes: run.faults.crashes,
+            rejoins: run.faults.rejoins,
+            dropped_messages: run.faults.dropped(),
+            leaves: run.leaves,
+            joins: run.joins,
+        }
+    });
+    Cell {
+        scenario: file.name.clone(),
+        digest: digest(file),
+        protocol: protocol.name().to_string(),
+        messages,
+        invalid_steps: run.report.invalid_steps,
+        competitive: Some(Competitive {
+            rounds: run.report.stats.rounds,
+            opt_lower: opt.lower_bound,
+            opt_upper: opt.upper_bound,
+            opt_eps: opt.eps,
+            ratio,
+            ceiling: floors.ceiling(ratio),
+            messages_by_label: label_counts(by_label),
+            messages_by_regime: label_counts(run.regime_messages),
+        }),
         degradation,
-        degradation_ceiling: floors.ceiling(degradation),
+        amortization: None,
     }
 }
 
-/// Runs the membership axis: every [`standard_membership_grid`] pair × every
-/// protocol, measuring each pair's churn-free twin once for the degradation
-/// baseline.
-pub fn run_membership_campaign(
-    quick: bool,
-    floors: &CompetitiveFloors,
-    solver: &mut PhaseSolver,
-    log: impl Fn(&str),
-) -> Vec<MembershipCell> {
-    let mut clean_cache: BTreeMap<String, u64> = BTreeMap::new();
-    let mut cells = Vec::new();
-    for (spec, plan) in standard_membership_grid(quick) {
-        for protocol in ProtocolKind::ALL {
-            let clean_key = format!("{spec:?}/{}", protocol.name());
-            let clean_messages = *clean_cache
-                .entry(clean_key)
-                .or_insert_with(|| run_cell(&spec, protocol, floors, solver).messages);
-            let cell = run_membership_cell(&spec, &plan, protocol, floors, solver, clean_messages);
-            log(&format!(
-                "campaign: {:>16} n={:>6} plan={:>24} {:>13}: {:>8} msgs (clean {:>8}) = degradation {:>6.2}, ratio {:>8.2}, {:>3} leaves, {:>2} invalid steps",
-                cell.scenario.generator.family(),
-                spec.n,
-                cell.plan_name,
-                cell.protocol,
-                cell.messages,
-                cell.clean_messages,
-                cell.degradation,
-                cell.ratio,
-                cell.leaves,
-                cell.invalid_steps,
-            ));
-            cells.push(cell);
-        }
-    }
-    cells
-}
-
-/// The standard multi-query grid: base scenarios × one plan per query-set
-/// shape.
-///
-/// The bases are **non-adaptive** families so the joint run and its
-/// independent baseline see the identical rows. The noise-field base puts the
-/// top-k boundary inside a small oscillating pack — every step has a
-/// violation and its resolution is cheap, the regime where sharing one
-/// violation report among queries amortizes best. Three plan shapes cover the
-/// three claims of the design: `twin` (identical full-population queries —
-/// maximal sharing), `overlap` (partially overlapping subsets), `disjoint`
-/// (non-overlapping subsets — pure isolation, no sharing possible). Like the
-/// other grids, the full grid contains every quick cell verbatim (the ratchet
-/// anchor) plus longer-horizon variants.
-pub fn standard_multiquery_grid(quick: bool) -> Vec<(ScenarioSpec, MultiQueryPlanSpec)> {
-    let topk = ProtocolKind::TopKProtocol.name();
-    let eps = Epsilon::TENTH;
-    let k = 4usize;
-    let twin = MultiQueryPlanSpec {
-        name: "twin".to_string(),
-        queries: vec![QuerySpec::new(k, eps, topk), QuerySpec::new(k, eps, topk)],
-    };
-    let overlap = MultiQueryPlanSpec {
-        name: "overlap".to_string(),
-        queries: vec![
-            QuerySpec::new(k, eps, topk).with_subset(NodeSubset::range(0, 48)),
-            QuerySpec::new(k, eps, topk).with_subset(NodeSubset::range(16, 48)),
-        ],
-    };
-    let disjoint = MultiQueryPlanSpec {
-        name: "disjoint".to_string(),
-        queries: vec![
-            QuerySpec::new(k, eps, topk).with_subset(NodeSubset::range(0, 32)),
-            QuerySpec::new(k, eps, topk).with_subset(NodeSubset::range(32, 32)),
-        ],
-    };
-    // The boundary-oscillation operating point: 3 clear leaders, a pack of 2
-    // oscillating across the rank-4 boundary.
-    let noise = GeneratorSpec::NoiseField {
-        high: 3,
-        sigma: 2,
-        z: 1 << 18,
-    };
-    let walk = GeneratorSpec::RandomWalk {
-        delta: 1 << 20,
-        max_step: 1 << 10,
-        move_permille: 300,
-    };
-    let mut grid = Vec::new();
-    let pairs: [(GeneratorSpec, &MultiQueryPlanSpec); 4] = [
-        (noise, &twin),
-        (noise, &overlap),
-        (noise, &disjoint),
-        (walk, &twin),
-    ];
-    for (i, (generator, plan)) in pairs.into_iter().enumerate() {
-        let seed = 0xA110 + i as u64;
-        // The quick cell — identical in both grids (the ratchet anchor).
-        grid.push((
-            ScenarioSpec {
-                generator,
-                n: 64,
-                k,
-                eps,
-                steps: 60,
-                seed,
-            },
-            plan.clone(),
-        ));
-        if !quick {
-            grid.push((
-                ScenarioSpec {
-                    generator,
-                    n: 64,
-                    k,
-                    eps,
-                    steps: 240,
-                    seed,
-                },
-                plan.clone(),
-            ));
-        }
-    }
-    grid
-}
-
-/// Runs one multi-query cell: the plan's query set jointly on one shared
-/// engine, then each query independently on its own fresh engine over the
-/// identical rows, recording the amortization factor between the two.
-pub fn run_multiquery_cell(
-    spec: &ScenarioSpec,
-    plan: &MultiQueryPlanSpec,
-    floors: &CompetitiveFloors,
-) -> MultiQueryCell {
+/// Runs a query-plan file as one cell: the plan jointly on one shared engine,
+/// then each query alone on its own fresh engine over the identical rows.
+fn run_plan(file: &ScenarioFile, queries: &[QuerySpec]) -> Cell {
+    let spec = &file.spec;
     // Pre-generate the rows once so the joint run and every independent
-    // baseline see the identical trace (the grid families are non-adaptive,
-    // so the filters passed to the generator are irrelevant).
+    // baseline see the identical trace (query plans take non-adaptive
+    // families, so the filters passed to the generator are irrelevant).
     let mut workload = spec.generator.build(spec.n, spec.k, spec.eps, spec.seed);
     let full = vec![Filter::FULL; spec.n];
     let rows: Vec<Vec<Value>> = (0..spec.steps)
         .map(|_| workload.next_step_adaptive(&full))
         .collect();
-
-    let build_set = |queries: &[QuerySpec]| {
+    let run = |queries: &[QuerySpec]| {
         let mut set = QuerySet::new(spec.n);
         for q in queries {
             let protocol = ProtocolKind::from_name(&q.protocol)
-                .unwrap_or_else(|| panic!("unknown protocol `{}` in multi-query plan", q.protocol));
+                .expect("the scenario loader accepts only known protocols");
             set.register(q.clone(), protocol.build_monitor(q.k, q.eps));
         }
-        set
+        run_query_set(
+            &mut set,
+            &mut IndexedEngine::new(spec.n, spec.seed),
+            rows.iter().cloned(),
+        )
     };
-
-    let mut set = build_set(&plan.queries);
-    let mut net = IndexedEngine::new(spec.n, spec.seed);
-    let report = run_query_set(&mut set, &mut net, rows.iter().cloned());
-
-    let mut independent_messages = 0u64;
-    for q in &plan.queries {
-        let mut solo_set = build_set(std::slice::from_ref(q));
-        let mut solo_net = IndexedEngine::new(spec.n, spec.seed);
-        let solo = run_query_set(&mut solo_set, &mut solo_net, rows.iter().cloned());
-        independent_messages += solo.messages();
-    }
-
-    let messages = report.messages();
-    let amortization = messages as f64 / independent_messages.max(1) as f64;
-    MultiQueryCell {
-        scenario: *spec,
-        plan: plan.clone(),
-        plan_name: plan.name.clone(),
+    let joint = run(queries);
+    let independent_messages = queries
+        .iter()
+        .map(|q| run(std::slice::from_ref(q)).messages())
+        .sum::<u64>();
+    let messages = joint.messages();
+    let factor = messages as f64 / independent_messages.max(1) as f64;
+    Cell {
+        scenario: file.name.clone(),
+        digest: digest(file),
+        protocol: plan_protocol(queries),
         messages,
-        independent_messages,
-        per_query_units: report.per_query.iter().map(|r| r.units).collect(),
-        deliveries: report.deliveries.len() as u64,
-        invalid_steps: report.per_query.iter().map(|r| r.invalid_steps).sum(),
-        amortization,
-        amortization_ceiling: floors.ceiling(amortization),
+        invalid_steps: joint.per_query.iter().map(|r| r.invalid_steps).sum(),
+        competitive: None,
+        degradation: None,
+        amortization: Some(Amortization {
+            independent_messages,
+            factor,
+            ceiling: file.effective_floors().ceiling(factor),
+            per_query_units: joint.per_query.iter().map(|r| r.units).collect(),
+            deliveries: joint.deliveries.len() as u64,
+        }),
     }
 }
 
-/// Runs the multi-query axis: every [`standard_multiquery_grid`] pair (the
-/// protocol of every query is embedded in the plan, so there is no outer
-/// protocol loop).
-pub fn run_multiquery_campaign(
+/// Every cell of `file`: one per protocol, or one for a query-plan file.
+pub fn run_file(file: &ScenarioFile, solver: &mut PhaseSolver) -> Vec<Cell> {
+    match &file.queries {
+        Some(queries) => vec![run_plan(file, queries)],
+        None => ProtocolKind::ALL
+            .into_iter()
+            .map(|protocol| run_cell(file, protocol, solver))
+            .collect(),
+    }
+}
+
+/// Runs the campaign over `library` — every file, or with `quick` the files
+/// [`is_quick`] selects — logging one line per cell.
+pub fn run_campaign(
+    library: &[ScenarioFile],
     quick: bool,
-    floors: &CompetitiveFloors,
     log: impl Fn(&str),
-) -> Vec<MultiQueryCell> {
-    let mut cells = Vec::new();
-    for (spec, plan) in standard_multiquery_grid(quick) {
-        let cell = run_multiquery_cell(&spec, &plan, floors);
-        log(&format!(
-            "campaign: {:>16} n={:>6} plan={:>9} x{}: {:>8} msgs (independent {:>8}) = amortization {:>6.3}, {:>4} deliveries, {:>2} invalid steps",
-            cell.scenario.generator.family(),
-            spec.n,
-            cell.plan_name,
-            cell.plan.queries.len(),
-            cell.messages,
-            cell.independent_messages,
-            cell.amortization,
-            cell.deliveries,
-            cell.invalid_steps,
-        ));
-        cells.push(cell);
-    }
-    cells
-}
-
-/// Runs only the multi-query axis and wraps it in a report whose other cell
-/// lists are empty — the `--campaign --multiquery-only` smoke mode, which CI
-/// uses to re-measure the multi-query grid and ratchet it against the
-/// committed full-scale report without re-running the base campaign. The
-/// bench id is `"competitive-multiquery"` so the partial report can never be
-/// mistaken for (or committed as) a full campaign report.
-pub fn run_multiquery_report(quick: bool, log: impl Fn(&str)) -> CompetitiveReport {
-    let floors = FloorTable::STANDARD.competitive;
-    let multiquery_cells = run_multiquery_campaign(quick, &floors, log);
-    CompetitiveReport {
-        bench: "competitive-multiquery".to_string(),
-        scale: if quick { "quick" } else { "full" }.to_string(),
-        floors,
-        cells: Vec::new(),
-        fault_cells: Vec::new(),
-        membership_cells: Vec::new(),
-        multiquery_cells,
-    }
-}
-
-/// Runs only the membership axis and wraps it in a report whose other cell
-/// lists are empty — the `--campaign --membership-only` smoke mode, which CI
-/// uses to re-measure the membership grid and ratchet it against the
-/// committed full-scale report without re-running the base campaign. The
-/// bench id is `"competitive-membership"` so the partial report can never be
-/// mistaken for (or committed as) a full campaign report.
-pub fn run_membership_report(quick: bool, log: impl Fn(&str)) -> CompetitiveReport {
-    let floors = FloorTable::STANDARD.competitive;
-    let mut solver = PhaseSolver::new();
-    let membership_cells = run_membership_campaign(quick, &floors, &mut solver, log);
-    CompetitiveReport {
-        bench: "competitive-membership".to_string(),
-        scale: if quick { "quick" } else { "full" }.to_string(),
-        floors,
-        cells: Vec::new(),
-        fault_cells: Vec::new(),
-        membership_cells,
-        multiquery_cells: Vec::new(),
-    }
-}
-
-/// Runs only the fault axis and wraps it in a report whose `cells` are empty
-/// — the `--campaign --faults-only` smoke mode, which CI uses to re-measure
-/// the (much cheaper) fault grid and ratchet it against the committed
-/// full-scale report without re-running the base campaign. The bench id is
-/// `"competitive-faults"` so the partial report can never be mistaken for (or
-/// committed as) a full campaign report.
-pub fn run_faults_report(quick: bool, log: impl Fn(&str)) -> CompetitiveReport {
-    let floors = FloorTable::STANDARD.competitive;
-    let mut solver = PhaseSolver::new();
-    let fault_cells = run_fault_campaign(quick, &floors, &mut solver, log);
-    CompetitiveReport {
-        bench: "competitive-faults".to_string(),
-        scale: if quick { "quick" } else { "full" }.to_string(),
-        floors,
-        cells: Vec::new(),
-        fault_cells,
-        membership_cells: Vec::new(),
-        multiquery_cells: Vec::new(),
-    }
-}
-
-/// Runs the whole campaign grid (every scenario × every protocol), plus the
-/// fault axis ([`run_fault_campaign`]) and the membership axis
-/// ([`run_membership_campaign`]).
-pub fn run_campaign(quick: bool, log: impl Fn(&str)) -> CompetitiveReport {
-    let floors = FloorTable::STANDARD.competitive;
+) -> CompetitiveReport {
     let mut solver = PhaseSolver::new();
     let mut cells = Vec::new();
-    for spec in standard_grid(quick) {
-        for protocol in ProtocolKind::ALL {
-            let cell = run_cell(&spec, protocol, &floors, &mut solver);
-            log(&format!(
-                "campaign: {:>16} n={:>6} eps={} {:>13}: {:>8} msgs / opt {:>5} = ratio {:>8.2} (ceiling {:.2})",
-                cell.family(),
-                spec.n,
-                spec.eps,
-                cell.protocol,
-                cell.messages,
-                cell.opt_lower,
-                cell.ratio,
-                cell.ceiling,
-            ));
+    for file in library.iter().filter(|f| !quick || is_quick(f)) {
+        for cell in run_file(file, &mut solver) {
+            log(&format!("campaign: {cell}"));
             cells.push(cell);
         }
     }
-    let fault_cells = run_fault_campaign(quick, &floors, &mut solver, &log);
-    let membership_cells = run_membership_campaign(quick, &floors, &mut solver, &log);
-    let multiquery_cells = run_multiquery_campaign(quick, &floors, &log);
     CompetitiveReport {
         bench: "competitive".to_string(),
         scale: if quick { "quick" } else { "full" }.to_string(),
-        floors,
+        floors: FloorTable::STANDARD.competitive,
         cells,
-        fault_cells,
-        membership_cells,
-        multiquery_cells,
     }
 }
 
-/// Validates a campaign report against the floor table in force. Returns
-/// human-readable failures (empty = pass).
+/// Checks that `value` is exactly `numerator / max(denominator, 1)`, stays
+/// under `ceiling`, and that `ceiling` is the floor formula — so editing a
+/// measure together with its ceiling cannot hide a regressed count, and no
+/// ceiling can be raised by hand.
+fn check_measure(
+    failures: &mut Vec<String>,
+    id: &str,
+    what: &str,
+    (value, numerator, denominator, ceiling): Measure,
+    floors: &CompetitiveFloors,
+) {
+    if !value.is_finite() || value < 0.0 {
+        failures.push(format!("{id}: {what} {value} is not a sane number"));
+        return;
+    }
+    let recomputed = numerator as f64 / denominator.max(1) as f64;
+    if (value - recomputed).abs() > 1e-9 {
+        failures.push(format!(
+            "{id}: {what} {value} does not match its counts ({numerator} / {denominator} = {recomputed}) — the cell was edited or corrupted"
+        ));
+    }
+    if value > ceiling {
+        failures.push(format!(
+            "{id}: {what} {value:.3} exceeds the committed ceiling {ceiling:.3}"
+        ));
+    }
+    if (ceiling - floors.ceiling(value)).abs() > 1e-9 {
+        failures.push(format!(
+            "{id}: {what} ceiling {ceiling:.3} is not the floor formula's {:.3}",
+            floors.ceiling(value)
+        ));
+    }
+}
+
+/// Checks every cell against its scenario file: the per-cell rules, and the
+/// Theorem 5.8 rule across the cells of each dense-neighbourhood file. Cells
+/// whose file is not in `library` are skipped (the report-level check
+/// reports them). Returns human-readable failures (empty = pass).
 ///
-/// The checks, in order: the report's embedded floor table must *be* the
-/// standard one (a report generated against a relaxed table is rejected);
-/// every cell must be correct (zero invalid steps), within its ceiling, and
-/// its ceiling must match the standard formula (no hand-raised ceilings);
-/// coverage must span the protocol × family grid; and on dense-neighbourhood
-/// inputs `DenseProtocol` must not send more than the exact monitor
-/// (the Theorem 5.8 separation, the paper's raison d'être).
-pub fn check_competitive_floors(report: &CompetitiveReport) -> Vec<String> {
+/// Bars come from the file's [`ScenarioFile::effective_floors`]. A clean
+/// cell tolerates `max_invalid_steps` (zero); a cell with a fault plan —
+/// with or without a membership plan — the fault permille bar, because only
+/// faults can excuse an invalid output; a cell with only a membership plan
+/// the membership bar; a query plan the multi-query bar over its per-query
+/// steps.
+pub fn check_cells(cells: &[Cell], library: &[ScenarioFile]) -> Vec<String> {
+    let files: BTreeMap<&str, &ScenarioFile> =
+        library.iter().map(|f| (f.name.as_str(), f)).collect();
+    let mut failures = Vec::new();
+    for cell in cells {
+        let Some(file) = files.get(cell.scenario.as_str()) else {
+            continue;
+        };
+        let floors = file.effective_floors();
+        let spec = &file.spec;
+        let id = format!("{}/{}", cell.scenario, cell.protocol);
+        let queries = file.queries.as_ref().map_or(1, Vec::len) as u64;
+        // Bars count per-query steps; only faults can excuse an invalid
+        // output, so a fault plan's bars win over a membership plan's.
+        let steps = spec.steps as u64 * queries;
+        let tolerate = |permille: u64| permille * steps / 1000;
+        let (invalid_bar, poll_bar) = if file.queries.is_some() {
+            (
+                tolerate(floors.multiquery_invalid_fraction_permille),
+                floors.max_poll_factor,
+            )
+        } else if file.fault.is_some() {
+            (
+                tolerate(floors.fault_invalid_fraction_permille),
+                floors.fault_poll_factor,
+            )
+        } else if file.membership.is_some() {
+            (
+                tolerate(floors.membership_invalid_fraction_permille),
+                floors.membership_poll_factor,
+            )
+        } else {
+            (floors.max_invalid_steps, floors.max_poll_factor)
+        };
+        if cell.invalid_steps > invalid_bar {
+            failures.push(format!(
+                "{id}: {} invalid output steps (tolerated: {invalid_bar})",
+                cell.invalid_steps
+            ));
+        }
+        // Filters exist to beat naive polling (`n` messages per step and
+        // query); past this factor a protocol has regressed no matter what
+        // ceiling a regenerated report would launder in.
+        if cell.messages as f64 > poll_bar * spec.n as f64 * steps as f64 {
+            failures.push(format!(
+                "{id}: {} messages exceeds {poll_bar} x the naive polling cost ({} nodes x {steps} query steps)",
+                cell.messages, spec.n
+            ));
+        }
+        let has_companion = file.fault.is_some() || file.membership.is_some();
+        if cell.competitive.is_some() == file.queries.is_some()
+            || cell.degradation.is_some() != has_companion
+            || cell.amortization.is_some() != file.queries.is_some()
+        {
+            failures.push(format!(
+                "{id}: the cell's measurements do not match its scenario's companions"
+            ));
+            continue;
+        }
+        for (what, measure) in cell.measures() {
+            if let Some(measure) = measure {
+                check_measure(&mut failures, &id, what, measure, &floors);
+            }
+        }
+        if let Some(d) = &cell.degradation {
+            // A churn plan that never churns measures nothing — and its quiet
+            // cells would launder in as membership coverage.
+            if file.membership.is_some() && d.leaves == 0 {
+                failures.push(format!(
+                    "{id}: the membership plan executed no leave events"
+                ));
+            }
+        }
+        if let Some(a) = &cell.amortization {
+            if queries < 2 {
+                failures.push(format!(
+                    "{id}: a query plan needs at least 2 queries, has {queries}"
+                ));
+            }
+            // The attribution ledger must partition the wire total exactly —
+            // the split-charging scheme's defining invariant.
+            let units: u64 = a.per_query_units.iter().sum();
+            if a.per_query_units.len() as u64 != queries || units != cell.messages * SPLIT_SCALE {
+                failures.push(format!(
+                    "{id}: {} per-query unit entries summing to {units}, expected {queries} summing to messages x {SPLIT_SCALE} — attribution no longer partitions the wire total",
+                    a.per_query_units.len()
+                ));
+            }
+        }
+    }
+    // Theorem 5.8 separation: on every clean dense-neighbourhood file the
+    // dense protocol must not send more messages than the exact monitor.
+    let messages_of = |name: &str, protocol: ProtocolKind| {
+        cells
+            .iter()
+            .find(|c| c.scenario == name && c.protocol == protocol.name())
+            .map(|c| c.messages)
+    };
+    for file in library {
+        let clean = file.fault.is_none() && file.membership.is_none() && file.queries.is_none();
+        if !clean || file.spec.generator.family() != "noise" {
+            continue;
+        }
+        let dense = messages_of(&file.name, ProtocolKind::Dense);
+        let exact = messages_of(&file.name, ProtocolKind::ExactTopK);
+        if let (Some(dense), Some(exact)) = (dense, exact) {
+            if dense > exact {
+                failures.push(format!(
+                    "{}: dense sent {dense} messages but the exact monitor only {exact} — the Thm. 5.8 separation is gone",
+                    file.name
+                ));
+            }
+        }
+    }
+    failures
+}
+
+/// The one checker of a campaign report against the library it measured.
+/// Returns human-readable failures (empty = pass).
+///
+/// On top of [`check_cells`]: the report's floor table must *be*
+/// [`FloorTable::STANDARD`]; the report must hold exactly one cell per
+/// (file, protocol) of its selection — every file for `full`, the
+/// [`is_quick`] files for `quick` — each measured on the file's current bytes
+/// (missing, extra and stale cells all fail); and the clean cells must cover
+/// the protocol × family grid without holes, the fault cells
+/// `min_fault_families` fault families, the membership cells
+/// `min_membership_plans` churn plans, and the query plans the twin, overlap
+/// and disjoint shapes with at least one plan that genuinely amortizes.
+pub fn check_competitive_floors(
+    report: &CompetitiveReport,
+    library: &[ScenarioFile],
+) -> Vec<String> {
     let floors = FloorTable::STANDARD.competitive;
     let mut failures = Vec::new();
     if report.bench != "competitive" {
@@ -1488,63 +1057,83 @@ pub fn check_competitive_floors(report: &CompetitiveReport) -> Vec<String> {
                 .to_string(),
         );
     }
-    if report.cells.is_empty() {
-        failures.push("report contains no cells".to_string());
-        return failures;
+    let quick = match report.scale.as_str() {
+        "full" => false,
+        "quick" => true,
+        other => {
+            failures.push(format!(
+                "report has scale `{other}`, expected full or quick"
+            ));
+            return failures;
+        }
+    };
+    let selection: Vec<&ScenarioFile> = library.iter().filter(|f| !quick || is_quick(f)).collect();
+    let mut expected: BTreeMap<(&str, String), &ScenarioFile> = BTreeMap::new();
+    for file in &selection {
+        for protocol in cell_protocols(file) {
+            expected.insert((file.name.as_str(), protocol), file);
+        }
     }
+    let mut seen = BTreeSet::new();
+    for cell in &report.cells {
+        let key = (cell.scenario.as_str(), cell.protocol.clone());
+        let id = format!("{}/{}", cell.scenario, cell.protocol);
+        match expected.get(&key) {
+            None => failures.push(format!(
+                "{id}: no such (scenario, protocol) in the {} selection of the library — regenerate with --campaign",
+                report.scale
+            )),
+            Some(file) if digest(file) != cell.digest => failures.push(format!(
+                "{id}: stale — measured a different version of scenarios/{}.json; regenerate with --campaign",
+                cell.scenario
+            )),
+            Some(_) => {}
+        }
+        if !seen.insert(key) {
+            failures.push(format!("{id}: duplicate cell"));
+        }
+    }
+    for (name, protocol) in expected.keys() {
+        if !seen.contains(&(*name, protocol.clone())) {
+            failures.push(format!(
+                "missing the {name}/{protocol} cell — regenerate with --campaign"
+            ));
+        }
+    }
+    failures.extend(check_cells(&report.cells, library));
+
+    let files: BTreeMap<&str, &ScenarioFile> =
+        selection.iter().map(|f| (f.name.as_str(), *f)).collect();
     let mut protocols = BTreeSet::new();
     let mut families = BTreeSet::new();
     let mut pairs = BTreeSet::new();
+    let mut fault_families = BTreeSet::new();
+    let mut churn_plans = BTreeSet::new();
+    let mut shapes = BTreeSet::new();
+    let mut plans = 0usize;
+    let mut amortizing = false;
     for cell in &report.cells {
-        let id = format!(
-            "{}/{} (n={}, eps={})",
-            cell.family(),
-            cell.protocol,
-            cell.scenario.n,
-            cell.scenario.eps
-        );
-        protocols.insert(cell.protocol.clone());
-        families.insert(cell.family());
-        pairs.insert((cell.family(), cell.protocol.clone()));
-        if cell.invalid_steps > floors.max_invalid_steps {
-            failures.push(format!(
-                "{id}: {} invalid output steps (tolerated: {})",
-                cell.invalid_steps, floors.max_invalid_steps
-            ));
-        }
-        if !cell.ratio.is_finite() || cell.ratio < 0.0 {
-            failures.push(format!("{id}: ratio {} is not a sane number", cell.ratio));
+        let Some(file) = files.get(cell.scenario.as_str()) else {
             continue;
+        };
+        if let Some(fault) = &file.fault {
+            fault_families.insert(fault.family());
         }
-        // The ratio must actually BE messages / opt_lower — otherwise editing
-        // `ratio` and `ceiling` together would bypass every ceiling check
-        // while the regressed `messages` sits in the same cell.
-        let recomputed = cell.messages as f64 / cell.opt_lower.max(1) as f64;
-        if (cell.ratio - recomputed).abs() > 1e-9 {
-            failures.push(format!(
-                "{id}: ratio {} does not match messages/opt_lower = {recomputed} — the cell was edited or corrupted",
-                cell.ratio
-            ));
+        if let Some(plan) = &file.membership {
+            churn_plans.insert(plan.name());
         }
-        if cell.ratio > cell.ceiling {
-            failures.push(format!(
-                "{id}: ratio {:.2} exceeds the committed ceiling {:.2}",
-                cell.ratio, cell.ceiling
-            ));
-        }
-        if cell.ceiling > floors.ceiling(cell.ratio) + 1e-9 {
-            failures.push(format!(
-                "{id}: ceiling {:.2} is looser than the standard formula allows ({:.2})",
-                cell.ceiling,
-                floors.ceiling(cell.ratio)
-            ));
-        }
-        let poll_cost = cell.scenario.n as f64 * cell.scenario.steps as f64;
-        if cell.messages as f64 > floors.max_poll_factor * poll_cost {
-            failures.push(format!(
-                "{id}: {} messages exceeds {} x the naive polling cost ({} x {} steps) — filters have stopped paying for themselves",
-                cell.messages, floors.max_poll_factor, cell.scenario.n, cell.scenario.steps
-            ));
+        if let Some(shape) = plan_shape(file) {
+            shapes.insert(shape);
+            plans += 1;
+            amortizing |= cell
+                .amortization
+                .as_ref()
+                .is_some_and(|a| cell.messages < a.independent_messages);
+        } else if file.fault.is_none() && file.membership.is_none() {
+            let family = file.spec.generator.family();
+            protocols.insert(cell.protocol.as_str());
+            families.insert(family);
+            pairs.insert((family, cell.protocol.as_str()));
         }
     }
     if protocols.len() < floors.min_protocols {
@@ -1570,629 +1159,86 @@ pub fn check_competitive_floors(report: &CompetitiveReport) -> Vec<String> {
             families.len()
         ));
     }
-    // A full-scale report must contain exactly the cells the current code's
-    // grid produces — one per `standard_grid(false)` scenario × protocol.
-    // This both catches hand-deleted individual cells (the pair coverage
-    // above cannot: another scenario of the same family still covers the
-    // pair) and fails loudly when the grid definition changed without the
-    // committed report being regenerated.
-    if report.scale == "full" {
-        let expected = standard_grid(false);
-        for spec in &expected {
-            for protocol in ProtocolKind::ALL {
-                if !report
-                    .cells
-                    .iter()
-                    .any(|c| c.scenario == *spec && c.protocol == protocol.name())
-                {
-                    failures.push(format!(
-                        "full-scale report is missing the {}/{} cell (n={}, eps={}) the current grid defines — regenerate with --campaign",
-                        spec.generator.family(),
-                        protocol.name(),
-                        spec.n,
-                        spec.eps
-                    ));
-                }
-            }
-        }
-        let expected_cells = expected.len() * ProtocolKind::ALL.len();
-        if report.cells.len() != expected_cells {
-            failures.push(format!(
-                "full-scale report has {} cells, the current grid defines {} — regenerate with --campaign",
-                report.cells.len(),
-                expected_cells
-            ));
-        }
-    }
-    // Theorem 5.8 separation: on every dense-neighbourhood scenario the dense
-    // protocol must not send more messages than the exact monitor.
-    for cell in &report.cells {
-        if cell.family() != "noise" || cell.protocol != "dense" {
-            continue;
-        }
-        let exact = report
-            .cells
-            .iter()
-            .find(|c| c.scenario == cell.scenario && c.protocol == ProtocolKind::ExactTopK.name());
-        if let Some(exact) = exact {
-            if cell.messages > exact.messages {
-                failures.push(format!(
-                    "noise n={}: dense sent {} messages but the exact monitor only {} — the Thm. 5.8 separation is gone",
-                    cell.scenario.n, cell.messages, exact.messages
-                ));
-            }
-        }
-    }
-    failures.extend(check_fault_cells(
-        &report.fault_cells,
-        &floors,
-        &report.scale,
-    ));
-    failures.extend(check_membership_cells(
-        &report.membership_cells,
-        &floors,
-        &report.scale,
-    ));
-    failures.extend(check_multiquery_cells(
-        &report.multiquery_cells,
-        &floors,
-        &report.scale,
-    ));
-    failures
-}
-
-/// Validates the fault axis of a report: per-cell consistency and ceilings,
-/// fault-family coverage, and (full scale) exact grid sync. Shared between
-/// [`check_competitive_floors`] and the `--faults-only` smoke mode.
-pub fn check_fault_cells(
-    cells: &[FaultCell],
-    floors: &CompetitiveFloors,
-    scale: &str,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    let mut fault_families = BTreeSet::new();
-    for cell in cells {
-        let id = format!(
-            "{}+{}/{} (n={}, steps={})",
-            cell.scenario.generator.family(),
-            cell.fault_family,
-            cell.protocol,
-            cell.scenario.n,
-            cell.scenario.steps
-        );
-        fault_families.insert(cell.fault_family.clone());
-        if cell.fault_family != cell.fault.family() {
-            failures.push(format!(
-                "{id}: fault_family `{}` does not match the embedded spec's family `{}`",
-                cell.fault_family,
-                cell.fault.family()
-            ));
-        }
-        if !cell.ratio.is_finite() || cell.ratio < 0.0 {
-            failures.push(format!("{id}: ratio {} is not a sane number", cell.ratio));
-            continue;
-        }
-        // The same anti-tamper consistency rules as base cells, for both the
-        // ratio and the degradation factor.
-        let recomputed = cell.messages as f64 / cell.opt_lower.max(1) as f64;
-        if (cell.ratio - recomputed).abs() > 1e-9 {
-            failures.push(format!(
-                "{id}: ratio {} does not match messages/opt_lower = {recomputed} — the cell was edited or corrupted",
-                cell.ratio
-            ));
-        }
-        let redegraded = cell.messages as f64 / cell.clean_messages.max(1) as f64;
-        if (cell.degradation - redegraded).abs() > 1e-9 {
-            failures.push(format!(
-                "{id}: degradation {} does not match messages/clean_messages = {redegraded} — the cell was edited or corrupted",
-                cell.degradation
-            ));
-        }
-        if cell.ratio > cell.ceiling {
-            failures.push(format!(
-                "{id}: ratio {:.2} exceeds the committed ceiling {:.2}",
-                cell.ratio, cell.ceiling
-            ));
-        }
-        if cell.ceiling > floors.ceiling(cell.ratio) + 1e-9 {
-            failures.push(format!(
-                "{id}: ceiling {:.2} is looser than the standard formula allows ({:.2})",
-                cell.ceiling,
-                floors.ceiling(cell.ratio)
-            ));
-        }
-        if cell.degradation > cell.degradation_ceiling {
-            failures.push(format!(
-                "{id}: degradation {:.2} exceeds the committed ceiling {:.2} — recovery traffic regressed",
-                cell.degradation, cell.degradation_ceiling
-            ));
-        }
-        if cell.degradation_ceiling > floors.ceiling(cell.degradation) + 1e-9 {
-            failures.push(format!(
-                "{id}: degradation ceiling {:.2} is looser than the standard formula allows ({:.2})",
-                cell.degradation_ceiling,
-                floors.ceiling(cell.degradation)
-            ));
-        }
-        // Faults may break validity, but only as much as the injected fault
-        // magnitudes explain: the permille bar is the regression guard for
-        // the recovery machinery (a stale-filter leak shows up here).
-        let tolerated = floors.fault_invalid_fraction_permille * cell.scenario.steps as u64 / 1000;
-        if cell.invalid_steps > tolerated {
-            failures.push(format!(
-                "{id}: {} of {} output steps invalid (tolerated: {} = {}‰) — recovery no longer contains the damage",
-                cell.invalid_steps,
-                cell.scenario.steps,
-                tolerated,
-                floors.fault_invalid_fraction_permille
-            ));
-        }
-        let poll_cost = cell.scenario.n as f64 * cell.scenario.steps as f64;
-        if cell.messages as f64 > floors.fault_poll_factor * poll_cost {
-            failures.push(format!(
-                "{id}: {} messages exceeds {} x the naive polling cost — even under faults, filters must beat polling",
-                cell.messages, floors.fault_poll_factor
-            ));
-        }
-    }
     if fault_families.len() < floors.min_fault_families {
         failures.push(format!(
-            "only {} fault families covered ({:?}), need {}",
+            "only {} fault families covered ({fault_families:?}), need {}",
             fault_families.len(),
-            fault_families,
             floors.min_fault_families
         ));
     }
-    // A full-scale report must contain exactly the current fault grid.
-    if scale == "full" {
-        let expected = standard_fault_grid(false);
-        for (spec, fault) in &expected {
-            for protocol in ProtocolKind::ALL {
-                if !cells.iter().any(|c| {
-                    c.scenario == *spec && c.fault == *fault && c.protocol == protocol.name()
-                }) {
-                    failures.push(format!(
-                        "full-scale report is missing the {}+{}/{} fault cell (steps={}) the current grid defines — regenerate with --campaign",
-                        spec.generator.family(),
-                        fault.family(),
-                        protocol.name(),
-                        spec.steps
-                    ));
-                }
-            }
-        }
-        let expected_cells = expected.len() * ProtocolKind::ALL.len();
-        if cells.len() != expected_cells {
-            failures.push(format!(
-                "full-scale report has {} fault cells, the current grid defines {} — regenerate with --campaign",
-                cells.len(),
-                expected_cells
-            ));
-        }
-    }
-    failures
-}
-
-/// Validates the membership axis of a report: per-cell consistency and
-/// ceilings, churn-plan coverage, and (full scale) exact grid sync. Shared
-/// between [`check_competitive_floors`] and the `--membership-only` smoke
-/// mode.
-pub fn check_membership_cells(
-    cells: &[MembershipCell],
-    floors: &CompetitiveFloors,
-    scale: &str,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    let mut plans = BTreeSet::new();
-    for cell in cells {
-        let id = format!(
-            "{}+{}/{} (n={}, steps={})",
-            cell.scenario.generator.family(),
-            cell.plan_name,
-            cell.protocol,
-            cell.scenario.n,
-            cell.scenario.steps
-        );
-        plans.insert(cell.plan_name.clone());
-        if cell.plan_name != cell.plan.name() {
-            failures.push(format!(
-                "{id}: plan_name `{}` does not match the embedded spec's name `{}`",
-                cell.plan_name,
-                cell.plan.name()
-            ));
-        }
-        // A churn plan that never churns measures nothing — and its quiet
-        // cells would launder in as legitimate membership coverage.
-        if cell.leaves == 0 {
-            failures.push(format!(
-                "{id}: the plan executed no leave events — the membership axis is not exercised"
-            ));
-        }
-        if !cell.ratio.is_finite() || cell.ratio < 0.0 {
-            failures.push(format!("{id}: ratio {} is not a sane number", cell.ratio));
-            continue;
-        }
-        // The same anti-tamper consistency rules as fault cells, for both the
-        // ratio and the degradation factor.
-        let recomputed = cell.messages as f64 / cell.opt_lower.max(1) as f64;
-        if (cell.ratio - recomputed).abs() > 1e-9 {
-            failures.push(format!(
-                "{id}: ratio {} does not match messages/opt_lower = {recomputed} — the cell was edited or corrupted",
-                cell.ratio
-            ));
-        }
-        let redegraded = cell.messages as f64 / cell.clean_messages.max(1) as f64;
-        if (cell.degradation - redegraded).abs() > 1e-9 {
-            failures.push(format!(
-                "{id}: degradation {} does not match messages/clean_messages = {redegraded} — the cell was edited or corrupted",
-                cell.degradation
-            ));
-        }
-        if cell.ratio > cell.ceiling {
-            failures.push(format!(
-                "{id}: ratio {:.2} exceeds the committed ceiling {:.2}",
-                cell.ratio, cell.ceiling
-            ));
-        }
-        if cell.ceiling > floors.ceiling(cell.ratio) + 1e-9 {
-            failures.push(format!(
-                "{id}: ceiling {:.2} is looser than the standard formula allows ({:.2})",
-                cell.ceiling,
-                floors.ceiling(cell.ratio)
-            ));
-        }
-        if cell.degradation > cell.degradation_ceiling {
-            failures.push(format!(
-                "{id}: degradation {:.2} exceeds the committed ceiling {:.2} — rejoin replay traffic regressed",
-                cell.degradation, cell.degradation_ceiling
-            ));
-        }
-        if cell.degradation_ceiling > floors.ceiling(cell.degradation) + 1e-9 {
-            failures.push(format!(
-                "{id}: degradation ceiling {:.2} is looser than the standard formula allows ({:.2})",
-                cell.degradation_ceiling,
-                floors.ceiling(cell.degradation)
-            ));
-        }
-        // Churn is visible to the validator (masked rows), so the bar only
-        // absorbs the departure re-resolution transient — far tighter than
-        // the fault axis's.
-        let tolerated =
-            floors.membership_invalid_fraction_permille * cell.scenario.steps as u64 / 1000;
-        if cell.invalid_steps > tolerated {
-            failures.push(format!(
-                "{id}: {} of {} output steps invalid (tolerated: {} = {}‰) — membership re-resolution no longer contains the damage",
-                cell.invalid_steps,
-                cell.scenario.steps,
-                tolerated,
-                floors.membership_invalid_fraction_permille
-            ));
-        }
-        let poll_cost = cell.scenario.n as f64 * cell.scenario.steps as f64;
-        if cell.messages as f64 > floors.membership_poll_factor * poll_cost {
-            failures.push(format!(
-                "{id}: {} messages exceeds {} x the naive polling cost — even under churn, filters must beat polling",
-                cell.messages, floors.membership_poll_factor
-            ));
-        }
-    }
-    if plans.len() < floors.min_membership_plans {
+    if churn_plans.len() < floors.min_membership_plans {
         failures.push(format!(
-            "only {} membership plans covered ({:?}), need {}",
-            plans.len(),
-            plans,
+            "only {} membership plans covered ({churn_plans:?}), need {}",
+            churn_plans.len(),
             floors.min_membership_plans
         ));
     }
-    // A full-scale report must contain exactly the current membership grid.
-    if scale == "full" {
-        let expected = standard_membership_grid(false);
-        for (spec, plan) in &expected {
-            for protocol in ProtocolKind::ALL {
-                if !cells.iter().any(|c| {
-                    c.scenario == *spec && c.plan == *plan && c.protocol == protocol.name()
-                }) {
-                    failures.push(format!(
-                        "full-scale report is missing the {}+{}/{} membership cell (steps={}) the current grid defines — regenerate with --campaign",
-                        spec.generator.family(),
-                        plan.name(),
-                        protocol.name(),
-                        spec.steps
-                    ));
-                }
-            }
-        }
-        let expected_cells = expected.len() * ProtocolKind::ALL.len();
-        if cells.len() != expected_cells {
+    if plans < floors.min_multiquery_cells {
+        failures.push(format!(
+            "only {plans} query-plan cells measured, need {}",
+            floors.min_multiquery_cells
+        ));
+    }
+    for shape in ["twin", "overlap", "disjoint"] {
+        if !shapes.contains(shape) {
             failures.push(format!(
-                "full-scale report has {} membership cells, the current grid defines {} — regenerate with --campaign",
-                cells.len(),
-                expected_cells
+                "no query plan has the `{shape}` shape (covered: {shapes:?})"
             ));
         }
     }
-    failures
-}
-
-/// Validates the multi-query axis of a report: per-cell consistency (the
-/// attribution ledger must partition the message total exactly), amortization
-/// ceilings, plan-shape coverage, the amortization-present invariant (on at
-/// least one cell the joint run must beat its independent baseline — the
-/// shared-filter design's reason to exist), and (full scale) exact grid sync.
-/// Shared between [`check_competitive_floors`] and the `--multiquery-only`
-/// smoke mode.
-pub fn check_multiquery_cells(
-    cells: &[MultiQueryCell],
-    floors: &CompetitiveFloors,
-    scale: &str,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    let mut plans = BTreeSet::new();
-    for cell in cells {
-        let id = format!(
-            "{}+{}x{} (n={}, steps={})",
-            cell.scenario.generator.family(),
-            cell.plan_name,
-            cell.plan.queries.len(),
-            cell.scenario.n,
-            cell.scenario.steps
+    if !amortizing {
+        failures.push(
+            "no query plan beats its independent baseline — shared-filter amortization is gone"
+                .to_string(),
         );
-        plans.insert(cell.plan_name.clone());
-        if cell.plan_name != cell.plan.name {
-            failures.push(format!(
-                "{id}: plan_name `{}` does not match the embedded plan's name `{}`",
-                cell.plan_name, cell.plan.name
-            ));
-        }
-        if cell.plan.queries.len() < 2 {
-            failures.push(format!(
-                "{id}: a multi-query cell needs at least 2 queries, has {}",
-                cell.plan.queries.len()
-            ));
-        }
-        if cell.per_query_units.len() != cell.plan.queries.len() {
-            failures.push(format!(
-                "{id}: {} per-query unit entries for {} queries",
-                cell.per_query_units.len(),
-                cell.plan.queries.len()
-            ));
-        }
-        // The attribution ledger must partition the wire total exactly — the
-        // split-charging scheme's defining invariant.
-        let units: u64 = cell.per_query_units.iter().sum();
-        if units != cell.messages * SPLIT_SCALE {
-            failures.push(format!(
-                "{id}: per-query units sum to {units}, expected messages x {SPLIT_SCALE} = {} — attribution no longer partitions the wire total",
-                cell.messages * SPLIT_SCALE
-            ));
-        }
-        if !cell.amortization.is_finite() || cell.amortization < 0.0 {
-            failures.push(format!(
-                "{id}: amortization {} is not a sane number",
-                cell.amortization
-            ));
-            continue;
-        }
-        // The same anti-tamper consistency rules as the other axes.
-        let recomputed = cell.messages as f64 / cell.independent_messages.max(1) as f64;
-        if (cell.amortization - recomputed).abs() > 1e-9 {
-            failures.push(format!(
-                "{id}: amortization {} does not match messages/independent_messages = {recomputed} — the cell was edited or corrupted",
-                cell.amortization
-            ));
-        }
-        if cell.amortization > cell.amortization_ceiling {
-            failures.push(format!(
-                "{id}: amortization {:.3} exceeds the committed ceiling {:.3}",
-                cell.amortization, cell.amortization_ceiling
-            ));
-        }
-        if cell.amortization_ceiling > floors.ceiling(cell.amortization) + 1e-9 {
-            failures.push(format!(
-                "{id}: amortization ceiling {:.3} is looser than the standard formula allows ({:.3})",
-                cell.amortization_ceiling,
-                floors.ceiling(cell.amortization)
-            ));
-        }
-        // Every query validates against its own subset-restricted row on a
-        // clean transport, so the bar is (at standard settings) zero.
-        let query_steps = cell.scenario.steps as u64 * cell.plan.queries.len() as u64;
-        let tolerated = floors.multiquery_invalid_fraction_permille * query_steps / 1000;
-        if cell.invalid_steps > tolerated {
-            failures.push(format!(
-                "{id}: {} of {} per-query output steps invalid (tolerated: {} = {}‰) — query isolation broke",
-                cell.invalid_steps,
-                query_steps,
-                tolerated,
-                floors.multiquery_invalid_fraction_permille
-            ));
-        }
-        // Polling bound per query: a shared run of Q queries must stay within
-        // the same per-query polling factor as the base campaign.
-        let poll_cost =
-            cell.scenario.n as f64 * cell.scenario.steps as f64 * cell.plan.queries.len() as f64;
-        if cell.messages as f64 > floors.max_poll_factor * poll_cost {
-            failures.push(format!(
-                "{id}: {} messages exceeds {} x the per-query naive polling cost — shared filters have stopped paying for themselves",
-                cell.messages, floors.max_poll_factor
-            ));
-        }
-    }
-    if !cells.is_empty() {
-        if cells.len() < floors.min_multiquery_cells {
-            failures.push(format!(
-                "only {} multi-query cells measured, need {}",
-                cells.len(),
-                floors.min_multiquery_cells
-            ));
-        }
-        for shape in ["twin", "overlap", "disjoint"] {
-            if !plans.contains(shape) {
-                failures.push(format!(
-                    "multi-query axis is missing the `{shape}` plan shape (covered: {plans:?})"
-                ));
-            }
-        }
-        // The amortization-present invariant: somewhere in the grid, sharing
-        // must actually be cheaper than running the queries independently.
-        if !cells.iter().any(|c| c.messages < c.independent_messages) {
-            failures.push(
-                "no multi-query cell beats its independent baseline — shared-filter amortization is gone"
-                    .to_string(),
-            );
-        }
-    }
-    // A full-scale report must contain exactly the current multi-query grid.
-    if scale == "full" {
-        let expected = standard_multiquery_grid(false);
-        for (spec, plan) in &expected {
-            if !cells.iter().any(|c| c.scenario == *spec && c.plan == *plan) {
-                failures.push(format!(
-                    "full-scale report is missing the {}+{} multi-query cell (steps={}) the current grid defines — regenerate with --campaign",
-                    spec.generator.family(),
-                    plan.name,
-                    spec.steps
-                ));
-            }
-        }
-        if cells.len() != expected.len() {
-            failures.push(format!(
-                "full-scale report has {} multi-query cells, the current grid defines {} — regenerate with --campaign",
-                cells.len(),
-                expected.len()
-            ));
-        }
     }
     failures
 }
 
 /// Cross-checks a freshly measured report against a committed baseline: every
-/// fresh cell must have a baseline cell with the identical scenario and
-/// protocol, and the fresh ratio must stay under the *committed* ceiling.
+/// fresh cell must have a committed cell with the same (scenario, protocol)
+/// key and digest, and its fresh ratio, degradation and amortization must
+/// stay under the *committed* ceilings.
 ///
-/// This is the teeth of the ratchet. The per-cell ceilings inside one report
-/// are tautological by construction (they are computed from the ratios they
-/// gate); what makes them binding is that CI re-measures the quick grid —
-/// which the full grid contains verbatim, and which is bit-deterministic —
-/// and holds the fresh ratios to the ceilings committed in
-/// `BENCH_competitive.json`. A protocol change that regresses a cell's
-/// message count past the committed headroom fails here, before any human
-/// reads a JSON diff.
+/// This is the teeth of the ratchet. The ceilings inside one report are
+/// tautological (they are computed from the ratios they gate); what makes
+/// them binding is that CI re-measures the quick selection — bit-
+/// deterministic, and contained in the full report — and holds the fresh
+/// measures to the ceilings committed in `BENCH_competitive.json`.
 pub fn check_against_baseline(
     fresh: &CompetitiveReport,
     baseline: &CompetitiveReport,
 ) -> Vec<String> {
     let mut failures = Vec::new();
     for cell in &fresh.cells {
-        let id = format!(
-            "{}/{} (n={}, eps={}, steps={})",
-            cell.family(),
-            cell.protocol,
-            cell.scenario.n,
-            cell.scenario.eps,
-            cell.scenario.steps
-        );
+        let id = format!("{}/{}", cell.scenario, cell.protocol);
         let Some(committed) = baseline
             .cells
             .iter()
             .find(|b| b.scenario == cell.scenario && b.protocol == cell.protocol)
         else {
             failures.push(format!(
-                "{id}: no counterpart in the committed baseline — the grid changed; regenerate the committed report with --campaign"
+                "{id}: no counterpart in the committed baseline — regenerate the committed report with --campaign"
             ));
             continue;
         };
-        if cell.ratio > committed.ceiling {
+        if committed.digest != cell.digest {
             failures.push(format!(
-                "{id}: measured ratio {:.2} exceeds the committed ceiling {:.2} (committed ratio was {:.2}) — a protocol regressed",
-                cell.ratio, committed.ceiling, committed.ratio
-            ));
-        }
-    }
-    for cell in &fresh.fault_cells {
-        let id = format!(
-            "{}+{}/{} (n={}, steps={})",
-            cell.scenario.generator.family(),
-            cell.fault_family,
-            cell.protocol,
-            cell.scenario.n,
-            cell.scenario.steps
-        );
-        let Some(committed) = baseline.fault_cells.iter().find(|b| {
-            b.scenario == cell.scenario && b.fault == cell.fault && b.protocol == cell.protocol
-        }) else {
-            failures.push(format!(
-                "{id}: no counterpart in the committed baseline — the fault grid changed; regenerate the committed report with --campaign"
+                "{id}: the committed cell measured a different version of the scenario — regenerate the committed report with --campaign"
             ));
             continue;
-        };
-        if cell.ratio > committed.ceiling {
-            failures.push(format!(
-                "{id}: measured ratio {:.2} exceeds the committed ceiling {:.2} (committed ratio was {:.2}) — a protocol regressed under faults",
-                cell.ratio, committed.ceiling, committed.ratio
-            ));
         }
-        if cell.degradation > committed.degradation_ceiling {
-            failures.push(format!(
-                "{id}: measured degradation {:.2} exceeds the committed ceiling {:.2} (committed degradation was {:.2}) — fault recovery regressed",
-                cell.degradation, committed.degradation_ceiling, committed.degradation
-            ));
-        }
-    }
-    for cell in &fresh.membership_cells {
-        let id = format!(
-            "{}+{}/{} (n={}, steps={})",
-            cell.scenario.generator.family(),
-            cell.plan_name,
-            cell.protocol,
-            cell.scenario.n,
-            cell.scenario.steps
-        );
-        let Some(committed) = baseline.membership_cells.iter().find(|b| {
-            b.scenario == cell.scenario && b.plan == cell.plan && b.protocol == cell.protocol
-        }) else {
-            failures.push(format!(
-                "{id}: no counterpart in the committed baseline — the membership grid changed; regenerate the committed report with --campaign"
-            ));
-            continue;
-        };
-        if cell.ratio > committed.ceiling {
-            failures.push(format!(
-                "{id}: measured ratio {:.2} exceeds the committed ceiling {:.2} (committed ratio was {:.2}) — a protocol regressed under churn",
-                cell.ratio, committed.ceiling, committed.ratio
-            ));
-        }
-        if cell.degradation > committed.degradation_ceiling {
-            failures.push(format!(
-                "{id}: measured degradation {:.2} exceeds the committed ceiling {:.2} (committed degradation was {:.2}) — rejoin recovery regressed",
-                cell.degradation, committed.degradation_ceiling, committed.degradation
-            ));
-        }
-    }
-    for cell in &fresh.multiquery_cells {
-        let id = format!(
-            "{}+{}x{} (n={}, steps={})",
-            cell.scenario.generator.family(),
-            cell.plan_name,
-            cell.plan.queries.len(),
-            cell.scenario.n,
-            cell.scenario.steps
-        );
-        let Some(committed) = baseline
-            .multiquery_cells
-            .iter()
-            .find(|b| b.scenario == cell.scenario && b.plan == cell.plan)
-        else {
-            failures.push(format!(
-                "{id}: no counterpart in the committed baseline — the multi-query grid changed; regenerate the committed report with --campaign"
-            ));
-            continue;
-        };
-        if cell.amortization > committed.amortization_ceiling {
-            failures.push(format!(
-                "{id}: measured amortization {:.3} exceeds the committed ceiling {:.3} (committed amortization was {:.3}) — query sharing regressed",
-                cell.amortization, committed.amortization_ceiling, committed.amortization
-            ));
+        for ((what, fresh), (_, committed)) in cell.measures().into_iter().zip(committed.measures())
+        {
+            match (fresh, committed) {
+                (Some((value, ..)), Some((.., ceiling))) if value > ceiling => failures.push(format!(
+                    "{id}: measured {what} {value:.3} exceeds the committed ceiling {ceiling:.3} — a protocol regressed"
+                )),
+                (Some(_), None) | (None, Some(_)) => failures.push(format!(
+                    "{id}: the committed cell has no {what} to compare — regenerate the committed report with --campaign"
+                )),
+                _ => {}
+            }
         }
     }
     failures
@@ -2206,6 +1252,8 @@ pub fn to_json(report: &CompetitiveReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{committed_library, parse_scenario};
+    use std::sync::OnceLock;
 
     fn tiny_spec(generator: GeneratorSpec) -> ScenarioSpec {
         ScenarioSpec {
@@ -2218,50 +1266,99 @@ mod tests {
         }
     }
 
+    fn inline(spec: ScenarioSpec) -> ScenarioFile {
+        ScenarioFile {
+            name: "inline".to_string(),
+            spec,
+            fault: None,
+            membership: None,
+            queries: None,
+            floors: None,
+        }
+    }
+
+    fn scenario(name: &str) -> ScenarioFile {
+        committed_library()
+            .into_iter()
+            .find(|f| f.name == name)
+            .unwrap_or_else(|| panic!("scenarios/{name}.json is committed"))
+    }
+
+    /// The library files of at most 60 steps: the smallest selection that
+    /// still clears every coverage floor.
+    fn small_library() -> Vec<ScenarioFile> {
+        committed_library()
+            .into_iter()
+            .filter(|f| f.spec.steps <= 60)
+            .collect()
+    }
+
+    /// The quick campaign over [`small_library`], measured once per test run.
+    fn small_report() -> &'static CompetitiveReport {
+        static REPORT: OnceLock<CompetitiveReport> = OnceLock::new();
+        REPORT.get_or_init(|| run_campaign(&small_library(), true, |_| {}))
+    }
+
+    fn fails_with(failures: &[String], needle: &str) -> bool {
+        failures.iter().any(|f| f.contains(needle))
+    }
+
     #[test]
     fn grid_covers_the_acceptance_matrix() {
+        let library = committed_library();
+        let clean: Vec<&ScenarioFile> = library
+            .iter()
+            .filter(|f| f.fault.is_none() && f.membership.is_none() && f.queries.is_none())
+            .collect();
         for quick in [true, false] {
-            let grid = standard_grid(quick);
-            let families: BTreeSet<&str> = grid.iter().map(|s| s.generator.family()).collect();
+            let families: BTreeSet<&str> = clean
+                .iter()
+                .filter(|f| !quick || is_quick(f))
+                .map(|f| f.spec.generator.family())
+                .collect();
             assert!(
                 families.len() >= 7,
-                "grid must span >= 7 families, got {families:?}"
+                "the library must span >= 7 families, got {families:?}"
             );
-            assert!(ProtocolKind::ALL.len() >= 5);
         }
-        // The full grid additionally sweeps a second ε and a second n.
-        let full = standard_grid(false);
-        let epsilons: BTreeSet<String> = full.iter().map(|s| s.eps.to_string()).collect();
-        assert!(epsilons.len() >= 2, "full grid must sweep epsilon");
-        let sizes: BTreeSet<usize> = full.iter().map(|s| s.n).collect();
-        assert!(sizes.len() >= 3, "full grid must sweep n, got {sizes:?}");
-        assert!(sizes.contains(&100_000), "full grid needs the 1e5 probes");
+        assert!(ProtocolKind::ALL.len() >= 5);
+        // The library also sweeps a second ε and a second n, and carries the
+        // large-n probes the quick selection leaves out.
+        let epsilons: BTreeSet<String> = clean.iter().map(|f| f.spec.eps.to_string()).collect();
+        assert!(epsilons.len() >= 2, "the library must sweep epsilon");
+        let sizes: BTreeSet<usize> = clean.iter().map(|f| f.spec.n).collect();
+        assert!(sizes.len() >= 3, "the library must sweep n, got {sizes:?}");
+        assert!(sizes.contains(&100_000), "the library needs the 1e5 probe");
+        assert!(clean.iter().any(|f| !is_quick(f)));
     }
 
     #[test]
     fn cells_are_deterministic_and_correct() {
-        let floors = FloorTable::STANDARD.competitive;
         let mut solver = PhaseSolver::new();
-        let spec = tiny_spec(GeneratorSpec::Noise {
+        let file = inline(tiny_spec(GeneratorSpec::Noise {
             sigma: 10,
             z: 1 << 16,
-        });
-        let a = run_cell(&spec, ProtocolKind::Dense, &floors, &mut solver);
-        let b = run_cell(&spec, ProtocolKind::Dense, &floors, &mut solver);
+        }));
+        let a = run_cell(&file, ProtocolKind::Dense, &mut solver);
+        let b = run_cell(&file, ProtocolKind::Dense, &mut solver);
         assert_eq!(a, b, "campaign cells must be bit-deterministic");
         assert_eq!(a.invalid_steps, 0);
         assert!(a.messages > 0);
-        assert!(a.opt_lower >= 1);
-        assert!(a.ratio <= a.ceiling);
-        assert!(!a.messages_by_label.is_empty());
-        assert!(a.messages_by_regime.is_empty(), "noise has no regimes");
+        let c = a
+            .competitive
+            .as_ref()
+            .expect("single-query cells have a ratio");
+        assert!(c.opt_lower >= 1);
+        assert!(c.ratio <= c.ceiling);
+        assert!(!c.messages_by_label.is_empty());
+        assert!(c.messages_by_regime.is_empty(), "noise has no regimes");
+        assert!(a.degradation.is_none() && a.amortization.is_none());
     }
 
     #[test]
     fn regime_cells_attribute_messages_per_regime() {
-        let floors = FloorTable::STANDARD.competitive;
         let mut solver = PhaseSolver::new();
-        let spec = ScenarioSpec {
+        let file = inline(ScenarioSpec {
             generator: GeneratorSpec::RegimeSwitch {
                 sigma: 8,
                 z: 1 << 16,
@@ -2272,10 +1369,13 @@ mod tests {
             eps: Epsilon::TENTH,
             steps: 60,
             seed: 3,
-        };
-        let cell = run_cell(&spec, ProtocolKind::Combined, &floors, &mut solver);
+        });
+        let cell = run_cell(&file, ProtocolKind::Combined, &mut solver);
         assert_eq!(cell.invalid_steps, 0);
         let by_regime: BTreeMap<&str, u64> = cell
+            .competitive
+            .as_ref()
+            .expect("single-query cells have a ratio")
             .messages_by_regime
             .iter()
             .map(|lc| (lc.label.as_str(), lc.count))
@@ -2302,511 +1402,470 @@ mod tests {
 
     #[test]
     fn adaptive_adversary_cells_use_the_realised_trace() {
-        let floors = FloorTable::STANDARD.competitive;
         let mut solver = PhaseSolver::new();
-        let spec = tiny_spec(GeneratorSpec::Adversarial {
+        let file = inline(tiny_spec(GeneratorSpec::Adversarial {
             sigma: 12,
             y0: 1 << 20,
-        });
-        let cell = run_cell(&spec, ProtocolKind::Combined, &floors, &mut solver);
+        }));
+        let cell = run_cell(&file, ProtocolKind::Combined, &mut solver);
         assert_eq!(cell.invalid_steps, 0);
         // The adversary forces communication: the ratio is meaningfully > 1.
+        let ratio = cell.competitive.expect("a ratio").ratio;
         assert!(
-            cell.ratio > 1.0,
-            "the lower-bound instance must force a nontrivial ratio, got {}",
-            cell.ratio
+            ratio > 1.0,
+            "the lower-bound instance must force a nontrivial ratio, got {ratio}"
         );
     }
 
     #[test]
     fn quick_campaign_passes_its_own_floors() {
-        let report = run_campaign(true, |_| {});
+        let library = small_library();
+        let report = small_report();
         assert_eq!(report.scale, "quick");
+        let plans = library.iter().filter(|f| f.queries.is_some()).count();
         assert_eq!(
             report.cells.len(),
-            standard_grid(true).len() * ProtocolKind::ALL.len()
+            (library.len() - plans) * ProtocolKind::ALL.len() + plans
         );
-        assert_eq!(
-            report.fault_cells.len(),
-            standard_fault_grid(true).len() * ProtocolKind::ALL.len()
-        );
-        assert_eq!(
-            report.membership_cells.len(),
-            standard_membership_grid(true).len() * ProtocolKind::ALL.len()
-        );
-        assert_eq!(
-            report.multiquery_cells.len(),
-            standard_multiquery_grid(true).len()
-        );
-        let failures = check_competitive_floors(&report);
+        let failures = check_competitive_floors(report, &library);
         assert!(failures.is_empty(), "quick campaign failed: {failures:?}");
     }
 
     #[test]
-    #[ignore]
-    fn calibrate_fault_grid() {
-        let floors = FloorTable::STANDARD.competitive;
-        let mut solver = PhaseSolver::new();
-        // The *full* grid: the 240-step cells reach the churn process's
-        // steady state, which the 60-step quick cells undershoot — a bar
-        // calibrated on quick cells alone would pass CI and still fail the
-        // full regeneration.
-        for (spec, fault) in standard_fault_grid(false) {
-            for protocol in ProtocolKind::ALL {
-                let clean = run_cell(&spec, protocol, &floors, &mut solver);
-                let cell = run_fault_cell(
-                    &spec,
-                    &fault,
-                    protocol,
-                    &floors,
-                    &mut solver,
-                    clean.messages,
-                );
-                let poll = cell.messages as f64 / (spec.n as f64 * spec.steps as f64);
-                println!(
-                    "{:?}+{}/{:?}: msgs {} (clean {}), degr {:.2}, poll x{:.2}, invalid {}/{}, crashes {} rejoins {} rec {}",
-                    spec.generator, cell.fault_family, protocol, cell.messages, cell.clean_messages,
-                    cell.degradation, poll, cell.invalid_steps, spec.steps, cell.crashes,
-                    cell.rejoins, cell.recovery_messages,
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[ignore]
-    fn calibrate_multiquery_grid() {
-        let floors = FloorTable::STANDARD.competitive;
-        // The *full* grid: the amortization-present invariant must hold at
-        // both horizons of the committed report, not just the quick anchor.
-        for (spec, plan) in standard_multiquery_grid(false) {
-            let cell = run_multiquery_cell(&spec, &plan, &floors);
-            println!(
-                "{:?}+{} steps={}: joint {} vs independent {} = amortization {:.3}, {} deliveries, units {:?}, invalid {}",
-                spec.generator, cell.plan_name, spec.steps, cell.messages,
-                cell.independent_messages, cell.amortization, cell.deliveries,
-                cell.per_query_units, cell.invalid_steps,
-            );
-        }
-    }
-
-    #[test]
-    #[ignore]
-    fn calibrate_membership_grid() {
-        let floors = FloorTable::STANDARD.competitive;
-        let mut solver = PhaseSolver::new();
-        // The *full* grid, for the same reason as `calibrate_fault_grid`: the
-        // 240-step cells see far more churn cycles than the quick transient.
-        for (spec, plan) in standard_membership_grid(false) {
-            for protocol in ProtocolKind::ALL {
-                let clean = run_cell(&spec, protocol, &floors, &mut solver);
-                let cell = run_membership_cell(
-                    &spec,
-                    &plan,
-                    protocol,
-                    &floors,
-                    &mut solver,
-                    clean.messages,
-                );
-                let poll = cell.messages as f64 / (spec.n as f64 * spec.steps as f64);
-                println!(
-                    "{:?}+{}/{:?}: msgs {} (clean {}), degr {:.2}, poll x{:.2}, invalid {}/{}, leaves {} joins {} rec {}",
-                    spec.generator, cell.plan_name, protocol, cell.messages, cell.clean_messages,
-                    cell.degradation, poll, cell.invalid_steps, spec.steps, cell.leaves,
-                    cell.joins, cell.recovery_messages,
-                );
-            }
-        }
+    fn committed_report_is_tied_to_the_files() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_competitive.json");
+        let json = std::fs::read_to_string(path).expect("the committed report is readable");
+        let report: CompetitiveReport = serde_json::from_str(&json).expect("it parses");
+        let library = committed_library();
+        assert_eq!(report.scale, "full");
+        let failures = check_competitive_floors(&report, &library);
+        assert!(failures.is_empty(), "{failures:?}");
+        // A deleted cell is missing.
+        let mut pruned = report.clone();
+        let gone = pruned.cells.remove(7);
+        let failures = check_competitive_floors(&pruned, &library);
+        let needle = format!("missing the {}/{} cell", gone.scenario, gone.protocol);
+        assert!(fails_with(&failures, &needle), "{failures:?}");
+        // A scenario file added without regenerating has no cells.
+        let mut grown = library.clone();
+        grown.push(ScenarioFile {
+            name: "added-without-regenerating".to_string(),
+            ..library[0].clone()
+        });
+        let failures = check_competitive_floors(&report, &grown);
+        assert!(fails_with(
+            &failures,
+            "missing the added-without-regenerating/"
+        ));
+        // A file whose parameters were edited without regenerating is stale.
+        let mut edited = library.clone();
+        edited[0].spec.seed += 1;
+        let failures = check_competitive_floors(&report, &edited);
+        let needle = format!(
+            "stale — measured a different version of scenarios/{}",
+            edited[0].name
+        );
+        assert!(fails_with(&failures, &needle), "{failures:?}");
     }
 
     #[test]
     fn membership_grid_covers_two_plans_and_anchors_quick_cells() {
-        let quick = standard_membership_grid(true);
-        let full = standard_membership_grid(false);
-        let plans: BTreeSet<String> = quick.iter().map(|(_, p)| p.name()).collect();
+        let library = committed_library();
+        let plans: BTreeSet<String> = library
+            .iter()
+            .filter(|f| is_quick(f))
+            .filter_map(|f| f.membership.map(|plan| plan.name()))
+            .collect();
         assert!(
             plans.len() >= FloorTable::STANDARD.competitive.min_membership_plans,
-            "membership grid must span the plan coverage floor: {plans:?}"
+            "the quick selection must span the plan coverage floor: {plans:?}"
         );
-        for pair in &quick {
-            assert!(
-                full.contains(pair),
-                "quick membership cell missing from the full grid (the ratchet needs it): {pair:?}"
-            );
-        }
-        for (spec, plan) in &full {
+        for file in library.iter().filter(|f| f.membership.is_some()) {
+            let (spec, plan) = (&file.spec, file.membership.expect("filtered"));
             // The live floor must keep the monitored top-k defined.
-            assert!(
-                plan.min_live > spec.k,
-                "live floor {} must exceed k = {}",
-                plan.min_live,
-                spec.k
-            );
-            // Plans must actually churn within the quick horizon.
-            assert!(plan.build(spec.n, 60).total_events() > 0);
+            assert!(plan.min_live > spec.k, "{}: live floor <= k", file.name);
+            // Plans must actually churn within the file's horizon.
+            assert!(plan.build(spec.n, spec.steps as u64).total_events() > 0);
         }
     }
 
     #[test]
     fn membership_cells_are_deterministic_and_attribute_recovery() {
-        let floors = FloorTable::STANDARD.competitive;
         let mut solver = PhaseSolver::new();
-        let (spec, plan) = standard_membership_grid(true)
-            .into_iter()
-            .next()
-            .expect("membership grid is non-empty");
-        let clean = run_cell(&spec, ProtocolKind::Combined, &floors, &mut solver);
-        let a = run_membership_cell(
-            &spec,
-            &plan,
-            ProtocolKind::Combined,
-            &floors,
-            &mut solver,
-            clean.messages,
-        );
-        let b = run_membership_cell(
-            &spec,
-            &plan,
-            ProtocolKind::Combined,
-            &floors,
-            &mut solver,
-            clean.messages,
-        );
+        let file = scenario("member-noise-churn15-s60");
+        let a = run_cell(&file, ProtocolKind::Combined, &mut solver);
+        let b = run_cell(&file, ProtocolKind::Combined, &mut solver);
         assert_eq!(a, b, "membership cells must be bit-deterministic");
-        assert!(a.leaves > 0, "the plan must churn within the quick horizon");
-        assert!(a.joins > 0, "4-step downtimes must rejoin within the run");
+        let d = a.degradation.as_ref().expect("the plan is a companion");
+        assert!(d.leaves > 0, "the plan must churn within the horizon");
+        assert!(d.joins > 0, "4-step downtimes must rejoin within the run");
         assert!(
-            a.recovery_messages > 0,
+            d.recovery_messages > 0,
             "rejoins must replay group and filter under the recovery label"
         );
-        assert_eq!(a.clean_messages, clean.messages);
-        assert!((a.degradation - a.messages as f64 / clean.messages as f64).abs() < 1e-12);
+        let twin = ScenarioFile {
+            membership: None,
+            ..file.clone()
+        };
+        let clean = run_cell(&twin, ProtocolKind::Combined, &mut solver);
+        assert_eq!(d.clean_messages, clean.messages);
+        assert!((d.factor - a.messages as f64 / clean.messages as f64).abs() < 1e-12);
     }
 
     #[test]
     fn membership_floor_check_rejects_tampering() {
-        let floors = FloorTable::STANDARD.competitive;
-        let mut solver = PhaseSolver::new();
-        let grid = standard_membership_grid(true);
-        let mut base = Vec::new();
-        for (spec, plan) in grid.iter().take(2) {
-            let clean = run_cell(spec, ProtocolKind::Dense, &floors, &mut solver);
-            base.push(run_membership_cell(
-                spec,
-                plan,
-                ProtocolKind::Dense,
-                &floors,
-                &mut solver,
-                clean.messages,
-            ));
-        }
-        assert!(
-            check_membership_cells(&base, &floors, "quick").is_empty(),
-            "two honest cells across two plans pass the quick check"
-        );
+        let library = small_library();
+        let report = small_report();
+        let honest: Vec<Cell> = report
+            .cells
+            .iter()
+            .filter(|c| c.scenario.starts_with("member-"))
+            .cloned()
+            .collect();
+        assert!(check_cells(&honest, &library).is_empty());
         // Hand-raised degradation ceiling.
-        let mut cells = base.clone();
-        cells[0].degradation_ceiling *= 10.0;
-        assert!(check_membership_cells(&cells, &floors, "quick")
-            .iter()
-            .any(|f| f.contains("looser than the standard formula")));
+        let mut cells = honest.clone();
+        cells[0].degradation.as_mut().expect("companion").ceiling *= 10.0;
+        assert!(fails_with(
+            &check_cells(&cells, &library),
+            "degradation ceiling"
+        ));
         // Masking a message regression by editing degradation too.
-        let mut cells = base.clone();
+        let mut cells = honest.clone();
         cells[0].messages *= 10;
-        assert!(check_membership_cells(&cells, &floors, "quick")
-            .iter()
-            .any(|f| f.contains("edited or corrupted")));
-        // Invalid steps beyond the permille bar.
-        let mut cells = base.clone();
-        cells[0].invalid_steps = cells[0].scenario.steps as u64;
-        assert!(check_membership_cells(&cells, &floors, "quick")
-            .iter()
-            .any(|f| f.contains("re-resolution no longer contains the damage")));
+        assert!(fails_with(
+            &check_cells(&cells, &library),
+            "edited or corrupted"
+        ));
+        // Invalid steps: the membership bar holds exactly.
+        let steps = scenario(&honest[0].scenario).spec.steps as u64;
+        let bar = FloorTable::STANDARD
+            .competitive
+            .membership_invalid_fraction_permille
+            * steps
+            / 1000;
+        let mut cells = honest.clone();
+        cells[0].invalid_steps = bar;
+        assert!(check_cells(&cells, &library).is_empty());
+        cells[0].invalid_steps = bar + 1;
+        assert!(fails_with(
+            &check_cells(&cells, &library),
+            &format!("invalid output steps (tolerated: {bar})")
+        ));
         // A plan that never churned is rejected.
-        let mut cells = base.clone();
-        cells[0].leaves = 0;
-        assert!(check_membership_cells(&cells, &floors, "quick")
-            .iter()
-            .any(|f| f.contains("no leave events")));
+        let mut cells = honest.clone();
+        cells[0].degradation.as_mut().expect("companion").leaves = 0;
+        assert!(fails_with(
+            &check_cells(&cells, &library),
+            "no leave events"
+        ));
         // One plan is below the coverage floor.
-        assert!(check_membership_cells(&base[..1], &floors, "quick")
-            .iter()
-            .any(|f| f.contains("membership plans covered")));
-        // A quick grid relabelled as full is rejected.
-        assert!(check_membership_cells(&base, &floors, "full")
-            .iter()
-            .any(|f| f.contains("regenerate with --campaign")));
+        let mut thin = report.clone();
+        thin.cells.retain(|c| !c.scenario.contains("churn60"));
+        assert!(fails_with(
+            &check_competitive_floors(&thin, &library),
+            "membership plans covered"
+        ));
     }
 
     #[test]
     fn fault_grid_covers_three_families_and_anchors_quick_cells() {
-        let quick = standard_fault_grid(true);
-        let full = standard_fault_grid(false);
-        let families: BTreeSet<&str> = quick.iter().map(|(_, f)| f.family()).collect();
-        assert!(
-            families.len() >= 3,
-            "fault grid must span latency, drop and crash: {families:?}"
-        );
-        assert!(families.contains("latency"));
-        assert!(families.contains("drop"));
-        assert!(families.contains("crash"));
-        for pair in &quick {
+        let library = committed_library();
+        let families: BTreeSet<&str> = library
+            .iter()
+            .filter(|f| is_quick(f))
+            .filter_map(|f| f.fault.as_ref().map(FaultSpec::family))
+            .collect();
+        for family in ["latency", "drop", "crash"] {
             assert!(
-                full.contains(pair),
-                "quick fault cell missing from the full grid (the ratchet needs it): {pair:?}"
+                families.contains(family),
+                "the quick selection must carry a {family} plan: {families:?}"
             );
         }
-        for (spec, fault) in &full {
-            fault.validate();
-            assert!(
-                spec.n > fault.crash.map_or(0, |c| c.max_down),
-                "crash cap sane"
-            );
+        for file in &library {
+            if let Some(fault) = &file.fault {
+                fault.validate();
+                assert!(
+                    file.spec.n > fault.crash.map_or(0, |c| c.max_down),
+                    "crash cap sane"
+                );
+            }
         }
     }
 
     #[test]
     fn fault_cells_are_deterministic_and_attribute_recovery() {
-        let floors = FloorTable::STANDARD.competitive;
         let mut solver = PhaseSolver::new();
-        let (spec, _) = standard_fault_grid(true)
-            .into_iter()
-            .next()
-            .expect("fault grid is non-empty");
-        let fault = FaultSpec::crash_rejoin(0xFA03, 25, 5, 16);
-        let clean = run_cell(&spec, ProtocolKind::Combined, &floors, &mut solver);
-        let a = run_fault_cell(
-            &spec,
-            &fault,
-            ProtocolKind::Combined,
-            &floors,
-            &mut solver,
-            clean.messages,
-        );
-        let b = run_fault_cell(
-            &spec,
-            &fault,
-            ProtocolKind::Combined,
-            &floors,
-            &mut solver,
-            clean.messages,
-        );
+        let mut file = scenario("fault-noise-crash-s60");
+        file.fault = Some(FaultSpec::crash_rejoin(0xFA03, 25, 5, 16));
+        let a = run_cell(&file, ProtocolKind::Combined, &mut solver);
+        let b = run_cell(&file, ProtocolKind::Combined, &mut solver);
         assert_eq!(a, b, "fault cells must be bit-deterministic");
+        let d = a.degradation.as_ref().expect("the plan is a companion");
         assert!(
-            a.crashes > 0,
+            d.crashes > 0,
             "25‰ over 64 nodes × 60 steps must crash someone"
         );
-        assert!(a.rejoins > 0, "5-step outages must rejoin within the run");
+        assert!(d.rejoins > 0, "5-step outages must rejoin within the run");
         assert!(
-            a.recovery_messages > 0,
+            d.recovery_messages > 0,
             "rejoins must replay state under the recovery label"
         );
-        assert_eq!(a.clean_messages, clean.messages);
-        assert!((a.degradation - a.messages as f64 / clean.messages as f64).abs() < 1e-12);
-        // The intended trace is fault-independent, so OPT matches the twin's.
-        assert_eq!(a.opt_lower, clean.opt_lower);
+        let twin = ScenarioFile {
+            fault: None,
+            ..file.clone()
+        };
+        let clean = run_cell(&twin, ProtocolKind::Combined, &mut solver);
+        assert_eq!(d.clean_messages, clean.messages);
+        assert!((d.factor - a.messages as f64 / clean.messages as f64).abs() < 1e-12);
+        // The delivered trace is fault-independent, so OPT matches the twin's.
+        let opt = |cell: &Cell| cell.competitive.as_ref().expect("a ratio").opt_lower;
+        assert_eq!(opt(&a), opt(&clean));
     }
 
     #[test]
     fn fault_floor_check_rejects_tampering() {
-        let floors = FloorTable::STANDARD.competitive;
-        let mut solver = PhaseSolver::new();
-        let (spec, fault) = standard_fault_grid(true)
-            .into_iter()
-            .find(|(_, f)| f.family() == "drop")
-            .expect("drop family present");
-        let clean = run_cell(&spec, ProtocolKind::Dense, &floors, &mut solver);
-        let cell = run_fault_cell(
-            &spec,
-            &fault,
-            ProtocolKind::Dense,
-            &floors,
-            &mut solver,
-            clean.messages,
-        );
-        let base = vec![cell];
-        assert!(
-            check_fault_cells(&base, &floors, "quick")
-                .iter()
-                .all(|f| f.contains("fault families")),
-            "a single honest cell only trips the coverage floor"
-        );
+        let library = small_library();
+        let report = small_report();
+        let honest: Vec<Cell> = report
+            .cells
+            .iter()
+            .filter(|c| c.scenario.starts_with("fault-") && c.scenario.contains("-drop-"))
+            .cloned()
+            .collect();
+        assert!(check_cells(&honest, &library).is_empty());
         // Hand-raised degradation ceiling.
-        let mut cells = base.clone();
-        cells[0].degradation_ceiling *= 10.0;
-        assert!(check_fault_cells(&cells, &floors, "quick")
-            .iter()
-            .any(|f| f.contains("looser than the standard formula")));
+        let mut cells = honest.clone();
+        cells[0].degradation.as_mut().expect("companion").ceiling *= 10.0;
+        assert!(fails_with(
+            &check_cells(&cells, &library),
+            "degradation ceiling"
+        ));
         // Masking a message regression by editing degradation too.
-        let mut cells = base.clone();
+        let mut cells = honest.clone();
         cells[0].messages *= 10;
-        assert!(check_fault_cells(&cells, &floors, "quick")
-            .iter()
-            .any(|f| f.contains("edited or corrupted")));
-        // Invalid steps beyond the permille bar.
-        let mut cells = base.clone();
-        cells[0].invalid_steps = cells[0].scenario.steps as u64;
-        assert!(check_fault_cells(&cells, &floors, "quick")
-            .iter()
-            .any(|f| f.contains("recovery no longer contains the damage")));
-        // A quick grid relabelled as full is rejected.
-        assert!(check_fault_cells(&base, &floors, "full")
-            .iter()
-            .any(|f| f.contains("regenerate with --campaign")));
+        assert!(fails_with(
+            &check_cells(&cells, &library),
+            "edited or corrupted"
+        ));
+        // Invalid steps beyond the fault permille bar.
+        let mut cells = honest.clone();
+        cells[0].invalid_steps = 60;
+        assert!(fails_with(
+            &check_cells(&cells, &library),
+            "invalid output steps"
+        ));
+        // Losing a fault family drops below the coverage floor.
+        let mut thin = report.clone();
+        thin.cells.retain(|c| !c.scenario.contains("-drop-"));
+        assert!(fails_with(
+            &check_competitive_floors(&thin, &library),
+            "fault families covered"
+        ));
+    }
+
+    #[test]
+    fn a_file_with_a_fault_and_a_membership_plan_runs_both() {
+        let fault = scenario("fault-noise-crash-s60");
+        let churn = scenario("member-noise-churn15-s60");
+        let text = scenario_to_json(&ScenarioFile {
+            membership: churn.membership,
+            ..fault
+        });
+        let file = parse_scenario(&text, "<inline>").expect("the loader takes both plans");
+        let mut solver = PhaseSolver::new();
+        let cell = run_cell(&file, ProtocolKind::TopKProtocol, &mut solver);
+        let d = cell
+            .degradation
+            .as_ref()
+            .expect("the plans are a companion");
+        assert!(d.crashes > 0, "the fault plan ran");
+        assert!(d.leaves > 0, "the membership plan ran");
+        // One driver: a recording of the same file is the same run.
+        let (recorded, _) = crate::replay::record_run(&file, ProtocolKind::TopKProtocol);
+        assert_eq!(recorded.messages(), cell.messages);
+        // The documented bar: with a fault plan, the fault bar applies.
+        let floors = file.effective_floors();
+        let steps = file.spec.steps as u64;
+        let bar = floors.fault_invalid_fraction_permille * steps / 1000;
+        assert!(bar > floors.membership_invalid_fraction_permille * steps / 1000);
+        let library = [file];
+        let mut held = cell.clone();
+        held.invalid_steps = bar;
+        assert!(check_cells(&[held.clone()], &library).is_empty());
+        held.invalid_steps = bar + 1;
+        assert!(fails_with(
+            &check_cells(&[held], &library),
+            &format!("invalid output steps (tolerated: {bar})")
+        ));
     }
 
     #[test]
     fn floor_check_rejects_tampering() {
-        let mut report = run_campaign(true, |_| {});
+        let library = small_library();
+        let report = small_report();
+        let check = |r: &CompetitiveReport| check_competitive_floors(r, &library);
+        let clean = report
+            .cells
+            .iter()
+            .position(|c| c.scenario.starts_with("zipf-"))
+            .expect("a clean zipf cell");
         // Hand-raising a ceiling is rejected even though ratio <= ceiling.
-        report.cells[0].ceiling *= 10.0;
-        assert!(check_competitive_floors(&report)
-            .iter()
-            .any(|f| f.contains("looser than the standard formula")));
+        let mut r = report.clone();
+        r.cells[clean]
+            .competitive
+            .as_mut()
+            .expect("a ratio")
+            .ceiling *= 10.0;
+        assert!(fails_with(&check(&r), "ratio ceiling"));
         // A regressed ratio above its committed ceiling is rejected.
-        let mut report = run_campaign(true, |_| {});
-        report.cells[0].ratio = report.cells[0].ceiling + 1.0;
-        assert!(check_competitive_floors(&report)
-            .iter()
-            .any(|f| f.contains("exceeds the committed ceiling")));
-        // Invalid output steps are rejected.
-        let mut report = run_campaign(true, |_| {});
-        report.cells[0].invalid_steps = 1;
-        assert!(check_competitive_floors(&report)
-            .iter()
-            .any(|f| f.contains("invalid output steps")));
-        // Dropping below the coverage floor is rejected (the 8-family grid
-        // tolerates losing one family, not two).
-        let mut report = run_campaign(true, |_| {});
-        report
-            .cells
-            .retain(|c| c.family() != "churn" && c.family() != "zipf");
-        assert!(check_competitive_floors(&report)
-            .iter()
-            .any(|f| f.contains("generator families")));
-        // A hole in the protocol × family grid is rejected.
-        let mut report = run_campaign(true, |_| {});
-        let victim = report
-            .cells
-            .iter()
-            .position(|c| c.family() == "zipf" && c.protocol == "dense")
-            .unwrap();
-        report.cells.remove(victim);
-        assert!(check_competitive_floors(&report)
-            .iter()
-            .any(|f| f.contains("grid has holes")));
-        // A full-scale report must carry exactly the current grid's cells —
-        // a quick grid relabelled as full (or a stale/hand-pruned report)
-        // is rejected cell-by-cell.
-        let mut report = run_campaign(true, |_| {});
-        report.scale = "full".to_string();
-        let failures = check_competitive_floors(&report);
-        assert!(failures
-            .iter()
-            .any(|f| f.contains("missing the") && f.contains("regenerate with --campaign")));
-        assert!(failures
-            .iter()
-            .any(|f| f.contains("cells, the current grid defines")));
+        let mut r = report.clone();
+        let c = r.cells[clean].competitive.as_mut().expect("a ratio");
+        c.ratio = c.ceiling + 1.0;
+        assert!(fails_with(&check(&r), "exceeds the committed ceiling"));
+        // Invalid output steps on a clean cell are rejected.
+        let mut r = report.clone();
+        r.cells[clean].invalid_steps = 1;
+        assert!(fails_with(
+            &check(&r),
+            "invalid output steps (tolerated: 0)"
+        ));
         // Editing ratio and ceiling together (to mask a regressed `messages`)
         // is caught by the messages/opt_lower consistency check.
-        let mut report = run_campaign(true, |_| {});
-        report.cells[0].messages *= 10;
-        assert!(check_competitive_floors(&report)
-            .iter()
-            .any(|f| f.contains("edited or corrupted")));
-    }
-
-    #[test]
-    fn full_grid_contains_the_quick_grid_verbatim() {
-        let quick = standard_grid(true);
-        let full = standard_grid(false);
-        for spec in &quick {
-            assert!(
-                full.contains(spec),
-                "quick cell missing from the full grid (the baseline ratchet needs it): {spec:?}"
-            );
-        }
+        let mut r = report.clone();
+        r.cells[clean].messages *= 10;
+        assert!(fails_with(&check(&r), "edited or corrupted"));
+        // Dropping below the coverage floor is rejected (the 8-family
+        // selection tolerates losing one family, not two).
+        let mut r = report.clone();
+        r.cells
+            .retain(|c| !c.scenario.starts_with("churn-") && !c.scenario.starts_with("zipf-"));
+        assert!(fails_with(&check(&r), "generator families"));
+        // A hole in the protocol × family grid is rejected.
+        let mut r = report.clone();
+        r.cells
+            .retain(|c| !(c.scenario.starts_with("zipf-") && c.protocol == "dense"));
+        assert!(fails_with(&check(&r), "grid has holes"));
+        // A quick report relabelled as full lacks every longer file's cells.
+        let mut r = report.clone();
+        r.scale = "full".to_string();
+        let full = committed_library();
+        assert!(fails_with(
+            &check_competitive_floors(&r, &full),
+            "-s240/exact_topk cell — regenerate with --campaign"
+        ));
+        // A cell of no scenario, a duplicate and a stale digest are rejected.
+        let mut r = report.clone();
+        r.cells[clean].scenario = "no-such-file".to_string();
+        assert!(fails_with(&check(&r), "no such (scenario, protocol)"));
+        let mut r = report.clone();
+        r.cells.push(r.cells[clean].clone());
+        assert!(fails_with(&check(&r), "duplicate cell"));
+        let mut r = report.clone();
+        r.cells[clean].digest ^= 1;
+        assert!(fails_with(&check(&r), "stale"));
     }
 
     #[test]
     fn baseline_check_is_a_real_ratchet() {
-        let committed = run_campaign(true, |_| {});
-        // Bit-determinism: a fresh run of the same grid matches the baseline.
-        let fresh = run_campaign(true, |_| {});
-        assert!(check_against_baseline(&fresh, &committed).is_empty());
-        // A regressed protocol (ratio past the committed headroom) fails.
-        let mut regressed = fresh.clone();
-        regressed.cells[0].ratio = committed.cells[0].ceiling + 0.01;
-        let failures = check_against_baseline(&regressed, &committed);
+        let committed = small_report();
+        // Bit-determinism: a fresh run of the same selection matches.
+        let fresh = run_campaign(&small_library(), true, |_| {});
+        assert_eq!(&fresh, committed);
+        assert!(check_against_baseline(&fresh, committed).is_empty());
+        // A committed ceiling lowered below the fresh ratio fails.
+        let mut lowered = committed.clone();
+        let fresh_ratio = fresh.cells[0].competitive.as_ref().expect("a ratio").ratio;
+        lowered.cells[0]
+            .competitive
+            .as_mut()
+            .expect("a ratio")
+            .ceiling = fresh_ratio - 0.01;
+        let failures = check_against_baseline(&fresh, &lowered);
         assert!(
-            failures.iter().any(|f| f.contains("a protocol regressed")),
+            fails_with(&failures, "a protocol regressed"),
             "{failures:?}"
         );
-        // A grid change without a regenerated committed report fails loudly.
+        // A regressed degradation and amortization fail the same way.
+        for (prefix, what) in [("member-", "degradation"), ("mq-", "amortization")] {
+            let i = fresh
+                .cells
+                .iter()
+                .position(|c| c.scenario.starts_with(prefix))
+                .expect("the selection has the cell");
+            let mut regressed = fresh.clone();
+            let cell = &mut regressed.cells[i];
+            match what {
+                "degradation" => {
+                    let d = cell.degradation.as_mut().expect("companion");
+                    d.factor = d.ceiling + 0.01;
+                }
+                _ => {
+                    let a = cell.amortization.as_mut().expect("plan");
+                    a.factor = a.ceiling + 0.01;
+                }
+            }
+            let failures = check_against_baseline(&regressed, committed);
+            assert!(
+                fails_with(&failures, &format!("measured {what}")),
+                "{failures:?}"
+            );
+        }
+        // A selection change without a regenerated committed report fails.
         let mut stale = committed.clone();
         stale.cells.remove(0);
-        assert!(check_against_baseline(&fresh, &stale)
-            .iter()
-            .any(|f| f.contains("no counterpart in the committed baseline")));
-        // A membership-axis regression past the committed headroom fails.
-        let mut regressed = fresh.clone();
-        regressed.membership_cells[0].degradation =
-            committed.membership_cells[0].degradation_ceiling + 0.01;
-        assert!(check_against_baseline(&regressed, &committed)
-            .iter()
-            .any(|f| f.contains("rejoin recovery regressed")));
+        assert!(fails_with(
+            &check_against_baseline(&fresh, &stale),
+            "no counterpart in the committed baseline"
+        ));
+        let mut edited = committed.clone();
+        edited.cells[0].digest ^= 1;
+        assert!(fails_with(
+            &check_against_baseline(&fresh, &edited),
+            "different version of the scenario"
+        ));
     }
 
     #[test]
     fn report_round_trips_through_json() {
-        let floors = FloorTable::STANDARD.competitive;
         let mut solver = PhaseSolver::new();
         let spec = tiny_spec(GeneratorSpec::Gap { high_base: 1 << 16 });
-        let clean = run_cell(&spec, ProtocolKind::TopKProtocol, &floors, &mut solver);
-        let fault_cell = run_fault_cell(
-            &spec,
-            &FaultSpec::drop_upstream(7, 100),
-            ProtocolKind::TopKProtocol,
-            &floors,
-            &mut solver,
-            clean.messages,
-        );
-        let membership_cell = run_membership_cell(
-            &spec,
-            &MembershipPlanSpec {
+        let clean = run_cell(&inline(spec), ProtocolKind::TopKProtocol, &mut solver);
+        let faulty = ScenarioFile {
+            fault: Some(FaultSpec::drop_upstream(7, 100)),
+            ..inline(spec)
+        };
+        let churned = ScenarioFile {
+            membership: Some(MembershipPlanSpec {
                 seed: 11,
                 leave_permille: 50,
                 downtime: 3,
                 min_live: 12,
-            },
-            ProtocolKind::TopKProtocol,
-            &floors,
-            &mut solver,
-            clean.messages,
-        );
-        let (mq_spec, mq_plan) = standard_multiquery_grid(true)
-            .into_iter()
-            .next()
-            .expect("the multi-query grid is non-empty");
-        let multiquery_cell = run_multiquery_cell(&mq_spec, &mq_plan, &floors);
+            }),
+            ..inline(spec)
+        };
+        let mut cells = vec![clean];
+        cells.push(run_cell(&faulty, ProtocolKind::TopKProtocol, &mut solver));
+        cells.push(run_cell(&churned, ProtocolKind::TopKProtocol, &mut solver));
+        cells.extend(run_file(&scenario("mq-twin-noise-field-s60"), &mut solver));
         let report = CompetitiveReport {
             bench: "competitive".into(),
             scale: "quick".into(),
-            floors,
-            cells: vec![clean],
-            fault_cells: vec![fault_cell],
-            membership_cells: vec![membership_cell],
-            multiquery_cells: vec![multiquery_cell],
+            floors: FloorTable::STANDARD.competitive,
+            cells,
         };
         let json = to_json(&report);
-        assert!(json.contains("\"ceiling\""));
-        assert!(json.contains("Gap"));
-        assert!(json.contains("\"fault_family\""));
-        assert!(json.contains("\"degradation\""));
-        assert!(json.contains("\"plan_name\""));
-        assert!(json.contains("\"leaves\""));
-        assert!(json.contains("\"amortization\""));
-        assert!(json.contains("\"per_query_units\""));
+        for key in [
+            "\"digest\"",
+            "\"ceiling\"",
+            "\"degradation\"",
+            "\"dropped_messages\"",
+            "\"leaves\"",
+            "\"amortization\"",
+            "\"per_query_units\"",
+        ] {
+            assert!(json.contains(key), "missing {key}");
+        }
         let back: CompetitiveReport = serde_json::from_str(&json).expect("reports deserialise");
         assert_eq!(back, report);
     }

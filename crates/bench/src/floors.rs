@@ -84,10 +84,12 @@ pub struct CompetitiveFloors {
     /// the 8 %-churn cell slightly exceeds 2× — polling cost; the paper
     /// promises them nothing there.)
     pub max_poll_factor: f64,
-    /// Minimum number of distinct fault families the report's fault axis must
-    /// cover (the degradation study needs latency, drop and crash at least).
+    /// Minimum number of distinct fault families the report's fault-plan
+    /// cells must cover (the degradation study needs latency, drop and crash
+    /// at least).
     pub min_fault_families: usize,
-    /// Maximum tolerated invalid output steps in a *fault* cell, in permille
+    /// Maximum tolerated invalid output steps in a cell whose scenario has a
+    /// fault plan (with or without a membership plan), in permille
     /// of the cell's steps. Unlike the fault-free bar (`max_invalid_steps`,
     /// which stays 0), faults legitimately break the ε-top-k guarantee — a
     /// crashed node cannot report, a dropped report is information the server
@@ -101,12 +103,12 @@ pub struct CompetitiveFloors {
     /// polling is still the point of the filter approach.
     pub fault_poll_factor: f64,
     /// Minimum number of distinct membership churn plans the report's
-    /// membership axis must cover (a mild and an aggressive plan at least —
+    /// membership-plan cells must cover (a mild and an aggressive plan at least —
     /// one intensity cannot show whether recovery cost scales with churn).
     pub min_membership_plans: usize,
     /// Maximum tolerated invalid output steps in a *membership* cell, in
     /// permille of the cell's steps. Both driver and engines validate against
-    /// the masked row (dead slots pinned to 0), so unlike the fault axis the
+    /// the masked row (dead slots pinned to 0), so unlike faults the
     /// churn itself never excuses an invalid output — the small bar only
     /// absorbs the single-step re-resolution transient when a top-k member
     /// departs and the violation machinery replaces it.
@@ -116,9 +118,9 @@ pub struct CompetitiveFloors {
     /// protocols re-resolve the vacated ranks, but the total must still stay
     /// within a constant factor of naive polling.
     pub membership_poll_factor: f64,
-    /// Minimum number of multi-query cells the report's multi-query axis must
-    /// cover (the twin / overlapping / disjoint plan shapes at least —
-    /// sharing, partial sharing and isolation are three different claims).
+    /// Minimum number of query-plan cells the report must cover (the twin /
+    /// overlapping / disjoint plan shapes at least — sharing, partial sharing
+    /// and isolation are three different claims).
     pub min_multiquery_cells: usize,
     /// Maximum tolerated invalid output steps in a *multi-query* cell, in
     /// permille of the cell's per-query step total. Every query is validated

@@ -27,12 +27,14 @@
 //! baseline vs. the indexed vs. the sharded engine across workloads and
 //! population sizes (up to 10⁷ nodes), written to `BENCH_throughput.json`.
 //!
-//! [`campaign`] is the scenario campaign (`experiments --campaign`): a
-//! declarative grid of workload families × regime parameters × ε × n run under
-//! every protocol, with empirical competitive ratios against the
-//! `topk-offline` OPT written to `BENCH_competitive.json` and ratcheted by
-//! `--check-competitive-floors`. [`floors`] is the single serialised table of
-//! every numeric bar both check modes enforce.
+//! [`campaign`] is the scenario campaign (`experiments --campaign`): every
+//! file of the `scenarios/` library ([`scenario`]) run under every protocol
+//! through one cell runner, with empirical competitive ratios against the
+//! `topk-offline` OPT written to `BENCH_competitive.json` — one cell per
+//! (file name, protocol) — and held by one checker
+//! (`--check-competitive-floors`) and the `--baseline` ratchet. [`floors`] is
+//! the single serialised table of every numeric bar both check modes
+//! enforce.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,8 +52,8 @@ pub use experiments::*;
 pub use floors::FloorTable;
 pub use replay::{record_run, replay_trace, EngineKind, ReplayOutcome};
 pub use scenario::{
-    check_library_sync, emit_library, load_scenario, load_scenario_dir, parse_scenario,
-    scenario_to_json, standard_library, ScenarioError, ScenarioFile, SCENARIO_SCHEMA,
+    load_scenario, load_scenario_dir, parse_scenario, scenario_to_json, ScenarioError,
+    ScenarioFile, SCENARIO_SCHEMA,
 };
 pub use table::ExperimentTable;
 pub use throughput::{run_throughput, ThroughputReport};

@@ -28,7 +28,7 @@
 //! [`load_trace`] are the file endpoints `experiments --record`/`--replay`
 //! use.
 
-use crate::campaign::ProtocolKind;
+use crate::campaign::{drive, ProtocolKind};
 use crate::scenario::ScenarioFile;
 use std::fmt;
 use std::path::Path;
@@ -98,21 +98,11 @@ impl ReplayOutcome {
 
 /// Records one full run of `file` under `protocol` on the indexed engine
 /// (wrapped in a [`FaultyTransport`](topk_net::FaultyTransport) when the
-/// scenario carries a fault plan),
-/// returning the driver's report and the complete record stream.
+/// scenario carries a fault plan) — the same driver the campaign cells run
+/// through — returning the driver's report and the complete record stream.
 pub fn record_run(file: &ScenarioFile, protocol: ProtocolKind) -> (RunReport, Vec<TraceRecord>) {
     let spec = &file.spec;
-    let mut workload = spec.generator.build(spec.n, spec.k, spec.eps, spec.seed);
-    let mut monitor = protocol.build_monitor(spec.k, spec.eps);
     let mut net = build_engine(EngineKind::Indexed, spec.n, spec.seed, file.fault.as_ref());
-    let schedule = file
-        .membership
-        .as_ref()
-        .map(|plan| plan.build(spec.n, spec.steps as u64));
-    let events_at: Box<dyn FnMut(u64) -> Vec<MembershipEvent>> = match &schedule {
-        Some(schedule) => Box::new(schedule.driver()),
-        None => Box::new(|_| Vec::new()),
-    };
     let mut records = vec![TraceRecord::Header(TraceHeader {
         protocol: protocol.name().to_string(),
         n: spec.n as u64,
@@ -122,30 +112,16 @@ pub fn record_run(file: &ScenarioFile, protocol: ProtocolKind) -> (RunReport, Ve
         fault: file.fault,
         label: file.name.clone(),
     })];
-    let mut emitted = 0usize;
-    let report = run_with_membership_observed(
-        monitor.as_mut(),
-        net.as_mut(),
-        spec.eps,
-        |filters| {
-            if emitted == spec.steps {
-                return None;
-            }
-            emitted += 1;
-            Some(workload.next_step_adaptive(filters))
-        },
-        events_at,
-        |obs| {
-            records.push(TraceRecord::Step(TraceStep {
-                step: obs.step,
-                events: obs.events.to_vec(),
-                row: obs.row.to_vec(),
-                output: obs.output.to_vec(),
-                valid: obs.valid,
-                messages_total: obs.messages_total,
-            }));
-        },
-    );
+    let report = drive(file, protocol, net.as_mut(), |obs| {
+        records.push(TraceRecord::Step(TraceStep {
+            step: obs.step,
+            events: obs.events.to_vec(),
+            row: obs.row.to_vec(),
+            output: obs.output.to_vec(),
+            valid: obs.valid,
+            messages_total: obs.messages_total,
+        }));
+    });
     records.push(TraceRecord::End(TraceEnd {
         steps: report.steps,
         invalid_steps: report.invalid_steps,
@@ -447,7 +423,7 @@ pub fn load_trace(path: &Path) -> Result<Vec<TraceRecord>, WireError> {
 mod tests {
     use super::*;
     use crate::campaign::{GeneratorSpec, MembershipPlanSpec, ScenarioSpec};
-    use crate::scenario::example_scenarios;
+    use crate::scenario::committed_library;
 
     fn small_cell() -> ScenarioFile {
         ScenarioFile {
@@ -559,7 +535,10 @@ mod tests {
 
     #[test]
     fn example_scenarios_record_and_replay() {
-        let mut file = example_scenarios()[1].clone();
+        let mut file = committed_library()
+            .into_iter()
+            .find(|f| f.name == "sensor_noise")
+            .expect("the sensor_noise example is committed");
         file.spec.steps = 10;
         let (_, records) = record_run(&file, ProtocolKind::Dense);
         let outcome = replay_trace(&records, EngineKind::Indexed).unwrap();

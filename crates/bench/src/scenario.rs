@@ -1,14 +1,15 @@
 //! Declarative scenario files: the on-disk form of [`ScenarioSpec`].
 //!
-//! A scenario file is one campaign cell as JSON — the workload generator and
-//! its regime parameters, the population size, `k`, ε, horizon and seed, plus
-//! an optional fault plan and an optional membership churn plan. The committed
-//! library under `scenarios/` is the single human-editable source of the
-//! experiment grid: `standard_library` derives the exact same cells the
-//! compiled-in [`standard_grid`] (and its fault/membership companions) runs,
-//! and [`check_library_sync`] holds the directory byte-for-byte to that
-//! derivation, so a stale or hand-drifted file fails CI instead of silently
-//! measuring something else.
+//! A scenario file is one campaign workload as JSON — the workload generator
+//! and its regime parameters, the population size, `k`, ε, horizon and seed,
+//! plus an optional fault plan, an optional membership churn plan, an
+//! optional multi-query plan and optional floor overrides. The committed
+//! library under `scenarios/` is the *only* definition of the campaign:
+//! `experiments --campaign` loads every file ([`load_scenario_dir`]) and runs
+//! it through the one cell runner of [`crate::campaign`]. Every file is
+//! stored in canonical form and named after its file stem, which is what lets
+//! `BENCH_competitive.json` key its cells by name and digest a file's
+//! canonical bytes.
 //!
 //! ## Schema (`topk-scenario/v1`, normative copy in `docs/SCENARIOS.md`)
 //!
@@ -39,11 +40,11 @@
 //!   as one shared-engine multi-query cell instead of the per-protocol loop,
 //!   and takes no `fault`/`membership` companion.
 //! * `"floors"` — per-scenario floor/ceiling overrides
-//!   ([`FloorOverride`]): integer knobs that replace the corresponding bars
-//!   of [`FloorTable::STANDARD`](crate::FloorTable) when *this* scenario is
-//!   checked in the scenario-run mode (`--scenario` / `--scenario-dir`).
-//!   Committed override files are validated like everything else by
-//!   `--check-scenarios`.
+//!   ([`FloorOverride`]): integer knobs that *tighten* the corresponding bars
+//!   of [`FloorTable::STANDARD`](crate::FloorTable) wherever this scenario is
+//!   checked — the campaign, its ratchet and `--scenario` alike. Each bar is
+//!   the stricter of the standard one and the override, so editing a file
+//!   can never loosen a committed gate.
 //!
 //! Validation is strict and typed: unknown fields anywhere, a missing
 //! required field, a wrong JSON type, an unknown generator family,
@@ -55,12 +56,9 @@
 //!
 //! Serialisation is canonical: [`scenario_to_json`] emits keys in a fixed
 //! order with fixed formatting, so `parse → serialize` is the identity on
-//! library files and the sync check can compare bytes.
+//! library files (a test holds every committed file to that).
 
-use crate::campaign::{
-    standard_fault_grid, standard_grid, standard_membership_grid, standard_multiquery_grid,
-    GeneratorSpec, MembershipPlanSpec, ProtocolKind, ScenarioSpec,
-};
+use crate::campaign::{GeneratorSpec, MembershipPlanSpec, ProtocolKind, ScenarioSpec};
 use crate::floors::{CompetitiveFloors, FloorTable};
 use serde::Json;
 use std::fmt;
@@ -78,58 +76,58 @@ pub const SCENARIO_SCHEMA_V2: &str = "topk-scenario/v2";
 /// Per-scenario overrides of the campaign floor table (`"floors"`, v2).
 ///
 /// Every knob is an integer (the schema has no floats); an absent knob keeps
-/// the corresponding bar of [`FloorTable::STANDARD`]. Overrides take effect
-/// in the scenario-run mode only — the compiled-in campaign grids always run
-/// under the standard table, so a committed `BENCH_*.json` is never gated by
-/// a JSON-editable knob.
+/// the corresponding bar of [`FloorTable::STANDARD`]. A present knob can only
+/// tighten: each bar in force is the stricter of the standard bar and the
+/// override, in every mode, so no JSON edit can loosen a committed gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FloorOverride {
-    /// Replaces [`CompetitiveFloors::ceiling_headroom_permille`] (≤ 1000).
+    /// Caps [`CompetitiveFloors::ceiling_headroom_permille`] (≤ 1000).
     pub ceiling_headroom_permille: Option<u64>,
-    /// Replaces [`CompetitiveFloors::ceiling_slack_permille`] (≤ 1000).
+    /// Caps [`CompetitiveFloors::ceiling_slack_permille`] (≤ 1000).
     pub ceiling_slack_permille: Option<u64>,
-    /// Replaces [`CompetitiveFloors::max_poll_factor`], stated in permille
-    /// (500 = the scenario's protocols must stay under 0.5 × naive polling;
-    /// 1..=10000). The fault/membership poll bars are raised to at least this
-    /// value so a loosened override cannot make them incoherent.
+    /// Caps every poll-factor bar, stated in permille (500 = the scenario's
+    /// protocols must stay under 0.5 × naive polling; 1..=10000).
     pub poll_factor_permille: Option<u64>,
-    /// Replaces the invalid-step bars of the fault, membership and
-    /// multi-query companions, in permille of a cell's steps (≤ 1000). The
-    /// fault-free bar stays hard zero — no override can excuse an invalid
-    /// output on a clean run.
+    /// Caps the invalid-step bars of the fault, membership and multi-query
+    /// companions, in permille of a cell's steps (≤ 1000). The clean-run bar
+    /// stays hard zero.
     pub invalid_fraction_permille: Option<u64>,
 }
 
 impl FloorOverride {
-    /// The floor table in force for a scenario carrying this override.
+    /// The floor table in force for a scenario carrying this override: every
+    /// bar the stricter of `base` and the override.
     pub fn apply(&self, mut base: CompetitiveFloors) -> CompetitiveFloors {
         if let Some(v) = self.ceiling_headroom_permille {
-            base.ceiling_headroom_permille = v;
+            base.ceiling_headroom_permille = base.ceiling_headroom_permille.min(v);
         }
         if let Some(v) = self.ceiling_slack_permille {
-            base.ceiling_slack_permille = v;
+            base.ceiling_slack_permille = base.ceiling_slack_permille.min(v);
         }
         if let Some(v) = self.poll_factor_permille {
-            base.max_poll_factor = v as f64 / 1000.0;
-            base.fault_poll_factor = base.fault_poll_factor.max(base.max_poll_factor);
-            base.membership_poll_factor = base.membership_poll_factor.max(base.max_poll_factor);
+            let bar = v as f64 / 1000.0;
+            base.max_poll_factor = base.max_poll_factor.min(bar);
+            base.fault_poll_factor = base.fault_poll_factor.min(bar);
+            base.membership_poll_factor = base.membership_poll_factor.min(bar);
         }
         if let Some(v) = self.invalid_fraction_permille {
-            base.fault_invalid_fraction_permille = v;
-            base.membership_invalid_fraction_permille = v;
-            base.multiquery_invalid_fraction_permille = v;
+            base.fault_invalid_fraction_permille = base.fault_invalid_fraction_permille.min(v);
+            base.membership_invalid_fraction_permille =
+                base.membership_invalid_fraction_permille.min(v);
+            base.multiquery_invalid_fraction_permille =
+                base.multiquery_invalid_fraction_permille.min(v);
         }
         base
     }
 }
 
-/// A parsed scenario file: one grid cell plus its optional fault/membership
+/// A parsed scenario file: one workload plus its optional fault/membership
 /// companions and (v2) its optional multi-query plan and floor overrides.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioFile {
     /// The scenario's name (also its file stem in a library directory).
     pub name: String,
-    /// The cell itself.
+    /// The workload itself.
     pub spec: ScenarioSpec,
     /// Fault plan to run the cell under, if any.
     pub fault: Option<FaultSpec>,
@@ -138,7 +136,7 @@ pub struct ScenarioFile {
     /// Multi-query plan (v2): when present the scenario runs as one
     /// shared-engine multi-query cell, and `fault`/`membership` are absent.
     pub queries: Option<Vec<QuerySpec>>,
-    /// Per-scenario floor overrides (v2), applied by the scenario-run mode.
+    /// Per-scenario floor overrides (v2), applied wherever the file is checked.
     pub floors: Option<FloorOverride>,
 }
 
@@ -1356,7 +1354,8 @@ pub fn load_scenario(path: &Path) -> Result<ScenarioFile, ScenarioError> {
     parse_scenario(&text, &origin)
 }
 
-/// Loads every `*.json` file of a directory, sorted by file name.
+/// Loads every `*.json` file of a directory, sorted by file name — for
+/// `scenarios/`, the whole campaign.
 ///
 /// # Errors
 ///
@@ -1376,236 +1375,33 @@ pub fn load_scenario_dir(dir: &Path) -> Result<Vec<ScenarioFile>, ScenarioError>
     paths.iter().map(|p| load_scenario(p)).collect()
 }
 
-// ---------------------------------------------------------------------------
-// The standard library and its sync check
-// ---------------------------------------------------------------------------
-
-fn grid_name(spec: &ScenarioSpec) -> String {
-    format!(
-        "{}-n{}-k{}-e{}of{}-s{}",
-        spec.generator.family(),
-        spec.n,
-        spec.k,
-        spec.eps.numerator(),
-        spec.eps.denominator(),
-        spec.steps
-    )
+/// The committed `scenarios/` library, loaded from the source tree.
+#[cfg(test)]
+pub(crate) fn committed_library() -> Vec<ScenarioFile> {
+    load_scenario_dir(&committed_library_dir()).expect("the committed library loads")
 }
 
-/// The scenario library `scenarios/` must hold: every cell of
-/// [`standard_grid`], [`standard_fault_grid`], [`standard_membership_grid`]
-/// and [`standard_multiquery_grid`] (full scale), plus the two example
-/// workloads and the floor-override showcase, each under its canonical name.
-/// Returned sorted by name.
-pub fn standard_library() -> Vec<ScenarioFile> {
-    let mut files = Vec::new();
-    for spec in standard_grid(false) {
-        files.push(ScenarioFile {
-            name: grid_name(&spec),
-            spec,
-            fault: None,
-            membership: None,
-            queries: None,
-            floors: None,
-        });
-    }
-    for (spec, fault) in standard_fault_grid(false) {
-        files.push(ScenarioFile {
-            name: format!(
-                "fault-{}-{}-s{}",
-                spec.generator.family(),
-                fault.family(),
-                spec.steps
-            ),
-            spec,
-            fault: Some(fault),
-            membership: None,
-            queries: None,
-            floors: None,
-        });
-    }
-    for (spec, plan) in standard_membership_grid(false) {
-        files.push(ScenarioFile {
-            name: format!(
-                "member-{}-churn{}-s{}",
-                spec.generator.family(),
-                plan.leave_permille,
-                spec.steps
-            ),
-            spec,
-            fault: None,
-            membership: Some(plan),
-            queries: None,
-            floors: None,
-        });
-    }
-    for (spec, plan) in standard_multiquery_grid(false) {
-        files.push(ScenarioFile {
-            name: format!(
-                "mq-{}-{}-s{}",
-                plan.name,
-                spec.generator.family(),
-                spec.steps
-            ),
-            spec,
-            fault: None,
-            membership: None,
-            queries: Some(plan.queries),
-            floors: None,
-        });
-    }
-    files.extend(example_scenarios());
-    files.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut seen = std::collections::BTreeSet::new();
-    for file in &files {
-        assert!(
-            seen.insert(file.name.clone()),
-            "library names must be unique: {}",
-            file.name
-        );
-    }
-    files
-}
-
-/// The two example workloads (`examples/load_balancer.rs`,
-/// `examples/sensor_noise.rs`) as library entries — the examples load these
-/// instead of hard-coding parameters — plus the floor-override showcase
-/// (`gap-tight-floors`): a clear-gap cell whose `floors` override tightens
-/// the poll-factor bar to 0.5 ×, the committed proof that per-scenario
-/// overrides parse, round-trip and gate the scenario-run mode.
-pub fn example_scenarios() -> Vec<ScenarioFile> {
-    vec![
-        ScenarioFile {
-            // `ZipfLoadWorkload::web_cluster(64, 99)`, as scenario data.
-            name: "load_balancer".to_string(),
-            spec: ScenarioSpec {
-                generator: GeneratorSpec::ZipfWeb {
-                    peak_load: 100_000,
-                    period: 500,
-                },
-                n: 64,
-                k: 8,
-                eps: Epsilon::TENTH,
-                steps: 600,
-                seed: 99,
-            },
-            fault: None,
-            membership: None,
-            queries: None,
-            floors: None,
-        },
-        ScenarioFile {
-            name: "sensor_noise".to_string(),
-            spec: ScenarioSpec {
-                generator: GeneratorSpec::NoiseField {
-                    high: 6,
-                    sigma: 12,
-                    z: 1_000_000,
-                },
-                n: 40,
-                k: 10,
-                eps: Epsilon::new(1, 20).expect("1/20 is in (0, 1)"),
-                steps: 400,
-                seed: 5,
-            },
-            fault: None,
-            membership: None,
-            queries: None,
-            floors: None,
-        },
-        ScenarioFile {
-            name: "gap-tight-floors".to_string(),
-            spec: ScenarioSpec {
-                generator: GeneratorSpec::Gap { high_base: 1 << 20 },
-                n: 64,
-                k: 4,
-                eps: Epsilon::TENTH,
-                steps: 240,
-                seed: 7,
-            },
-            fault: None,
-            membership: None,
-            queries: None,
-            // On a clear-gap workload the filters silence the population
-            // almost completely; the standard 3 × polling bar is far too
-            // loose to catch a regression there.
-            floors: Some(FloorOverride {
-                poll_factor_permille: Some(500),
-                ..FloorOverride::default()
-            }),
-        },
-    ]
-}
-
-/// Writes the standard library into `dir` (creating it), one canonical file
-/// per scenario. Returns the file names written.
-///
-/// # Errors
-///
-/// Any I/O error, wrapped with the failing path.
-pub fn emit_library(dir: &Path) -> Result<Vec<String>, ScenarioError> {
-    std::fs::create_dir_all(dir).map_err(|source| ScenarioError::Io {
-        path: dir.display().to_string(),
-        source,
-    })?;
-    let mut names = Vec::new();
-    for file in standard_library() {
-        let file_name = format!("{}.json", file.name);
-        let path = dir.join(&file_name);
-        std::fs::write(&path, scenario_to_json(&file)).map_err(|source| ScenarioError::Io {
-            path: path.display().to_string(),
-            source,
-        })?;
-        names.push(file_name);
-    }
-    Ok(names)
-}
-
-/// Checks that `dir` holds *exactly* the standard library, byte for byte:
-/// every expected file present with canonical contents, no stray `*.json`
-/// files. Returns the list of discrepancies (empty = in sync).
-pub fn check_library_sync(dir: &Path) -> Vec<String> {
-    let mut problems = Vec::new();
-    let expected: Vec<(String, String)> = standard_library()
-        .iter()
-        .map(|file| (format!("{}.json", file.name), scenario_to_json(file)))
-        .collect();
-    for (file_name, contents) in &expected {
-        let path = dir.join(file_name);
-        match std::fs::read_to_string(&path) {
-            Err(e) => problems.push(format!("{}: {e}", path.display())),
-            Ok(found) if &found != contents => problems.push(format!(
-                "{}: stale (differs from the generated scenario; run `experiments --emit-scenarios {}`)",
-                path.display(),
-                dir.display()
-            )),
-            Ok(_) => {}
-        }
-    }
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.filter_map(Result::ok) {
-            let path = entry.path();
-            if path.extension().is_some_and(|e| e == "json") {
-                let file_name = path
-                    .file_name()
-                    .map(|s| s.to_string_lossy().to_string())
-                    .unwrap_or_default();
-                if !expected.iter().any(|(name, _)| *name == file_name) {
-                    problems.push(format!(
-                        "{}: not part of the standard library (stray file)",
-                        path.display()
-                    ));
-                }
-            }
-        }
-    }
-    problems
+#[cfg(test)]
+fn committed_library_dir() -> std::path::PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn library_file(name: &str) -> ScenarioFile {
+        committed_library()
+            .into_iter()
+            .find(|f| f.name == name)
+            .unwrap_or_else(|| panic!("scenarios/{name}.json is committed"))
+    }
+
+    /// The `load_balancer` example: a v1 file every malformation test edits.
+    fn load_balancer() -> String {
+        scenario_to_json(&library_file("load_balancer"))
+    }
 
     /// Deterministic derivation of a *valid* scenario from a few integers,
     /// sweeping every generator family and both optional companions.
@@ -1760,76 +1556,49 @@ mod tests {
 
     #[test]
     fn canonical_files_round_trip_exactly() {
-        for file in standard_library() {
-            let text = scenario_to_json(&file);
-            let back = parse_scenario(&text, "<inline>").expect("canonical file must parse");
-            assert_eq!(back, file, "parse(serialize) must be the identity");
+        // The committed library is what the campaign report keys and digests,
+        // so every file must load, be canonical byte for byte, and be named
+        // after its (therefore unique) file stem.
+        let mut names = std::collections::BTreeSet::new();
+        let mut paths: Vec<_> = std::fs::read_dir(committed_library_dir())
+            .expect("scenarios/ is listable")
+            .map(|entry| entry.expect("readable entry").path())
+            .filter(|p| p.extension().is_some_and(|e| e == "json"))
+            .collect();
+        paths.sort();
+        assert!(!paths.is_empty());
+        for path in paths {
+            let text = std::fs::read_to_string(&path).expect("readable file");
+            let file = load_scenario(&path).unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(
-                scenario_to_json(&back),
+                scenario_to_json(&file),
                 text,
-                "serialize(parse) must reproduce the canonical bytes"
+                "{} is not in canonical form",
+                path.display()
             );
-        }
-    }
-
-    #[test]
-    fn the_library_contains_the_standard_grids_exactly() {
-        let library = standard_library();
-        let specs: Vec<ScenarioSpec> = library
-            .iter()
-            .filter(|f| {
-                f.fault.is_none()
-                    && f.membership.is_none()
-                    && f.queries.is_none()
-                    && f.floors.is_none()
-            })
-            .filter(|f| !f.name.starts_with("load_balancer") && !f.name.starts_with("sensor_noise"))
-            .map(|f| f.spec)
-            .collect();
-        let grid = standard_grid(false);
-        assert_eq!(specs.len(), grid.len());
-        for spec in &grid {
-            assert!(
-                specs.contains(spec),
-                "grid cell missing from library: {spec:?}"
+            let stem = path
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .expect("utf-8 stem");
+            assert_eq!(
+                file.name,
+                stem,
+                "{}: name must equal the file stem",
+                path.display()
             );
-        }
-        let faults: Vec<(ScenarioSpec, FaultSpec)> = library
-            .iter()
-            .filter_map(|f| f.fault.map(|fault| (f.spec, fault)))
-            .collect();
-        for cell in standard_fault_grid(false) {
-            assert!(faults.contains(&cell), "fault cell missing: {cell:?}");
-        }
-        let plans: Vec<(ScenarioSpec, MembershipPlanSpec)> = library
-            .iter()
-            .filter_map(|f| f.membership.map(|plan| (f.spec, plan)))
-            .collect();
-        for cell in standard_membership_grid(false) {
-            assert!(plans.contains(&cell), "membership cell missing: {cell:?}");
-        }
-        let query_plans: Vec<(ScenarioSpec, Vec<QuerySpec>)> = library
-            .iter()
-            .filter_map(|f| f.queries.clone().map(|q| (f.spec, q)))
-            .collect();
-        for (spec, plan) in standard_multiquery_grid(false) {
-            assert!(
-                query_plans.contains(&(spec, plan.queries.clone())),
-                "multi-query cell missing: {} on {spec:?}",
-                plan.name
-            );
+            assert!(names.insert(file.name), "duplicate name {stem}");
         }
     }
 
     #[test]
     fn v2_tag_is_emitted_exactly_when_a_v2_field_is_present() {
-        let library = standard_library();
+        let library = committed_library();
         let v1 = library.iter().find(|f| f.name == "load_balancer").unwrap();
         assert!(scenario_to_json(v1).contains(SCENARIO_SCHEMA));
         let mq = library
             .iter()
             .find(|f| f.queries.is_some())
-            .expect("the library carries the multi-query grid");
+            .expect("the library carries query plans");
         assert!(scenario_to_json(mq).contains(SCENARIO_SCHEMA_V2));
         let floored = library
             .iter()
@@ -1842,8 +1611,7 @@ mod tests {
     fn v1_files_reject_the_v2_fields() {
         // The v2 root fields under a v1 tag are unknown fields, not silently
         // ignored extensions.
-        let base = scenario_to_json(&example_scenarios()[0]);
-        let text = base.replace(
+        let text = load_balancer().replace(
             "\"seed\": 99",
             "\"seed\": 99,\n  \"floors\": {\"poll_factor_permille\": 500}",
         );
@@ -1855,7 +1623,7 @@ mod tests {
 
     #[test]
     fn multiquery_scenarios_validate_their_plan() {
-        let mq = standard_library()
+        let mq = committed_library()
             .into_iter()
             .find(|f| f.queries.is_some())
             .unwrap();
@@ -1882,7 +1650,7 @@ mod tests {
 
     #[test]
     fn subset_ids_must_be_ascending_and_in_range() {
-        let mq = standard_library()
+        let mq = committed_library()
             .into_iter()
             .find(|f| f.name.starts_with("mq-disjoint"))
             .unwrap();
@@ -1907,10 +1675,7 @@ mod tests {
 
     #[test]
     fn floor_overrides_are_bounded_and_non_empty() {
-        let floored = standard_library()
-            .into_iter()
-            .find(|f| f.floors.is_some())
-            .unwrap();
+        let floored = library_file("gap-tight-floors");
         let canonical = scenario_to_json(&floored);
         let text = canonical.replace(
             "\"poll_factor_permille\": 500",
@@ -1938,10 +1703,7 @@ mod tests {
 
     #[test]
     fn floor_overrides_apply_onto_the_standard_table() {
-        let floored = standard_library()
-            .into_iter()
-            .find(|f| f.floors.is_some())
-            .unwrap();
+        let floored = library_file("gap-tight-floors");
         let floors = floored.effective_floors();
         let standard = crate::FloorTable::STANDARD.competitive;
         assert!((floors.max_poll_factor - 0.5).abs() < 1e-9);
@@ -1951,13 +1713,21 @@ mod tests {
             standard.ceiling_headroom_permille
         );
         assert_eq!(floors.max_invalid_steps, standard.max_invalid_steps);
-        // The companion poll bars never drop below the overridden main bar.
-        assert!(floors.fault_poll_factor >= floors.max_poll_factor);
+        // The override caps the companion poll bars too.
+        assert!(floors.fault_poll_factor <= 0.5 && floors.membership_poll_factor <= 0.5);
+        // An override can only tighten: a looser knob leaves the bar as is.
+        let loose = FloorOverride {
+            ceiling_headroom_permille: Some(1000),
+            ceiling_slack_permille: Some(1000),
+            poll_factor_permille: Some(10_000),
+            invalid_fraction_permille: Some(1000),
+        };
+        assert_eq!(loose.apply(standard), standard);
     }
 
     #[test]
     fn unknown_fields_are_rejected_with_context() {
-        let mut text = scenario_to_json(&example_scenarios()[0]);
+        let mut text = load_balancer();
         text = text.replace("\"seed\": 99", "\"seed\": 99,\n  \"sede\": 7");
         match parse_scenario(&text, "bad.json") {
             Err(ScenarioError::UnknownField { at, field }) => {
@@ -1971,8 +1741,7 @@ mod tests {
 
     #[test]
     fn unknown_generator_params_are_rejected() {
-        let text = scenario_to_json(&example_scenarios()[0])
-            .replace("\"period\": 500", "\"period\": 500,\n    \"skew\": 2");
+        let text = load_balancer().replace("\"period\": 500", "\"period\": 500,\n    \"skew\": 2");
         assert!(matches!(
             parse_scenario(&text, "<inline>"),
             Err(ScenarioError::UnknownField { field, .. }) if field == "generator.skew"
@@ -1981,7 +1750,7 @@ mod tests {
 
     #[test]
     fn missing_required_fields_are_rejected() {
-        let text = scenario_to_json(&example_scenarios()[0]).replace("  \"steps\": 600,\n", "");
+        let text = load_balancer().replace("  \"steps\": 600,\n", "");
         assert!(matches!(
             parse_scenario(&text, "<inline>"),
             Err(ScenarioError::MissingField { field, .. }) if field == "steps"
@@ -1990,8 +1759,7 @@ mod tests {
 
     #[test]
     fn unknown_families_are_rejected() {
-        let text =
-            scenario_to_json(&example_scenarios()[0]).replace("\"zipf-web\"", "\"zipf-galaxy\"");
+        let text = load_balancer().replace("\"zipf-web\"", "\"zipf-galaxy\"");
         assert!(matches!(
             parse_scenario(&text, "<inline>"),
             Err(ScenarioError::UnknownFamily { family, .. }) if family == "zipf-galaxy"
@@ -2001,7 +1769,7 @@ mod tests {
     #[test]
     fn out_of_unit_interval_epsilons_are_rejected() {
         for (num, den) in [(0u64, 10u64), (10, 10), (11, 10), (1, 0)] {
-            let text = scenario_to_json(&example_scenarios()[0]).replace(
+            let text = load_balancer().replace(
                 "\"num\": 1,\n    \"den\": 10",
                 &format!("\"num\": {num},\n    \"den\": {den}"),
             );
@@ -2016,7 +1784,7 @@ mod tests {
 
     #[test]
     fn wrong_types_and_trailing_garbage_are_rejected() {
-        let canonical = scenario_to_json(&example_scenarios()[0]);
+        let canonical = load_balancer();
         let text = canonical.replace("\"n\": 64", "\"n\": \"lots\"");
         assert!(matches!(
             parse_scenario(&text, "<inline>"),
@@ -2051,8 +1819,7 @@ mod tests {
 
     #[test]
     fn schema_skew_is_a_typed_error() {
-        let text =
-            scenario_to_json(&example_scenarios()[0]).replace(SCENARIO_SCHEMA, "topk-scenario/v9");
+        let text = load_balancer().replace(SCENARIO_SCHEMA, "topk-scenario/v9");
         assert!(matches!(
             parse_scenario(&text, "<inline>"),
             Err(ScenarioError::BadSchema { found: Some(tag), .. }) if tag == "topk-scenario/v9"
@@ -2061,7 +1828,7 @@ mod tests {
 
     #[test]
     fn out_of_range_bounds_error_instead_of_panicking() {
-        let canonical = scenario_to_json(&example_scenarios()[0]);
+        let canonical = load_balancer();
         // k > n
         let text = canonical.replace("\"k\": 8", "\"k\": 65");
         assert!(matches!(
@@ -2095,33 +1862,10 @@ mod tests {
     }
 
     #[test]
-    fn emit_and_sync_check_agree() {
-        let dir = std::env::temp_dir().join(format!("topk-scenarios-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        emit_library(&dir).expect("emit must succeed");
-        assert_eq!(check_library_sync(&dir), Vec::<String>::new());
-        // Tamper with one byte: the check must name the stale file.
-        let tampered = dir.join("load_balancer.json");
-        let mut text = std::fs::read_to_string(&tampered).unwrap();
-        text = text.replace("\"seed\": 99", "\"seed\": 98");
-        std::fs::write(&tampered, text).unwrap();
-        let problems = check_library_sync(&dir);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("load_balancer.json"), "{problems:?}");
-        // A stray file is flagged too.
-        emit_library(&dir).unwrap();
-        std::fs::write(dir.join("extra.json"), "{}").unwrap();
-        let problems = check_library_sync(&dir);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("stray"), "{problems:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn loaded_scenarios_build_their_workloads() {
         // Every library entry must instantiate its generator (and companions)
         // without panicking — the loader's bounds are sufficient.
-        for file in standard_library() {
+        for file in committed_library() {
             let spec = &file.spec;
             let _ = spec
                 .generator

@@ -60,11 +60,11 @@ pub use dense::DenseMonitor;
 pub use exact_topk::ExactTopKMonitor;
 pub use half_eps::HalfEpsMonitor;
 pub use monitor::{
-    run_adaptive, run_adaptive_observed, run_on_rows, run_with_membership,
-    run_with_membership_observed, Monitor, RunReport, StepObservation,
+    run_adaptive, run_on_rows, run_with_membership, run_with_membership_observed, Monitor,
+    RunReport, StepObservation,
 };
 pub use queryset::{
-    run_query_set, run_query_set_adaptive, run_query_set_observed, QueryRunReport, QuerySet,
-    QuerySetReport, QueryStepObservation,
+    run_query_set, run_query_set_observed, QueryRunReport, QuerySet, QuerySetReport,
+    QueryStepObservation,
 };
 pub use topk_protocol::TopKMonitor;

@@ -108,11 +108,13 @@ pub fn run_adaptive(
     validation_eps: Epsilon,
     next_row: impl FnMut(&[Filter]) -> Option<Vec<Value>>,
 ) -> RunReport {
-    run_adaptive_observed(monitor, net, validation_eps, next_row, |_| {})
+    // A run without membership events: the population stays full and the
+    // driver's masking is a no-op.
+    run_with_membership(monitor, net, validation_eps, next_row, |_| Vec::new())
 }
 
 /// Everything the driver knows about one completed observation step, handed to
-/// the observer of [`run_adaptive_observed`].
+/// the observer of [`run_with_membership_observed`].
 ///
 /// The campaign runner uses this to attribute message cost to *workload
 /// phases* (e.g. the quiet/dense/adversarial segments of a regime-switching
@@ -125,7 +127,7 @@ pub struct StepObservation<'a> {
     /// The observations delivered at this step.
     pub row: &'a [Value],
     /// Membership events applied before this step's row was delivered
-    /// (always empty under [`run_adaptive_observed`]).
+    /// (empty on steps without membership change).
     pub events: &'a [MembershipEvent],
     /// The monitor's output after processing the step.
     pub output: &'a [NodeId],
@@ -133,31 +135,6 @@ pub struct StepObservation<'a> {
     pub valid: bool,
     /// Cumulative message count over the run, *including* this step.
     pub messages_total: u64,
-}
-
-/// [`run_adaptive`] with a per-step observer.
-///
-/// The observer runs after the monitor processed the step and the output was
-/// validated — it sees the row, the output, the validity verdict and the
-/// cumulative message count, but cannot influence the run (the adaptive
-/// adversary contract stays with `next_row`).
-pub fn run_adaptive_observed(
-    monitor: &mut dyn Monitor,
-    net: &mut dyn Network,
-    validation_eps: Epsilon,
-    next_row: impl FnMut(&[Filter]) -> Option<Vec<Value>>,
-    observer: impl FnMut(StepObservation<'_>),
-) -> RunReport {
-    // A run without membership events: the population stays full and the
-    // masking below is a no-op, so this is exactly the historical driver.
-    run_with_membership_observed(
-        monitor,
-        net,
-        validation_eps,
-        next_row,
-        |_| Vec::new(),
-        observer,
-    )
 }
 
 /// Drives `monitor` over an adaptive source *and* a membership schedule.
@@ -185,8 +162,12 @@ pub fn run_with_membership(
     run_with_membership_observed(monitor, net, validation_eps, next_row, events_at, |_| {})
 }
 
-/// [`run_with_membership`] with a per-step observer (see
-/// [`run_adaptive_observed`] for the observer contract).
+/// [`run_with_membership`] with a per-step observer.
+///
+/// The observer runs after the monitor processed the step and the output was
+/// validated — it sees the row, the output, the validity verdict and the
+/// cumulative message count, but cannot influence the run (the adaptive
+/// adversary contract stays with `next_row`).
 pub fn run_with_membership_observed(
     monitor: &mut dyn Monitor,
     net: &mut dyn Network,
@@ -352,11 +333,12 @@ mod tests {
         let mut monitor = ProbeAllMonitor::new(1, Epsilon::HALF);
         let mut seen: Vec<(u64, u64, bool)> = Vec::new();
         let mut iter = rows.into_iter();
-        let report = run_adaptive_observed(
+        let report = run_with_membership_observed(
             &mut monitor,
             &mut net,
             Epsilon::HALF,
             move |_| iter.next(),
+            |_| Vec::new(),
             |obs| {
                 assert_eq!(obs.row.len(), 3);
                 assert_eq!(obs.output.len(), 1);

@@ -232,16 +232,6 @@ pub fn run_query_set(
     )
 }
 
-/// Drives a query set with an adaptive source (the source sees the *effective*
-/// filters currently assigned to the nodes).
-pub fn run_query_set_adaptive(
-    set: &mut QuerySet,
-    net: &mut dyn Network,
-    next_row: impl FnMut(&[Filter]) -> Option<Vec<Value>>,
-) -> QuerySetReport {
-    run_query_set_observed(set, net, next_row, |_| Vec::new(), |_| {})
-}
-
 /// The full query-set driver: adaptive source, membership schedule and
 /// per-step observer.
 ///

@@ -47,9 +47,7 @@ pub mod prelude {
     pub use topk_core::monitor::{
         run_adaptive, run_on_rows, run_with_membership, Monitor, RunReport,
     };
-    pub use topk_core::queryset::{
-        run_query_set, run_query_set_adaptive, QueryRunReport, QuerySet, QuerySetReport,
-    };
+    pub use topk_core::queryset::{run_query_set, QueryRunReport, QuerySet, QuerySetReport};
     pub use topk_core::{
         CombinedMonitor, DenseMonitor, ExactTopKMonitor, HalfEpsMonitor, TopKMonitor,
     };
@@ -63,5 +61,5 @@ pub mod prelude {
     pub use topk_bench::replay::{
         load_trace, record_run, replay_trace, replay_trace_queryset, save_trace,
     };
-    pub use topk_bench::scenario::{standard_library, ScenarioFile};
+    pub use topk_bench::scenario::{load_scenario_dir, ScenarioFile};
 }
