@@ -25,12 +25,15 @@
 //! non-zero if an engine regresses below the CI floors. `--sharded <threads>`
 //! sets the sharded engine's worker count (default 4). `--remote <conns>`
 //! measures the TCP-loopback `RemoteEngine` on `<conns>` shard connections —
-//! steps/sec plus the wire-level frames/sec and bytes per model message —
-//! and writes `BENCH_remote.json`; on its own it runs just that axis,
-//! combined with `--throughput` it runs after the in-process matrix.
-//! `--check-floors FILE` re-validates an existing report — CI uses it to
-//! hold the *committed* full-scale `BENCH_throughput.json` to the `n = 10⁶`
-//! floors without re-measuring on shared runners.
+//! steps/sec plus the wire-level frames and bytes per step — writes
+//! `BENCH_remote.json` (`BENCH_remote_quick.json` with `--quick`) and exits
+//! non-zero if a silent row moves more frames per shard than the floor
+//! table allows; on its own it runs just that axis, combined with
+//! `--throughput` it runs after the in-process matrix. `--check-floors FILE`
+//! re-validates an existing report, throughput or remote by its `bench` id —
+//! CI uses it to hold the *committed* full-scale `BENCH_throughput.json` to
+//! the `n = 10⁶` floors and `BENCH_remote.json` to the silent-step frame bar
+//! without re-measuring on shared runners.
 //!
 //! `--scaling` measures just the multi-core scaling curve (the sharded engine
 //! across worker counts on the noise/dense cell), writes
@@ -207,11 +210,34 @@ fn run_scaling_bench(quick: bool, out: PathBuf) -> ! {
     std::process::exit(1);
 }
 
+/// Runs the remote axis, writes its report (quick runs to their own file, so
+/// a smoke run never clobbers the committed one) and exits non-zero if a row
+/// misses the remote floors.
 fn run_remote_bench(quick: bool, conns: usize) {
     let remote = throughput::run_remote(quick, conns, |line| eprintln!("{line}"));
-    let remote_out = PathBuf::from("BENCH_remote.json");
+    let remote_out = PathBuf::from(if quick {
+        "BENCH_remote_quick.json"
+    } else {
+        "BENCH_remote.json"
+    });
     std::fs::write(&remote_out, throughput::remote_to_json(&remote)).expect("write remote json");
     eprintln!("wrote {}", remote_out.display());
+    enforce_remote_floors(&throughput::check_remote_floors(&remote));
+}
+
+/// Prints the remote floor verdict and exits 1 if any bar was missed.
+fn enforce_remote_floors(failures: &[String]) {
+    if failures.is_empty() {
+        println!(
+            "remote floors ok: at most {} frames per occupied shard per step on every row with 0 model messages",
+            FloorTable::STANDARD.remote.max_silent_frames_per_shard_step
+        );
+        return;
+    }
+    for f in failures {
+        eprintln!("REMOTE FLOOR REGRESSION: {f}");
+    }
+    std::process::exit(1);
 }
 
 fn run_throughput_bench(
@@ -244,6 +270,16 @@ fn run_throughput_bench(
 fn check_floors_only(path: PathBuf) -> ! {
     let json = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    // Both reports name their benchmark in `bench`; dispatch on it.
+    #[derive(serde::Deserialize)]
+    struct BenchId {
+        bench: String,
+    }
+    let id: BenchId = serde_json::from_str(&json)
+        .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()));
+    if id.bench == throughput::REMOTE_BENCH {
+        check_remote_floors_only(&path, &json);
+    }
     let report: throughput::ThroughputReport = serde_json::from_str(&json)
         .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()));
     eprintln!(
@@ -263,6 +299,29 @@ fn check_floors_only(path: PathBuf) -> ! {
         std::process::exit(1);
     }
     report_floors(&report)
+}
+
+fn check_remote_floors_only(path: &Path, json: &str) -> ! {
+    let report: throughput::RemoteReport = serde_json::from_str(json)
+        .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()));
+    eprintln!(
+        "checking remote floors of {} ({} scale, {} rows, {} cores)",
+        path.display(),
+        report.scale,
+        report.rows.len(),
+        report.cores
+    );
+    let mut failures = throughput::check_remote_floors(&report);
+    // Like the throughput mode: the committed report must be full-scale.
+    if report.scale != "full" {
+        failures.push(format!(
+            "{} is a '{}'-scale report; the committed benchmark must be full-scale",
+            path.display(),
+            report.scale
+        ));
+    }
+    enforce_remote_floors(&failures);
+    std::process::exit(0);
 }
 
 fn load_scenario_or_exit(path: &Path) -> scenario::ScenarioFile {

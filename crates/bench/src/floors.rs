@@ -7,7 +7,9 @@
 //! binary:
 //!
 //! * `--check-floors` validates a throughput report against
-//!   [`ThroughputFloors`] (speedup and absolute steps/sec bars);
+//!   [`ThroughputFloors`] (speedup and absolute steps/sec bars), or a
+//!   remote-transport report against [`RemoteFloors`] (wire frames per silent
+//!   step), telling the two apart by the report's `bench` id;
 //! * `--check-competitive-floors` validates a campaign report against
 //!   [`CompetitiveFloors`] (coverage, correctness, per-cell ratio ceilings).
 //!
@@ -56,6 +58,21 @@ pub struct ThroughputFloors {
     /// at `n = 10⁵` the per-step work is small enough that pool
     /// synchronisation and measurement noise eat into the ratio.
     pub scaling_efficiency_quick: f64,
+}
+
+/// Floors for the remote-transport report (`--check-floors BENCH_remote.json`
+/// and the live `--remote` run).
+///
+/// A count, not a timing: on a reliable transport the frames a step moves are
+/// deterministic, so the bar holds on any machine.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RemoteFloors {
+    /// Most wire frames per occupied shard per step on a row with no model
+    /// messages: at most one observation frame, plus the round-0 query and
+    /// its reply, which carries the wire-v5 idle signal so the other rounds
+    /// of the silent existence run skip the shard. Without the signal a
+    /// shard pays `1 + 2·(⌈log₂ n⌉ + 1)` frames per silent step.
+    pub max_silent_frames_per_shard_step: u64,
 }
 
 /// Floors for the scenario campaign (`--check-competitive-floors`).
@@ -143,6 +160,8 @@ impl CompetitiveFloors {
 pub struct FloorTable {
     /// Engine throughput floors (`--check-floors`).
     pub throughput: ThroughputFloors,
+    /// Remote-transport floors (`--check-floors` on a remote report).
+    pub remote: RemoteFloors,
     /// Campaign floors (`--check-competitive-floors`).
     pub competitive: CompetitiveFloors,
 }
@@ -160,6 +179,9 @@ impl FloorTable {
             scaling_min_worker_counts: 3,
             scaling_efficiency_full: 0.5,
             scaling_efficiency_quick: 0.35,
+        },
+        remote: RemoteFloors {
+            max_silent_frames_per_shard_step: 3,
         },
         competitive: CompetitiveFloors {
             min_protocols: 5,
@@ -211,6 +233,10 @@ mod tests {
         // Efficiency is normalised by min(workers, cores), so > 1.0 would be
         // demanding super-linear scaling.
         assert!(t.throughput.scaling_efficiency_full <= 1.0);
+        // One observation frame plus the round-0 round trip every run
+        // makes: no lower bar is reachable, and a looser one would let the
+        // per-round trips come back unnoticed.
+        assert_eq!(t.remote.max_silent_frames_per_shard_step, 3);
         assert!(t.competitive.min_protocols >= 5);
         assert!(t.competitive.min_generators >= 7);
         assert_eq!(t.competitive.max_invalid_steps, 0);

@@ -494,10 +494,11 @@ pub fn measure(
 /// One measured remote-transport configuration (the `--remote` axis).
 ///
 /// Extends the in-process metrics with *wire-level* quantities: frames and
-/// bytes actually moved over the loopback TCP connections, and the ratio of
-/// wire bytes to *model* messages — the quantity that shows how far the
-/// paper's unit-cost accounting is from physical transport cost on each
-/// workload regime.
+/// bytes actually moved over the loopback TCP connections, in total and per
+/// step. Set beside the *model* message count, they show how far the paper's
+/// unit-cost accounting is from physical transport cost on each workload
+/// regime — per step, because a silent regime sends no model messages at
+/// all while its observations and round-0 queries still cross the wire.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RemoteRow {
     /// Workload generator name (one of [`GENERATORS`]).
@@ -524,10 +525,10 @@ pub struct RemoteRow {
     pub bytes: u64,
     /// Frames per second of wall-clock time.
     pub frames_per_sec: f64,
-    /// Wire bytes per *model* message (`bytes / max(messages, 1)`): the
-    /// physical cost of one unit of the paper's accounting, including the
-    /// framing overhead of the silent-round schedule.
-    pub bytes_per_message: f64,
+    /// Wire frames per measured step (`frames / steps`).
+    pub frames_per_step: f64,
+    /// Wire bytes per measured step (`bytes / steps`).
+    pub bytes_per_step: f64,
 }
 
 /// The `--remote` benchmark output, serialised to `BENCH_remote.json`.
@@ -537,6 +538,9 @@ pub struct RemoteReport {
     pub bench: String,
     /// `"quick"` or `"full"`.
     pub scale: String,
+    /// CPU cores of the measuring machine (shard clients and the
+    /// coordinator share them).
+    pub cores: u64,
     /// All measured configurations.
     pub rows: Vec<RemoteRow>,
 }
@@ -572,7 +576,8 @@ pub fn measure_remote(
         frames,
         bytes,
         frames_per_sec: frames as f64 / out.elapsed_s,
-        bytes_per_message: bytes as f64 / out.messages.max(1) as f64,
+        frames_per_step: frames as f64 / steps as f64,
+        bytes_per_step: bytes as f64 / steps as f64,
     }
 }
 
@@ -607,18 +612,87 @@ pub fn run_remote(quick: bool, shards: usize, log: impl Fn(&str)) -> RemoteRepor
             for mode in [DeliveryMode::Dense, DeliveryMode::Sparse] {
                 let row = measure_remote(generator, n, shards, mode, steps, seed);
                 log(&format!(
-                    "remote: {generator:>12} n={n:>8} {shards} conns/{:<6} {:>10.1} steps/s {:>10.1} frames/s {:>8.1} B/msg",
-                    row.mode, row.steps_per_sec, row.frames_per_sec, row.bytes_per_message
+                    "remote: {generator:>12} n={n:>8} {shards} conns/{:<6} {:>10.1} steps/s {:>7.1} frames/step {:>10.1} B/step {:>6} msgs",
+                    row.mode, row.steps_per_sec, row.frames_per_step, row.bytes_per_step, row.messages
                 ));
                 rows.push(row);
             }
         }
     }
     RemoteReport {
-        bench: "remote-transport".to_string(),
+        bench: REMOTE_BENCH.to_string(),
         scale: if quick { "quick" } else { "full" }.to_string(),
+        cores: available_cores(),
         rows,
     }
+}
+
+/// The `bench` id of a [`RemoteReport`], by which `--check-floors` tells it
+/// from a throughput report.
+pub const REMOTE_BENCH: &str = "remote-transport";
+
+/// Checks a remote report against [`FloorTable::STANDARD`](crate::floors::FloorTable)'s
+/// remote floors; returns one message per violated bar (empty = pass).
+///
+/// Every row's per-step figures are recomputed from its totals, so an edited
+/// derived field fails. Rows with no model messages — every step an
+/// observation plus one silent existence run — must stay within
+/// `max_silent_frames_per_shard_step` frames per occupied shard per step,
+/// and the report must hold at least one such row, so the bar never checks
+/// nothing.
+pub fn check_remote_floors(report: &RemoteReport) -> Vec<String> {
+    let floors = crate::floors::FloorTable::STANDARD.remote;
+    let mut failures = Vec::new();
+    if report.bench != REMOTE_BENCH {
+        failures.push(format!(
+            "bench id is '{}', expected '{REMOTE_BENCH}'",
+            report.bench
+        ));
+    }
+    if report.cores == 0 {
+        failures.push("the report does not record the measuring machine's cores".to_string());
+    }
+    let mut silent_rows = 0usize;
+    for row in &report.rows {
+        let cell = format!(
+            "{} n={} {} conns/{}",
+            row.generator, row.n, row.shards, row.mode
+        );
+        if row.steps == 0 {
+            failures.push(format!("{cell}: no measured steps"));
+            continue;
+        }
+        let steps = row.steps as f64;
+        let frames_per_step = row.frames as f64 / steps;
+        let bytes_per_step = row.bytes as f64 / steps;
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(1.0);
+        if !close(row.frames_per_step, frames_per_step)
+            || !close(row.bytes_per_step, bytes_per_step)
+        {
+            failures.push(format!(
+                "{cell}: per-step figures ({:.3} frames, {:.1} B) disagree with the totals ({frames_per_step:.3}, {bytes_per_step:.1})",
+                row.frames_per_step, row.bytes_per_step
+            ));
+        }
+        if row.messages > 0 {
+            continue;
+        }
+        silent_rows += 1;
+        let occupied = row.shards.min(row.n);
+        let bar = floors.max_silent_frames_per_shard_step * occupied;
+        if frames_per_step > bar as f64 {
+            failures.push(format!(
+                "{cell}: {frames_per_step:.2} frames/step on a silent row, above {} per occupied shard ({bar} for {occupied} shards)",
+                floors.max_silent_frames_per_shard_step
+            ));
+        }
+    }
+    if silent_rows == 0 {
+        failures.push(
+            "no row with 0 model messages: the silent-step frame bar checks nothing".to_string(),
+        );
+    }
+    failures
 }
 
 /// Serialises a remote report as pretty JSON.
@@ -1243,8 +1317,9 @@ mod tests {
     #[test]
     fn remote_report_serialises_and_roundtrips() {
         let report = RemoteReport {
-            bench: "remote-transport".into(),
+            bench: REMOTE_BENCH.into(),
             scale: "quick".into(),
+            cores: available_cores(),
             rows: vec![measure_remote(
                 "random-walk",
                 64,
@@ -1255,10 +1330,54 @@ mod tests {
             )],
         };
         let json = remote_to_json(&report);
-        assert!(json.contains("bytes_per_message"));
+        assert!(json.contains("frames_per_step") && json.contains("bytes_per_step"));
+        assert!(!json.contains("bytes_per_message"));
         let parsed: RemoteReport = serde_json::from_str(&json).expect("remote reports deserialise");
         assert_eq!(parsed.rows.len(), 1);
         assert_eq!(parsed.rows[0].shards, 2);
+    }
+
+    #[test]
+    fn silent_remote_rows_hold_the_frame_floor_and_tampering_fails() {
+        // Noise at n = 256 under calibrated filters sends no model messages:
+        // every step is an observation plus one silent existence run.
+        let quiet = measure_remote("noise", 256, 3, DeliveryMode::Dense, 12, 5);
+        assert_eq!(quiet.messages, 0, "the cell must be silent");
+        assert!(
+            quiet.frames_per_step <= 9.0,
+            "{} frames/step",
+            quiet.frames_per_step
+        );
+        let busy = measure_remote("zipf", 64, 2, DeliveryMode::Sparse, 12, 3);
+        let report = RemoteReport {
+            bench: REMOTE_BENCH.into(),
+            scale: "quick".into(),
+            cores: available_cores(),
+            rows: vec![quiet.clone(), busy],
+        };
+        assert_eq!(check_remote_floors(&report), Vec::<String>::new());
+        // Four frames per shard per step on the silent row: over the bar.
+        let mut over = report.clone();
+        over.rows[0].frames = 4 * 3 * over.rows[0].steps;
+        over.rows[0].frames_per_step = 12.0;
+        assert_eq!(check_remote_floors(&over).len(), 1);
+        // A derived figure that disagrees with its totals.
+        let mut edited = report.clone();
+        edited.rows[0].bytes_per_step += 1.0;
+        assert_eq!(check_remote_floors(&edited).len(), 1);
+        // No silent row at all: the bar would check nothing.
+        let mut vacuous = report.clone();
+        vacuous.rows.remove(0);
+        let failures = check_remote_floors(&vacuous);
+        assert!(
+            failures.iter().any(|f| f.contains("checks nothing")),
+            "{failures:?}"
+        );
+        // Wrong bench id, missing core count.
+        let mut foreign = report;
+        foreign.bench = "throughput".into();
+        foreign.cores = 0;
+        assert_eq!(check_remote_floors(&foreign).len(), 2);
     }
 
     #[test]

@@ -17,6 +17,19 @@ use topk_model::prelude::*;
 use topk_model::rule::filter_for;
 
 /// The state machine executed by every simulated node.
+///
+/// **Invariant:** after every transition, `pending_violation ==
+/// filter.check(value)`. Every transition that touches the value, the
+/// filter, the group or the parameters recomputes it, and nothing else
+/// writes it. Two consequences the engines rely on:
+///
+/// - Re-observing an unchanged value is a no-op, so a transport may ship
+///   only the values that changed (`RemoteEngine` picks the shorter of a
+///   dense row and a sparse change list per shard).
+/// - Whether an [`ExistencePredicate`] holds depends only on
+///   `(id, value, pending_violation)`, so it can change only through a
+///   message or an observation. A node whose predicate fails neither
+///   replies nor draws randomness, and stays so until one arrives.
 #[derive(Debug, Clone)]
 pub struct SimNode {
     id: NodeId,
@@ -113,7 +126,7 @@ impl SimNode {
                 round,
                 population,
                 predicate,
-            } => self.existence_round(round, population, predicate),
+            } => self.existence_round(round, population, predicate).flatten(),
             ServerMessage::EndExistenceRun => None,
         }
     }
@@ -139,19 +152,23 @@ impl SimNode {
 
     /// Participates in round `round` of an existence run: if the predicate holds
     /// locally, send a message with probability `min(1, 2^round / population)`.
-    fn existence_round(
+    ///
+    /// Returns `None` when the predicate fails — the node neither replies nor
+    /// draws randomness — and otherwise `Some` of the coin's outcome, so a
+    /// caller learns in the same call whether the node is active at all.
+    pub(crate) fn existence_round(
         &mut self,
         round: u32,
         population: u32,
         predicate: ExistencePredicate,
-    ) -> Option<NodeMessage> {
+    ) -> Option<Option<NodeMessage>> {
         if !predicate.evaluate(self.id, self.value, self.pending_violation) {
             return None;
         }
         if !existence_coin(&mut self.rng, round, population) {
-            return None;
+            return Some(None);
         }
-        Some(match (predicate, self.pending_violation) {
+        Some(Some(match (predicate, self.pending_violation) {
             (ExistencePredicate::PendingViolation, Some(direction)) => {
                 NodeMessage::ViolationReport {
                     node: self.id,
@@ -163,7 +180,7 @@ impl SimNode {
                 node: self.id,
                 value: self.value,
             },
-        })
+        }))
     }
 }
 

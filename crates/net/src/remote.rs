@@ -24,6 +24,29 @@
 //! global id order — the reply order of
 //! [`DeterministicEngine`](crate::DeterministicEngine).
 //!
+//! Observations — from `advance_time` and `advance_time_sparse` alike — go
+//! out as whichever of a dense `ObserveRow` and a sparse `ObserveSparse`
+//! list of the changed entries encodes shorter, per shard, and a shard none
+//! of whose values changed gets no frame: re-observing an unchanged value is
+//! a no-op for a [`SimNode`] (see its invariant).
+//!
+//! **Idle shards (wire v5).** A shard answering an existence round also
+//! says whether *none* of its nodes satisfies the round's predicate, and
+//! the server then skips it for the rest of that run. The shard computes
+//! the signal in the pass that flips the coins; a node whose predicate
+//! fails neither replies nor draws randomness, and its predicate can change
+//! only through a frame the server sends to its shard. Hence the rules:
+//! every frame sent to a shard ends its idle mark (one place, `Conn::send`);
+//! a reconnect starts without one; a round with a different `(predicate,
+//! population)` clears every mark; round 0 of every run asks every shard;
+//! and every round is charged to the meter whether any shard was asked or
+//! not. Replies, `CommStats`, RNG streams and node state therefore stay
+//! bit-identical, while a silent step costs each occupied shard at most
+//! three frames (observation, round-0 query, reply) instead of
+//! `1 + 2·(⌈log₂ n⌉ + 1)`. Peers that negotiated v2–v4 never send the
+//! signal, are never marked idle, and keep one round trip per round through
+//! the same loop.
+//!
 //! ## Timeouts, polls and lossy transports
 //!
 //! [`RemoteEngine::with_fault_spec`] arms the reply path against loss: the
@@ -77,7 +100,8 @@
 //! advertising its maximum, the server answers every subsequent frame at
 //! `min(`[`WIRE_VERSION`]`, advertised max)`, and the client mirrors the
 //! version the server's frames arrive in — version-2 peers on either side
-//! interoperate, version-3 pairs get CRC-trailed frames.
+//! interoperate, version-3 pairs get CRC-trailed frames, and only version-5
+//! pairs use the idle signal.
 //!
 //! ## Why the engine is bit-identical to the in-process baseline
 //!
@@ -116,8 +140,8 @@ use topk_model::prelude::*;
 use topk_model::rule::filter_for;
 use topk_model::soa::NodeStateSoA;
 use topk_wire::{
-    read_frame, read_frame_versioned, write_frame_versioned, Frame, FrameAccumulator, ServerOp,
-    WireError, LEGACY_WIRE_VERSION, QUERY_WIRE_VERSION, WIRE_VERSION,
+    read_frame, read_frame_versioned, varint, write_frame_versioned, Frame, FrameAccumulator,
+    ServerOp, WireError, IDLE_WIRE_VERSION, LEGACY_WIRE_VERSION, QUERY_WIRE_VERSION, WIRE_VERSION,
 };
 
 /// Deterministic retry schedule for the reply-wait and reconnect paths.
@@ -187,8 +211,7 @@ impl Default for RetryPolicy {
 ///
 /// These measure *wire* activity — frames and bytes — as opposed to the
 /// `CommStats` *model* accounting (one unit per protocol message). The
-/// throughput harness's `--remote` axis reports both and their ratio
-/// (bytes per model message).
+/// throughput harness's `--remote` axis reports both, per step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Frames the server wrote to shard connections.
@@ -255,11 +278,21 @@ struct Conn {
     /// this must be back at the policy's *base* deadline, never a leftover
     /// escalated one.
     armed_deadline: Option<Duration>,
+    /// The idle mark: the shard's accepted answer to the last existence
+    /// round carried the wire-v5 idle signal — none of its nodes satisfies
+    /// the round's predicate — and the server has sent it nothing since.
+    /// Set only by [`Conn::recv_replies`]; cleared by every [`Conn::send`]
+    /// and by a round that asks a new question; `false` on a fresh
+    /// (re)connection and on pre-v5 peers, which never send the signal.
+    idle: bool,
     stats: TransportStats,
 }
 
 impl Conn {
     fn send(&mut self, frame: &Frame) {
+        // Any frame may change what the shard's predicates evaluate to, so
+        // it ends the idle mark — one place, not one per mutator.
+        self.idle = false;
         let bytes = write_frame_versioned(&mut self.writer, frame, self.wire_version)
             .unwrap_or_else(|e| panic!("remote transport: failed to send frame: {e}"));
         self.stats.frames_sent += 1;
@@ -283,7 +316,9 @@ impl Conn {
     /// [`Frame::Poll`] (charged as a recovery downstream unicast on `meter`)
     /// and discarding duplicate answers to earlier polls. Each further wait
     /// re-arms the socket with the policy's next backoff deadline; the base
-    /// deadline is restored once the reply lands.
+    /// deadline is restored once the reply lands. The accepted reply's idle
+    /// signal becomes the connection's idle mark (a poll answer carries the
+    /// signal of the reply it repeats).
     ///
     /// Without a configured read timeout this never observes a deadline and
     /// behaves exactly like the blocking v1 reader.
@@ -300,11 +335,16 @@ impl Conn {
                     self.stats.frames_received += 1;
                     self.stats.bytes_received += bytes as u64;
                     match frame {
-                        Frame::Replies { seq: got, replies } if got == seq => {
+                        Frame::Replies {
+                            seq: got,
+                            replies,
+                            idle,
+                        } if got == seq => {
                             if attempts > 0 {
                                 let policy = policy.expect("attempts imply a policy");
                                 self.arm_deadline(policy.deadline(0));
                             }
+                            self.idle = idle;
                             return replies;
                         }
                         Frame::Replies { seq: got, .. } if got < seq => {
@@ -370,6 +410,16 @@ pub struct RemoteEngine {
     population: Population,
     /// Scratch row for masking dead slots out of dense observations.
     masked_row: Vec<Value>,
+    /// Per-shard observation changes awaiting an `ObserveSparse` frame, and
+    /// the shard row of an `ObserveRow` frame: both recycled across steps.
+    routed: Vec<Vec<(NodeId, Value)>>,
+    row: Vec<Value>,
+    /// The op list of the last fire-and-forget batch, recycled likewise.
+    ops: Vec<ServerOp>,
+    /// `(predicate, population)` of the last existence round sent. The idle
+    /// marks answer "does any node satisfy this predicate?", so they refer
+    /// to this key only.
+    round_key: Option<(ExistencePredicate, u32)>,
     /// Kept open for the reconnect path (dropping it would close the port).
     listener: TcpListener,
     /// `(seed, drop_permille)` of the fault spec, if lossy — respawned shard
@@ -505,13 +555,11 @@ impl RemoteEngine {
         let handles: Vec<Option<JoinHandle<()>>> = (0..shards)
             .map(|s| {
                 let (lo, hi) = (bounds[s], bounds[s + 1]);
-                let gens = vec![0u32; hi - lo];
+                let table = ShardNodes::new(lo, master_seed, vec![0; hi - lo]);
                 Some(
                     std::thread::Builder::new()
                         .name(format!("topk-shard-{s}"))
-                        .spawn(move || {
-                            run_shard_client(addr, s as u32, lo, hi, master_seed, faults, gens)
-                        })
+                        .spawn(move || run_shard_client(addr, s as u32, master_seed, faults, table))
                         .expect("remote transport: cannot spawn shard client"),
                 )
             })
@@ -536,6 +584,10 @@ impl RemoteEngine {
             master_seed,
             population: Population::new(n),
             masked_row: Vec::new(),
+            routed: vec![Vec::new(); shards],
+            row: Vec::new(),
+            ops: Vec::new(),
+            round_key: None,
             listener,
             faults,
             policy,
@@ -607,13 +659,76 @@ impl RemoteEngine {
             .unwrap_or_else(|| panic!("remote transport: shard {s} is disconnected"))
     }
 
-    /// Sends a fire-and-forget single-op batch to one shard.
-    fn command(&mut self, shard: usize, op: ServerOp) {
-        self.conn(shard).send(&Frame::Batch {
+    /// Sends a fire-and-forget single-op batch to one shard and hands the op
+    /// back, so a caller can recycle its buffers.
+    fn command(&mut self, shard: usize, op: ServerOp) -> ServerOp {
+        let mut ops = std::mem::take(&mut self.ops);
+        ops.push(op);
+        let frame = Frame::Batch {
             wants_reply: false,
             seq: 0,
-            ops: vec![op],
-        });
+            ops,
+        };
+        self.conn(shard).send(&frame);
+        let Frame::Batch { mut ops, .. } = frame else {
+            unreachable!("built as a batch above")
+        };
+        let op = ops.pop().expect("the batch holds one op");
+        self.ops = ops;
+        op
+    }
+
+    /// Ships shard `s`'s routed observation changes in one frame: as an
+    /// `ObserveSparse` list, or as the shard's dense `ObserveRow` (read from
+    /// the mirror, which already holds the step's values) when that encodes
+    /// shorter — exact varint bytes, the common op tag left out. A shard
+    /// without changes gets no frame. Either way the shard's nodes end in the
+    /// same state: by the [`SimNode`] invariant, re-observing an unchanged
+    /// value is a no-op. The buffers are kept for the next step.
+    fn ship_observations(&mut self, s: usize) {
+        let changes = &self.routed[s];
+        if changes.is_empty() {
+            return;
+        }
+        let range = self.range(s);
+        let sparse = varint::encoded_len(changes.len() as u64)
+            + changes
+                .iter()
+                .map(|&(node, v)| varint::encoded_len(node.index() as u64) + varint::encoded_len(v))
+                .sum::<usize>();
+        // A dense row spends at least a byte on its start, its count and
+        // each value; a change list no longer than that needs no measuring,
+        // which keeps a sparse step O(changes).
+        let dense_shorter = sparse > range.len() + 2 && {
+            let dense = varint::encoded_len(range.start as u64)
+                + varint::encoded_len(range.len() as u64)
+                + self.mirror.values()[range.clone()]
+                    .iter()
+                    .map(|&v| varint::encoded_len(v))
+                    .sum::<usize>();
+            dense < sparse
+        };
+        if dense_shorter {
+            self.routed[s].clear();
+            let mut row = std::mem::take(&mut self.row);
+            row.clear();
+            row.extend_from_slice(&self.mirror.values()[range.clone()]);
+            let op = ServerOp::ObserveRow {
+                start: NodeId(range.start),
+                values: row,
+            };
+            if let ServerOp::ObserveRow { values, .. } = self.command(s, op) {
+                self.row = values;
+            }
+        } else {
+            let changes = std::mem::take(&mut self.routed[s]);
+            if let ServerOp::ObserveSparse { mut changes } =
+                self.command(s, ServerOp::ObserveSparse { changes })
+            {
+                changes.clear();
+                self.routed[s] = changes;
+            }
+        }
     }
 
     /// Delivers a server message to every node via per-shard broadcasts.
@@ -716,10 +831,11 @@ impl RemoteEngine {
             .collect();
         let master_seed = self.master_seed;
         let faults = self.faults;
+        let table = ShardNodes::new(lo, master_seed, gens);
         self.handles[s] = Some(
             std::thread::Builder::new()
                 .name(format!("topk-shard-{s}"))
-                .spawn(move || run_shard_client(addr, s as u32, lo, hi, master_seed, faults, gens))
+                .spawn(move || run_shard_client(addr, s as u32, master_seed, faults, table))
                 .expect("remote transport: cannot spawn shard client"),
         );
         let (mut conn, shard) = accept_shard(&self.listener, self.policy.as_ref());
@@ -786,21 +902,17 @@ impl Network for RemoteEngine {
             self.population.mask_row(&mut scratch);
             scratch.as_slice()
         };
+        // The mirror comparison finds each shard's changed entries; shipping
+        // then picks the shorter of the change list and the dense row.
         for s in 0..self.conns.len() {
             let range = self.range(s);
-            if range.is_empty() {
-                continue;
+            for (i, &v) in (range.start..).zip(&values[range]) {
+                if self.mirror.value(i) != v {
+                    self.mirror.set_value(i, v);
+                    self.routed[s].push((NodeId(i), v));
+                }
             }
-            let op = ServerOp::ObserveRow {
-                start: NodeId(range.start),
-                values: values[range].to_vec(),
-            };
-            self.command(s, op);
-        }
-        for (i, &v) in values.iter().enumerate() {
-            if self.mirror.value(i) != v {
-                self.mirror.set_value(i, v);
-            }
+            self.ship_observations(s);
         }
         self.masked_row = scratch;
         self.meter.record_time_step();
@@ -809,19 +921,18 @@ impl Network for RemoteEngine {
     fn advance_time_sparse(&mut self, changes: &[(NodeId, Value)]) {
         // Route each change to its owning shard; one frame per shard that
         // has any. Per-shard order preserves the caller's order, so
-        // duplicate entries still resolve last-wins like the baseline.
+        // duplicate entries still resolve last-wins like the baseline (and
+        // a dense row, read from the mirror, holds the last value anyway).
         // Changes naming dead slots are masked to 0, not dropped, so the
         // value path stays uniform across engines.
-        let mut routed: Vec<Vec<(NodeId, Value)>> = vec![Vec::new(); self.conns.len()];
         for &(node, v) in changes {
             let v = if self.population.is_live(node) { v } else { 0 };
-            routed[self.owner(node)].push((node, v));
+            let owner = self.owner(node);
+            self.routed[owner].push((node, v));
             self.mirror.set_value(node.index(), v);
         }
-        for (s, changes) in routed.into_iter().enumerate() {
-            if !changes.is_empty() {
-                self.command(s, ServerOp::ObserveSparse { changes });
-            }
+        for s in 0..self.conns.len() {
+            self.ship_observations(s);
         }
         self.meter.record_time_step();
     }
@@ -961,19 +1072,30 @@ impl Network for RemoteEngine {
         predicate: ExistencePredicate,
         replies: &mut Vec<NodeMessage>,
     ) {
+        // Charged for every round, queried or not: the model's round count
+        // does not depend on which shards the wire had to ask.
         self.meter.record_round();
         let msg = ServerMessage::ExistenceRound {
             round,
             population,
             predicate,
         };
-        // Send the round to every occupied shard first, then collect the
-        // replies in shard order: the shards flip their coins concurrently
-        // and the ordered collection restores the global id order. Runs on
-        // every round of every violation check, so the shard walks stay
-        // allocation-free (beyond the frame encodings themselves).
+        // Round 0 starts a run, and a different (predicate, population)
+        // asks a different question: either way every shard is asked again.
+        if round == 0 || self.round_key != Some((predicate, population)) {
+            for conn in self.conns.iter_mut().flatten() {
+                conn.idle = false;
+            }
+            self.round_key = Some((predicate, population));
+        }
+        // Send the round to every occupied shard that is not idle first,
+        // then collect the replies in shard order: the shards flip their
+        // coins concurrently and the ordered collection restores the global
+        // id order. An idle shard is skipped — none of its nodes satisfies
+        // the predicate, so none would reply or draw randomness, and only a
+        // frame from the server (which ends the mark) can change that.
         for s in 0..self.conns.len() {
-            if self.range(s).is_empty() {
+            if self.range(s).is_empty() || self.conn(s).idle {
                 continue;
             }
             self.conn(s).send_query(vec![ServerOp::Broadcast { msg }]);
@@ -987,6 +1109,11 @@ impl Network for RemoteEngine {
             let conn = self.conns[s]
                 .as_mut()
                 .unwrap_or_else(|| panic!("remote transport: shard {s} is disconnected"));
+            // Sending cleared the mark of every shard asked above, so a
+            // marked shard is one that was skipped.
+            if conn.idle {
+                continue;
+            }
             // Nothing interleaved since the send above, so the shard's round
             // query is the last sequence number the connection issued.
             let seq = conn.next_seq - 1;
@@ -1079,6 +1206,7 @@ fn accept_shard(listener: &TcpListener, policy: Option<&RetryPolicy>) -> (Conn, 
         wire_version: WIRE_VERSION.min(max_version),
         next_seq: 1,
         armed_deadline: None,
+        idle: false,
         stats: TransportStats {
             frames_received: 1,
             bytes_received: bytes as u64,
@@ -1128,10 +1256,42 @@ fn accept_with_policy(listener: &TcpListener, policy: &RetryPolicy) -> TcpStream
     stream
 }
 
+/// The node table one shard client drives: the [`SimNode`]s of global ids
+/// `lo..lo + nodes.len()` and the membership generation of each slot (all
+/// zeros for an initial connection; the population's current generations
+/// for a reconnect).
+///
+/// Built on the thread that spawns the client and moved into it. Memory a
+/// thread frees in its own malloc arena (glibc's per-thread arenas) stays
+/// resident after the thread exits; a table allocated by the spawner goes
+/// back to the spawner's heap instead, so dropping an engine or bouncing a
+/// shard leaves no dead node table resident in the process.
+struct ShardNodes {
+    lo: usize,
+    gens: Vec<u32>,
+    nodes: Vec<SimNode>,
+}
+
+impl ShardNodes {
+    fn new(lo: usize, master_seed: u64, gens: Vec<u32>) -> ShardNodes {
+        let nodes = (lo..)
+            .zip(&gens)
+            .map(|(i, &gen)| {
+                let mut node = SimNode::new(NodeId(i), master_seed);
+                if gen > 0 {
+                    node.rejoin_generation(master_seed, gen);
+                }
+                node
+            })
+            .collect();
+        ShardNodes { lo, gens, nodes }
+    }
+}
+
 /// Body of one shard-client thread: connect, join, then serve batches until
 /// shutdown.
 ///
-/// The client owns the [`SimNode`] state machines of global ids `lo..hi` and
+/// The client owns the [`SimNode`] state machines of its [`ShardNodes`] and
 /// is driven *only* by decoded frames — it shares no memory with the server.
 /// Replies accumulate in ascending node-id order because every op iterates
 /// the shard's nodes in ascending order.
@@ -1142,9 +1302,7 @@ fn accept_with_policy(listener: &TcpListener, policy: &RetryPolicy) -> TcpStream
 /// arrive in, completing the negotiation from its side without extra
 /// round-trips.
 ///
-/// `gens` carries the membership generation of every local slot (all zeros
-/// for an initial connection; the population's current generations for a
-/// reconnect), and [`ServerOp::Membership`] events advance them: a `Join`
+/// [`ServerOp::Membership`] events advance the slots' generations: a `Join`
 /// reseeds the slot via [`SimNode::rejoin_generation`] and a `Leave`
 /// collapses its stream to a 0 observation — the same transitions every
 /// in-process engine makes, so the RNG streams stay aligned bit for bit.
@@ -1157,12 +1315,15 @@ fn accept_with_policy(listener: &TcpListener, policy: &RetryPolicy) -> TcpStream
 fn run_shard_client(
     addr: SocketAddr,
     shard: u32,
-    lo: usize,
-    hi: usize,
     master_seed: u64,
     faults: Option<(u64, u32)>,
-    mut gens: Vec<u32>,
+    table: ShardNodes,
 ) {
+    let ShardNodes {
+        lo,
+        mut gens,
+        mut nodes,
+    } = table;
     let stream = TcpStream::connect(addr).expect("shard client: cannot connect to server");
     stream
         .set_nodelay(true)
@@ -1189,21 +1350,11 @@ fn run_shard_client(
         )
     });
     let drop_permille = faults.map_or(0, |(_, p)| p.min(1000));
-    assert_eq!(gens.len(), hi - lo, "one generation per local slot");
-    let mut nodes: Vec<SimNode> = (lo..hi)
-        .map(|i| {
-            let mut node = SimNode::new(NodeId(i), master_seed);
-            let gen = gens[i - lo];
-            if gen > 0 {
-                node.rejoin_generation(master_seed, gen);
-            }
-            node
-        })
-        .collect();
     let mut replies: Vec<NodeMessage> = Vec::new();
-    // The last reply produced, kept for answering polls (the two reply
-    // buffers ping-pong so one pair of allocations serves the connection).
-    let mut last: (u64, Vec<NodeMessage>) = (0, Vec::new());
+    // The last reply produced — seq, messages and idle signal — kept for
+    // answering polls (the two reply buffers ping-pong so one pair of
+    // allocations serves the connection).
+    let mut last: (u64, Vec<NodeMessage>, bool) = (0, Vec::new(), false);
     loop {
         let frame = match read_frame_versioned(&mut reader) {
             Ok((frame, _, version)) => {
@@ -1222,8 +1373,11 @@ fn run_shard_client(
                 ops,
             } => {
                 replies.clear();
+                // Whether the batch ends in an existence round no local node
+                // is active in: the idle signal of the reply.
+                let mut idle = false;
                 for op in ops {
-                    match op {
+                    idle = match op {
                         ServerOp::Membership { events } => {
                             for event in events {
                                 let local = event.node().index() - lo;
@@ -1235,9 +1389,10 @@ fn run_shard_client(
                                     MembershipEvent::Leave(_) => nodes[local].observe(0),
                                 }
                             }
+                            false
                         }
                         op => apply_op(&mut nodes, lo, op, &mut replies),
-                    }
+                    };
                 }
                 if wants_reply {
                     // The drop coin applies to the first transmission only;
@@ -1247,18 +1402,25 @@ fn run_shard_client(
                         && drop_rng
                             .as_mut()
                             .is_some_and(|rng| rng.gen_ratio(drop_permille, 1000));
+                    // Pre-v5 servers get today's reply bytes: no signal.
                     let frame = Frame::Replies {
                         seq,
                         replies: std::mem::take(&mut replies),
+                        idle: idle && server_version >= IDLE_WIRE_VERSION,
                     };
                     if !lost {
                         write_frame_versioned(&mut writer, &frame, server_version)
                             .expect("shard client: cannot send replies");
                     }
-                    let Frame::Replies { seq, replies: sent } = frame else {
+                    let Frame::Replies {
+                        seq,
+                        replies: sent,
+                        idle,
+                    } = frame
+                    else {
                         unreachable!("frame constructed as Replies above")
                     };
-                    replies = std::mem::replace(&mut last, (seq, sent)).1;
+                    replies = std::mem::replace(&mut last, (seq, sent, idle)).1;
                 }
             }
             Frame::Poll { seq } => {
@@ -1271,6 +1433,7 @@ fn run_shard_client(
                 let answer = Frame::Replies {
                     seq,
                     replies: last.1.clone(),
+                    idle: last.2,
                 };
                 write_frame_versioned(&mut writer, &answer, server_version)
                     .expect("shard client: cannot answer poll");
@@ -1289,8 +1452,33 @@ fn run_shard_client(
 
 /// Applies one decoded batch operation to a shard's nodes, appending any
 /// upstream messages to `replies` in ascending node-id order.
-fn apply_op(nodes: &mut [SimNode], lo: usize, op: ServerOp, replies: &mut Vec<NodeMessage>) {
+///
+/// Returns whether the op was an existence round in which no node's
+/// predicate held — computed in the same pass that flips the coins.
+fn apply_op(
+    nodes: &mut [SimNode],
+    lo: usize,
+    op: ServerOp,
+    replies: &mut Vec<NodeMessage>,
+) -> bool {
     match op {
+        ServerOp::Broadcast {
+            msg:
+                ServerMessage::ExistenceRound {
+                    round,
+                    population,
+                    predicate,
+                },
+        } => {
+            let mut active = false;
+            for node in nodes.iter_mut() {
+                if let Some(reply) = node.existence_round(round, population, predicate) {
+                    active = true;
+                    replies.extend(reply);
+                }
+            }
+            return !active;
+        }
         ServerOp::ObserveRow { start, values } => {
             let base = start.index() - lo;
             for (j, v) in values.into_iter().enumerate() {
@@ -1320,6 +1508,7 @@ fn apply_op(nodes: &mut [SimNode], lo: usize, op: ServerOp, replies: &mut Vec<No
             unreachable!("membership ops are applied by the client loop")
         }
     }
+    false
 }
 
 #[cfg(test)]
@@ -1607,8 +1796,9 @@ mod tests {
         // client frame after our v2 answer must mirror version 2.
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let client =
-            std::thread::spawn(move || run_shard_client(addr, 0, 0, 2, 99, None, vec![0; 2]));
+        let client = std::thread::spawn(move || {
+            run_shard_client(addr, 0, 99, None, ShardNodes::new(0, 99, vec![0; 2]))
+        });
         let (stream, _) = listener.accept().expect("accept");
         let mut reader = stream.try_clone().expect("clone");
         let mut writer = BufWriter::new(stream);
@@ -1649,13 +1839,336 @@ mod tests {
                 replies: vec![NodeMessage::ValueReport {
                     node: NodeId(1),
                     value: 9
-                }]
+                }],
+                idle: false,
             }
         );
         write_frame_versioned(&mut writer, &Frame::Shutdown, LEGACY_WIRE_VERSION).expect("bye");
         let (leave, _, _) = read_frame_versioned(&mut reader).expect("leave");
         assert_eq!(leave, Frame::Leave { shard: 0 });
         client.join().expect("client exits cleanly");
+    }
+
+    /// `⌈log₂ n⌉ + 1`, the round budget of one existence run.
+    fn round_budget(n: usize) -> u32 {
+        (n as u64).next_power_of_two().trailing_zeros() + 1
+    }
+
+    /// Frames moved on shard `s`'s connection, both directions.
+    fn shard_frames(net: &RemoteEngine, s: usize) -> u64 {
+        net.shard_transport_stats(s).frames()
+    }
+
+    #[test]
+    fn a_silent_step_costs_at_most_three_frames_per_occupied_shard() {
+        // No filter ever trips (no parameters are broadcast), so every
+        // violation check runs all R rounds silently. Before the idle signal
+        // a shard paid 1 + 2·R frames per step; now it pays the observation
+        // frame plus the round-0 query and its reply.
+        let n = 64;
+        let rounds = round_budget(n);
+        for shards in [1, 3, 8] {
+            let mut net = RemoteEngine::with_shards(n, 11, shards);
+            let mut base = DeterministicEngine::new(n, 11);
+            for t in 0..6u64 {
+                // Odd steps repeat the previous row: no observation frame.
+                let row: Vec<Value> = (0..n as u64).map(|i| 1000 + i + t / 2).collect();
+                let before = net.transport_stats().frames();
+                for engine in [&mut net as &mut dyn Network, &mut base] {
+                    engine.advance_time(&row);
+                    let mut replies = Vec::new();
+                    for round in 0..rounds {
+                        engine.existence_round_into(
+                            round,
+                            n as u32,
+                            ExistencePredicate::PendingViolation,
+                            &mut replies,
+                        );
+                        assert!(replies.is_empty());
+                    }
+                }
+                let frames = net.transport_stats().frames() - before;
+                let per_shard = if t % 2 == 0 { 3 } else { 2 };
+                assert_eq!(
+                    frames,
+                    per_shard * shards as u64,
+                    "step {t} at {shards} shards (was {} per shard)",
+                    1 + 2 * u64::from(rounds)
+                );
+            }
+            assert_eq!(net.stats(), base.stats(), "every round is still charged");
+            assert_eq!(net.stats().rounds, 6 * u64::from(rounds));
+        }
+    }
+
+    #[test]
+    fn later_rounds_go_only_to_shards_with_an_active_node() {
+        // Three shards of four nodes; only node 5 (shard 1) holds a value
+        // the predicate accepts. Rounds are raw — no run ends on a reply —
+        // so every round of the budget is checked.
+        let n = 12;
+        let predicate = ExistencePredicate::AtLeast(50);
+        let mut net = RemoteEngine::with_shards(n, 3, 3);
+        let mut base = DeterministicEngine::new(n, 3);
+        let mut row = vec![1; n];
+        row[5] = 100;
+        net.advance_time(&row);
+        base.advance_time(&row);
+        let round = |net: &mut RemoteEngine, base: &mut DeterministicEngine, r: u32| {
+            let before: Vec<u64> = (0..3).map(|s| shard_frames(net, s)).collect();
+            let got = net.existence_round(r, n as u32, predicate);
+            assert_eq!(got, base.existence_round(r, n as u32, predicate));
+            (0..3)
+                .map(|s| shard_frames(net, s) - before[s])
+                .collect::<Vec<u64>>()
+        };
+        assert_eq!(round(&mut net, &mut base, 0), vec![2, 2, 2]);
+        for r in 1..=round_budget(n) {
+            assert_eq!(round(&mut net, &mut base, r), vec![0, 2, 0], "round {r}");
+        }
+        // A frame to shard 0 ends its mark: the next round asks it again.
+        net.assign_filter(NodeId(0), Filter::at_most(7));
+        base.assign_filter(NodeId(0), Filter::at_most(7));
+        assert_eq!(round(&mut net, &mut base, 2), vec![2, 2, 0]);
+        assert_eq!(round(&mut net, &mut base, 3), vec![0, 2, 0]);
+        // So does a membership op on shard 2.
+        net.apply_membership(&[MembershipEvent::Leave(NodeId(9))]);
+        base.apply_membership(&[MembershipEvent::Leave(NodeId(9))]);
+        assert_eq!(round(&mut net, &mut base, 3), vec![0, 2, 2]);
+        // A different question clears every mark.
+        let other = ExistencePredicate::AtLeast(200);
+        let before: Vec<u64> = (0..3).map(|s| shard_frames(&net, s)).collect();
+        assert_eq!(
+            net.existence_round(4, n as u32, other),
+            base.existence_round(4, n as u32, other)
+        );
+        for (s, b) in before.iter().enumerate() {
+            assert_eq!(shard_frames(&net, s) - b, 2);
+        }
+        assert_eq!(net.stats(), base.stats());
+        assert_eq!(net.peek_values(), base.peek_values());
+    }
+
+    #[test]
+    fn dense_and_sparse_delivery_leave_identical_node_state() {
+        // Two copies of a shard: one re-observes every value of each row,
+        // the other sees only the entries that changed. Filters, groups and
+        // parameters move in between so pending violations appear and clear.
+        let (lo, len) = (4usize, 16usize);
+        let fresh = || -> Vec<SimNode> {
+            (lo..lo + len)
+                .map(|i| SimNode::new(NodeId(i), 99))
+                .collect()
+        };
+        let (mut dense, mut sparse) = (fresh(), fresh());
+        let mut prev = vec![0u64; len];
+        let mut state = 0x5EEDu64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            state >> 33
+        };
+        for step in 0..200u64 {
+            let both = |op: ServerOp, a: &mut Vec<SimNode>, b: &mut Vec<SimNode>| {
+                let (mut ra, mut rb) = (Vec::new(), Vec::new());
+                let ia = apply_op(a, lo, op.clone(), &mut ra);
+                let ib = apply_op(b, lo, op, &mut rb);
+                assert_eq!((ra, ia), (rb, ib));
+            };
+            let node = NodeId(lo + (next() as usize) % len);
+            let msg = match step % 4 {
+                0 => ServerMessage::AssignFilter(Filter::at_most(next() % 100)),
+                1 => ServerMessage::AssignGroup(if next() % 2 == 0 {
+                    NodeGroup::Upper
+                } else {
+                    NodeGroup::Lower
+                }),
+                2 => ServerMessage::BroadcastParams(FilterParams::Separator {
+                    lo: 50,
+                    hi: 50 + next() % 20,
+                }),
+                _ => ServerMessage::Probe,
+            };
+            let op = match msg {
+                ServerMessage::BroadcastParams(_) => ServerOp::Broadcast { msg },
+                _ => ServerOp::Unicast { node, msg },
+            };
+            both(op, &mut dense, &mut sparse);
+            // About a quarter of the values move each step.
+            let row: Vec<Value> = prev
+                .iter()
+                .map(|&v| if next() % 4 == 0 { next() % 120 } else { v })
+                .collect();
+            let changes: Vec<(NodeId, Value)> = (lo..)
+                .zip(row.iter().zip(&prev))
+                .filter(|(_, (new, old))| new != old)
+                .map(|(i, (&new, _))| (NodeId(i), new))
+                .collect();
+            let mut none = Vec::new();
+            apply_op(
+                &mut dense,
+                lo,
+                ServerOp::ObserveRow {
+                    start: NodeId(lo),
+                    values: row.clone(),
+                },
+                &mut none,
+            );
+            apply_op(
+                &mut sparse,
+                lo,
+                ServerOp::ObserveSparse { changes },
+                &mut none,
+            );
+            for (a, b) in dense.iter().zip(&sparse) {
+                assert_eq!(a.value(), b.value());
+                assert_eq!(a.filter(), b.filter());
+                assert_eq!(a.group(), b.group());
+                assert_eq!(a.pending_violation(), b.pending_violation());
+            }
+            // The RNG streams agree too: a round draws on both alike.
+            let predicate = ExistencePredicate::PendingViolation;
+            let msg = ServerMessage::ExistenceRound {
+                round: (step % 5) as u32,
+                population: len as u32,
+                predicate,
+            };
+            both(ServerOp::Broadcast { msg }, &mut dense, &mut sparse);
+            prev = row;
+        }
+    }
+
+    #[test]
+    fn observations_ship_in_the_shorter_form() {
+        let n = 64;
+        let frame_len = |op: ServerOp| {
+            let batch = Frame::Batch {
+                wants_reply: false,
+                seq: 0,
+                ops: vec![op],
+            };
+            let mut wire = Vec::new();
+            write_frame_versioned(&mut wire, &batch, WIRE_VERSION).unwrap() as u64
+        };
+        let row: Vec<Value> = (0..n as u64).map(|i| 1_000_000 + i).collect();
+        let changes: Vec<(NodeId, Value)> = (0..n).map(|i| (NodeId(i), row[i])).collect();
+        // Every value changes: both delivery modes send the two dense rows.
+        let dense: u64 = [0..32, 32..64]
+            .into_iter()
+            .map(|r| {
+                frame_len(ServerOp::ObserveRow {
+                    start: NodeId(r.start),
+                    values: row[r].to_vec(),
+                })
+            })
+            .sum();
+        let mut by_row = RemoteEngine::with_shards(n, 1, 2);
+        let mut by_changes = RemoteEngine::with_shards(n, 1, 2);
+        by_row.advance_time(&row);
+        by_changes.advance_time_sparse(&changes);
+        assert_eq!(by_row.transport_stats().bytes_sent, dense);
+        assert_eq!(by_changes.transport_stats().bytes_sent, dense);
+        // One value changes: one short sparse frame, nothing for shard 0.
+        let mut next = row.clone();
+        next[40] += 1;
+        for (dense_delivery, net) in [(true, &mut by_row), (false, &mut by_changes)] {
+            let before = net.transport_stats();
+            if dense_delivery {
+                net.advance_time(&next);
+            } else {
+                net.advance_time_sparse(&[(NodeId(40), next[40])]);
+            }
+            let after = net.transport_stats();
+            assert_eq!(after.frames_sent - before.frames_sent, 1);
+            assert_eq!(
+                after.bytes_sent - before.bytes_sent,
+                frame_len(ServerOp::ObserveSparse {
+                    changes: vec![(NodeId(40), next[40])],
+                })
+            );
+            assert_eq!(net.peek_values(), next);
+            assert_eq!(net.probe(NodeId(40)), next[40]);
+        }
+    }
+
+    /// Plays a server that negotiated `version`: reads the client's Join,
+    /// sends one existence round no node satisfies, and returns the raw
+    /// bytes of the client's answer (length prefix included).
+    fn raw_answer_to_a_silent_round(version: u8) -> Vec<u8> {
+        use std::io::Read;
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client = std::thread::spawn(move || {
+            run_shard_client(addr, 0, 5, None, ShardNodes::new(0, 5, vec![0; 2]))
+        });
+        let (stream, _) = listener.accept().expect("accept");
+        let mut reader = stream.try_clone().expect("clone");
+        let mut writer = BufWriter::new(stream);
+        let (join, _) = read_frame(&mut reader).expect("join");
+        assert_eq!(
+            join,
+            Frame::Join {
+                shard: 0,
+                max_version: WIRE_VERSION
+            }
+        );
+        let round = ServerMessage::ExistenceRound {
+            round: 0,
+            population: 2,
+            predicate: ExistencePredicate::GreaterThan(100),
+        };
+        let batch = Frame::Batch {
+            wants_reply: true,
+            seq: 1,
+            ops: vec![
+                ServerOp::ObserveRow {
+                    start: NodeId(0),
+                    values: vec![4, 9],
+                },
+                ServerOp::Broadcast { msg: round },
+            ],
+        };
+        write_frame_versioned(&mut writer, &batch, version).expect("batch");
+        let mut prefix = [0u8; 4];
+        reader.read_exact(&mut prefix).expect("reply prefix");
+        let mut raw = prefix.to_vec();
+        raw.resize(4 + u32::from_le_bytes(prefix) as usize, 0);
+        reader.read_exact(&mut raw[4..]).expect("reply payload");
+        write_frame_versioned(&mut writer, &Frame::Shutdown, version).expect("bye");
+        let (leave, _) = read_frame(&mut reader).expect("leave");
+        assert_eq!(leave, Frame::Leave { shard: 0 });
+        client.join().expect("client exits cleanly");
+        raw
+    }
+
+    #[test]
+    fn pre_v5_servers_get_todays_reply_bytes_for_a_silent_round() {
+        use topk_wire::crc32::crc32;
+        use topk_wire::frame::MAGIC;
+        // Replies tag, seq 1, no replies, then the idle byte from v5 on.
+        let expected = |version: u8, body: &[u8]| {
+            let mut payload = vec![MAGIC, version];
+            payload.extend_from_slice(body);
+            if version > LEGACY_WIRE_VERSION {
+                let crc = crc32(&payload);
+                payload.extend_from_slice(&crc.to_le_bytes());
+            }
+            let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+            wire.extend_from_slice(&payload);
+            wire
+        };
+        for version in LEGACY_WIRE_VERSION..IDLE_WIRE_VERSION {
+            assert_eq!(
+                raw_answer_to_a_silent_round(version),
+                expected(version, &[2, 1, 0]),
+                "a v{version} server must see no signal"
+            );
+        }
+        assert_eq!(
+            raw_answer_to_a_silent_round(WIRE_VERSION),
+            expected(WIRE_VERSION, &[2, 1, 0, 1])
+        );
     }
 
     #[test]

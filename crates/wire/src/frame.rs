@@ -29,7 +29,7 @@
 //! |-----|-------|-----------|------|
 //! | 0 | [`Frame::Join`] | node → server | shard index, optional max-version byte |
 //! | 1 | [`Frame::Batch`] | server → node | flags (bit 0 = reply wanted), seq, op count, [`ServerOp`]s |
-//! | 2 | [`Frame::Replies`] | node → server | seq, reply count, [`NodeMessage`]s |
+//! | 2 | [`Frame::Replies`] | node → server | seq, reply count, [`NodeMessage`]s, optional idle byte (v5) |
 //! | 3 | [`Frame::Shutdown`] | server → node | empty |
 //! | 4 | [`Frame::Poll`] | server → node | seq |
 //! | 5 | [`Frame::Leave`] | node → server | shard index |
@@ -60,6 +60,17 @@
 //! message tag to peers that negotiated version 4, downgrading to a plain
 //! `AssignFilter` otherwise.
 //!
+//! Version 5 adds the *idle signal* to [`Frame::Replies`]: a shard that
+//! answers an existence round also says whether none of its nodes satisfies
+//! the round's predicate. It is one trailing byte (`1`) after the replies,
+//! written only when the signal is set — the same trick as the `Join`
+//! version byte — so every frame without it, and so every v2–v4 frame, is
+//! byte-identical to its older encoding. The decoder is strict: a trailing
+//! byte other than `1`, the signal on a non-empty reply, or the signal in a
+//! frame framed below version 5 is a typed [`WireError`]. The coordinator
+//! uses the signal to skip idle shards for the rest of an existence run
+//! (`docs/WIRE.md`, "Idle shards").
+//!
 //! [`ServerOp`] tags: 0 `ObserveRow`, 1 `ObserveSparse`, 2 `Unicast`,
 //! 3 `Broadcast`, 4 `Membership`.
 //!
@@ -80,10 +91,10 @@ pub const MAGIC: u8 = 0xC5;
 /// numbers and the [`Frame::Poll`] retry frame; version 3 added the CRC32
 /// payload trailer, [`Frame::Leave`] and [`ServerOp::Membership`]; version 4
 /// added the query-scoped filter assignment (`AssignQueryFilter` with its
-/// `QueryId` varint).
-pub const WIRE_VERSION: u8 = 4;
+/// `QueryId` varint); version 5 added the idle signal on [`Frame::Replies`].
+pub const WIRE_VERSION: u8 = 5;
 
-/// First version that appends the CRC32 payload trailer. Versions 3 and 4
+/// First version that appends the CRC32 payload trailer. Versions 3 to 5
 /// share the trailered layout; version 2 is trailerless.
 pub const CRC_WIRE_VERSION: u8 = 3;
 
@@ -91,6 +102,10 @@ pub const CRC_WIRE_VERSION: u8 = 3;
 /// (`ServerMessage::AssignQueryFilter`). A server downgrades the message to
 /// a plain `AssignFilter` for peers that negotiated anything older.
 pub const QUERY_WIRE_VERSION: u8 = 4;
+
+/// First version whose [`Frame::Replies`] may carry the idle signal. Peers
+/// that negotiated anything older never send it and are never skipped.
+pub const IDLE_WIRE_VERSION: u8 = 5;
 
 /// Oldest version this build still decodes and can be asked to encode.
 /// Version-2 frames are identical to version-3 frames minus the CRC32
@@ -287,6 +302,11 @@ pub enum Frame {
         seq: u64,
         /// The node messages, in ascending node-id order.
         replies: Vec<NodeMessage>,
+        /// The idle signal (version 5): the batch was an existence round and
+        /// *no* node of the shard satisfies its predicate, so none replied
+        /// and none drew randomness. Always `false` with replies present and
+        /// in frames framed below [`IDLE_WIRE_VERSION`].
+        idle: bool,
     },
     /// Orderly connection shutdown (server → node).
     Shutdown,
@@ -332,12 +352,17 @@ impl WireEncode for Frame {
                     op.encode(buf);
                 }
             }
-            Frame::Replies { seq, replies } => {
+            Frame::Replies { seq, replies, idle } => {
                 buf.push(2);
                 varint::write_u64(buf, *seq);
                 varint::write_u64(buf, replies.len() as u64);
                 for reply in replies {
                     reply.encode(buf);
+                }
+                // Absent unless set, so a frame without the signal keeps its
+                // pre-v5 bytes.
+                if *idle {
+                    buf.push(1);
                 }
             }
             Frame::Shutdown => buf.push(3),
@@ -407,7 +432,25 @@ impl WireDecode for Frame {
                 for _ in 0..count {
                     replies.push(NodeMessage::decode(r)?);
                 }
-                Ok(Frame::Replies { seq, replies })
+                // The idle byte arrived with version 5; the frame length
+                // prefix delimits the body, so its absence is unambiguous.
+                let idle = r.remaining() > 0;
+                if idle {
+                    let flag = r.u8("Frame::Replies idle flag")?;
+                    if flag != 1 {
+                        return Err(WireError::BadTag {
+                            what: "Frame::Replies idle flag",
+                            tag: flag,
+                        });
+                    }
+                    if !replies.is_empty() {
+                        return Err(WireError::BadTag {
+                            what: "Frame::Replies idle flag on a non-empty reply",
+                            tag: flag,
+                        });
+                    }
+                }
+                Ok(Frame::Replies { seq, replies, idle })
             }
             3 => Ok(Frame::Shutdown),
             4 => Ok(Frame::Poll { seq: r.u64()? }),
@@ -459,6 +502,7 @@ pub fn write_frame_versioned(
     if !(LEGACY_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
         return Err(WireError::UnsupportedVersion { found: version });
     }
+    check_frame_version(frame, version)?;
     let mut payload = Vec::with_capacity(16);
     payload.push(MAGIC);
     payload.push(version);
@@ -565,7 +609,24 @@ pub(crate) fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
         }
         _ => return Err(WireError::UnsupportedVersion { found: version }),
     };
-    from_bytes::<Frame>(body)
+    let frame = from_bytes::<Frame>(body)?;
+    check_frame_version(&frame, version)?;
+    Ok(frame)
+}
+
+/// Refuses a frame whose content its version cannot carry: the idle signal
+/// exists from [`IDLE_WIRE_VERSION`] on. Checked on both sides, so neither
+/// an encoder nor a decoder ever lets a v5 signal into an older frame.
+fn check_frame_version(frame: &Frame, version: u8) -> Result<(), WireError> {
+    match frame {
+        Frame::Replies { idle: true, .. } if version < IDLE_WIRE_VERSION => {
+            Err(WireError::BadTag {
+                what: "Frame::Replies idle flag below wire v5",
+                tag: version,
+            })
+        }
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -575,9 +636,13 @@ mod tests {
     use topk_model::message::ExistencePredicate;
 
     fn roundtrip_frame(frame: &Frame) {
-        // Every negotiable version must carry every frame; versions 3 and 4
-        // grow a 4-byte trailer, version 2 is the legacy trailerless layout.
-        for version in [LEGACY_WIRE_VERSION, CRC_WIRE_VERSION, WIRE_VERSION] {
+        // Every negotiable version must carry every pre-v5 frame; versions 3
+        // and up grow a 4-byte trailer, version 2 is the legacy layout.
+        roundtrip_frame_at(frame, LEGACY_WIRE_VERSION..=WIRE_VERSION);
+    }
+
+    fn roundtrip_frame_at(frame: &Frame, versions: std::ops::RangeInclusive<u8>) {
+        for version in versions {
             let mut wire = Vec::new();
             let written = write_frame_versioned(&mut wire, frame, version).unwrap();
             assert_eq!(written, wire.len());
@@ -655,9 +720,109 @@ mod tests {
                     value: x,
                     direction: Violation::FromAbove,
                 },
-            ]});
-            roundtrip_frame(&Frame::Replies { seq: u64::MAX, replies: Vec::new() });
+            ], idle: false });
+            roundtrip_frame(&Frame::Replies { seq: u64::MAX, replies: Vec::new(), idle: false });
+            // The idle signal exists from v5 on, and only there.
+            let idle = Frame::Replies { seq: y, replies: Vec::new(), idle: true };
+            roundtrip_frame_at(&idle, IDLE_WIRE_VERSION..=WIRE_VERSION);
+            for version in LEGACY_WIRE_VERSION..IDLE_WIRE_VERSION {
+                let mut wire = Vec::new();
+                prop_assert!(matches!(
+                    write_frame_versioned(&mut wire, &idle, version),
+                    Err(WireError::BadTag { .. })
+                ));
+                prop_assert!(wire.is_empty(), "no bytes may precede the error");
+            }
         }
+
+        /// Any single corrupt byte of an idle reply after the header trips
+        /// the checksum — the signal is covered like every other body byte.
+        #[test]
+        fn corrupted_idle_replies_trip_the_checksum(seq in 0u64..u64::MAX, mask in 1u32..256) {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &Frame::Replies { seq, replies: Vec::new(), idle: true }).unwrap();
+            for i in 6..wire.len() {
+                let mut corrupted = wire.clone();
+                corrupted[i] ^= mask as u8;
+                prop_assert!(
+                    matches!(read_frame(&mut &corrupted[..]), Err(WireError::ChecksumMismatch { .. })),
+                    "byte {} xor {:#04x} must trip the checksum", i, mask
+                );
+            }
+        }
+    }
+
+    /// Frames a hand-built body at `version` with a valid trailer, so the
+    /// decoder's own checks — not the checksum — have to refuse it.
+    fn framed(version: u8, body: &[u8]) -> Vec<u8> {
+        let mut payload = vec![MAGIC, version];
+        payload.extend_from_slice(body);
+        if version >= CRC_WIRE_VERSION {
+            let crc = crc32(&payload);
+            payload.extend_from_slice(&crc.to_le_bytes());
+        }
+        let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&payload);
+        wire
+    }
+
+    #[test]
+    fn replies_without_the_signal_keep_their_pre_v5_bytes() {
+        // Tag 2, seq 9, zero replies: the v2–v4 body, and the v5 body too
+        // whenever the signal is clear.
+        for version in LEGACY_WIRE_VERSION..=WIRE_VERSION {
+            let mut wire = Vec::new();
+            let frame = Frame::Replies {
+                seq: 9,
+                replies: Vec::new(),
+                idle: false,
+            };
+            write_frame_versioned(&mut wire, &frame, version).unwrap();
+            assert_eq!(wire, framed(version, &[2, 9, 0]), "version {version}");
+        }
+        let mut wire = Vec::new();
+        let idle = Frame::Replies {
+            seq: 9,
+            replies: Vec::new(),
+            idle: true,
+        };
+        write_frame(&mut wire, &idle).unwrap();
+        assert_eq!(wire, framed(WIRE_VERSION, &[2, 9, 0, 1]));
+    }
+
+    #[test]
+    fn malformed_idle_signals_are_typed_errors() {
+        // A flag byte other than 1.
+        for flag in [0u8, 2, 0xFF] {
+            assert!(matches!(
+                read_frame(&mut &framed(WIRE_VERSION, &[2, 9, 0, flag])[..]),
+                Err(WireError::BadTag { tag, .. }) if tag == flag
+            ));
+        }
+        // The signal on a reply that carries a message.
+        let mut body = vec![2u8, 9, 1];
+        NodeMessage::ExistenceResponse {
+            node: NodeId(3),
+            value: 5,
+        }
+        .encode(&mut body);
+        body.push(1);
+        assert!(matches!(
+            read_frame(&mut &framed(WIRE_VERSION, &body)[..]),
+            Err(WireError::BadTag { .. })
+        ));
+        // The signal in a frame framed below v5, checksum and all valid.
+        for version in LEGACY_WIRE_VERSION..IDLE_WIRE_VERSION {
+            assert!(matches!(
+                read_frame(&mut &framed(version, &[2, 9, 0, 1])[..]),
+                Err(WireError::BadTag { .. })
+            ));
+        }
+        // Two trailing bytes: the flag, then garbage.
+        assert!(matches!(
+            read_frame(&mut &framed(WIRE_VERSION, &[2, 9, 0, 1, 1])[..]),
+            Err(WireError::TrailingBytes { remaining: 1 })
+        ));
     }
 
     #[test]

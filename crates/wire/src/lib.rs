@@ -27,7 +27,10 @@
 //!   frames carry a sequence number so a lossy transport can re-request a
 //!   missing answer ([`Frame::Poll`]) and recognise duplicates. Version-3
 //!   frames end with a CRC32 integrity trailer ([`crc32`]), negotiated in
-//!   the `Join` handshake so version-2 peers keep working.
+//!   the `Join` handshake so version-2 peers keep working. Version-5
+//!   replies may carry an idle signal (no node of the shard satisfies the
+//!   existence round's predicate) that lets the coordinator skip the shard
+//!   for the rest of the run.
 //!   [`stream::FrameAccumulator`] is the timeout-surviving reader the
 //!   retrying coordinator uses.
 //!
@@ -67,7 +70,8 @@ pub use codec::{from_bytes, to_bytes, Reader, WireDecode, WireEncode};
 pub use error::WireError;
 pub use frame::{
     read_frame, read_frame_versioned, write_frame, write_frame_versioned, Frame, ServerOp,
-    CRC_WIRE_VERSION, LEGACY_WIRE_VERSION, MAX_FRAME_LEN, QUERY_WIRE_VERSION, WIRE_VERSION,
+    CRC_WIRE_VERSION, IDLE_WIRE_VERSION, LEGACY_WIRE_VERSION, MAX_FRAME_LEN, QUERY_WIRE_VERSION,
+    WIRE_VERSION,
 };
 pub use stream::FrameAccumulator;
 pub use trace::{

@@ -143,6 +143,7 @@ mod tests {
             Frame::Replies {
                 seq: 41,
                 replies: Vec::new(),
+                idle: true,
             },
             Frame::Shutdown,
         ];

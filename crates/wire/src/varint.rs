@@ -26,6 +26,12 @@ pub fn write_u64(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Number of bytes [`write_u64`] spends on `v` (1–10), without encoding it.
+pub fn encoded_len(v: u64) -> usize {
+    let bits = 64 - (v | 1).leading_zeros() as usize;
+    bits.div_ceil(7)
+}
+
 /// Reads a LEB128 varint from `r`.
 ///
 /// # Errors
@@ -61,7 +67,18 @@ mod tests {
         let mut r = Reader::new(&buf);
         assert_eq!(read_u64(&mut r).unwrap(), v);
         assert!(r.is_empty());
+        assert_eq!(encoded_len(v), buf.len(), "encoded_len({v})");
         buf.len()
+    }
+
+    #[test]
+    fn encoded_len_matches_the_encoder_at_every_width() {
+        for shift in 0..64 {
+            let v = 1u64 << shift;
+            roundtrip(v - 1);
+            roundtrip(v);
+            roundtrip(v | (v >> 1));
+        }
     }
 
     #[test]

@@ -137,6 +137,8 @@ fn remote_coordinator_degrades_dropped_replies_to_polls() {
     // must time out, poll, and converge to exactly the clean run's monitor
     // output and node state — never hang — with every extra message the
     // recovery cost, attributed to `ProtocolLabel::Recovery` on the meter.
+    // Dropped replies include round-0 answers that carry the idle signal;
+    // recovered by a poll, they must still idle their shard.
     let eps = Epsilon::TENTH;
     let n = 16;
     let rows: Vec<Vec<u64>> = NoiseOscillationWorkload::new(n, 2, 8, 1 << 18, eps, 41)
@@ -175,6 +177,14 @@ fn remote_coordinator_degrades_dropped_replies_to_polls() {
         .by_label_kind
         .retain(|(label, _), _| *label != ProtocolLabel::Recovery);
     assert_eq!(stats, clean.stats);
+    // The poll answer repeats the retained reply, idle signal included, so
+    // the lossy run skips exactly the shards the clean run skips: every
+    // frame it sent beyond the clean run's is a poll.
+    assert_eq!(
+        lossy_net.transport_stats().frames_sent,
+        clean_net.transport_stats().frames_sent + lossy_net.polls_sent(),
+        "a poll-recovered reply must idle its shard like the original"
+    );
 }
 
 #[test]

@@ -14,8 +14,12 @@
 //!
 //! The schedules here are adversarially random: interleaved dense and sparse
 //! observations, explicit filters, group unicasts and broadcasts, parameter
-//! broadcasts of all three rule families, probes and existence runs with every
-//! predicate shape. 256 randomized schedules are checked per in-process
+//! broadcasts of all three rule families, probes, existence runs with every
+//! predicate shape, and raw existence rounds at any round of the budget. A
+//! raw round can land at round r > 0 right after a mutation, which is what
+//! the remote engine's idle marks (skip a shard none of whose nodes
+//! satisfies the predicate) must survive: whole runs always restart at
+//! round 0, which asks every shard anyway. 256 randomized schedules are checked per in-process
 //! battery (64 for the loopback battery, which pays real socket round-trips
 //! per operation), plus full monitor runs on random traces.
 //!
@@ -26,7 +30,7 @@
 //! across different inner engines.
 
 use proptest::prelude::*;
-use topk_core::existence::existence;
+use topk_core::existence::{existence, round_budget};
 use topk_core::monitor::{run_on_rows, Monitor};
 use topk_core::{CombinedMonitor, ExactTopKMonitor, TopKMonitor};
 use topk_model::fault::{FaultSpec, FaultStats, LatencySpec};
@@ -42,12 +46,15 @@ const N: usize = 8;
 /// One encoded schedule entry: `(kind, node-ish, x, y)` decoded by [`apply`].
 type Op = (u8, usize, u64, u64);
 
+/// Number of operation kinds [`apply`] decodes.
+const OPS: u8 = 9;
+
 /// Applies one decoded operation and returns whatever upstream traffic it
 /// produced (so the caller can compare engine outputs op by op).
 fn apply(net: &mut dyn Network, op: Op) -> Vec<NodeMessage> {
     let (kind, a, x, y) = op;
     let node = NodeId(a % N);
-    match kind % 8 {
+    match kind % OPS {
         0 => {
             // Dense observation row, derived deterministically from the seeds.
             let row: Vec<Value> = (0..N as u64).map(|i| (x + i * y) % 997).collect();
@@ -86,7 +93,7 @@ fn apply(net: &mut dyn Network, op: Op) -> Vec<NodeMessage> {
             node,
             value: net.probe(node),
         }],
-        _ => {
+        7 => {
             let predicate = match y % 5 {
                 0 => ExistencePredicate::PendingViolation,
                 1 => ExistencePredicate::GreaterThan(x % 997),
@@ -98,6 +105,20 @@ fn apply(net: &mut dyn Network, op: Op) -> Vec<NodeMessage> {
                 },
             };
             existence(net, predicate).responses
+        }
+        _ => {
+            // One raw round of a run in progress, at any round of the
+            // budget. The predicates come from a small set, so consecutive
+            // raw rounds often ask the same question with a mutation between.
+            let round = (x % (u64::from(round_budget(N)) + 1)) as u32;
+            let predicate = match y % 3 {
+                0 => ExistencePredicate::PendingViolation,
+                1 => ExistencePredicate::AtLeast(500),
+                _ => ExistencePredicate::LessThan(500),
+            };
+            let mut replies = Vec::new();
+            net.existence_round_into(round, N as u32, predicate, &mut replies);
+            replies
         }
     }
 }
@@ -162,7 +183,7 @@ proptest! {
     #[test]
     fn indexed_engine_matches_baseline_on_random_schedules(
         ops in proptest::collection::vec(
-            (0u8..8, 0usize..N, 0u64..2000, 0u64..2000),
+            (0u8..OPS, 0usize..N, 0u64..2000, 0u64..2000),
             1..40,
         ),
         seed in 0u64..10_000,
@@ -187,7 +208,7 @@ proptest! {
     #[test]
     fn sharded_engine_matches_baseline_on_random_schedules(
         ops in proptest::collection::vec(
-            (0u8..8, 0usize..N, 0u64..2000, 0u64..2000),
+            (0u8..OPS, 0usize..N, 0u64..2000, 0u64..2000),
             1..40,
         ),
         seed in 0u64..10_000,
@@ -273,7 +294,7 @@ proptest! {
     #[test]
     fn remote_engine_matches_baseline_on_random_schedules(
         ops in proptest::collection::vec(
-            (0u8..8, 0usize..N, 0u64..2000, 0u64..2000),
+            (0u8..OPS, 0usize..N, 0u64..2000, 0u64..2000),
             1..30,
         ),
         seed in 0u64..10_000,
@@ -303,6 +324,49 @@ proptest! {
             for i in 0..N {
                 prop_assert_eq!(base.peek_group(NodeId(i)), remote.peek_group(NodeId(i)));
             }
+        }
+    }
+
+    /// The remote engine's idle marks never go stale. Every operation of a
+    /// random schedule is followed by one raw round of a run in progress,
+    /// always with the schedule's one predicate, so each mutation sits
+    /// between two rounds that ask the same question: if the mutation did
+    /// not end a shard's mark, the second round would skip a shard whose
+    /// nodes may now reply, and the replies would diverge from the baseline.
+    #[test]
+    fn remote_idle_marks_never_go_stale(
+        ops in proptest::collection::vec(
+            (0u8..OPS, 0usize..N, 0u64..2000, 0u64..2000),
+            1..30,
+        ),
+        rounds in proptest::collection::vec(0u64..2000, 30),
+        question in 0u64..3,
+        seed in 0u64..10_000,
+    ) {
+        let mut base = DeterministicEngine::new(N, seed);
+        let mut engines: Vec<RemoteEngine> = [1usize, 3]
+            .into_iter()
+            .map(|shards| RemoteEngine::with_shards(N, seed, shards))
+            .collect();
+        for (&op, &round) in ops.iter().zip(&rounds) {
+            // Kind 8 is the raw round; `question` picks its predicate.
+            for op in [op, (8, 0, round, question)] {
+                let replies_base = apply(&mut base, op);
+                for remote in &mut engines {
+                    prop_assert_eq!(
+                        &replies_base,
+                        &apply(remote, op),
+                        "replies diverge on {:?} at {} connections",
+                        op,
+                        remote.shard_count()
+                    );
+                }
+            }
+        }
+        for remote in &engines {
+            prop_assert_eq!(base.stats(), remote.stats());
+            prop_assert_eq!(base.peek_filters(), remote.peek_filters());
+            prop_assert_eq!(base.peek_values(), remote.peek_values());
         }
     }
 
@@ -361,7 +425,7 @@ proptest! {
     #[test]
     fn zero_fault_wrapper_is_bit_identical_to_the_bare_engines(
         ops in proptest::collection::vec(
-            (0u8..8, 0usize..N, 0u64..2000, 0u64..2000),
+            (0u8..OPS, 0usize..N, 0u64..2000, 0u64..2000),
             1..40,
         ),
         seed in 0u64..10_000,
@@ -409,7 +473,7 @@ proptest! {
     #[test]
     fn seeded_fault_plans_replay_bit_identically(
         ops in proptest::collection::vec(
-            (0u8..8, 0usize..N, 0u64..2000, 0u64..2000),
+            (0u8..OPS, 0usize..N, 0u64..2000, 0u64..2000),
             1..40,
         ),
         seed in 0u64..10_000,
