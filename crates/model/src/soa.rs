@@ -34,8 +34,9 @@ use crate::types::{NodeId, Value};
 /// the new flag so callers can maintain derived indexes incrementally.
 ///
 /// Equality compares the *logical* node state (values, filters, groups,
-/// pending flags); the derived zone-map caches are excluded because their
-/// exact contents depend on which mutation path produced the state.
+/// pending flags); the derived zone-map caches and the write count are
+/// excluded because their exact contents depend on which mutation path
+/// produced the state.
 #[derive(Debug, Clone)]
 pub struct NodeStateSoA {
     values: Vec<Value>,
@@ -94,6 +95,10 @@ pub struct NodeStateSoA {
     /// production; the differential proptest turns it off on a twin state to
     /// prove the skip never masks a transition).
     zone_map_enabled: bool,
+    /// Number of mutator calls so far (see [`NodeStateSoA::writes`]). Every
+    /// public mutator bumps it exactly once on entry, whether or not it
+    /// changes anything.
+    writes: u64,
 }
 
 impl PartialEq for NodeStateSoA {
@@ -200,7 +205,20 @@ impl NodeStateSoA {
             chunk_pending: vec![0; chunks],
             chunk_dirty: vec![false; chunks],
             zone_map_enabled: true,
+            writes: 0,
         }
+    }
+
+    /// A count that changes whenever any node's state may have changed: every
+    /// single-node and bulk mutator advances it, so two equal readings bracket
+    /// a stretch in which no value, filter, group or pending flag was written.
+    ///
+    /// Engines key caches of derived data on it (the active set of an
+    /// existence run is reused while the count stands still). Because the
+    /// mutators bump it themselves, no call site can forget to invalidate.
+    #[inline]
+    pub fn writes(&self) -> u64 {
+        self.writes
     }
 
     /// Enables or disables the zone-map skip in the bulk passes.
@@ -293,24 +311,34 @@ impl NodeStateSoA {
     /// flag (the [`Filter::check`] of the new value against the current filter).
     #[inline]
     pub fn set_value(&mut self, i: usize, v: Value) -> Option<Violation> {
+        self.writes += 1;
         self.values[i] = v;
-        self.refresh_pending(i)
+        self.refresh_code(i)
     }
 
     /// Replaces the filter of node `i` and returns the updated pending flag.
     #[inline]
     pub fn set_filter(&mut self, i: usize, filter: Filter) -> Option<Violation> {
+        self.writes += 1;
+        self.write_filter(i, filter);
+        self.refresh_code(i)
+    }
+
+    /// Writes the filter columns of node `i` and marks its chunk's zone-map
+    /// entry dirty; the caller re-derives the pending flag.
+    #[inline]
+    fn write_filter(&mut self, i: usize, filter: Filter) {
         self.filter_lo[i] = filter.lo();
         self.filter_hi[i] = filter.hi();
         self.check_hi[i] = filter.hi_or_max();
         self.chunk_dirty[i / CHUNK] = true;
-        self.refresh_pending(i)
     }
 
     /// Replaces the group of node `i`. The caller decides whether a new filter
     /// follows (groups alone never change violation status).
     #[inline]
     pub fn set_group(&mut self, i: usize, group: NodeGroup) {
+        self.writes += 1;
         self.groups[i] = group;
     }
 
@@ -318,6 +346,14 @@ impl NodeStateSoA {
     /// value and filter, stores it and returns it.
     #[inline]
     pub fn refresh_pending(&mut self, i: usize) -> Option<Violation> {
+        self.writes += 1;
+        self.refresh_code(i)
+    }
+
+    /// [`NodeStateSoA::refresh_pending`] without the write count, for the
+    /// mutators that already counted themselves.
+    #[inline]
+    fn refresh_code(&mut self, i: usize) -> Option<Violation> {
         let flag = Filter::check_parts(self.filter_lo[i], self.filter_hi[i], self.values[i]);
         self.store_code(i, encode(flag));
         flag
@@ -330,10 +366,10 @@ impl NodeStateSoA {
     /// [`crate::membership::MembershipEvent::Join`] — the server then brings it
     /// up to date through the ordinary assignment paths.
     pub fn reset_node(&mut self, i: usize) {
+        self.writes += 1;
         self.values[i] = 0;
-        // `set_filter` refreshes the pending flag from the new value and marks
-        // the chunk's zone-map entry dirty.
-        self.set_filter(i, Filter::FULL);
+        self.write_filter(i, Filter::FULL);
+        self.refresh_code(i);
         self.groups[i] = NodeGroup::Lower;
     }
 
@@ -385,6 +421,7 @@ impl NodeStateSoA {
             self.len() <= u32::MAX as usize,
             "node count exceeds u32 index range"
         );
+        self.writes += 1;
         transitions.clear();
         let mut changed = 0usize;
         if expect_dense {
@@ -496,6 +533,7 @@ impl NodeStateSoA {
     /// once per node.
     #[inline]
     pub fn set_value_deferred(&mut self, i: usize, v: Value) {
+        self.writes += 1;
         self.values[i] = v;
     }
 
@@ -512,6 +550,7 @@ impl NodeStateSoA {
             self.len() <= u32::MAX as usize,
             "node count exceeds u32 index range"
         );
+        self.writes += 1;
         transitions.clear();
         let n = self.values.len();
         let mut base = 0;
@@ -595,6 +634,7 @@ impl NodeStateSoA {
             self.len() <= u32::MAX as usize,
             "node count exceeds u32 index range"
         );
+        self.writes += 1;
         transitions.clear();
         changed_ids.clear();
         for (i, &new) in row.iter().enumerate() {
@@ -662,6 +702,59 @@ mod tests {
         assert_eq!(s.pending(1), None);
         // The untouched slot is unaffected and the whole state equals fresh.
         assert_eq!(s, NodeStateSoA::new(2));
+    }
+
+    #[test]
+    fn every_mutator_advances_the_write_count() {
+        let mut s = NodeStateSoA::new(3);
+        let mut scratch = (Vec::new(), Vec::new());
+        type Mutator = fn(&mut NodeStateSoA, &mut (Vec<u32>, Vec<u32>));
+        let mutators: [(&str, Mutator); 9] = [
+            ("set_value", |s, _| {
+                s.set_value(0, 5);
+            }),
+            ("set_filter", |s, _| {
+                s.set_filter(1, Filter::at_most(3));
+            }),
+            ("set_group", |s, _| s.set_group(2, NodeGroup::Upper)),
+            ("refresh_pending", |s, _| {
+                s.refresh_pending(0);
+            }),
+            ("reset_node", |s, _| s.reset_node(1)),
+            ("advance_row", |s, (t, _)| {
+                s.advance_row(&[1, 2, 3], t, true);
+            }),
+            ("set_value_deferred", |s, _| s.set_value_deferred(2, 9)),
+            ("refresh_pending_bulk", |s, (t, _)| {
+                s.refresh_pending_bulk(t)
+            }),
+            ("advance_row_tracked", |s, (t, c)| {
+                s.advance_row_tracked(&[4, 5, 6], t, c);
+            }),
+        ];
+        for (name, mutate) in mutators {
+            // Even a call that changes nothing counts: the count promises
+            // only that equal readings saw no write.
+            for _ in 0..2 {
+                let before = s.writes();
+                mutate(&mut s, &mut scratch);
+                assert_ne!(s.writes(), before, "{name} did not count its write");
+            }
+        }
+        let before = s.writes();
+        let _ = (
+            s.value(0),
+            s.filter(0),
+            s.group(0),
+            s.pending(0),
+            s.values(),
+        );
+        s.set_zone_map_enabled(false);
+        assert_eq!(
+            s.writes(),
+            before,
+            "reads and the zone-map knob are not writes"
+        );
     }
 
     #[test]

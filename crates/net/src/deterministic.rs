@@ -7,7 +7,7 @@
 //! experiments rely on.
 
 use crate::network::Network;
-use crate::node::SimNode;
+use crate::node::{Coin, SimNode};
 use topk_model::message::ExistencePredicate;
 use topk_model::prelude::*;
 
@@ -158,14 +158,10 @@ impl Network for DeterministicEngine {
         replies: &mut Vec<NodeMessage>,
     ) {
         self.meter.record_round();
-        let msg = ServerMessage::ExistenceRound {
-            round,
-            population,
-            predicate,
-        };
+        let coin = Coin::new(round, population);
         replies.clear();
         for node in &mut self.nodes {
-            if let Some(reply) = node.handle(&msg) {
+            if let Some(reply) = node.existence_round(coin, predicate).flatten() {
                 self.meter.record(MessageKind::Upstream);
                 replies.push(reply);
             }

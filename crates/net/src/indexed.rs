@@ -17,65 +17,55 @@
 //!
 //! ## How the indexed engine gets to O(active)
 //!
-//! Node state lives in a struct-of-arrays layout ([`NodeStateSoA`]) and the
-//! engine maintains two indexes over it:
+//! Node state lives in a struct-of-arrays layout
+//! ([`NodeStateSoA`](topk_model::soa::NodeStateSoA)) and the engine maintains
+//! two indexes over it:
 //!
 //! * a **pending-violation set** (ordered ids), updated whenever an observation
 //!   or a filter change flips a node's violation status — so a
 //!   `PendingViolation` round touches exactly the violating nodes;
-//! * a **radix value index** ([`ValueIndex`]): ids bucketed by a monotone
-//!   compression of the value domain, maintained *incrementally* — one `O(1)`
-//!   bucket move per changed observation — once the first threshold/rank
-//!   round warms it. While no such round has run (the common case on pure
+//! * a **radix value index** ([`ValueIndex`](crate::ValueIndex)): ids bucketed
+//!   by a monotone compression of the value domain, maintained
+//!   *incrementally* — one `O(1)` bucket move per changed observation — once
+//!   the first threshold/rank round warms it. While no such round has run (the common case on pure
 //!   violation-detection workloads) the index stays cold and observations pay
 //!   a single branch, nothing more.
 //!
-//! A round visits only the nodes its predicate selects: a bitmap-guided
-//! bucket walk plus `O(active)` coin flips, instead of `O(n)` deliveries.
+//! A round visits only the nodes its predicate selects: `O(active)` coin
+//! flips instead of `O(n)` deliveries. The state, the RNGs and both indexes
+//! live in one node table (`crate::node_table`), shared with the sharded
+//! engine's shards, whose kernel collects a run's active ids once — a
+//! bitmap-guided bucket walk or a pending-set scan in the run's first round —
+//! and reuses them until the predicate changes or a mutator writes node
+//! state (`NodeStateSoA::writes`).
 //!
 //! ## Why skipping inactive nodes is exact, not approximate
 //!
 //! A `SimNode` draws from its RNG in exactly one place: the
-//! `node::existence_coin` flip, and only *after* its predicate evaluated to
-//! true. A node whose predicate is false returns without touching its RNG, so
-//! not visiting it at all leaves its random stream — and therefore every
+//! `node::Coin` flip, and only *after* its predicate evaluated to true. A
+//! node whose predicate is false returns without touching its RNG, so not
+//! visiting it at all leaves its random stream — and therefore every
 //! future decision — bit-for-bit unchanged. The indexed engine flips the
-//! identical coin (same function, same per-node RNG seeded by
-//! `node::node_seed`) for the identical set of nodes, which is why
-//! `tests/indexed_differential.rs` can assert full `CommStats` equality
-//! against the baseline over randomized schedules.
+//! identical coin (one `u64` draw against the round's threshold
+//! `⌈N·2⁶⁴/P⌉`, which equals `gen_ratio(N, P)` draw for draw; see `Coin`) on
+//! the same per-node RNG seeded by `node::node_seed`, for the identical set
+//! of nodes, which is why `tests/indexed_differential.rs` can assert full
+//! `CommStats` equality against the baseline over randomized schedules.
 
 use crate::network::Network;
-use crate::node::{existence_coin, node_seed, node_seed_gen};
-use crate::value_index::ValueIndex;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeSet;
+use crate::node::Coin;
+use crate::node_table::NodeTable;
 use topk_model::message::ExistencePredicate;
 use topk_model::prelude::*;
-use topk_model::rule::filter_for;
-use topk_model::soa::NodeStateSoA;
 
 /// Indexed single-threaded engine (see module documentation).
 #[derive(Debug, Clone)]
 pub struct IndexedEngine {
-    state: NodeStateSoA,
+    /// Every node, with the pending set, value index and round kernel.
+    table: NodeTable,
     /// Last broadcast parameters. `SimNode` stores these per node, but they are
     /// only ever set by a broadcast, so one shared copy is exactly equivalent.
     params: Option<FilterParams>,
-    rngs: Vec<ChaCha8Rng>,
-    /// Ids of nodes with a pending violation, in ascending id order (the reply
-    /// order of the baseline engine).
-    pending_ids: BTreeSet<usize>,
-    /// Radix value index for threshold/rank predicates: warmed by the first
-    /// such round, then maintained per observation (see `crate::value_index`).
-    index: ValueIndex,
-    /// Number of full index builds so far — observable via
-    /// [`IndexedEngine::index_rebuilds`] so tests can pin "one protocol round
-    /// never rebuilds twice".
-    index_rebuilds: u64,
-    /// Scratch for the ids active in the current round (reused, never shrunk).
-    scratch_ids: Vec<u32>,
     meter: CostMeter,
     /// Retained for reseeding joining nodes from `(master seed, id, generation)`.
     master_seed: u64,
@@ -99,15 +89,8 @@ impl IndexedEngine {
     /// ```
     pub fn new(n: usize, master_seed: u64) -> IndexedEngine {
         IndexedEngine {
-            state: NodeStateSoA::new(n),
+            table: NodeTable::new(0, n, master_seed),
             params: None,
-            rngs: NodeId::all(n)
-                .map(|id| ChaCha8Rng::seed_from_u64(node_seed(master_seed, id)))
-                .collect(),
-            pending_ids: BTreeSet::new(),
-            index: ValueIndex::new(0, n),
-            index_rebuilds: 0,
-            scratch_ids: Vec::new(),
             meter: CostMeter::new(),
             master_seed,
             population: Population::new(n),
@@ -117,111 +100,35 @@ impl IndexedEngine {
     /// Number of nodes whose value currently violates their filter (free
     /// inspection, useful for harnesses and tests).
     pub fn pending_count(&self) -> usize {
-        self.pending_ids.len()
+        self.table.pending.len()
     }
 
     /// Number of full value-index builds so far. A threshold/rank round warms
-    /// the index at most once per `collect_active` dispatch; repeated rounds
+    /// the index at most once per active-set collection; repeated rounds
     /// without intervening bulk invalidation reuse the warm index, so this
     /// counter should climb far slower than the round count.
     pub fn index_rebuilds(&self) -> u64 {
-        self.index_rebuilds
+        self.table.index_rebuilds
     }
 
-    /// Updates the pending-violation index entry of node `i` after a mutation
-    /// whose before/after flags are known. The set is only touched on a
-    /// transition — the hot path (a value churns but stays inside its filter)
-    /// costs two array reads, no tree operation.
+    /// Records a new observation for node `i` unless it already holds `v`.
     #[inline]
-    fn note_pending(&mut self, i: usize, was: bool, now: bool) {
-        if was != now {
-            if now {
-                self.pending_ids.insert(i);
-            } else {
-                self.pending_ids.remove(&i);
-            }
-        }
-    }
-
-    /// Records a new observation for node `i` and maintains both the pending
-    /// index and (when warm) the value index.
-    #[inline]
-    fn apply_value(&mut self, i: usize, v: Value) {
-        let was = self.state.pending(i).is_some();
-        let now = self.state.set_value(i, v).is_some();
-        self.note_pending(i, was, now);
-        self.index.note_update(i as u32, v);
-    }
-
-    /// Applies a filter to node `i` and maintains the pending index.
-    fn apply_filter(&mut self, i: usize, filter: Filter) {
-        let was = self.state.pending(i).is_some();
-        let now = self.state.set_filter(i, filter).is_some();
-        self.note_pending(i, was, now);
-    }
-
-    /// Derives and applies the filter of node `i` from its group and the last
-    /// broadcast parameters (the `SimNode` group/params rule). Without params
-    /// the filter — and therefore the violation status — is unchanged.
-    fn rederive_filter(&mut self, i: usize) {
-        if let Some(p) = self.params {
-            let f = filter_for(self.state.group(i), &p);
-            self.apply_filter(i, f);
-        }
-    }
-
-    /// Fills `scratch_ids` with the ids of all nodes satisfying `predicate`.
-    ///
-    /// `PendingViolation` ids come out in ascending id order; threshold/rank
-    /// ids come out in bucket order (callers sort the replies by sender
-    /// afterwards). The index warm-up is hoisted to a single dispatch point —
-    /// one round can warm the index at most once, and `index_rebuilds` counts
-    /// the builds so a test can pin that.
-    fn collect_active(&mut self, predicate: ExistencePredicate) {
-        self.scratch_ids.clear();
-        if !matches!(predicate, ExistencePredicate::PendingViolation)
-            && self.index.ensure_warm(self.state.values())
-        {
-            self.index_rebuilds += 1;
-        }
-        match predicate {
-            ExistencePredicate::PendingViolation => {
-                self.scratch_ids
-                    .extend(self.pending_ids.iter().map(|&i| i as u32));
-            }
-            ExistencePredicate::GreaterThan(t) => {
-                self.index
-                    .collect_greater_than(t, self.state.values(), &mut self.scratch_ids);
-            }
-            ExistencePredicate::AtLeast(t) => {
-                self.index
-                    .collect_at_least(t, self.state.values(), &mut self.scratch_ids);
-            }
-            ExistencePredicate::LessThan(t) => {
-                self.index
-                    .collect_less_than(t, self.state.values(), &mut self.scratch_ids);
-            }
-            ExistencePredicate::RankWindow { above, below } => {
-                self.index.collect_rank_window(
-                    above,
-                    below,
-                    self.state.values(),
-                    &mut self.scratch_ids,
-                );
-            }
+    fn observe(&mut self, i: usize, v: Value) {
+        if self.table.state.value(i) != v {
+            self.table.apply_value(i as u32, v);
         }
     }
 }
 
 impl Network for IndexedEngine {
     fn n(&self) -> usize {
-        self.state.len()
+        self.table.len()
     }
 
     fn advance_time(&mut self, values: &[Value]) {
         assert_eq!(
             values.len(),
-            self.state.len(),
+            self.table.len(),
             "one observation per node required"
         );
         for (i, &v) in values.iter().enumerate() {
@@ -232,20 +139,15 @@ impl Network for IndexedEngine {
             } else {
                 0
             };
-            if self.state.value(i) != v {
-                self.apply_value(i, v);
-            }
+            self.observe(i, v);
         }
         self.meter.record_time_step();
     }
 
     fn advance_time_sparse(&mut self, changes: &[(NodeId, Value)]) {
         for &(node, v) in changes {
-            let i = node.index();
             let v = if self.population.is_live(node) { v } else { 0 };
-            if self.state.value(i) != v {
-                self.apply_value(i, v);
-            }
+            self.observe(node.index(), v);
         }
         self.meter.record_time_step();
     }
@@ -255,31 +157,16 @@ impl Network for IndexedEngine {
             match event {
                 MembershipEvent::Leave(node) => {
                     self.population.apply(event);
-                    let i = node.index();
                     // The leaver observes 0; skipping the write when the value
                     // is already 0 leaves the pending invariant untouched.
-                    if self.state.value(i) != 0 {
-                        self.apply_value(i, 0);
-                    }
+                    self.observe(node.index(), 0);
                 }
                 MembershipEvent::Join(node) => {
                     let generation = self.population.apply(event);
                     let i = node.index();
-                    let group = self.state.group(i);
-                    let filter = self.state.filter(i);
-                    let was = self.state.pending(i).is_some();
-                    // `reset_node` bypasses `apply_value`, so the value index
-                    // learns about the slot's reset-to-0 here.
-                    if self.state.value(i) != 0 {
-                        self.index.note_update(i as u32, 0);
-                    }
-                    self.state.reset_node(i);
-                    self.note_pending(i, was, false);
-                    self.rngs[i] = ChaCha8Rng::seed_from_u64(node_seed_gen(
-                        self.master_seed,
-                        node,
-                        generation,
-                    ));
+                    let group = self.table.state.group(i);
+                    let filter = self.table.state.filter(i);
+                    self.table.rejoin(i as u32, self.master_seed, generation);
                     // Recovery replay of the slot's current group and filter,
                     // exactly as the baseline engine charges it.
                     self.meter.push_label(ProtocolLabel::Recovery);
@@ -294,35 +181,29 @@ impl Network for IndexedEngine {
     fn broadcast_params(&mut self, params: FilterParams) {
         self.meter.record(MessageKind::Broadcast);
         self.params = Some(params);
-        for i in 0..self.state.len() {
-            let f = filter_for(self.state.group(i), &params);
-            self.apply_filter(i, f);
-        }
+        self.table.set_params(params);
     }
 
     fn assign_group(&mut self, node: NodeId, group: NodeGroup) {
         self.meter.record(MessageKind::DownstreamUnicast);
-        self.state.set_group(node.index(), group);
-        self.rederive_filter(node.index());
+        self.table
+            .assign_group(node.index() as u32, group, self.params);
     }
 
     fn broadcast_group(&mut self, group: NodeGroup) {
         self.meter.record(MessageKind::Broadcast);
-        for i in 0..self.state.len() {
-            self.state.set_group(i, group);
-            self.rederive_filter(i);
-        }
+        self.table.set_group_all(group, self.params);
     }
 
     fn assign_filter(&mut self, node: NodeId, filter: Filter) {
         self.meter.record(MessageKind::DownstreamUnicast);
-        self.apply_filter(node.index(), filter);
+        self.table.apply_filter(node.index() as u32, filter);
     }
 
     fn probe(&mut self, node: NodeId) -> Value {
         self.meter.record(MessageKind::DownstreamUnicast);
         self.meter.record(MessageKind::Upstream);
-        self.state.value(node.index())
+        self.table.state.value(node.index())
     }
 
     fn existence_round_into(
@@ -333,33 +214,8 @@ impl Network for IndexedEngine {
         replies: &mut Vec<NodeMessage>,
     ) {
         self.meter.record_round();
-        self.collect_active(predicate);
-        replies.clear();
-        for idx in 0..self.scratch_ids.len() {
-            let i = self.scratch_ids[idx] as usize;
-            if !existence_coin(&mut self.rngs[i], round, population) {
-                continue;
-            }
-            let node = NodeId(i);
-            let value = self.state.value(i);
-            replies.push(match (predicate, self.state.pending(i)) {
-                (ExistencePredicate::PendingViolation, Some(direction)) => {
-                    NodeMessage::ViolationReport {
-                        node,
-                        value,
-                        direction,
-                    }
-                }
-                _ => NodeMessage::ExistenceResponse { node, value },
-            });
-        }
-        // Threshold/rank actives were visited in radix-bucket order; the
-        // baseline replies in node-id order. (Per-node RNG streams are
-        // independent, so the flip order does not matter — only the active
-        // *set* and the reply order do.)
-        if !matches!(predicate, ExistencePredicate::PendingViolation) {
-            replies.sort_unstable_by_key(NodeMessage::sender);
-        }
+        self.table
+            .round_into(Coin::new(round, population), predicate, replies);
         self.meter
             .record_many(MessageKind::Upstream, replies.len() as u64);
     }
@@ -380,25 +236,25 @@ impl Network for IndexedEngine {
     }
 
     fn peek_value(&self, node: NodeId) -> Value {
-        self.state.value(node.index())
+        self.table.state.value(node.index())
     }
 
     fn peek_filter(&self, node: NodeId) -> Filter {
-        self.state.filter(node.index())
+        self.table.state.filter(node.index())
     }
 
     fn peek_group(&self, node: NodeId) -> NodeGroup {
-        self.state.group(node.index())
+        self.table.state.group(node.index())
     }
 
     fn peek_filters_into(&self, out: &mut Vec<Filter>) {
         out.clear();
-        out.extend(self.state.filters().map(|(_, f)| f));
+        out.extend(self.table.state.filters().map(|(_, f)| f));
     }
 
     fn peek_values_into(&self, out: &mut Vec<Value>) {
         out.clear();
-        out.extend_from_slice(self.state.values());
+        out.extend_from_slice(self.table.state.values());
     }
 }
 

@@ -74,6 +74,7 @@ pub mod fault;
 pub mod indexed;
 pub mod network;
 pub mod node;
+mod node_table;
 mod partition;
 pub mod remote;
 pub mod sharded;

@@ -8,8 +8,14 @@
 //! Both simulation engines drive the same `SimNode` type, so their behaviour —
 //! including every random decision, because each node owns a `ChaCha8` RNG
 //! seeded from `(master seed, node id)` — is identical by construction.
+//!
+//! Every engine flips the same `Coin`: the caller builds it once per round
+//! from `(round, population)`, and a flip is one `u64` draw from the node's
+//! RNG compared against a precomputed threshold. The coin documents why that
+//! comparison is exactly the integer coin `gen_ratio(min(2^r, P), P)` the
+//! engines flipped before, outcome for outcome and draw for draw.
 
-use rand::Rng;
+use rand::RngCore;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use topk_model::message::ExistencePredicate;
@@ -126,7 +132,9 @@ impl SimNode {
                 round,
                 population,
                 predicate,
-            } => self.existence_round(round, population, predicate).flatten(),
+            } => self
+                .existence_round(Coin::new(round, population), predicate)
+                .flatten(),
             ServerMessage::EndExistenceRun => None,
         }
     }
@@ -150,22 +158,21 @@ impl SimNode {
         self.rng = ChaCha8Rng::seed_from_u64(node_seed_gen(master_seed, self.id, generation));
     }
 
-    /// Participates in round `round` of an existence run: if the predicate holds
-    /// locally, send a message with probability `min(1, 2^round / population)`.
+    /// Participates in one round of an existence run: if the predicate holds
+    /// locally, send a message when `coin` (the round's [`Coin`]) comes up.
     ///
     /// Returns `None` when the predicate fails — the node neither replies nor
     /// draws randomness — and otherwise `Some` of the coin's outcome, so a
     /// caller learns in the same call whether the node is active at all.
     pub(crate) fn existence_round(
         &mut self,
-        round: u32,
-        population: u32,
+        coin: Coin,
         predicate: ExistencePredicate,
     ) -> Option<Option<NodeMessage>> {
         if !predicate.evaluate(self.id, self.value, self.pending_violation) {
             return None;
         }
-        if !existence_coin(&mut self.rng, round, population) {
+        if !coin.flip(&mut self.rng) {
             return Some(None);
         }
         Some(Some(match (predicate, self.pending_violation) {
@@ -205,18 +212,53 @@ pub(crate) fn node_seed_gen(master_seed: u64, id: NodeId, generation: u32) -> u6
     )
 }
 
-/// The Lemma 3.1 coin: whether a node whose predicate holds sends a message in
-/// round `round` of an existence run over `population` nodes — probability
-/// `min(1, 2^round / population)`.
+/// The Lemma 3.1 coin of one existence round: a node whose predicate holds
+/// sends a message in round `round` of a run over `population` nodes with
+/// probability `min(1, 2^round / population)`.
 ///
-/// Every engine flips this exact coin on the node's own RNG, and *only* for
-/// nodes whose predicate holds, so an engine that skips inactive nodes entirely
+/// The caller builds the coin once per round; [`Coin::flip`] then costs one
+/// `u64` draw and one comparison. With `P = max(population, 1)` and
+/// `N = min(2^round, P)` (a shift past 31 saturates to `u32::MAX`), a flip
+/// draws `x` and returns `x < ⌈N·2⁶⁴/P⌉`. That is exactly the integer coin
+/// `gen_ratio(N, P)`, which returns `⌊x·P/2⁶⁴⌋ < N` for the same draw:
+///
+/// ```text
+/// ⌊x·P/2⁶⁴⌋ < N  ⟺  x·P/2⁶⁴ < N     (N is an integer)
+///               ⟺  x < N·2⁶⁴/P
+///               ⟺  x < ⌈N·2⁶⁴/P⌉    (x is an integer)
+/// ```
+///
+/// Both consume one `next_u64`, so every outcome and every stream position
+/// is unchanged. When `N = P` the threshold is `2⁶⁴` and the flip is always
+/// true, but it still consumes its draw.
+///
+/// Every engine flips this coin on the node's own RNG, and *only* for nodes
+/// whose predicate holds, so an engine that skips inactive nodes entirely
 /// (like `IndexedEngine`) consumes each node's random stream bit-for-bit
 /// identically to one that visits all nodes.
-pub(crate) fn existence_coin(rng: &mut ChaCha8Rng, round: u32, population: u32) -> bool {
-    let population = population.max(1);
-    let numerator = 1u32.checked_shl(round).unwrap_or(u32::MAX).min(population);
-    rng.gen_ratio(numerator, population)
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Coin {
+    /// `⌈N·2⁶⁴/P⌉ − 1`, the largest accepted draw: `u64::MAX` when `N = P`.
+    max_accept: u64,
+}
+
+impl Coin {
+    /// The coin of round `round` of an existence run over `population` nodes.
+    pub(crate) fn new(round: u32, population: u32) -> Coin {
+        let p = population.max(1);
+        let n = 1u32.checked_shl(round).unwrap_or(u32::MAX).min(p);
+        // ⌈N·2⁶⁴/P⌉ − 1 = ⌊(N·2⁶⁴ − 1)/P⌋, which is below 2⁶⁴ because N ≤ P.
+        let max_accept = ((u128::from(n) << 64) - 1) / u128::from(p);
+        Coin {
+            max_accept: max_accept as u64,
+        }
+    }
+
+    /// Draws one `u64` from `rng` and reports whether the node sends.
+    #[inline]
+    pub(crate) fn flip(self, rng: &mut ChaCha8Rng) -> bool {
+        rng.next_u64() <= self.max_accept
+    }
 }
 
 #[cfg(test)]
@@ -227,12 +269,68 @@ mod tests {
         SimNode::new(NodeId(0), 42)
     }
 
+    /// The integer coin the engines flipped before [`Coin`]: kept as the
+    /// oracle the threshold comparison must reproduce exactly.
+    fn existence_coin(rng: &mut ChaCha8Rng, round: u32, population: u32) -> bool {
+        use rand::Rng;
+        let population = population.max(1);
+        let numerator = 1u32.checked_shl(round).unwrap_or(u32::MAX).min(population);
+        rng.gen_ratio(numerator, population)
+    }
+
     #[test]
     fn coin_is_certain_once_two_to_round_reaches_population() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         for _ in 0..32 {
-            assert!(existence_coin(&mut rng, 10, 1024));
-            assert!(existence_coin(&mut rng, 40, 7)); // 2^40 overflows the shl
+            assert!(Coin::new(10, 1024).flip(&mut rng));
+            assert!(Coin::new(40, 7).flip(&mut rng)); // 2^40 overflows the shl
+        }
+    }
+
+    #[test]
+    fn coin_equals_the_gen_ratio_oracle_flip_for_flip() {
+        let populations = [0, 1, 2, 3, 7, 1000, 4096, 5000, 65537, u32::MAX];
+        for population in populations {
+            for round in 0..=40 {
+                let coin = Coin::new(round, population);
+                let mut fast = ChaCha8Rng::seed_from_u64(u64::from(population) ^ u64::from(round));
+                let mut oracle = fast.clone();
+                for flip in 0..200 {
+                    assert_eq!(
+                        coin.flip(&mut fast),
+                        existence_coin(&mut oracle, round, population),
+                        "round {round}, population {population}, flip {flip}"
+                    );
+                    assert_eq!(
+                        fast.clone().next_u32(),
+                        oracle.clone().next_u32(),
+                        "round {round}, population {population}: stream position"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn coin_threshold_sits_exactly_on_the_gen_ratio_boundary() {
+        // Random draws rarely land next to the threshold; check the two
+        // draws on either side of it against the oracle's arithmetic.
+        let populations = [1, 2, 3, 7, 1000, 4096, 5000, 65537, u32::MAX];
+        for population in populations {
+            for round in 0..=40 {
+                let coin = Coin::new(round, population);
+                let numerator = 1u32.checked_shl(round).unwrap_or(u32::MAX).min(population);
+                let oracle = |x: u64| {
+                    ((u128::from(x) * u128::from(population)) >> 64) < u128::from(numerator)
+                };
+                for x in [coin.max_accept, coin.max_accept.wrapping_add(1)] {
+                    assert_eq!(
+                        x <= coin.max_accept,
+                        oracle(x),
+                        "round {round}, population {population}, draw {x:#x}"
+                    );
+                }
+            }
         }
     }
 

@@ -127,7 +127,7 @@
 //! node state after every schedule.
 
 use crate::network::Network;
-use crate::node::SimNode;
+use crate::node::{Coin, SimNode};
 use crate::partition::{shard_bounds, shard_of};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -1471,8 +1471,9 @@ fn apply_op(
                 },
         } => {
             let mut active = false;
+            let coin = Coin::new(round, population);
             for node in nodes.iter_mut() {
-                if let Some(reply) = node.existence_round(round, population, predicate) {
+                if let Some(reply) = node.existence_round(coin, predicate) {
                     active = true;
                     replies.extend(reply);
                 }

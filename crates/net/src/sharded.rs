@@ -2,13 +2,17 @@
 //! across a fixed worker pool.
 //!
 //! [`ShardedEngine`] partitions the node population into `W` contiguous id
-//! ranges (*shards*). Each shard owns its slice of the struct-of-arrays node
-//! state ([`NodeStateSoA`]) plus the two indexes the
-//! [`IndexedEngine`](crate::IndexedEngine) maintains globally — a
-//! pending-violation set and a lazily rebuilt value-sorted index — and is
-//! permanently affined to one worker thread of a fixed pool. The server side
-//! (the [`Network`] implementation) routes each operation to the shards it
-//! involves and merges their per-shard reply buffers.
+//! ranges (*shards*). Each shard owns a node table (`crate::node_table`)
+//! over its range — its slice of the struct-of-arrays node state
+//! ([`NodeStateSoA`](topk_model::soa::NodeStateSoA)), the per-node RNGs, a
+//! pending-violation set and a warm/cold radix value index, the same
+//! structures [`IndexedEngine`](crate::IndexedEngine) keeps in its one table
+//! — and is permanently affined to one worker thread of a fixed pool. Both
+//! engines run one collect-and-flip kernel: a shard collects its part of a
+//! run's active set in the run's first round and reuses it until the
+//! predicate changes or a mutator writes the shard's node state. The server
+//! side (the [`Network`] implementation) routes each operation to the shards
+//! it involves and merges their per-shard reply buffers.
 //!
 //! ## Why the merge is bit-identical to the baseline
 //!
@@ -17,9 +21,12 @@
 //! [`DeterministicEngine`](crate::DeterministicEngine) for *any* shard count:
 //!
 //! 1. **RNG streams are per node.** A node's `ChaCha8` RNG is seeded from
-//!    `(master seed, node id)` and advanced only by the `existence_coin` flip,
-//!    which happens only when the node's predicate holds. Which *thread* flips
-//!    the coin, and in which order relative to other nodes, cannot matter —
+//!    `(master seed, node id)` and advanced only by the round's `node::Coin`
+//!    flip (one `u64` draw against the threshold `⌈N·2⁶⁴/P⌉`, exactly
+//!    `gen_ratio(N, P)`; the server builds the coin once per round and ships
+//!    it to every involved shard), which happens only when the node's
+//!    predicate holds. Which *thread* flips the coin, and in which order
+//!    relative to other nodes, cannot matter —
 //!    the streams are independent. (PR 2 proved this argument for skipping
 //!    inactive nodes; hosting active nodes on different shards is the same
 //!    argument applied to partitioning instead of filtering.)
@@ -58,22 +65,18 @@
 //! worker a contiguous, privately owned slice, so workers never share a
 //! cache line); an inline engine skips staging entirely and each shard reads
 //! the caller's row directly. Either way the per-shard scan is the zone-map
-//! bulk pass of [`NodeStateSoA::advance_row`].
+//! bulk pass of
+//! [`NodeStateSoA::advance_row`](topk_model::soa::NodeStateSoA::advance_row).
 
 use crate::network::Network;
-use crate::node::{existence_coin, node_seed, node_seed_gen};
+use crate::node::Coin;
+use crate::node_table::NodeTable;
 use crate::partition;
-use crate::value_index::ValueIndex;
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::thread::JoinHandle;
 use topk_model::message::ExistencePredicate;
 use topk_model::prelude::*;
-use topk_model::rule::filter_for;
-use topk_model::soa::NodeStateSoA;
 
 /// Where multi-shard operations execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,8 +102,7 @@ enum ShardOp {
     AdvanceSparse,
     /// Run one existence round and stage replies in `Shard::replies`.
     Round {
-        round: u32,
-        population: u32,
+        coin: Coin,
         predicate: ExistencePredicate,
     },
     /// Re-derive every node's filter from new broadcast parameters.
@@ -109,35 +111,22 @@ enum ShardOp {
     GroupAll(NodeGroup, Option<FilterParams>),
 }
 
-/// A contiguous range of nodes with the indexed engine's per-range state.
+/// A contiguous range of nodes: the indexed engine's node table plus the
+/// shard's staging buffers.
 struct Shard {
-    /// Global id of local node 0.
-    offset: usize,
-    state: NodeStateSoA,
-    rngs: Vec<ChaCha8Rng>,
-    /// Local ids with a pending violation, ascending (= ascending global id).
-    pending: BTreeSet<u32>,
-    /// Radix value index over the shard's slice (local ids, global tie-break
-    /// via `offset`); warmed by the first threshold/rank round, maintained
-    /// incrementally on quiet paths, invalidated by bulk mutation (see
-    /// `crate::value_index`).
-    index: ValueIndex,
-    /// Full index builds so far (see `IndexedEngine::index_rebuilds`).
-    index_rebuilds: u64,
+    table: NodeTable,
     /// Scratch: pending-flag transitions reported by `advance_row`.
     transitions: Vec<u32>,
     /// Scratch: value-changed ids reported by `advance_row_tracked` when the
     /// warm index is maintained across a dense row.
     changed_ids: Vec<u32>,
-    /// Scratch: local ids active in the current round.
-    scratch_ids: Vec<u32>,
     /// Per-shard reply buffer, merged by the server in shard order.
     replies: Vec<NodeMessage>,
     /// Staging buffer for the dense row when dispatching to a worker.
     row: Vec<Value>,
     /// Staging buffer for routed sparse changes (local id, value).
     sparse: Vec<(u32, Value)>,
-    /// Regime estimate for [`NodeStateSoA::advance_row`]: whether the last
+    /// Regime estimate for `NodeStateSoA::advance_row`: whether the last
     /// dense row changed at least 1/64 of the shard (see `DENSE_BIAS_SHIFT`).
     dense_biased: bool,
     /// Whether an inline bulk sparse pass wrote deferred values into this
@@ -153,17 +142,9 @@ const DENSE_BIAS_SHIFT: u32 = 6;
 impl Shard {
     fn new(offset: usize, len: usize, master_seed: u64) -> Shard {
         Shard {
-            offset,
-            state: NodeStateSoA::new(len),
-            rngs: (offset..offset + len)
-                .map(|id| ChaCha8Rng::seed_from_u64(node_seed(master_seed, NodeId(id))))
-                .collect(),
-            pending: BTreeSet::new(),
-            index: ValueIndex::new(offset, len),
-            index_rebuilds: 0,
+            table: NodeTable::new(offset, len, master_seed),
             transitions: Vec::new(),
             changed_ids: Vec::new(),
-            scratch_ids: Vec::new(),
             replies: Vec::new(),
             row: Vec::new(),
             sparse: Vec::new(),
@@ -174,39 +155,7 @@ impl Shard {
     }
 
     fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    #[inline]
-    fn note_pending(&mut self, i: u32, was: bool, now: bool) {
-        if was != now {
-            if now {
-                self.pending.insert(i);
-            } else {
-                self.pending.remove(&i);
-            }
-        }
-    }
-
-    #[inline]
-    fn apply_value(&mut self, i: u32, v: Value) {
-        let was = self.state.pending(i as usize).is_some();
-        let now = self.state.set_value(i as usize, v).is_some();
-        self.note_pending(i, was, now);
-        self.index.note_update(i, v);
-    }
-
-    fn apply_filter(&mut self, i: u32, filter: Filter) {
-        let was = self.state.pending(i as usize).is_some();
-        let now = self.state.set_filter(i as usize, filter).is_some();
-        self.note_pending(i, was, now);
-    }
-
-    fn rederive_filter(&mut self, i: u32, params: Option<FilterParams>) {
-        if let Some(p) = params {
-            let f = filter_for(self.state.group(i as usize), &p);
-            self.apply_filter(i, f);
-        }
+        self.table.len()
     }
 
     /// Dense observation delivery over the shard's slice of the row.
@@ -219,37 +168,29 @@ impl Shard {
     /// index is dropped cold instead and the next threshold round rebuilds
     /// it once.
     fn advance_dense(&mut self, row: &[Value]) {
-        let mut transitions = std::mem::take(&mut self.transitions);
-        let changed = if self.index.is_warm() && !self.dense_biased {
-            let mut changed_ids = std::mem::take(&mut self.changed_ids);
-            let changed = self
-                .state
-                .advance_row_tracked(row, &mut transitions, &mut changed_ids);
-            for &i in &changed_ids {
-                self.index.note_update(i, self.state.value(i as usize));
+        let table = &mut self.table;
+        let changed = if table.index.is_warm() && !self.dense_biased {
+            let changed =
+                table
+                    .state
+                    .advance_row_tracked(row, &mut self.transitions, &mut self.changed_ids);
+            for &i in &self.changed_ids {
+                table.index.note_update(i, table.state.value(i as usize));
             }
-            self.changed_ids = changed_ids;
             changed
         } else {
-            let changed = self
+            let changed = table
                 .state
-                .advance_row(row, &mut transitions, self.dense_biased);
+                .advance_row(row, &mut self.transitions, self.dense_biased);
             if changed > 0 {
-                self.index.invalidate();
+                table.index.invalidate();
             }
             changed
         };
+        table.note_transitions(&self.transitions);
         // Feed the observed change rate back as the next step's loop hint
         // (workload regimes are temporally correlated).
         self.dense_biased = changed >= (self.len() >> DENSE_BIAS_SHIFT).max(1);
-        for &i in &transitions {
-            if self.state.pending(i as usize).is_some() {
-                self.pending.insert(i);
-            } else {
-                self.pending.remove(&i);
-            }
-        }
-        self.transitions = transitions;
     }
 
     /// Applies the staged sparse changes in order (last entry per node wins).
@@ -263,130 +204,36 @@ impl Shard {
     /// nets out intermediate transitions; the final flags and pending set are
     /// a pure function of the final values).
     fn advance_sparse(&mut self) {
-        let mut sparse = std::mem::take(&mut self.sparse);
-        if sparse.len() * 4 >= self.len() {
+        let table = &mut self.table;
+        if self.sparse.len() * 4 >= table.len() {
             let mut changed = false;
-            for &(i, v) in &sparse {
-                if self.state.value(i as usize) != v {
-                    self.state.set_value_deferred(i as usize, v);
+            for &(i, v) in &self.sparse {
+                if table.state.value(i as usize) != v {
+                    table.state.set_value_deferred(i as usize, v);
                     changed = true;
                 }
             }
             if changed {
                 // Deferred writes bypass `apply_value`, so the index cannot
                 // be maintained per id here; drop it cold.
-                self.index.invalidate();
+                table.index.invalidate();
             }
             self.refresh_after_deferred();
         } else {
-            for &(i, v) in &sparse {
-                if self.state.value(i as usize) != v {
-                    self.apply_value(i, v);
+            for &(i, v) in &self.sparse {
+                if table.state.value(i as usize) != v {
+                    table.apply_value(i, v);
                 }
             }
         }
-        sparse.clear();
-        self.sparse = sparse;
+        self.sparse.clear();
     }
 
     /// Re-establishes the pending invariant and index after a batch of
-    /// [`NodeStateSoA::set_value_deferred`] writes.
+    /// `NodeStateSoA::set_value_deferred` writes.
     fn refresh_after_deferred(&mut self) {
-        let mut transitions = std::mem::take(&mut self.transitions);
-        self.state.refresh_pending_bulk(&mut transitions);
-        for &i in &transitions {
-            if self.state.pending(i as usize).is_some() {
-                self.pending.insert(i);
-            } else {
-                self.pending.remove(&i);
-            }
-        }
-        self.transitions = transitions;
-    }
-
-    fn set_params(&mut self, params: FilterParams) {
-        for i in 0..self.len() as u32 {
-            let f = filter_for(self.state.group(i as usize), &params);
-            self.apply_filter(i, f);
-        }
-    }
-
-    fn set_group_all(&mut self, group: NodeGroup, params: Option<FilterParams>) {
-        for i in 0..self.len() as u32 {
-            self.state.set_group(i as usize, group);
-            self.rederive_filter(i, params);
-        }
-    }
-
-    /// Fills `scratch_ids` with the local ids of all nodes satisfying
-    /// `predicate` — the shard's part of the global active set. The index
-    /// warm-up is hoisted to this single dispatch point (one round warms a
-    /// shard's index at most once; `index_rebuilds` counts the builds).
-    fn collect_active(&mut self, predicate: ExistencePredicate) {
-        self.scratch_ids.clear();
-        if !matches!(predicate, ExistencePredicate::PendingViolation)
-            && self.index.ensure_warm(self.state.values())
-        {
-            self.index_rebuilds += 1;
-        }
-        match predicate {
-            ExistencePredicate::PendingViolation => {
-                self.scratch_ids.extend(self.pending.iter().copied());
-            }
-            ExistencePredicate::GreaterThan(t) => {
-                self.index
-                    .collect_greater_than(t, self.state.values(), &mut self.scratch_ids);
-            }
-            ExistencePredicate::AtLeast(t) => {
-                self.index
-                    .collect_at_least(t, self.state.values(), &mut self.scratch_ids);
-            }
-            ExistencePredicate::LessThan(t) => {
-                self.index
-                    .collect_less_than(t, self.state.values(), &mut self.scratch_ids);
-            }
-            ExistencePredicate::RankWindow { above, below } => {
-                self.index.collect_rank_window(
-                    above,
-                    below,
-                    self.state.values(),
-                    &mut self.scratch_ids,
-                );
-            }
-        }
-    }
-
-    /// Runs one existence round over the shard, staging replies (in ascending
-    /// global-id order) in `self.replies`.
-    fn round(&mut self, round: u32, population: u32, predicate: ExistencePredicate) {
-        self.collect_active(predicate);
-        self.replies.clear();
-        for idx in 0..self.scratch_ids.len() {
-            let i = self.scratch_ids[idx] as usize;
-            if !existence_coin(&mut self.rngs[i], round, population) {
-                continue;
-            }
-            let node = NodeId(self.offset + i);
-            let value = self.state.value(i);
-            self.replies.push(match (predicate, self.state.pending(i)) {
-                (ExistencePredicate::PendingViolation, Some(direction)) => {
-                    NodeMessage::ViolationReport {
-                        node,
-                        value,
-                        direction,
-                    }
-                }
-                _ => NodeMessage::ExistenceResponse { node, value },
-            });
-        }
-        // Threshold/rank actives were visited in radix-bucket order (the
-        // active *set* is exact; iteration order is free because per-node RNG
-        // streams are independent); per-shard replies must come out in id
-        // order so the shard-order concatenation is globally id-ordered (the
-        // baseline's reply order).
-        if !matches!(predicate, ExistencePredicate::PendingViolation) {
-            self.replies.sort_unstable_by_key(NodeMessage::sender);
-        }
+        self.table.state.refresh_pending_bulk(&mut self.transitions);
+        self.table.note_transitions(&self.transitions);
     }
 
     fn execute(&mut self, op: ShardOp) {
@@ -397,13 +244,11 @@ impl Shard {
                 self.row = row;
             }
             ShardOp::AdvanceSparse => self.advance_sparse(),
-            ShardOp::Round {
-                round,
-                population,
-                predicate,
-            } => self.round(round, population, predicate),
-            ShardOp::Params(p) => self.set_params(p),
-            ShardOp::GroupAll(g, params) => self.set_group_all(g, params),
+            ShardOp::Round { coin, predicate } => {
+                self.table.round_into(coin, predicate, &mut self.replies)
+            }
+            ShardOp::Params(p) => self.table.set_params(p),
+            ShardOp::GroupAll(g, params) => self.table.set_group_all(g, params),
         }
     }
 }
@@ -552,7 +397,7 @@ impl ShardedEngine {
     pub fn pending_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.as_ref().expect("shard at home").pending.len())
+            .map(|s| s.as_ref().expect("shard at home").table.pending.len())
             .sum()
     }
 
@@ -682,9 +527,9 @@ impl Network for ShardedEngine {
                 let (s, local) = self.locate(node);
                 let v = if self.population.is_live(node) { v } else { 0 };
                 let shard = self.shards[s].as_mut().expect("shard at home");
-                if shard.state.value(local) != v {
-                    shard.state.set_value_deferred(local, v);
-                    shard.index.invalidate();
+                if shard.table.state.value(local) != v {
+                    shard.table.state.set_value_deferred(local, v);
+                    shard.table.index.invalidate();
                     shard.touched = true;
                 }
             }
@@ -719,28 +564,19 @@ impl Network for ShardedEngine {
                 MembershipEvent::Leave(node) => {
                     self.population.apply(event);
                     let (s, local) = self.locate(node);
-                    let shard = self.shard_mut(s);
-                    if shard.state.value(local) != 0 {
-                        shard.apply_value(local as u32, 0);
+                    let table = &mut self.shard_mut(s).table;
+                    if table.state.value(local) != 0 {
+                        table.apply_value(local as u32, 0);
                     }
                 }
                 MembershipEvent::Join(node) => {
                     let generation = self.population.apply(event);
                     let master_seed = self.master_seed;
                     let (s, local) = self.locate(node);
-                    let shard = self.shard_mut(s);
-                    let group = shard.state.group(local);
-                    let filter = shard.state.filter(local);
-                    let was = shard.state.pending(local).is_some();
-                    // `reset_node` bypasses `apply_value`; tell the value
-                    // index about the reset-to-0 explicitly.
-                    if shard.state.value(local) != 0 {
-                        shard.index.note_update(local as u32, 0);
-                    }
-                    shard.state.reset_node(local);
-                    shard.note_pending(local as u32, was, false);
-                    shard.rngs[local] =
-                        ChaCha8Rng::seed_from_u64(node_seed_gen(master_seed, node, generation));
+                    let table = &mut self.shard_mut(s).table;
+                    let group = table.state.group(local);
+                    let filter = table.state.filter(local);
+                    table.rejoin(local as u32, master_seed, generation);
                     // Recovery replay of the slot's current group and filter,
                     // exactly as the baseline engine charges it.
                     self.meter.push_label(ProtocolLabel::Recovery);
@@ -763,9 +599,9 @@ impl Network for ShardedEngine {
         self.meter.record(MessageKind::DownstreamUnicast);
         let (s, local) = self.locate(node);
         let params = self.params;
-        let shard = self.shard_mut(s);
-        shard.state.set_group(local, group);
-        shard.rederive_filter(local as u32, params);
+        self.shard_mut(s)
+            .table
+            .assign_group(local as u32, group, params);
     }
 
     fn broadcast_group(&mut self, group: NodeGroup) {
@@ -778,14 +614,14 @@ impl Network for ShardedEngine {
     fn assign_filter(&mut self, node: NodeId, filter: Filter) {
         self.meter.record(MessageKind::DownstreamUnicast);
         let (s, local) = self.locate(node);
-        self.shard_mut(s).apply_filter(local as u32, filter);
+        self.shard_mut(s).table.apply_filter(local as u32, filter);
     }
 
     fn probe(&mut self, node: NodeId) -> Value {
         self.meter.record(MessageKind::DownstreamUnicast);
         self.meter.record(MessageKind::Upstream);
         let (s, local) = self.locate(node);
-        self.shard_ref(s).state.value(local)
+        self.shard_ref(s).table.state.value(local)
     }
 
     fn existence_round_into(
@@ -806,7 +642,8 @@ impl Network for ShardedEngine {
             if shard.len() == 0 {
                 continue;
             }
-            if matches!(predicate, ExistencePredicate::PendingViolation) && shard.pending.is_empty()
+            if matches!(predicate, ExistencePredicate::PendingViolation)
+                && shard.table.pending.is_empty()
             {
                 continue;
             }
@@ -818,8 +655,7 @@ impl Network for ShardedEngine {
             return;
         }
         self.run_involved(ShardOp::Round {
-            round,
-            population,
+            coin: Coin::new(round, population),
             predicate,
         });
         // `involved` is ascending and shards are contiguous ascending id
@@ -848,30 +684,30 @@ impl Network for ShardedEngine {
 
     fn peek_value(&self, node: NodeId) -> Value {
         let (s, local) = self.locate(node);
-        self.shard_ref(s).state.value(local)
+        self.shard_ref(s).table.state.value(local)
     }
 
     fn peek_filter(&self, node: NodeId) -> Filter {
         let (s, local) = self.locate(node);
-        self.shard_ref(s).state.filter(local)
+        self.shard_ref(s).table.state.filter(local)
     }
 
     fn peek_group(&self, node: NodeId) -> NodeGroup {
         let (s, local) = self.locate(node);
-        self.shard_ref(s).state.group(local)
+        self.shard_ref(s).table.state.group(local)
     }
 
     fn peek_filters_into(&self, out: &mut Vec<Filter>) {
         out.clear();
         for s in 0..self.shards.len() {
-            out.extend(self.shard_ref(s).state.filters().map(|(_, f)| f));
+            out.extend(self.shard_ref(s).table.state.filters().map(|(_, f)| f));
         }
     }
 
     fn peek_values_into(&self, out: &mut Vec<Value>) {
         out.clear();
         for s in 0..self.shards.len() {
-            out.extend_from_slice(self.shard_ref(s).state.values());
+            out.extend_from_slice(self.shard_ref(s).table.state.values());
         }
     }
 }

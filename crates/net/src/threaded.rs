@@ -25,7 +25,7 @@
 //! this.
 
 use crate::network::Network;
-use crate::node::SimNode;
+use crate::node::{Coin, SimNode};
 use crate::partition;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use std::sync::Arc;
@@ -133,6 +133,19 @@ impl ThreadedEngine {
                             for (i, v) in changes {
                                 nodes[i].observe(v);
                             }
+                        }
+                        Ok(ShardCommand::Server(ServerMessage::ExistenceRound {
+                            round,
+                            population,
+                            predicate,
+                        })) => {
+                            // One coin per round, shared by the shard's nodes.
+                            let coin = Coin::new(round, population);
+                            replies.extend(
+                                nodes
+                                    .iter_mut()
+                                    .filter_map(|n| n.existence_round(coin, predicate).flatten()),
+                            );
                         }
                         Ok(ShardCommand::Server(msg)) => {
                             // Ascending id order keeps the ack buffer sorted.

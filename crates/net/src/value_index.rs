@@ -16,7 +16,7 @@
 //!
 //! Buckets only ever feed existence rounds, and those consume the active set
 //! as a *set*: each active node flips its own independent RNG
-//! (`node::existence_coin`), and the engines sort replies by sender
+//! (`node::Coin`), and the engines sort replies by sender
 //! afterwards (per shard for the sharded engine). The paper's `(value, id)`
 //! total order matters solely for *membership* in a rank window — which the
 //! boundary-bucket filter decides exactly, via the same

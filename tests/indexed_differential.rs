@@ -19,7 +19,9 @@
 //! raw round can land at round r > 0 right after a mutation, which is what
 //! the remote engine's idle marks (skip a shard none of whose nodes
 //! satisfies the predicate) must survive: whole runs always restart at
-//! round 0, which asks every shard anyway. 256 randomized schedules are checked per in-process
+//! round 0, which asks every shard anyway. The in-process engines' per-run
+//! active sets (collect once, reuse while the predicate and the node state
+//! stand still) get their own battery of back-to-back rounds. 256 randomized schedules are checked per in-process
 //! battery (64 for the loopback battery, which pays real socket round-trips
 //! per operation), plus full monitor runs on random traces.
 //!
@@ -237,6 +239,85 @@ proptest! {
             prop_assert_eq!(base.peek_values(), sharded.peek_values());
             for i in 0..N {
                 prop_assert_eq!(base.peek_group(NodeId(i)), sharded.peek_group(NodeId(i)));
+            }
+        }
+    }
+
+    /// Active sets never go stale. The indexed and sharded engines collect a
+    /// run's active ids once and reuse them while the predicate and the node
+    /// state's write count stay the same. After every operation of a random
+    /// schedule, each predicate kind asks one fixed question in two
+    /// back-to-back raw rounds, the kinds in alternating order. So every
+    /// mutation sits between two rounds of the same question, and every
+    /// change of kind between two rounds of different ones. A mutation that
+    /// kept the old ids, or a reuse across predicates, would flip coins for
+    /// the wrong nodes, and replies or `CommStats` would leave the baseline.
+    #[test]
+    fn active_sets_never_go_stale(
+        ops in proptest::collection::vec(
+            (0u8..OPS, 0usize..N, 0u64..2000, 0u64..2000),
+            1..30,
+        ),
+        thresholds in proptest::collection::vec(0u64..997, 4),
+        anchor in 0usize..N,
+        rounds in proptest::collection::vec(0u64..64, 2),
+        seed in 0u64..10_000,
+    ) {
+        let questions = [
+            ExistencePredicate::PendingViolation,
+            ExistencePredicate::GreaterThan(thresholds[0]),
+            ExistencePredicate::AtLeast(thresholds[1]),
+            ExistencePredicate::LessThan(thresholds[2]),
+            ExistencePredicate::RankWindow {
+                above: Some((thresholds[3], NodeId(anchor))),
+                below: None,
+            },
+        ];
+        let budget = u64::from(round_budget(N)) + 1;
+        let rounds = [(rounds[0] % budget) as u32, (rounds[1] % budget) as u32];
+        let raw_round = |net: &mut dyn Network, round: u32, predicate| {
+            let mut replies = Vec::new();
+            net.existence_round_into(round, N as u32, predicate, &mut replies);
+            replies
+        };
+        let mut base = DeterministicEngine::new(N, seed);
+        let mut engines: Vec<(String, Box<dyn Network>)> =
+            vec![("indexed".to_string(), Box::new(IndexedEngine::new(N, seed)))];
+        for workers in [1, 3] {
+            for dispatch in [Dispatch::Inline, Dispatch::Parallel] {
+                engines.push((
+                    format!("{workers} shards, {dispatch:?}"),
+                    Box::new(ShardedEngine::with_dispatch(N, seed, workers, dispatch)),
+                ));
+            }
+        }
+        for (step, &op) in ops.iter().enumerate() {
+            let expected = apply(&mut base, op);
+            for (name, net) in &mut engines {
+                prop_assert_eq!(&expected, &apply(net.as_mut(), op), "{}: replies diverge on {:?}", name, op);
+            }
+            let mut order = questions;
+            if step % 2 == 1 {
+                order.reverse();
+            }
+            for predicate in order {
+                for round in rounds {
+                    let expected = raw_round(&mut base, round, predicate);
+                    for (name, net) in &mut engines {
+                        prop_assert_eq!(
+                            &expected,
+                            &raw_round(net.as_mut(), round, predicate),
+                            "{}: round {} of {:?} diverges after {:?}",
+                            name,
+                            round,
+                            predicate,
+                            op
+                        );
+                    }
+                }
+            }
+            for (name, net) in &engines {
+                prop_assert_eq!(base.stats(), net.stats(), "{}: stats diverge after {:?}", name, op);
             }
         }
     }
