@@ -3,7 +3,7 @@
 //! * existence-protocol violation detection vs naive per-node polling,
 //! * double-exponential probing (`TopKProtocol`) vs plain midpoint halving
 //!   (`ExactTopKMonitor`) at large `Δ`,
-//! * deterministic vs threaded (crossbeam-channel) engine overhead.
+//! * the deterministic reference engine vs the value-indexed engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use topk_core::existence::detect_violations;
@@ -11,7 +11,7 @@ use topk_core::monitor::run_on_rows;
 use topk_core::{ExactTopKMonitor, TopKMonitor};
 use topk_gen::{GapWorkload, Workload};
 use topk_model::{Epsilon, Filter, NodeId};
-use topk_net::{DeterministicEngine, Network, ThreadedEngine};
+use topk_net::{DeterministicEngine, IndexedEngine, Network};
 
 /// Ablation A: detect one violation among n nodes via the existence protocol vs
 /// probing every node.
@@ -73,7 +73,7 @@ fn ablation_phases(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation C: deterministic in-process engine vs the threaded crossbeam engine
+/// Ablation C: the deterministic reference engine vs the value-indexed engine
 /// on the same protocol run (identical message counts, different wall clock).
 fn ablation_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_engines");
@@ -88,9 +88,9 @@ fn ablation_engines(c: &mut Criterion) {
             run_on_rows(&mut monitor, &mut net, rows.iter().cloned(), eps)
         });
     });
-    group.bench_function("threaded_engine", |b| {
+    group.bench_function("indexed_engine", |b| {
         b.iter(|| {
-            let mut net = ThreadedEngine::new(16, 2);
+            let mut net = IndexedEngine::new(16, 2);
             let mut monitor = TopKMonitor::new(2, eps);
             run_on_rows(&mut monitor, &mut net, rows.iter().cloned(), eps)
         });

@@ -64,7 +64,7 @@
 //! The *trace* modes record and re-drive full runs (`topk_bench::replay`,
 //! wire format in `topk_wire::trace`): `--scenario FILE --record OUT.trace`
 //! records the run (protocol selectable with `--protocol NAME`), and
-//! `--replay FILE.trace` re-drives the recording through all six engines —
+//! `--replay FILE.trace` re-drives the recording through all four engines —
 //! or one, with `--engine NAME` — and exits non-zero unless every reply,
 //! message counter and the final filter/value state match bit for bit.
 
@@ -578,6 +578,11 @@ fn main() {
             || remote_conns.is_some()
             || check_competitive_path.is_some()
             || baseline_path.is_some()
+            || scenario_path.is_some()
+            || record_path.is_some()
+            || replay_path.is_some()
+            || protocol_name.is_some()
+            || engine_name.is_some()
         {
             eprintln!("--check-floors does not combine with other modes or flags");
             std::process::exit(2);
@@ -596,6 +601,11 @@ fn main() {
             || sharded_set
             || remote_conns.is_some()
             || baseline_path.is_some()
+            || scenario_path.is_some()
+            || record_path.is_some()
+            || replay_path.is_some()
+            || protocol_name.is_some()
+            || engine_name.is_some()
         {
             eprintln!("--check-competitive-floors does not combine with other modes or flags");
             std::process::exit(2);

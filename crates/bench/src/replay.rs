@@ -9,19 +9,17 @@
 //! final [`CommStats`], filter assignment and value vector.
 //!
 //! [`replay_trace`] is the other direction: it rebuilds the monitor from the
-//! header, re-drives the recorded rows and events through a *fresh* engine of
-//! any [`EngineKind`], and diffs everything the trace asserts — per-step
-//! replies, validity, message counters, and the final stats/filters/values —
-//! bit for bit. An empty [`ReplayOutcome::mismatches`] means the engine
-//! reproduced the recorded run exactly; anything else names the first
-//! divergences in human-readable form. The golden corpus under
-//! `tests/traces/` runs every trace through all six engines this way on every
-//! CI run.
-//!
-//! [`replay_trace_queryset`] re-drives the same recordings through a
-//! [`QuerySet`](topk_core::queryset::QuerySet) of one full-population query
-//! instead of a bare monitor: the corpus thereby pins the query-set driver's
-//! solo fast path to the legacy runs byte for byte, on every engine.
+//! header as a [`QuerySet`] of one full-population query and re-drives the
+//! recorded rows and events through a *fresh* engine of any [`EngineKind`]
+//! with [`run_query_set_observed`], the driver the repository benchmark
+//! times. It diffs everything the trace asserts — per-step replies,
+//! validity, message counters, and the final stats/filters/values — bit for
+//! bit. Recordings come from the single-monitor driver, so every replay also
+//! pins the query-set driver's solo path to it byte for byte. An empty
+//! [`ReplayOutcome::mismatches`] means the engine reproduced the recorded run
+//! exactly; anything else names the first divergences in human-readable
+//! form. The golden corpus under `tests/traces/` runs every trace through all
+//! four engines this way on every CI run.
 //!
 //! Traces are stored in the `topk-wire` [`trace`](topk_wire::trace) format
 //! (length-prefixed, versioned, CRC-trailered records); [`save_trace`] and
@@ -32,7 +30,8 @@ use crate::campaign::{drive, ProtocolKind};
 use crate::scenario::ScenarioFile;
 use std::fmt;
 use std::path::Path;
-use topk_core::monitor::{run_with_membership_observed, RunReport};
+use topk_core::monitor::RunReport;
+use topk_core::queryset::{run_query_set_observed, QuerySet};
 use topk_model::prelude::*;
 use topk_wire::{
     read_all_records, write_record, TraceEnd, TraceHeader, TraceRecord, TraceStep, WireError,
@@ -172,8 +171,9 @@ fn dissect(
     Ok((header, steps, end))
 }
 
-/// Replays `records` through a fresh engine of the given kind and diffs every
-/// recorded quantity bit for bit.
+/// Replays `records` through a [`QuerySet`] of one full-population query on a
+/// fresh engine of the given kind and diffs every recorded quantity bit for
+/// bit.
 ///
 /// # Errors
 ///
@@ -196,125 +196,14 @@ pub fn replay_trace(
     let k = usize::try_from(header.k).map_err(|_| ReplayError::Malformed {
         message: format!("k = {} exceeds this platform's usize", header.k),
     })?;
-    let mut monitor = protocol.build_monitor(k, header.eps);
-    let mut net = build_engine(kind, n, header.seed, header.fault.as_ref());
-    // Cap the noise: after this many divergences the engines have clearly
-    // forked and further diffs repeat the same story.
-    const MAX_MISMATCHES: usize = 8;
-    let mut mismatches: Vec<String> = Vec::new();
-    let mut cursor = 0usize;
-    let report = run_with_membership_observed(
-        monitor.as_mut(),
-        net.as_mut(),
-        header.eps,
-        |_filters| {
-            let row = steps.get(cursor).map(|s| s.row.clone());
-            cursor += 1;
-            row
-        },
-        |step| steps[step as usize].events.clone(),
-        |obs| {
-            if mismatches.len() >= MAX_MISMATCHES {
-                return;
-            }
-            let recorded = steps[obs.step as usize];
-            if obs.output != recorded.output {
-                mismatches.push(format!(
-                    "step {}: output {:?} != recorded {:?}",
-                    obs.step, obs.output, recorded.output
-                ));
-            }
-            if obs.valid != recorded.valid {
-                mismatches.push(format!(
-                    "step {}: validity {} != recorded {}",
-                    obs.step, obs.valid, recorded.valid
-                ));
-            }
-            if obs.messages_total != recorded.messages_total {
-                mismatches.push(format!(
-                    "step {}: cumulative messages {} != recorded {}",
-                    obs.step, obs.messages_total, recorded.messages_total
-                ));
-            }
-            if obs.row != recorded.row.as_slice() {
-                mismatches.push(format!(
-                    "step {}: the driver re-masked the row differently",
-                    obs.step
-                ));
-            }
-        },
-    );
-    if report.steps != end.steps {
-        mismatches.push(format!(
-            "run ended after {} steps, recording has {}",
-            report.steps, end.steps
-        ));
-    }
-    if report.invalid_steps != end.invalid_steps {
-        mismatches.push(format!(
-            "invalid steps {} != recorded {}",
-            report.invalid_steps, end.invalid_steps
-        ));
-    }
-    if report.inexact_steps != end.inexact_steps {
-        mismatches.push(format!(
-            "inexact steps {} != recorded {}",
-            report.inexact_steps, end.inexact_steps
-        ));
-    }
-    if report.stats != end.stats {
-        mismatches.push("final CommStats differ from the recording".to_string());
-    }
-    let filters = net.peek_filters();
-    if filters != end.filters {
-        mismatches.push("final filter assignment differs from the recording".to_string());
-    }
-    let values = net.peek_values();
-    if values != end.values {
-        mismatches.push("final value vector differs from the recording".to_string());
-    }
-    Ok(ReplayOutcome {
-        engine: kind.name(),
-        label: header.label.clone(),
-        steps: report.steps,
-        mismatches,
-    })
-}
-
-/// Replays `records` through a [`QuerySet`](topk_core::queryset::QuerySet) of
-/// one full-population query on a fresh engine of the given kind and diffs
-/// every recorded quantity bit for bit — the golden-trace proof that the
-/// query-set driver's solo path *is* the legacy monitor run, not merely close
-/// to it.
-///
-/// # Errors
-///
-/// [`ReplayError`] when the trace cannot be driven at all; divergence is
-/// reported through [`ReplayOutcome::mismatches`] like [`replay_trace`].
-pub fn replay_trace_queryset(
-    records: &[TraceRecord],
-    kind: EngineKind,
-) -> Result<ReplayOutcome, ReplayError> {
-    use topk_core::queryset::{run_query_set_observed, QuerySet};
-
-    let (header, steps, end) = dissect(records)?;
-    let Some(protocol) = ProtocolKind::from_name(&header.protocol) else {
-        return Err(ReplayError::UnknownProtocol {
-            name: header.protocol.clone(),
-        });
-    };
-    let n = usize::try_from(header.n).map_err(|_| ReplayError::Malformed {
-        message: format!("n = {} exceeds this platform's usize", header.n),
-    })?;
-    let k = usize::try_from(header.k).map_err(|_| ReplayError::Malformed {
-        message: format!("k = {} exceeds this platform's usize", header.k),
-    })?;
     let mut set = QuerySet::new(n);
     set.register(
         QuerySpec::new(k, header.eps, protocol.name()),
         protocol.build_monitor(k, header.eps),
     );
     let mut net = build_engine(kind, n, header.seed, header.fault.as_ref());
+    // Cap the noise: after this many divergences the engines have clearly
+    // forked and further diffs repeat the same story.
     const MAX_MISMATCHES: usize = 8;
     let mut mismatches: Vec<String> = Vec::new();
     let mut cursor = 0usize;
@@ -358,22 +247,23 @@ pub fn replay_trace_queryset(
             }
         },
     );
+    let solo = &report.per_query[0];
     if report.steps != end.steps {
         mismatches.push(format!(
             "run ended after {} steps, recording has {}",
             report.steps, end.steps
         ));
     }
-    if report.per_query[0].invalid_steps != end.invalid_steps {
+    if solo.invalid_steps != end.invalid_steps {
         mismatches.push(format!(
             "invalid steps {} != recorded {}",
-            report.per_query[0].invalid_steps, end.invalid_steps
+            solo.invalid_steps, end.invalid_steps
         ));
     }
-    if report.per_query[0].inexact_steps != end.inexact_steps {
+    if solo.inexact_steps != end.inexact_steps {
         mismatches.push(format!(
             "inexact steps {} != recorded {}",
-            report.per_query[0].inexact_steps, end.inexact_steps
+            solo.inexact_steps, end.inexact_steps
         ));
     }
     if report.stats != end.stats {
@@ -448,13 +338,21 @@ mod tests {
 
     #[test]
     fn a_recording_replays_identically_on_the_recording_engine() {
-        let (report, records) = record_run(&small_cell(), ProtocolKind::TopKProtocol);
-        assert_eq!(report.steps, 12);
-        assert_eq!(records.len(), 14, "header + 12 steps + end");
-        let outcome = replay_trace(&records, EngineKind::Indexed).expect("trace is well-formed");
-        assert!(outcome.is_identical(), "{:?}", outcome.mismatches);
-        assert_eq!(outcome.steps, 12);
-        assert_eq!(outcome.label, "replay-smoke");
+        for protocol in ProtocolKind::ALL {
+            let (report, records) = record_run(&small_cell(), protocol);
+            assert_eq!(report.steps, 12);
+            assert_eq!(records.len(), 14, "header + 12 steps + end");
+            let outcome =
+                replay_trace(&records, EngineKind::Indexed).expect("trace is well-formed");
+            assert!(
+                outcome.is_identical(),
+                "{}: {:?}",
+                protocol.name(),
+                outcome.mismatches
+            );
+            assert_eq!(outcome.steps, 12);
+            assert_eq!(outcome.label, "replay-smoke");
+        }
     }
 
     #[test]
@@ -543,48 +441,5 @@ mod tests {
         let (_, records) = record_run(&file, ProtocolKind::Dense);
         let outcome = replay_trace(&records, EngineKind::Indexed).unwrap();
         assert!(outcome.is_identical(), "{:?}", outcome.mismatches);
-    }
-
-    #[test]
-    fn a_query_set_of_one_replays_every_recording_identically() {
-        for protocol in ProtocolKind::ALL {
-            let (_, records) = record_run(&small_cell(), protocol);
-            let outcome =
-                replay_trace_queryset(&records, EngineKind::Indexed).expect("well-formed trace");
-            assert!(
-                outcome.is_identical(),
-                "{}: {:?}",
-                protocol.name(),
-                outcome.mismatches
-            );
-            assert_eq!(outcome.steps, 12);
-        }
-    }
-
-    #[test]
-    fn the_query_set_replay_also_reproduces_membership_recordings() {
-        let mut file = small_cell();
-        file.membership = Some(MembershipPlanSpec {
-            seed: 0xAB,
-            leave_permille: 120,
-            downtime: 2,
-            min_live: 8,
-        });
-        let (_, records) = record_run(&file, ProtocolKind::Combined);
-        let outcome = replay_trace_queryset(&records, EngineKind::Deterministic).unwrap();
-        assert!(outcome.is_identical(), "{:?}", outcome.mismatches);
-    }
-
-    #[test]
-    fn the_query_set_replay_detects_tampering_too() {
-        let (_, mut records) = record_run(&small_cell(), ProtocolKind::ExactTopK);
-        let last_step = records.len() - 2;
-        if let TraceRecord::Step(step) = &mut records[last_step] {
-            step.messages_total += 1;
-        } else {
-            panic!("expected a step record before the end marker");
-        }
-        let outcome = replay_trace_queryset(&records, EngineKind::Indexed).unwrap();
-        assert!(!outcome.is_identical());
     }
 }

@@ -174,7 +174,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use topk_gen::{GapWorkload, RandomWalkWorkload, Workload};
-    use topk_net::{DeterministicEngine, ThreadedEngine};
+    use topk_net::DeterministicEngine;
 
     fn drive(rows: Vec<Vec<Value>>, k: usize, seed: u64) -> (crate::RunReport, ExactTopKMonitor) {
         let n = rows[0].len();
@@ -248,15 +248,6 @@ mod tests {
             report.messages()
         );
         assert!(monitor.phases() < 50);
-    }
-
-    #[test]
-    fn works_on_the_threaded_engine() {
-        let rows: Vec<Vec<Value>> = (0..20).map(|t| vec![100 + t, 50, 10, 200 - t]).collect();
-        let mut net = ThreadedEngine::new(4, 9);
-        let mut monitor = ExactTopKMonitor::new(2);
-        let report = run_on_rows(&mut monitor, &mut net, rows, Epsilon::new(1, 1000).unwrap());
-        assert_eq!(report.inexact_steps, 0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! Mäcker, Malatyali and Meyer auf der Heide (2016).
 //!
 //! All algorithms are written against the [`topk_net::Network`] transport trait
-//! and therefore run unchanged on the deterministic engine and on the
-//! channel-based threaded engine.
+//! and therefore run unchanged on every engine — the deterministic reference,
+//! the indexed and sharded engines, and the TCP-backed remote engine.
 //!
 //! | module | paper result | what it implements |
 //! |--------|--------------|--------------------|

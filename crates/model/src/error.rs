@@ -66,8 +66,6 @@ pub enum ModelError {
         /// Budget.
         budget: u64,
     },
-    /// The threaded engine lost contact with a node thread.
-    ChannelClosed(NodeId),
 }
 
 impl fmt::Display for ModelError {
@@ -103,7 +101,6 @@ impl fmt::Display for ModelError {
                 f,
                 "round budget exceeded at {at}: used {used} rounds, budget {budget}"
             ),
-            ModelError::ChannelClosed(id) => write!(f, "channel to {id} closed unexpectedly"),
         }
     }
 }
@@ -152,7 +149,6 @@ mod tests {
                 },
                 "budget 10",
             ),
-            (ModelError::ChannelClosed(NodeId(1)), "node#1"),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();

@@ -23,7 +23,7 @@
 //! * [`cost`] — message/round accounting used for competitive-ratio measurements.
 //!
 //! The crate is intentionally free of any runtime or randomness so that it can be
-//! used from deterministic tests, the threaded engine and the offline solvers alike.
+//! used from deterministic tests, every engine and the offline solvers alike.
 //!
 //! ## Model recap
 //!

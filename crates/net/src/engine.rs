@@ -1,22 +1,23 @@
 //! [`EngineKind`] and [`build_engine`] — the one place an engine is chosen.
 //!
-//! Six interchangeable [`Network`] implementations exist (see the crate
+//! Four interchangeable [`Network`] implementations exist (see the crate
 //! docs); before this module every harness that wanted "all of them" —
 //! trace replay, the experiments CLI, the differential battery, the
 //! examples — hand-rolled its own constructor `match`. [`build_engine`]
 //! is the canonical factory: it fixes the configuration the differential
 //! battery holds bit-identical (4 parallel shards for the sharded engine,
 //! 3 TCP shard servers for the remote engine) so every caller exercises
-//! the *same* six engines, not six similar ones.
+//! the *same* four engines, not four similar ones. Faults are not an engine
+//! kind: a fault plan wraps whichever kind is built.
 
 use crate::fault::FaultyTransport;
 use crate::network::Network;
 use crate::sharded::Dispatch;
-use crate::{DeterministicEngine, IndexedEngine, RemoteEngine, ShardedEngine, ThreadedEngine};
+use crate::{DeterministicEngine, IndexedEngine, RemoteEngine, ShardedEngine};
 use topk_model::prelude::*;
 
 /// The engine implementations the differential battery holds bit-identical —
-/// the same six every trace can be replayed through.
+/// the same four every trace can be replayed through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// The reference `O(n)`-per-step engine.
@@ -25,23 +26,16 @@ pub enum EngineKind {
     Indexed,
     /// The work-stealing sharded engine (4 shards, parallel dispatch).
     Sharded,
-    /// The persistent-worker threaded engine.
-    Threaded,
-    /// [`FaultyTransport`] over the indexed engine (a no-op fault spec when
-    /// no fault plan is given).
-    Fault,
     /// The TCP-backed remote engine (3 shard servers over loopback).
     Remote,
 }
 
 impl EngineKind {
     /// Every kind, in battery order.
-    pub const ALL: [EngineKind; 6] = [
+    pub const ALL: [EngineKind; 4] = [
         EngineKind::Deterministic,
         EngineKind::Indexed,
         EngineKind::Sharded,
-        EngineKind::Threaded,
-        EngineKind::Fault,
         EngineKind::Remote,
     ];
 
@@ -51,8 +45,6 @@ impl EngineKind {
             EngineKind::Deterministic => "deterministic",
             EngineKind::Indexed => "indexed",
             EngineKind::Sharded => "sharded",
-            EngineKind::Threaded => "threaded",
-            EngineKind::Fault => "fault",
             EngineKind::Remote => "remote",
         }
     }
@@ -69,8 +61,7 @@ impl std::fmt::Display for EngineKind {
 /// A fault plan wraps *every* kind in a [`FaultyTransport`] executing it —
 /// fault decisions are functions of the spec's own seed and the message
 /// sequence, which the differential battery holds identical across engines.
-/// [`EngineKind::Fault`] without a plan uses [`FaultSpec::none`], the
-/// bit-transparent wrapper.
+/// `Some(&FaultSpec::none())` gives the bit-transparent wrapper.
 pub fn build_engine(
     kind: EngineKind,
     n: usize,
@@ -90,11 +81,6 @@ pub fn build_engine(
             ShardedEngine::with_dispatch(n, seed, 4, Dispatch::Parallel),
             fault,
         ),
-        EngineKind::Threaded => wrap(ThreadedEngine::new(n, seed), fault),
-        EngineKind::Fault => Box::new(FaultyTransport::new(
-            IndexedEngine::new(n, seed),
-            fault.cloned().unwrap_or(FaultSpec::none()),
-        )),
         EngineKind::Remote => wrap(RemoteEngine::with_shards(n, seed, 3), fault),
     }
 }
@@ -102,6 +88,7 @@ pub fn build_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use topk_model::message::ExistencePredicate;
 
     #[test]
     fn every_kind_builds_and_advances() {
@@ -116,29 +103,30 @@ mod tests {
 
     #[test]
     fn fault_plan_wraps_every_kind() {
-        let spec = FaultSpec::none();
-        for kind in [EngineKind::Deterministic, EngineKind::Fault] {
-            let mut net = build_engine(kind, 3, 1, Some(&spec));
-            net.advance_time(&[5, 5, 5]);
-            net.assign_filter(NodeId(1), Filter::at_least(3));
-            assert_eq!(net.peek_filter(NodeId(1)), Filter::at_least(3), "{kind}");
-            assert_eq!(net.stats().total_messages(), 1, "{kind}");
+        // A plan that drops every upstream reply: a bare engine delivers the
+        // round's replies, a wrapped one loses all of them. Both are charged
+        // for every reply sent, so only the wrapper can explain the silence.
+        let spec = FaultSpec::drop_upstream(1, 1000);
+        let mut replies = Vec::new();
+        for kind in EngineKind::ALL {
+            for (fault, delivered) in [(None, 3), (Some(&spec), 0)] {
+                let mut net = build_engine(kind, 3, 1, fault);
+                net.advance_time(&[5, 5, 5]);
+                net.existence_round_into(8, 3, ExistencePredicate::AtLeast(0), &mut replies);
+                let ctx = format!("{kind}, fault plan {fault:?}");
+                assert_eq!(replies.len(), delivered, "{ctx}");
+                assert_eq!(
+                    net.stats().messages_of_kind(MessageKind::Upstream),
+                    3,
+                    "{ctx}"
+                );
+            }
         }
     }
 
     #[test]
     fn names_are_stable() {
         let names: Vec<&str> = EngineKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "deterministic",
-                "indexed",
-                "sharded",
-                "threaded",
-                "fault",
-                "remote"
-            ]
-        );
+        assert_eq!(names, ["deterministic", "indexed", "sharded", "remote"]);
     }
 }

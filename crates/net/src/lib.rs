@@ -4,7 +4,7 @@
 //! the paper *On Competitive Algorithms for Approximations of Top-k-Position
 //! Monitoring of Distributed Streams*.
 //!
-//! The crate provides five interchangeable engines behind the [`Network`] trait
+//! The crate provides four interchangeable engines behind the [`Network`] trait
 //! (`docs/ARCHITECTURE.md` has a which-engine-when decision guide):
 //!
 //! * [`DeterministicEngine`] — executes all node logic in-process and in a fixed
@@ -22,13 +22,6 @@
 //!   buffers merged in node-id order. Bit-identical to the baseline for any
 //!   shard count (the differential suite asserts it), with a tuned bulk
 //!   observation path; this is the engine for production-scale populations.
-//! * [`ThreadedEngine`] — hosts the same node state machine ([`SimNode`]) on a
-//!   fixed pool of shard threads (contiguous node ranges per thread) and moves
-//!   every server → node and node → server interaction over `crossbeam`
-//!   channels. Because the node logic and the per-node RNG seeding are shared,
-//!   all engines produce *identical* message counts; the threaded engine
-//!   exists to demonstrate that the protocols are genuinely message-passing
-//!   algorithms and to measure wall-clock behaviour under real concurrency.
 //! * [`RemoteEngine`] — the server coordinator in this process, the node
 //!   population as shard *client connections* over loopback TCP, every
 //!   interaction encoded in the `topk-wire` binary format (`docs/WIRE.md`).
@@ -38,7 +31,7 @@
 //!   `--remote` axis.
 //!
 //! Orthogonally to the engine choice, [`FaultyTransport`] wraps any of the
-//! five behind the same [`Network`] trait and executes a deterministic
+//! four behind the same [`Network`] trait and executes a deterministic
 //! seed-driven fault plan ([`topk_model::FaultSpec`]) — message drop, latency,
 //! reply reordering and node crash/rejoin with recovery replay. With
 //! `FaultSpec::none()` the wrapper is bit-transparent; `docs/FAULTS.md` has
@@ -78,7 +71,6 @@ mod node_table;
 mod partition;
 pub mod remote;
 pub mod sharded;
-pub mod threaded;
 pub mod value_index;
 
 pub use deterministic::DeterministicEngine;
@@ -89,5 +81,4 @@ pub use network::Network;
 pub use node::SimNode;
 pub use remote::{RemoteEngine, TransportStats};
 pub use sharded::{Dispatch, ShardedEngine};
-pub use threaded::ThreadedEngine;
 pub use value_index::ValueIndex;

@@ -1,8 +1,9 @@
 //! The [`Network`] trait — the transport API the online protocols program against.
 //!
 //! Protocols in `topk-core` are written once against this trait and can then run
-//! on the deterministic engine (for exact message accounting), on the threaded
-//! engine (for real channel-based message passing), or on any future transport.
+//! on any of the four engines: the deterministic reference, the indexed and
+//! sharded engines (the same algorithm at scale), or the remote engine (real
+//! message passing over TCP) — or on any future transport.
 
 use topk_model::message::ExistencePredicate;
 use topk_model::prelude::*;

@@ -1,4 +1,4 @@
-//! Contiguous shard partitioning, shared by the sharded and threaded engines.
+//! Contiguous shard partitioning, shared by the sharded and remote engines.
 //!
 //! Both engines split the node population into `W` contiguous id ranges with
 //! the same arithmetic; keeping the boundary builder and the owner lookup in

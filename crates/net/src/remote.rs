@@ -3,9 +3,8 @@
 //! [`RemoteEngine`] hosts the server coordinator in the current process and
 //! the node population as *client connections*: construction binds a TCP
 //! listener on `127.0.0.1`, spawns one client per shard (a contiguous node
-//! range, the same `partition.rs` arithmetic the sharded and threaded
-//! engines use), and waits for each client to connect and identify itself
-//! with a `Join` frame. Every [`Network`] operation is then encoded with
+//! range, the same `partition.rs` arithmetic the sharded engine uses), and
+//! waits for each client to connect and identify itself with a `Join` frame. Every [`Network`] operation is then encoded with
 //! `topk-wire`, framed, and moved through the sockets — the messages the
 //! paper charges for genuinely cross a transport instead of a function call.
 //!

@@ -1,5 +1,5 @@
 //! Side-by-side comparison of every monitor in the crate on three workload
-//! regimes, on both simulation engines.
+//! regimes, on the deterministic and the remote engine.
 //!
 //! ```text
 //! cargo run --example protocol_comparison
@@ -8,8 +8,8 @@
 //! Regimes: a clear gap at rank k (unique output), a dense ε-neighbourhood
 //! (oscillation), and a heavy-tailed bursty load. For each regime the example
 //! prints the message count of every online algorithm and the offline bounds,
-//! and verifies that the deterministic and the threaded (crossbeam channel)
-//! engine agree on the message counts.
+//! and verifies that the deterministic and the remote (TCP loopback) engine
+//! agree on the message counts.
 
 use topk_core::monitor::{run_on_rows, Monitor, RunReport};
 use topk_core::{CombinedMonitor, DenseMonitor, ExactTopKMonitor, HalfEpsMonitor, TopKMonitor};
@@ -102,10 +102,10 @@ fn main() {
         );
         for (name, make) in &monitors {
             let det = run_with(make, rows, eps, EngineKind::Deterministic);
-            let thr = run_with(make, rows, eps, EngineKind::Threaded);
+            let remote = run_with(make, rows, eps, EngineKind::Remote);
             assert_eq!(
                 det.messages(),
-                thr.messages(),
+                remote.messages(),
                 "{name}: engines disagree on message counts"
             );
             println!(
@@ -118,5 +118,5 @@ fn main() {
         }
         println!();
     }
-    println!("(message counts verified identical on the deterministic and the threaded engine)");
+    println!("(message counts verified identical on the deterministic and the remote engine)");
 }

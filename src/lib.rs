@@ -10,7 +10,8 @@
 //!
 //! * [`model`] — execution-model substrate (values, filters, ε, cost accounting),
 //! * [`wire`] — the binary wire format and the trace record/replay codec,
-//! * [`net`] — simulation runtimes (deterministic and channel-threaded),
+//! * [`net`] — the four transport engines (deterministic, indexed, sharded,
+//!   remote) and the fault-injection wrapper,
 //! * [`gen`] — workload generators,
 //! * [`offline`] — optimal offline (OPT) baselines,
 //! * [`core`] — the paper's online protocols,
@@ -29,10 +30,10 @@ pub use topk_wire as wire;
 
 /// The curated single-import surface: `use topk_repro::prelude::*;` brings in
 /// everything a typical monitoring program needs — the model vocabulary
-/// (values, filters, ε, cost accounting, query specs), the engine factory and
-/// the six [`net::Network`] engines behind it, the paper's monitors, the
-/// single-query and multi-query run drivers, and the scenario/trace entry
-/// points of the experiment harness.
+/// (values, filters, ε, cost accounting, query specs), the engine factory, the
+/// four [`net::Network`] engines behind it and the fault wrapper, the paper's
+/// monitors, the single-query and multi-query run drivers, and the
+/// scenario/trace entry points of the experiment harness.
 ///
 /// ```
 /// use topk_repro::prelude::*;
@@ -54,12 +55,10 @@ pub mod prelude {
     pub use topk_model::prelude::*;
     pub use topk_net::{
         build_engine, DeterministicEngine, EngineKind, FaultyTransport, IndexedEngine, Network,
-        RemoteEngine, ShardedEngine, ThreadedEngine,
+        RemoteEngine, ShardedEngine,
     };
 
     pub use topk_bench::campaign::ProtocolKind;
-    pub use topk_bench::replay::{
-        load_trace, record_run, replay_trace, replay_trace_queryset, save_trace,
-    };
+    pub use topk_bench::replay::{load_trace, record_run, replay_trace, save_trace};
     pub use topk_bench::scenario::{load_scenario_dir, ScenarioFile};
 }

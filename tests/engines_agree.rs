@@ -1,8 +1,8 @@
 //! The deterministic engine, the indexed engine, the sharded engine, the
-//! threaded (crossbeam-channel) engine, the remote (TCP-loopback) engine and
-//! a zero-fault `FaultyTransport` wrapper must produce identical message
-//! counts and identical outputs for the same seed — the protocols cannot
-//! tell which transport they run on.
+//! remote (TCP-loopback) engine and the indexed engine behind a zero-fault
+//! `FaultyTransport` wrapper must produce identical message counts and
+//! identical outputs for the same seed — the protocols cannot tell which
+//! transport they run on.
 
 use proptest::prelude::*;
 use topk_core::monitor::{run_on_rows, run_with_membership, Monitor, RunReport};
@@ -15,17 +15,28 @@ use topk_model::fault::FaultSpec;
 use topk_model::Epsilon;
 use topk_net::{build_engine, EngineKind, FaultyTransport, IndexedEngine, Network};
 
+/// Builds every transport configuration a comparison runs, each named for
+/// the assertion messages: the four battery engines bare, then the indexed
+/// engine behind a zero-fault `FaultyTransport`, which must be invisible —
+/// same report, output and filters. All come from the canonical factory.
+fn engines(n: usize, seed: u64) -> impl Iterator<Item = (String, Box<dyn Network>)> {
+    EngineKind::ALL
+        .into_iter()
+        .map(move |kind| (kind.to_string(), build_engine(kind, n, seed, None)))
+        .chain(std::iter::once_with(move || {
+            let kind = EngineKind::Indexed;
+            let net = build_engine(kind, n, seed, Some(&FaultSpec::none()));
+            (format!("zero-fault {kind}"), net)
+        }))
+}
+
 fn compare(mut make_monitor: impl FnMut() -> Box<dyn Monitor>, rows: &[Vec<u64>], eps: Epsilon) {
     let n = rows[0].len();
     let seed = 4242;
 
-    // One run per battery engine, all built through the canonical factory —
-    // the zero-fault `FaultyTransport` wrapper (`EngineKind::Fault`) rides
-    // along and must be invisible: same report, output and filters.
     let mut results = Vec::new();
-    for kind in EngineKind::ALL {
+    for (kind, mut net) in engines(n, seed) {
         let mut monitor = make_monitor();
-        let mut net = build_engine(kind, n, seed, None);
         let report = run_on_rows(monitor.as_mut(), net.as_mut(), rows.iter().cloned(), eps);
         results.push((kind, report, monitor, net.peek_filters()));
     }
@@ -78,7 +89,7 @@ fn run_churned(
 }
 
 /// The membership analogue of [`compare`]: the same join/leave schedule must
-/// produce bit-identical run reports, outputs and filters on all six
+/// produce bit-identical run reports, outputs and filters on all five
 /// transport configurations — joiner reseeding, recovery replay charging and
 /// leave re-resolution included.
 fn compare_with_membership(
@@ -91,8 +102,7 @@ fn compare_with_membership(
     let seed = 4242;
 
     let mut results = Vec::new();
-    for kind in EngineKind::ALL {
-        let mut net = build_engine(kind, n, seed, None);
+    for (kind, mut net) in engines(n, seed) {
         results.push((
             kind,
             run_churned(make_monitor(), net.as_mut(), rows, schedule, eps),
@@ -244,16 +254,16 @@ fn transport_crashes_compose_with_membership_churn() {
 }
 
 proptest! {
-    // The six-way comparison spawns a worker pool, node threads and TCP
-    // shards per case, so the case count stays deliberately small — the
-    // parameter space (pack size, pivot, segment length, seed) is where the
-    // value is, not in volume.
+    // The five-way comparison spawns a worker pool and TCP shards per case,
+    // so the case count stays deliberately small — the parameter space (pack
+    // size, pivot, segment length, seed) is where the value is, not in
+    // volume.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any regime-switching trace is a valid input to all six configurations: the
-    /// run reports, outputs and final filters agree bit-for-bit whatever the
-    /// segment geometry — including segments shorter than a protocol phase
-    /// and packs as small as a single node.
+    /// Any regime-switching trace is a valid input to all five
+    /// configurations: the run reports, outputs and final filters agree
+    /// bit-for-bit whatever the segment geometry — including segments shorter
+    /// than a protocol phase and packs as small as a single node.
     #[test]
     fn engines_agree_on_any_regime_switch_trace(
         seed in 0u64..1000,
@@ -273,7 +283,7 @@ proptest! {
         compare(|| Box::new(CombinedMonitor::new(2, eps)), &rows, eps);
     }
 
-    /// Any seeded churn plan is a valid membership schedule for all six
+    /// Any seeded churn plan is a valid membership schedule for all five
     /// configurations: joins reseed the slot's RNG from `(master seed, id,
     /// generation)` on every engine, the rejoin replay is charged under the
     /// recovery label everywhere, and a leaver's vacated rank re-resolves

@@ -12,13 +12,13 @@
 //!    `GOLDEN_TRACES_REGEN=1 cargo test --test golden_traces` and commit the
 //!    diff — the diff itself is the review artifact.
 //!
-//! 2. **Replay agreement** — each committed trace, re-driven through all six
+//! 2. **Replay agreement** — each committed trace, re-driven through all four
 //!    engines (`topk_bench::replay::EngineKind::ALL`), reproduces every
 //!    recorded reply, validity verdict, cumulative message count and the
-//!    final `CommStats`/filter/value state bit for bit. The same corpus is
-//!    re-driven a second time through a `QuerySet` of one full-population
-//!    query (`replay_trace_queryset`), pinning the multi-query driver's solo
-//!    fast path to the legacy monitor runs byte for byte.
+//!    final `CommStats`/filter/value state bit for bit. Replay drives a
+//!    `QuerySet` of one full-population query while the recordings come from
+//!    the single-monitor driver, so the same check pins the query-set
+//!    driver's solo path to the legacy monitor runs byte for byte.
 //!
 //! The corpus cells are deliberately tiny (n = 24, 12 steps) so the whole
 //! battery stays a sub-second affair per engine; the point is behavioural
@@ -26,9 +26,7 @@
 
 use std::path::PathBuf;
 use topk_repro::bench::campaign::{GeneratorSpec, MembershipPlanSpec, ProtocolKind, ScenarioSpec};
-use topk_repro::bench::replay::{
-    load_trace, record_run, replay_trace, replay_trace_queryset, EngineKind,
-};
+use topk_repro::bench::replay::{load_trace, record_run, replay_trace, EngineKind};
 use topk_repro::bench::scenario::ScenarioFile;
 use topk_repro::model::prelude::*;
 use topk_repro::wire::write_record;
@@ -226,32 +224,6 @@ fn golden_traces_replay_bit_identically_on_every_engine() {
             assert!(
                 outcome.is_identical(),
                 "{} diverged on the {} engine:\n{}",
-                file.name,
-                kind.name(),
-                outcome.mismatches.join("\n")
-            );
-        }
-    }
-}
-
-#[test]
-fn golden_traces_replay_identically_through_a_query_set_of_one() {
-    let dir = traces_dir();
-    for (file, _) in corpus() {
-        let path = dir.join(format!("{}.trace", file.name));
-        let records = load_trace(&path)
-            .unwrap_or_else(|e| panic!("cannot load golden trace {}: {e}", path.display()));
-        for kind in EngineKind::ALL {
-            let outcome = replay_trace_queryset(&records, kind).unwrap_or_else(|e| {
-                panic!(
-                    "{}: query-set replay through {} failed: {e}",
-                    file.name,
-                    kind.name()
-                )
-            });
-            assert!(
-                outcome.is_identical(),
-                "{} diverged from the legacy run on the {} engine under a solo query set:\n{}",
                 file.name,
                 kind.name(),
                 outcome.mismatches.join("\n")

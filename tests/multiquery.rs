@@ -5,7 +5,7 @@
 //! 1. **Single-query equivalence** — a `QuerySet` of one full-population
 //!    query reproduces the legacy single-monitor run bit for bit (same
 //!    `CommStats`, same per-node filters and values, same validity counters)
-//!    on all six engines under every protocol. The golden-trace corpus
+//!    on all four engines under every protocol. The golden-trace corpus
 //!    enforces the same property against committed recordings; this battery
 //!    enforces it live.
 //! 2. **Subset isolation** (proptest) — queries over disjoint node subsets
