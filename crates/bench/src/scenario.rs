@@ -526,8 +526,9 @@ pub fn parse_scenario(text: &str, origin: &str) -> Result<ScenarioFile, Scenario
     if n == 0 {
         return Err(loader.out_of_range("", "n", "at least one node is required".into()));
     }
-    if k == 0 || k > n {
-        return Err(loader.out_of_range("", "k", format!("k must be in 1..=n (n = {n})")));
+    // Every protocol needs a node outside its top k.
+    if k == 0 || k >= n {
+        return Err(loader.out_of_range("", "k", format!("k must be in 1..n (n = {n})")));
     }
     if steps == 0 {
         return Err(loader.out_of_range("", "steps", "at least one step is required".into()));
@@ -1020,11 +1021,11 @@ fn parse_queries(
             }
         };
         let subset_size = subset.resolve(n).len();
-        if k == 0 || k > subset_size {
+        if k == 0 || k >= subset_size {
             return Err(loader.out_of_range(
                 &path,
                 "k",
-                format!("k must be in 1..=|subset| (|subset| = {subset_size})"),
+                format!("k must be in 1..|subset| (|subset| = {subset_size})"),
             ));
         }
         queries.push(QuerySpec {
@@ -1495,15 +1496,16 @@ mod tests {
             ];
             (0..1 + (x % 3) as usize)
                 .map(|i| {
+                    // At least two nodes, and k below the subset size.
                     let subset = if (y >> i) & 1 == 0 {
                         NodeSubset::All
                     } else {
-                        let start = (x as usize).wrapping_add(i) % n;
-                        NodeSubset::range(start, 1 + (y as usize).wrapping_add(i) % (n - start))
+                        let start = (x as usize).wrapping_add(i) % (n - 1);
+                        NodeSubset::range(start, 2 + (y as usize).wrapping_add(i) % (n - start - 1))
                     };
                     let size = subset.resolve(n).len();
                     QuerySpec {
-                        k: 1 + (x as usize).wrapping_add(i) % size,
+                        k: 1 + (x as usize).wrapping_add(i) % (size - 1),
                         eps,
                         protocol: protocols[(y as usize + i) % protocols.len()].to_string(),
                         subset,
@@ -1824,6 +1826,38 @@ mod tests {
             parse_scenario(&text, "<inline>"),
             Err(ScenarioError::BadSchema { found: Some(tag), .. }) if tag == "topk-scenario/v9"
         ));
+    }
+
+    #[test]
+    fn k_must_leave_a_node_outside_the_top_k() {
+        // Every protocol asserts k < n at its first step, so k = n (and
+        // k = |subset| for a query) is a load error, not a run-time panic.
+        let canonical = load_balancer();
+        let text = canonical.replace("\"k\": 8", "\"k\": 64");
+        assert!(matches!(
+            parse_scenario(&text, "<inline>"),
+            Err(ScenarioError::OutOfRange { field, message, .. })
+                if field == "k" && message.contains("1..n")
+        ));
+        let below = canonical.replace("\"k\": 8", "\"k\": 63");
+        assert!(parse_scenario(&below, "<inline>").is_ok());
+        let query = |k: usize| {
+            canonical
+                .replace(SCENARIO_SCHEMA, SCENARIO_SCHEMA_V2)
+                .replace(
+                    "\"seed\"",
+                    &format!(
+                        "\"queries\": [{{\"k\": {k}, \"eps\": {{\"num\": 1, \"den\": 10}}, \
+                     \"protocol\": \"topk_protocol\", \"subset\": [0, 1, 2, 3]}}],\n  \"seed\""
+                    ),
+                )
+        };
+        assert!(matches!(
+            parse_scenario(&query(4), "<inline>"),
+            Err(ScenarioError::OutOfRange { field, message, .. })
+                if field.ends_with("].k") && message.contains("1..|subset|")
+        ));
+        assert!(parse_scenario(&query(3), "<inline>").is_ok());
     }
 
     #[test]

@@ -84,8 +84,8 @@ impl QuerySet {
     /// # Panics
     ///
     /// Panics if the spec's `k` disagrees with the monitor's, if the subset
-    /// names a node outside the population, or if `k` exceeds the subset
-    /// size (the query could never produce `k` outputs).
+    /// names a node outside the population, or if `k` is not below the
+    /// subset size (every protocol needs a node outside its top k).
     pub fn register(&mut self, spec: QuerySpec, monitor: Box<dyn Monitor>) -> QueryId {
         assert_eq!(
             spec.k,
@@ -96,8 +96,8 @@ impl QuerySet {
         );
         let subset = spec.subset.resolve(self.n);
         assert!(
-            spec.k <= subset.len(),
-            "query k = {} exceeds its subset of {} nodes",
+            spec.k < subset.len(),
+            "query k = {} must be below the size of its subset of {} nodes",
             spec.k,
             subset.len()
         );
@@ -1017,12 +1017,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds its subset")]
+    #[should_panic(expected = "must be below the size of its subset")]
     fn register_rejects_k_larger_than_subset() {
         let mut set = QuerySet::new(8);
         set.register(
             QuerySpec::new(5, Epsilon::HALF, "topk").with_subset(NodeSubset::range(0, 4)),
             Box::new(TopKMonitor::new(5, Epsilon::HALF)),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "must be below the size of its subset")]
+    fn register_rejects_k_equal_to_subset() {
+        let mut set = QuerySet::new(8);
+        set.register(
+            QuerySpec::new(4, Epsilon::HALF, "topk").with_subset(NodeSubset::range(0, 4)),
+            Box::new(TopKMonitor::new(4, Epsilon::HALF)),
         );
     }
 

@@ -32,12 +32,15 @@
 //!   a single branch, nothing more.
 //!
 //! A round visits only the nodes its predicate selects: `O(active)` coin
-//! flips instead of `O(n)` deliveries. The state, the RNGs and both indexes
-//! live in one node table (`crate::node_table`), shared with the sharded
-//! engine's shards, whose kernel collects a run's active ids once — a
-//! bitmap-guided bucket walk or a pending-set scan in the run's first round —
-//! and reuses them until the predicate changes or a mutator writes node
-//! state (`NodeStateSoA::writes`).
+//! flips instead of `O(n)` deliveries. The state, the per-node random
+//! streams and both indexes live in one node table (`crate::node_table`),
+//! shared with the sharded engine's shards, whose kernel collects a run's
+//! active ids once — a bitmap-guided bucket walk or a pending-set scan in
+//! the run's first round — and reuses them until the predicate changes or a
+//! mutator writes node state (`NodeStateSoA::writes`). The streams sit in a
+//! struct-of-arrays keystream table (`crate::keystream`) that refills the
+//! exhausted streams of a round eight ChaCha8 blocks at a time and draws
+//! exactly the words each node's `ChaCha8Rng` would.
 //!
 //! ## Why skipping inactive nodes is exact, not approximate
 //!
@@ -48,8 +51,8 @@
 //! future decision — bit-for-bit unchanged. The indexed engine flips the
 //! identical coin (one `u64` draw against the round's threshold
 //! `⌈N·2⁶⁴/P⌉`, which equals `gen_ratio(N, P)` draw for draw; see `Coin`) on
-//! the same per-node RNG seeded by `node::node_seed`, for the identical set
-//! of nodes, which is why `tests/indexed_differential.rs` can assert full
+//! the same per-node stream seeded by `node::node_seed`, for the identical
+//! set of nodes, which is why `tests/indexed_differential.rs` can assert full
 //! `CommStats` equality against the baseline over randomized schedules.
 
 use crate::network::Network;
@@ -73,8 +76,8 @@ pub struct IndexedEngine {
 }
 
 impl IndexedEngine {
-    /// Creates an engine with `n` nodes whose RNGs are derived from
-    /// `master_seed` exactly like the other engines'.
+    /// Creates an engine with `n` nodes whose random streams are derived
+    /// from `master_seed` exactly like the other engines'.
     ///
     /// ```
     /// use topk_net::{DeterministicEngine, IndexedEngine, Network};

@@ -14,6 +14,12 @@
 //! RNG compared against a precomputed threshold. The coin documents why that
 //! comparison is exactly the integer coin `gen_ratio(min(2^r, P), P)` the
 //! engines flipped before, outcome for outcome and draw for draw.
+//!
+//! `SimNode` — and so the deterministic engine and the remote shard
+//! clients — keeps each node's `ChaCha8Rng` and flips with `Coin::flip`; it
+//! is the reference. The indexed and sharded engines keep the same streams
+//! in a keystream table (`crate::keystream`) that draws the same words in
+//! batches, and compare each draw with `Coin::accepts`.
 
 use rand::RngCore;
 use rand::SeedableRng;
@@ -257,7 +263,14 @@ impl Coin {
     /// Draws one `u64` from `rng` and reports whether the node sends.
     #[inline]
     pub(crate) fn flip(self, rng: &mut ChaCha8Rng) -> bool {
-        rng.next_u64() <= self.max_accept
+        self.accepts(rng.next_u64())
+    }
+
+    /// Whether a node that drew `draw` sends: the comparison half of
+    /// [`Coin::flip`], for callers that draw from the keystream table.
+    #[inline]
+    pub(crate) fn accepts(self, draw: u64) -> bool {
+        draw <= self.max_accept
     }
 }
 

@@ -2,11 +2,14 @@
 //!
 //! [`NodeTable`] is one contiguous id range of nodes with the indexes that
 //! make an existence round cost O(active): struct-of-arrays node state
-//! ([`NodeStateSoA`]), one `ChaCha8` RNG per node, the ordered
-//! pending-violation set and the radix value index. `IndexedEngine` owns a
-//! single table over all `n` nodes; each shard of the sharded engine owns
-//! one over its slice. Both answer every round with the same
-//! collect-and-flip kernel, [`NodeTable::round_into`].
+//! ([`NodeStateSoA`]), every node's `ChaCha8` stream in a keystream table
+//! ([`Keystream`]), the ordered pending-violation set and the radix value
+//! index. `IndexedEngine` owns a single table over all `n` nodes; each shard
+//! of the sharded engine owns one over its slice. Both answer every round
+//! with the same collect-and-flip kernel, [`NodeTable::round_into`]: collect
+//! the active ids, then draw one `u64` per active node from the keystream
+//! table (which refills the exhausted streams eight at a time) and compare
+//! it against the round's [`Coin`].
 //!
 //! ## One collection per run
 //!
@@ -22,9 +25,10 @@
 //! the write count themselves, so no engine path can forget to end it.
 //!
 //! Reuse changes no random bit: the reused ids are the set a fresh
-//! collection would return, and each node flips its own [`Coin`] on its own
-//! RNG, so which ids flip — not in which order — is all that matters.
+//! collection would return, and each node draws from its own stream, so
+//! which ids flip — not in which order — is all that matters.
 
+use crate::keystream::Keystream;
 use crate::node::{node_seed, node_seed_gen, Coin};
 use crate::value_index::ValueIndex;
 use rand::SeedableRng;
@@ -41,7 +45,8 @@ pub(crate) struct NodeTable {
     /// Global id of local node 0.
     offset: usize,
     pub(crate) state: NodeStateSoA,
-    rngs: Vec<ChaCha8Rng>,
+    /// Every node's ChaCha8 stream, indexed by local id.
+    keystream: Keystream,
     /// Local ids with a pending violation, ascending (= ascending global id,
     /// the reply order of the baseline engine).
     pub(crate) pending: BTreeSet<u32>,
@@ -59,15 +64,16 @@ pub(crate) struct NodeTable {
 }
 
 impl NodeTable {
-    /// Fresh nodes with global ids `offset..offset + len`, their RNGs seeded
-    /// from `(master_seed, id)` like every other engine's.
+    /// Fresh nodes with global ids `offset..offset + len`, their streams
+    /// seeded from `(master_seed, id)` like every other engine's RNGs.
     pub(crate) fn new(offset: usize, len: usize, master_seed: u64) -> NodeTable {
         NodeTable {
             offset,
             state: NodeStateSoA::new(len),
-            rngs: (offset..offset + len)
-                .map(|id| ChaCha8Rng::seed_from_u64(node_seed(master_seed, NodeId(id))))
-                .collect(),
+            keystream: Keystream::new(
+                (offset..offset + len)
+                    .map(|id| ChaCha8Rng::seed_from_u64(node_seed(master_seed, NodeId(id)))),
+            ),
             pending: BTreeSet::new(),
             index: ValueIndex::new(offset, len),
             index_rebuilds: 0,
@@ -150,9 +156,9 @@ impl NodeTable {
     }
 
     /// Re-creates local node `i` as the generation-`generation` joiner of its
-    /// slot: fresh state and an RNG reseeded from `(master_seed, id,
-    /// generation)`, exactly as `SimNode::rejoin_generation` does. The
-    /// caller replays the slot's group and filter.
+    /// slot: fresh state and a stream reseeded from `(master_seed, id,
+    /// generation)`, exactly as `SimNode::rejoin_generation` reseeds its
+    /// RNG. The caller replays the slot's group and filter.
     pub(crate) fn rejoin(&mut self, i: u32, master_seed: u64, generation: u32) {
         let local = i as usize;
         let was = self.state.pending(local).is_some();
@@ -164,15 +170,17 @@ impl NodeTable {
         self.state.reset_node(local);
         self.note_pending(i, was, false);
         let id = NodeId(self.offset + local);
-        self.rngs[local] = ChaCha8Rng::seed_from_u64(node_seed_gen(master_seed, id, generation));
+        let rng = ChaCha8Rng::seed_from_u64(node_seed_gen(master_seed, id, generation));
+        self.keystream.reseed(local, &rng);
     }
 
     /// The collect-and-flip kernel: one existence round over this table.
     ///
-    /// Every node whose predicate holds flips `coin` on its own RNG; the
-    /// winners' replies land in `replies` (cleared first) in ascending id
-    /// order. The active ids are collected once per run and reused while the
-    /// predicate and the state's write count stay the same (module docs).
+    /// Every node whose predicate holds draws one `u64` from its own stream
+    /// and flips `coin` on it; the winners' replies land in `replies`
+    /// (cleared first) in ascending id order. The active ids are collected
+    /// once per run and reused while the predicate and the state's write
+    /// count stay the same (module docs).
     pub(crate) fn round_into(
         &mut self,
         coin: Coin,
@@ -185,14 +193,15 @@ impl NodeTable {
             self.active_for = Some(key);
         }
         replies.clear();
-        for &i in &self.active {
-            let i = i as usize;
-            if !coin.flip(&mut self.rngs[i]) {
-                continue;
+        let (offset, state) = (self.offset, &self.state);
+        self.keystream.draw_each(&self.active, |i, draw| {
+            if !coin.accepts(draw) {
+                return;
             }
-            let node = NodeId(self.offset + i);
-            let value = self.state.value(i);
-            replies.push(match (predicate, self.state.pending(i)) {
+            let i = i as usize;
+            let node = NodeId(offset + i);
+            let value = state.value(i);
+            replies.push(match (predicate, state.pending(i)) {
                 (ExistencePredicate::PendingViolation, Some(direction)) => {
                     NodeMessage::ViolationReport {
                         node,
@@ -202,10 +211,10 @@ impl NodeTable {
                 }
                 _ => NodeMessage::ExistenceResponse { node, value },
             });
-        }
+        });
         // Threshold/rank actives come in radix-bucket order; replies must
-        // come out in id order (the baseline's). Per-node RNG streams are
-        // independent, so the flip order itself does not matter.
+        // come out in id order (the baseline's). Per-node streams are
+        // independent, so the draw order itself does not matter.
         if !matches!(predicate, ExistencePredicate::PendingViolation) {
             replies.sort_unstable_by_key(NodeMessage::sender);
         }

@@ -4,8 +4,9 @@
 //! [`ShardedEngine`] partitions the node population into `W` contiguous id
 //! ranges (*shards*). Each shard owns a node table (`crate::node_table`)
 //! over its range — its slice of the struct-of-arrays node state
-//! ([`NodeStateSoA`](topk_model::soa::NodeStateSoA)), the per-node RNGs, a
-//! pending-violation set and a warm/cold radix value index, the same
+//! ([`NodeStateSoA`](topk_model::soa::NodeStateSoA)), the keystream table of
+//! its nodes' random streams, a pending-violation set and a warm/cold radix
+//! value index, the same
 //! structures [`IndexedEngine`](crate::IndexedEngine) keeps in its one table
 //! — and is permanently affined to one worker thread of a fixed pool. Both
 //! engines run one collect-and-flip kernel: a shard collects its part of a
@@ -20,16 +21,17 @@
 //! [`CommStats`], node state, every per-node RNG stream — equal to
 //! [`DeterministicEngine`](crate::DeterministicEngine) for *any* shard count:
 //!
-//! 1. **RNG streams are per node.** A node's `ChaCha8` RNG is seeded from
+//! 1. **RNG streams are per node.** A node's `ChaCha8` stream is seeded from
 //!    `(master seed, node id)` and advanced only by the round's `node::Coin`
 //!    flip (one `u64` draw against the threshold `⌈N·2⁶⁴/P⌉`, exactly
 //!    `gen_ratio(N, P)`; the server builds the coin once per round and ships
 //!    it to every involved shard), which happens only when the node's
-//!    predicate holds. Which *thread* flips the coin, and in which order
-//!    relative to other nodes, cannot matter —
-//!    the streams are independent. (PR 2 proved this argument for skipping
-//!    inactive nodes; hosting active nodes on different shards is the same
-//!    argument applied to partitioning instead of filtering.)
+//!    predicate holds. The shard's keystream table draws the words the
+//!    node's `ChaCha8Rng` would, however its refills are batched. Which
+//!    *thread* flips the coin, and in which order relative to other nodes,
+//!    cannot matter — the streams are independent. (The argument that
+//!    makes skipping inactive nodes exact applies here to partitioning
+//!    instead of filtering.)
 //! 2. **Shards are contiguous and ordered.** Shard `s` holds ids
 //!    `bounds[s]..bounds[s+1]`. Every shard produces its replies in ascending
 //!    node-id order (the pending set iterates in id order; threshold replies

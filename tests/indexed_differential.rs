@@ -21,9 +21,13 @@
 //! satisfies the predicate) must survive: whole runs always restart at
 //! round 0, which asks every shard anyway. The in-process engines' per-run
 //! active sets (collect once, reuse while the predicate and the node state
-//! stand still) get their own battery of back-to-back rounds. 256 randomized schedules are checked per in-process
-//! battery (64 for the loopback battery, which pays real socket round-trips
-//! per operation), plus full monitor runs on random traces.
+//! stand still) get their own battery of back-to-back rounds, and so do the
+//! keystream table's eight-stream refills, at populations of 9, 37 and 300
+//! where rounds that every node joins fill whole batches. 256 randomized
+//! schedules are checked per in-process battery (32 for the keystream
+//! battery's longer schedules, 64 for the loopback battery, which pays real
+//! socket round-trips per operation), plus full monitor runs on random
+//! traces.
 //!
 //! The fault layer is held to the same standard: a `FaultyTransport` wrapping
 //! any engine with `FaultSpec::none()` must stay bit-identical to the bare
@@ -359,6 +363,126 @@ proptest! {
             prop_assert_eq!(&r_base, &r_shard, "sharded run reports diverge for monitor {}", m_base.name());
             prop_assert_eq!(m_base.output(), m_shard.output());
             prop_assert_eq!(base.peek_filters(), sharded.peek_filters());
+        }
+    }
+}
+
+/// Populations that fill keystream batches of eight streams. On one table,
+/// 9 is a batch and one stream left over, 37 four batches and five left
+/// over, 300 thirty-seven batches and four left over; on 3 shards, 9 leaves
+/// each shard a short batch of three and 37 a batch and a short one.
+const BATCH_POPULATIONS: [usize; 3] = [9, 37, 300];
+
+/// One operation of the keystream battery, `(kind, x, y)` decoded by
+/// [`apply_batch_op`] over a population of `n`.
+type BatchOp = (u8, u64, u64);
+
+/// Kind of the battery's existence round; the kinds below it mutate.
+const BATCH_ROUND: u8 = 4;
+
+/// Applies one keystream-battery operation and returns its replies. Every
+/// value stays below 1000, so the broadcast of kind 3 (an `Upper` filter of
+/// at least 1000) puts every node in violation, and the round's predicates
+/// hold for every node once it has run.
+fn apply_batch_op(net: &mut dyn Network, n: usize, (kind, x, y): BatchOp) -> Vec<NodeMessage> {
+    let node = NodeId((x % n as u64) as usize);
+    match kind {
+        0 => {
+            let row: Vec<Value> = (0..n as u64).map(|i| (x + i * y) % 997).collect();
+            net.advance_time(&row);
+        }
+        1 => net.advance_time_sparse(&[(node, y % 997)]),
+        2 => net.apply_membership(&[MembershipEvent::Leave(node), MembershipEvent::Join(node)]),
+        3 => {
+            net.broadcast_group(NodeGroup::Upper);
+            net.broadcast_params(FilterParams::Separator {
+                lo: 1000 + x,
+                hi: 1000 + x,
+            });
+        }
+        _ => {
+            let predicate = match y % 3 {
+                0 => ExistencePredicate::AtLeast(0),
+                1 => ExistencePredicate::RankWindow {
+                    above: Some((Value::MAX, NodeId(0))),
+                    below: None,
+                },
+                _ => ExistencePredicate::PendingViolation,
+            };
+            let round = (x % (u64::from(round_budget(n)) + 1)) as u32;
+            let mut replies = Vec::new();
+            net.existence_round_into(round, n as u32, predicate, &mut replies);
+            return replies;
+        }
+    }
+    Vec::new()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Keystream batches through the engines. The indexed and sharded
+    /// engines draw coins from a keystream table that refills the streams a
+    /// round finds exhausted eight at a time. At `N = 8` a shard of two or
+    /// three nodes never fills a batch, so this property runs at
+    /// populations that do, with at least 64 rounds whose predicate every
+    /// node satisfies: `AtLeast(0)`, a rank window wider than any value,
+    /// and `PendingViolation` after a broadcast that puts every node in
+    /// violation. Every node then draws in every round, all go stale
+    /// together every eight rounds, and the batches are full. Observations
+    /// change the replies in between, and a Leave/Join reseeds one slot's
+    /// stream mid-stream. Replies and `CommStats` must equal the baseline's
+    /// after every operation, on the indexed engine and on 1 and 3 shards
+    /// with inline and parallel dispatch.
+    #[test]
+    fn keystream_batches_match_baseline(
+        which in 0usize..3,
+        script in proptest::collection::vec((0u8..6, 0u64..2000, 0u64..2000), 64..100),
+        seed in 0u64..10_000,
+    ) {
+        let n = BATCH_POPULATIONS[which];
+        let mut base = DeterministicEngine::new(n, seed);
+        let mut engines: Vec<(String, Box<dyn Network>)> =
+            vec![("indexed".to_string(), Box::new(IndexedEngine::new(n, seed)))];
+        for workers in [1, 3] {
+            for dispatch in [Dispatch::Inline, Dispatch::Parallel] {
+                engines.push((
+                    format!("{workers} shards, {dispatch:?}"),
+                    Box::new(ShardedEngine::with_dispatch(n, seed, workers, dispatch)),
+                ));
+            }
+        }
+        // Observe, put every node in violation, then one round after each
+        // script entry, behind the entry's mutation if it has one.
+        let mut ops: Vec<BatchOp> = vec![(0, seed, seed / 7 + 1), (3, 0, 0)];
+        for &(kind, x, y) in &script {
+            if kind < BATCH_ROUND {
+                ops.push((kind, x, y));
+            }
+            ops.push((BATCH_ROUND, x, y));
+        }
+        for (step, &op) in ops.iter().enumerate() {
+            let expected = apply_batch_op(&mut base, n, op);
+            for (name, net) in &mut engines {
+                prop_assert_eq!(
+                    &expected,
+                    &apply_batch_op(net.as_mut(), n, op),
+                    "{}: replies diverge at op {} {:?}, n = {}",
+                    name,
+                    step,
+                    op,
+                    n
+                );
+                prop_assert_eq!(
+                    base.stats(),
+                    net.stats(),
+                    "{}: stats diverge at op {} {:?}, n = {}",
+                    name,
+                    step,
+                    op,
+                    n
+                );
+            }
         }
     }
 }
