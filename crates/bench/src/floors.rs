@@ -69,7 +69,7 @@ pub struct ThroughputFloors {
 pub struct RemoteFloors {
     /// Most wire frames per occupied shard per step on a row with no model
     /// messages: at most one observation frame, plus the round-0 query and
-    /// its reply, which carries the wire-v5 idle signal so the other rounds
+    /// its reply, which carries the wire's idle signal so the other rounds
     /// of the silent existence run skip the shard. Without the signal a
     /// shard pays `1 + 2·(⌈log₂ n⌉ + 1)` frames per silent step.
     pub max_silent_frames_per_shard_step: u64,

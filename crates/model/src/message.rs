@@ -104,7 +104,7 @@ pub enum ServerMessage {
     /// piggy-backed with the next payload, hence free of charge in the
     /// accounting (see `CostMeter::note_free_control`).
     EndExistenceRun,
-    /// Assign a filter on behalf of a specific query (unicast, wire v4).
+    /// Assign a filter on behalf of a specific query (unicast).
     ///
     /// The carried filter is the node's new *effective* filter — the
     /// intersection of the bands of every query covering the node, computed

@@ -25,8 +25,8 @@ use std::fmt;
 /// Identity of a registered query — its 0-based registration rank.
 ///
 /// `QueryId`s are dense: the i-th `register` call on a query set yields
-/// `QueryId(i)`. The id travels on the wire (wire v4) as a varint so that a
-/// remote node's traffic can be attributed without the server re-deriving it.
+/// `QueryId(i)`. The id travels on the wire as a varint so that a remote
+/// node's traffic can be attributed without the server re-deriving it.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]

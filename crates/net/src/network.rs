@@ -97,8 +97,8 @@ pub trait Network {
     /// message for per-query cost attribution; the node-side semantics are
     /// identical to a plain assignment, and the default implementation *is*
     /// the plain assignment. Engines with a wire format (the remote engine)
-    /// override this to put the tag on the wire when the peer negotiated
-    /// wire v4, so all engines stay bit-identical in state and cost.
+    /// override this to put the tag on the wire, so all engines stay
+    /// bit-identical in state and cost.
     fn assign_query_filter(&mut self, query: QueryId, node: NodeId, filter: Filter) {
         let _ = query;
         self.assign_filter(node, filter);

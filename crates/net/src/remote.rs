@@ -29,7 +29,7 @@
 //! of whose values changed gets no frame: re-observing an unchanged value is
 //! a no-op for a [`SimNode`] (see its invariant).
 //!
-//! **Idle shards (wire v5).** A shard answering an existence round also
+//! **Idle shards.** A shard answering an existence round also
 //! says whether *none* of its nodes satisfies the round's predicate, and
 //! the server then skips it for the rest of that run. The shard computes
 //! the signal in the pass that flips the coins; a node whose predicate
@@ -42,9 +42,7 @@
 //! not. Replies, `CommStats`, RNG streams and node state therefore stay
 //! bit-identical, while a silent step costs each occupied shard at most
 //! three frames (observation, round-0 query, reply) instead of
-//! `1 + 2·(⌈log₂ n⌉ + 1)`. Peers that negotiated v2–v4 never send the
-//! signal, are never marked idle, and keep one round trip per round through
-//! the same loop.
+//! `1 + 2·(⌈log₂ n⌉ + 1)`.
 //!
 //! ## Timeouts, polls and lossy transports
 //!
@@ -71,7 +69,7 @@
 //! depend on real socket timing and are therefore not bit-reproducible;
 //! correctness (replies, node state, non-recovery `CommStats`) is.
 //!
-//! ## Membership, reconnects and version negotiation
+//! ## Membership, reconnects and the wire version
 //!
 //! [`Network::apply_membership`] churns the *model* population: leavers'
 //! streams collapse to `0`, joiners are reseeded from `(master seed, id,
@@ -94,13 +92,12 @@
 //! connection state transfer; the slots stay dead until membership `Join`
 //! events re-admit them (charging their recovery replay normally).
 //!
-//! The `Join` handshake also negotiates the wire version: the client frames
-//! its `Join` at [`LEGACY_WIRE_VERSION`] (readable by any server) while
-//! advertising its maximum, the server answers every subsequent frame at
-//! `min(`[`WIRE_VERSION`]`, advertised max)`, and the client mirrors the
-//! version the server's frames arrive in — version-2 peers on either side
-//! interoperate, version-3 pairs get CRC-trailed frames, and only version-5
-//! pairs use the idle signal.
+//! There is no version negotiation. The engine spawns its own shard clients
+//! from the same build, so both ends seal every frame, the `Join` included,
+//! at [`WIRE_VERSION`](topk_wire::WIRE_VERSION), and either end refuses a
+//! frame at any other version (`docs/WIRE.md`, "Versioning rules"). The
+//! handshake also refuses a `Join` naming a shard the engine does not have:
+//! any local process can reach the loopback listener.
 //!
 //! ## Why the engine is bit-identical to the in-process baseline
 //!
@@ -138,10 +135,7 @@ use topk_model::message::ExistencePredicate;
 use topk_model::prelude::*;
 use topk_model::rule::filter_for;
 use topk_model::soa::NodeStateSoA;
-use topk_wire::{
-    read_frame, read_frame_versioned, varint, write_frame_versioned, Frame, FrameAccumulator,
-    ServerOp, WireError, IDLE_WIRE_VERSION, LEGACY_WIRE_VERSION, QUERY_WIRE_VERSION, WIRE_VERSION,
-};
+use topk_wire::{read_frame, varint, write_frame, Frame, FrameAccumulator, ServerOp, WireError};
 
 /// Deterministic retry schedule for the reply-wait and reconnect paths.
 ///
@@ -260,10 +254,6 @@ struct Conn {
     /// parks the partial frame instead of desynchronising the stream.
     reader: TcpStream,
     acc: FrameAccumulator,
-    /// Wire version negotiated in the `Join` handshake: every frame this
-    /// connection writes is framed at `min(WIRE_VERSION, client max)`, so a
-    /// legacy (version 2) client keeps working without CRC trailers.
-    wire_version: u8,
     /// Next sequence number for a `wants_reply` batch (0 is reserved for
     /// fire-and-forget batches). Survives reconnects — a replacement
     /// connection inherits the old one's counter, so any stale reply a
@@ -278,11 +268,10 @@ struct Conn {
     /// escalated one.
     armed_deadline: Option<Duration>,
     /// The idle mark: the shard's accepted answer to the last existence
-    /// round carried the wire-v5 idle signal — none of its nodes satisfies
-    /// the round's predicate — and the server has sent it nothing since.
-    /// Set only by [`Conn::recv_replies`]; cleared by every [`Conn::send`]
-    /// and by a round that asks a new question; `false` on a fresh
-    /// (re)connection and on pre-v5 peers, which never send the signal.
+    /// round carried the idle signal — none of its nodes satisfies the
+    /// round's predicate — and the server has sent it nothing since. Set
+    /// only by [`Conn::recv_replies`]; cleared by every [`Conn::send`] and by
+    /// a round that asks a new question; `false` on a fresh (re)connection.
     idle: bool,
     stats: TransportStats,
 }
@@ -292,7 +281,7 @@ impl Conn {
         // Any frame may change what the shard's predicates evaluate to, so
         // it ends the idle mark — one place, not one per mutator.
         self.idle = false;
-        let bytes = write_frame_versioned(&mut self.writer, frame, self.wire_version)
+        let bytes = write_frame(&mut self.writer, frame)
             .unwrap_or_else(|e| panic!("remote transport: failed to send frame: {e}"));
         self.stats.frames_sent += 1;
         self.stats.bytes_sent += bytes as u64;
@@ -567,8 +556,8 @@ impl RemoteEngine {
         // frame — accept order is scheduler-dependent, the handshake is not.
         let mut slots: Vec<Option<Conn>> = (0..shards).map(|_| None).collect();
         for _ in 0..shards {
-            let (conn, shard) = accept_shard(&listener, policy.as_ref());
-            let slot = &mut slots[shard as usize];
+            let (conn, shard) = accept_shard(&listener, policy.as_ref(), shards);
+            let slot = &mut slots[shard];
             assert!(slot.is_none(), "shard {shard} joined twice");
             *slot = Some(conn);
         }
@@ -837,9 +826,10 @@ impl RemoteEngine {
                 .spawn(move || run_shard_client(addr, s as u32, master_seed, faults, table))
                 .expect("remote transport: cannot spawn shard client"),
         );
-        let (mut conn, shard) = accept_shard(&self.listener, self.policy.as_ref());
+        let (mut conn, shard) =
+            accept_shard(&self.listener, self.policy.as_ref(), self.conns.len());
         assert_eq!(
-            shard as usize, s,
+            shard, s,
             "remote transport: reconnect handshake answered by a stale shard"
         );
         conn.next_seq = self.seq_floor[s];
@@ -1029,19 +1019,16 @@ impl Network for RemoteEngine {
     fn assign_query_filter(&mut self, query: QueryId, node: NodeId, filter: Filter) {
         self.meter.record(MessageKind::DownstreamUnicast);
         let owner = self.owner(node);
-        // Put the QueryId on the wire only for peers that negotiated wire v4;
-        // older peers get the plain assignment, which is node-side identical
-        // (the tag is pure attribution). Either way the cost, the mirror and
-        // the node's state transition match the in-process engines exactly.
-        let speaks_v4 = self.conns[owner]
-            .as_ref()
-            .is_some_and(|conn| conn.wire_version >= QUERY_WIRE_VERSION);
-        let msg = if speaks_v4 {
-            ServerMessage::AssignQueryFilter { query, filter }
-        } else {
-            ServerMessage::AssignFilter(filter)
-        };
-        self.command(owner, ServerOp::Unicast { node, msg });
+        // The QueryId is pure attribution: the node applies the filter
+        // exactly like a plain assignment, so the cost, the mirror and the
+        // node's state transition match the in-process engines exactly.
+        self.command(
+            owner,
+            ServerOp::Unicast {
+                node,
+                msg: ServerMessage::AssignQueryFilter { query, filter },
+            },
+        );
         self.mirror.set_filter(node.index(), filter);
     }
 
@@ -1164,7 +1151,7 @@ impl Drop for RemoteEngine {
         for conn in self.conns.iter_mut().flatten() {
             // Best effort: a client that already died closed its socket, and
             // the join below reaps it either way.
-            let _ = write_frame_versioned(&mut conn.writer, &Frame::Shutdown, conn.wire_version);
+            let _ = write_frame(&mut conn.writer, &Frame::Shutdown);
         }
         for handle in self.handles.drain(..).flatten() {
             let _ = handle.join();
@@ -1174,13 +1161,20 @@ impl Drop for RemoteEngine {
 
 /// Accepts one client connection and completes its `Join` handshake.
 ///
-/// Negotiates the connection's wire version — the minimum of the server's
-/// [`WIRE_VERSION`] and the maximum the client advertised in its `Join`
-/// frame — so a legacy (version 2) client interoperates without CRC
-/// trailers. Arms the policy's base deadline when a retry policy is set,
-/// and returns the connection together with the shard index the client
-/// claimed (the caller slots or verifies it).
-fn accept_shard(listener: &TcpListener, policy: Option<&RetryPolicy>) -> (Conn, u32) {
+/// Arms the policy's base deadline when a retry policy is set, and returns
+/// the connection together with the shard index the client claimed (the
+/// caller slots or verifies it).
+///
+/// # Panics
+///
+/// Panics, naming the cause, if the handshake fails — a `Join` at another
+/// wire version, corrupt bytes, any other frame — or if the `Join` names a
+/// shard at or above `shards`.
+fn accept_shard(
+    listener: &TcpListener,
+    policy: Option<&RetryPolicy>,
+    shards: usize,
+) -> (Conn, usize) {
     let stream = match policy {
         None => {
             listener
@@ -1194,15 +1188,20 @@ fn accept_shard(listener: &TcpListener, policy: Option<&RetryPolicy>) -> (Conn, 
         .set_nodelay(true)
         .expect("remote transport: cannot set TCP_NODELAY");
     let mut reader = stream.try_clone().expect("remote transport: clone stream");
-    let (frame, bytes) = read_frame(&mut reader).expect("remote transport: join handshake failed");
-    let Frame::Join { shard, max_version } = frame else {
+    let (frame, bytes) = read_frame(&mut reader)
+        .unwrap_or_else(|e| panic!("remote transport: join handshake failed: {e}"));
+    let Frame::Join { shard } = frame else {
         panic!("remote transport: expected a join frame, got {frame:?}");
     };
+    let shard = shard as usize;
+    assert!(
+        shard < shards,
+        "remote transport: join names shard {shard}, but the engine has {shards} shards"
+    );
     let mut conn = Conn {
         writer: BufWriter::new(stream),
         reader,
         acc: FrameAccumulator::new(),
-        wire_version: WIRE_VERSION.min(max_version),
         next_seq: 1,
         armed_deadline: None,
         idle: false,
@@ -1295,11 +1294,9 @@ impl ShardNodes {
 /// Replies accumulate in ascending node-id order because every op iterates
 /// the shard's nodes in ascending order.
 ///
-/// The `Join` frame itself is framed at [`LEGACY_WIRE_VERSION`] (so any
-/// server can read it) and advertises [`WIRE_VERSION`] as the client's
-/// maximum; the client then mirrors whatever version the server's frames
-/// arrive in, completing the negotiation from its side without extra
-/// round-trips.
+/// Every frame either way is sealed at [`WIRE_VERSION`](topk_wire::WIRE_VERSION).
+/// A frame the client cannot read — another version, corrupt bytes — ends
+/// the client with a panic naming the error, before it writes anything more.
 ///
 /// [`ServerOp::Membership`] events advance the slots' generations: a `Join`
 /// reseeds the slot via [`SimNode::rejoin_generation`] and a `Leave`
@@ -1329,18 +1326,7 @@ fn run_shard_client(
         .expect("shard client: cannot set TCP_NODELAY");
     let mut reader = BufReader::new(stream.try_clone().expect("shard client: clone stream"));
     let mut writer = BufWriter::new(stream);
-    write_frame_versioned(
-        &mut writer,
-        &Frame::Join {
-            shard,
-            max_version: WIRE_VERSION,
-        },
-        LEGACY_WIRE_VERSION,
-    )
-    .expect("shard client: join handshake failed");
-    // Every received frame states the server's negotiated version and the
-    // client mirrors it, so the first read settles this before any reply.
-    let mut server_version;
+    write_frame(&mut writer, &Frame::Join { shard }).expect("shard client: join handshake failed");
 
     let mut drop_rng = faults.map(|(seed, _)| {
         // Golden-ratio mix so shard streams are disjoint even for small seeds.
@@ -1355,11 +1341,8 @@ fn run_shard_client(
     // allocations serves the connection).
     let mut last: (u64, Vec<NodeMessage>, bool) = (0, Vec::new(), false);
     loop {
-        let frame = match read_frame_versioned(&mut reader) {
-            Ok((frame, _, version)) => {
-                server_version = version;
-                frame
-            }
+        let frame = match read_frame(&mut reader) {
+            Ok((frame, _)) => frame,
             // The server dropped without an orderly shutdown (e.g. a test
             // panicked): exit quietly, the Drop impl reaps the thread.
             Err(WireError::Io(_)) => return,
@@ -1401,14 +1384,13 @@ fn run_shard_client(
                         && drop_rng
                             .as_mut()
                             .is_some_and(|rng| rng.gen_ratio(drop_permille, 1000));
-                    // Pre-v5 servers get today's reply bytes: no signal.
                     let frame = Frame::Replies {
                         seq,
                         replies: std::mem::take(&mut replies),
-                        idle: idle && server_version >= IDLE_WIRE_VERSION,
+                        idle,
                     };
                     if !lost {
-                        write_frame_versioned(&mut writer, &frame, server_version)
+                        write_frame(&mut writer, &frame)
                             .expect("shard client: cannot send replies");
                     }
                     let Frame::Replies {
@@ -1434,14 +1416,13 @@ fn run_shard_client(
                     replies: last.1.clone(),
                     idle: last.2,
                 };
-                write_frame_versioned(&mut writer, &answer, server_version)
-                    .expect("shard client: cannot answer poll");
+                write_frame(&mut writer, &answer).expect("shard client: cannot answer poll");
             }
             Frame::Shutdown => {
                 // Orderly goodbye: name the shard so the disconnect path can
                 // tell this farewell from a stale connection's. Best effort —
                 // on a plain engine drop nobody is listening any more.
-                let _ = write_frame_versioned(&mut writer, &Frame::Leave { shard }, server_version);
+                let _ = write_frame(&mut writer, &Frame::Leave { shard });
                 return;
             }
             other => panic!("shard client {shard}: unexpected frame {other:?}"),
@@ -1781,72 +1762,99 @@ mod tests {
         net.disconnect_shard(1);
     }
 
-    #[test]
-    fn modern_peers_negotiate_the_checksummed_wire_version() {
-        let net = RemoteEngine::with_shards(2, 1, 1);
-        let conn = net.conns[0].as_ref().expect("shard 0 connected");
-        assert_eq!(conn.wire_version, WIRE_VERSION);
+    /// Runs the server's handshake against a client that connects and
+    /// writes `wire`, and returns the message the handshake refused it with.
+    fn handshake_refusal(wire: Vec<u8>, shards: usize) -> String {
+        use std::io::{Read, Write};
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.write_all(&wire).expect("join");
+            // Hold the socket open until the server side lets go of it.
+            let _ = stream.read(&mut [0u8; 1]);
+        });
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            accept_shard(&listener, None, shards)
+        }));
+        // Consuming the outcome closes an accepted connection, which lets
+        // the client thread finish either way.
+        let refusal = outcome
+            .err()
+            .map(|panic| panic.downcast_ref::<String>().cloned().unwrap_or_default());
+        client.join().expect("client thread");
+        refusal.expect("the handshake must refuse the join")
     }
 
     #[test]
-    fn legacy_v2_server_interoperates_with_the_client() {
-        use topk_wire::read_frame_versioned;
-        // This test plays a version-2 server end to end: the client's Join
-        // must arrive legacy-framed (readable before negotiation), and every
-        // client frame after our v2 answer must mirror version 2.
+    fn the_handshake_refuses_a_join_at_another_version() {
+        use topk_wire::frame::MAGIC;
+        // A Join framed at version 2: no trailer, and a byte after the shard
+        // index advertising the newest version the client speaks.
+        let payload = [MAGIC, 2, 0, 0, 5];
+        let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&payload);
+        let refusal = handshake_refusal(wire, 2);
+        assert!(
+            refusal.contains("unsupported wire format version 2"),
+            "{refusal}"
+        );
+    }
+
+    #[test]
+    fn the_handshake_refuses_a_shard_out_of_range() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Frame::Join { shard: 9 }).expect("join");
+        let refusal = handshake_refusal(wire, 2);
+        assert!(
+            refusal.contains("shard 9") && refusal.contains("2 shards"),
+            "{refusal}"
+        );
+    }
+
+    #[test]
+    fn a_client_refuses_a_batch_at_another_version() {
+        use std::io::{Read, Write};
+        use topk_wire::crc32::crc32;
+        use topk_wire::frame::MAGIC;
+        use topk_wire::WireEncode;
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
         let addr = listener.local_addr().expect("addr");
         let client = std::thread::spawn(move || {
             run_shard_client(addr, 0, 99, None, ShardNodes::new(0, 99, vec![0; 2]))
         });
-        let (stream, _) = listener.accept().expect("accept");
-        let mut reader = stream.try_clone().expect("clone");
-        let mut writer = BufWriter::new(stream);
-        let (join, _, version) = read_frame_versioned(&mut reader).expect("join");
-        assert_eq!(version, LEGACY_WIRE_VERSION, "join must be legacy-framed");
-        assert_eq!(
-            join,
-            Frame::Join {
-                shard: 0,
-                max_version: WIRE_VERSION
-            }
+        let (mut stream, _) = listener.accept().expect("accept");
+        let (join, _) = read_frame(&mut stream).expect("join");
+        assert_eq!(join, Frame::Join { shard: 0 });
+        // A probe, sealed with a valid trailer but at version 5.
+        let mut payload = vec![MAGIC, 5];
+        Frame::Batch {
+            wants_reply: true,
+            seq: 1,
+            ops: vec![ServerOp::Unicast {
+                node: NodeId(1),
+                msg: ServerMessage::Probe,
+            }],
+        }
+        .encode(&mut payload);
+        let crc = crc32(&payload);
+        payload.extend_from_slice(&crc.to_le_bytes());
+        let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&payload);
+        stream.write_all(&wire).expect("batch");
+        let refusal = client.join().expect_err("the client must refuse the batch");
+        let refusal = refusal
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            refusal.contains("unsupported wire format version 5"),
+            "{refusal}"
         );
-        write_frame_versioned(
-            &mut writer,
-            &Frame::Batch {
-                wants_reply: true,
-                seq: 1,
-                ops: vec![
-                    ServerOp::ObserveRow {
-                        start: NodeId(0),
-                        values: vec![4, 9],
-                    },
-                    ServerOp::Unicast {
-                        node: NodeId(1),
-                        msg: ServerMessage::Probe,
-                    },
-                ],
-            },
-            LEGACY_WIRE_VERSION,
-        )
-        .expect("batch");
-        let (reply, _, version) = read_frame_versioned(&mut reader).expect("reply");
-        assert_eq!(version, LEGACY_WIRE_VERSION, "client must mirror v2");
-        assert_eq!(
-            reply,
-            Frame::Replies {
-                seq: 1,
-                replies: vec![NodeMessage::ValueReport {
-                    node: NodeId(1),
-                    value: 9
-                }],
-                idle: false,
-            }
-        );
-        write_frame_versioned(&mut writer, &Frame::Shutdown, LEGACY_WIRE_VERSION).expect("bye");
-        let (leave, _, _) = read_frame_versioned(&mut reader).expect("leave");
-        assert_eq!(leave, Frame::Leave { shard: 0 });
-        client.join().expect("client exits cleanly");
+        // The connection closed with no reply on it.
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("read to the end");
+        assert!(rest.is_empty(), "the client answered with {rest:?}");
     }
 
     /// `⌈log₂ n⌉ + 1`, the round budget of one existence run.
@@ -2049,7 +2057,7 @@ mod tests {
                 ops: vec![op],
             };
             let mut wire = Vec::new();
-            write_frame_versioned(&mut wire, &batch, WIRE_VERSION).unwrap() as u64
+            write_frame(&mut wire, &batch).unwrap() as u64
         };
         let row: Vec<Value> = (0..n as u64).map(|i| 1_000_000 + i).collect();
         let changes: Vec<(NodeId, Value)> = (0..n).map(|i| (NodeId(i), row[i])).collect();
@@ -2092,11 +2100,13 @@ mod tests {
         }
     }
 
-    /// Plays a server that negotiated `version`: reads the client's Join,
-    /// sends one existence round no node satisfies, and returns the raw
-    /// bytes of the client's answer (length prefix included).
-    fn raw_answer_to_a_silent_round(version: u8) -> Vec<u8> {
+    #[test]
+    fn a_silent_round_reply_keeps_its_bytes() {
         use std::io::Read;
+        use topk_wire::crc32::crc32;
+        use topk_wire::frame::MAGIC;
+        // Play the server: read the client's Join, send one existence round
+        // no node satisfies, and take the raw bytes of the client's answer.
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
         let addr = listener.local_addr().expect("addr");
         let client = std::thread::spawn(move || {
@@ -2106,13 +2116,7 @@ mod tests {
         let mut reader = stream.try_clone().expect("clone");
         let mut writer = BufWriter::new(stream);
         let (join, _) = read_frame(&mut reader).expect("join");
-        assert_eq!(
-            join,
-            Frame::Join {
-                shard: 0,
-                max_version: WIRE_VERSION
-            }
-        );
+        assert_eq!(join, Frame::Join { shard: 0 });
         let round = ServerMessage::ExistenceRound {
             round: 0,
             population: 2,
@@ -2129,46 +2133,23 @@ mod tests {
                 ServerOp::Broadcast { msg: round },
             ],
         };
-        write_frame_versioned(&mut writer, &batch, version).expect("batch");
+        write_frame(&mut writer, &batch).expect("batch");
         let mut prefix = [0u8; 4];
         reader.read_exact(&mut prefix).expect("reply prefix");
         let mut raw = prefix.to_vec();
         raw.resize(4 + u32::from_le_bytes(prefix) as usize, 0);
         reader.read_exact(&mut raw[4..]).expect("reply payload");
-        write_frame_versioned(&mut writer, &Frame::Shutdown, version).expect("bye");
+        write_frame(&mut writer, &Frame::Shutdown).expect("bye");
         let (leave, _) = read_frame(&mut reader).expect("leave");
         assert_eq!(leave, Frame::Leave { shard: 0 });
         client.join().expect("client exits cleanly");
-        raw
-    }
-
-    #[test]
-    fn pre_v5_servers_get_todays_reply_bytes_for_a_silent_round() {
-        use topk_wire::crc32::crc32;
-        use topk_wire::frame::MAGIC;
-        // Replies tag, seq 1, no replies, then the idle byte from v5 on.
-        let expected = |version: u8, body: &[u8]| {
-            let mut payload = vec![MAGIC, version];
-            payload.extend_from_slice(body);
-            if version > LEGACY_WIRE_VERSION {
-                let crc = crc32(&payload);
-                payload.extend_from_slice(&crc.to_le_bytes());
-            }
-            let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
-            wire.extend_from_slice(&payload);
-            wire
-        };
-        for version in LEGACY_WIRE_VERSION..IDLE_WIRE_VERSION {
-            assert_eq!(
-                raw_answer_to_a_silent_round(version),
-                expected(version, &[2, 1, 0]),
-                "a v{version} server must see no signal"
-            );
-        }
-        assert_eq!(
-            raw_answer_to_a_silent_round(WIRE_VERSION),
-            expected(WIRE_VERSION, &[2, 1, 0, 1])
-        );
+        // Replies tag, seq 1, no replies, the idle byte, then the trailer.
+        let mut payload = vec![MAGIC, topk_wire::WIRE_VERSION, 2, 1, 0, 1];
+        let crc = crc32(&payload);
+        payload.extend_from_slice(&crc.to_le_bytes());
+        let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(&payload);
+        assert_eq!(raw, expected);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! CRC32 (IEEE 802.3, reflected) for the optional frame integrity trailer.
+//! CRC32 (IEEE 802.3, reflected) for the envelope's integrity trailer.
 //!
-//! Wire version 3 appends a 4-byte little-endian CRC32 of the frame payload
-//! (magic byte through the last body byte) so that a flipped bit inside a
-//! frame body is caught at the receiver instead of silently corrupting a
-//! decoded value whose varint happens to stay parseable. The polynomial is
+//! Every frame and every trace record ends with a 4-byte little-endian CRC32
+//! of its payload (magic byte through the last body byte), so that a flipped
+//! bit inside a body is caught at the receiver instead of silently
+//! corrupting a decoded value whose varint happens to stay parseable. The polynomial is
 //! the standard reflected `0xEDB88320` used by zlib, Ethernet and PNG, so
 //! captures of the stream can be checked with off-the-shelf tooling.
 //!

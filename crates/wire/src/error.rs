@@ -23,13 +23,16 @@ pub enum WireError {
         /// The offending tag byte.
         tag: u8,
     },
-    /// The frame payload does not start with [`crate::frame::MAGIC`].
+    /// The payload does not start with the expected magic byte:
+    /// [`crate::frame::MAGIC`] for a frame, [`crate::TRACE_MAGIC`] for a
+    /// trace record.
     BadMagic {
         /// The byte found where the magic byte belongs.
         found: u8,
     },
-    /// The frame's version byte names a format this build does not speak
-    /// (see the versioning rules in `docs/WIRE.md`).
+    /// The version byte is not the one version this build speaks
+    /// ([`crate::WIRE_VERSION`] for a frame, [`crate::TRACE_VERSION`] for a
+    /// trace record; see the versioning rules in `docs/WIRE.md`).
     UnsupportedVersion {
         /// The version byte found in the frame.
         found: u8,
@@ -42,15 +45,15 @@ pub enum WireError {
     },
     /// A varint ran longer than the 10 bytes a `u64` can need.
     VarintOverflow,
-    /// A frame's length prefix exceeds [`crate::frame::MAX_FRAME_LEN`]
+    /// A length prefix exceeds [`crate::frame::MAX_FRAME_LEN`]
     /// (refused *before* allocating, so a corrupt prefix cannot trigger a
     /// multi-gigabyte allocation).
     FrameTooLarge {
         /// The declared payload length.
         len: u64,
     },
-    /// A version-3 frame's CRC32 trailer does not match its payload — some
-    /// byte between the magic and the trailer was corrupted in flight.
+    /// The CRC32 trailer of a frame or trace record does not match its
+    /// payload — some byte between the magic and the trailer was corrupted.
     ChecksumMismatch {
         /// The CRC32 recomputed over the received payload.
         expected: u32,

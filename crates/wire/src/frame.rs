@@ -3,19 +3,22 @@
 //! A frame is the unit one socket write/read moves:
 //!
 //! ```text
-//! ┌────────────┬──────────┬───────────┬──────────┬─────────────────┐
-//! │ len u32 LE │ magic u8 │ version u8│ kind u8  │ body …          │
-//! └────────────┴──────────┴───────────┴──────────┴─────────────────┘
-//!               └────────────── len bytes ───────────────────────┘
+//! ┌────────────┬──────────┬────────────┬─────────┬────────┬──────────────┐
+//! │ len u32 LE │ magic u8 │ version u8 │ kind u8 │ body … │ crc32 u32 LE │
+//! └────────────┴──────────┴────────────┴─────────┴────────┴──────────────┘
+//!              └─────────────────────── len bytes ───────────────────────┘
 //! ```
 //!
-//! `len` counts the payload (magic byte onward) and is bounded by
-//! [`MAX_FRAME_LEN`] so a corrupt prefix can never trigger an absurd
-//! allocation. The magic byte catches stream desynchronisation immediately;
-//! the version byte pins the tag tables (see the versioning rules in
-//! `docs/WIRE.md`: tags are append-only within a version, any removal or
-//! renumbering bumps [`WIRE_VERSION`], and peers refuse versions they do not
-//! speak rather than guessing).
+//! Every frame travels in the envelope that trace records share
+//! (`envelope.rs`): `len` counts the payload, magic through trailer, and is
+//! bounded by [`MAX_FRAME_LEN`] so a corrupt prefix can never trigger an
+//! absurd allocation; the magic byte catches stream desynchronisation
+//! immediately; the CRC32 trailer ([`crate::crc32`]) catches a flipped bit
+//! anywhere from the magic byte to the last body byte. The version byte is
+//! always [`WIRE_VERSION`]: both ends of a connection are built from the same
+//! source, so there is nothing to negotiate, and a frame at any other
+//! version is refused with [`WireError::UnsupportedVersion`] (see the
+//! versioning rules in `docs/WIRE.md`).
 //!
 //! One frame batches many model messages: an observation row for a whole
 //! node range, a broadcast plus the round schedule, or all replies of an
@@ -27,9 +30,9 @@
 //!
 //! | tag | frame | direction | body |
 //! |-----|-------|-----------|------|
-//! | 0 | [`Frame::Join`] | node → server | shard index, optional max-version byte |
+//! | 0 | [`Frame::Join`] | node → server | shard index |
 //! | 1 | [`Frame::Batch`] | server → node | flags (bit 0 = reply wanted), seq, op count, [`ServerOp`]s |
-//! | 2 | [`Frame::Replies`] | node → server | seq, reply count, [`NodeMessage`]s, optional idle byte (v5) |
+//! | 2 | [`Frame::Replies`] | node → server | seq, reply count, [`NodeMessage`]s, idle byte when set |
 //! | 3 | [`Frame::Shutdown`] | server → node | empty |
 //! | 4 | [`Frame::Poll`] | server → node | seq |
 //! | 5 | [`Frame::Leave`] | node → server | shard index |
@@ -39,81 +42,40 @@
 //! `Replies` frame is lost, the server re-requests it with a [`Frame::Poll`]
 //! carrying the same `seq`, and a duplicate answer (original and poll answer
 //! both arriving) is recognised by its stale `seq` and discarded instead of
-//! being mistaken for the answer to the *next* round. Version 1 had no
-//! sequence numbers; the layout change is why version 2 exists.
+//! being mistaken for the answer to the *next* round.
 //!
-//! Version 3 appends a little-endian CRC32 trailer ([`crate::crc32`]) to
-//! every frame payload, covering the magic byte through the last body byte,
-//! and adds the [`Frame::Leave`] departure frame plus the
-//! [`ServerOp::Membership`] churn op. The trailer is *negotiated*, not
-//! assumed: a client advertises its best version in the [`Frame::Join`]
-//! handshake (a trailing byte that version-2 encoders simply never wrote —
-//! its absence identifies a legacy peer), the server answers every later
-//! frame at `min(server, client)`, and the client adopts the version of the
-//! first server frame it reads. A version-2 peer on either end therefore
-//! keeps working, just without trailers; see `docs/WIRE.md`.
-//!
-//! Version 4 adds the query-scoped filter assignment
-//! (`ServerMessage::AssignQueryFilter`, carrying a `QueryId` varint) used by
-//! the multi-query layer. The frame layout is unchanged from version 3 —
-//! same CRC32 trailer, same negotiation — and a server only emits the new
-//! message tag to peers that negotiated version 4, downgrading to a plain
-//! `AssignFilter` otherwise.
-//!
-//! Version 5 adds the *idle signal* to [`Frame::Replies`]: a shard that
-//! answers an existence round also says whether none of its nodes satisfies
-//! the round's predicate. It is one trailing byte (`1`) after the replies,
-//! written only when the signal is set — the same trick as the `Join`
-//! version byte — so every frame without it, and so every v2–v4 frame, is
-//! byte-identical to its older encoding. The decoder is strict: a trailing
-//! byte other than `1`, the signal on a non-empty reply, or the signal in a
-//! frame framed below version 5 is a typed [`WireError`]. The coordinator
-//! uses the signal to skip idle shards for the rest of an existence run
-//! (`docs/WIRE.md`, "Idle shards").
+//! A [`Frame::Replies`] may carry the *idle signal*: the batch was an
+//! existence round and none of the shard's nodes satisfies its predicate.
+//! It is one trailing byte (`1`) after the replies, written only when the
+//! signal is set. Both sides are strict: a trailing byte other than `1`, or
+//! the signal on a non-empty reply, is a typed [`WireError`] from the decoder
+//! and is refused by [`write_frame`] before any byte is written. The
+//! coordinator uses the signal to skip idle shards for the rest of an
+//! existence run (`docs/WIRE.md`, "Idle shards").
 //!
 //! [`ServerOp`] tags: 0 `ObserveRow`, 1 `ObserveSparse`, 2 `Unicast`,
 //! 3 `Broadcast`, 4 `Membership`.
 //!
 //! [`NodeMessage`]: topk_model::message::NodeMessage
 
-use crate::codec::{from_bytes, Reader, WireDecode, WireEncode};
-use crate::crc32::crc32;
+use crate::codec::{Reader, WireDecode, WireEncode};
+use crate::envelope::seal;
 use crate::error::WireError;
+use crate::stream::FrameAccumulator;
 use crate::varint;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use topk_model::prelude::*;
 
 /// First payload byte of every frame; catches desynchronised streams.
 pub const MAGIC: u8 = 0xC5;
 
-/// Current wire format version. Bump on any change to the frame layout or
-/// the tag tables that is not a pure append. Version 2 added reply sequence
-/// numbers and the [`Frame::Poll`] retry frame; version 3 added the CRC32
-/// payload trailer, [`Frame::Leave`] and [`ServerOp::Membership`]; version 4
-/// added the query-scoped filter assignment (`AssignQueryFilter` with its
-/// `QueryId` varint); version 5 added the idle signal on [`Frame::Replies`].
-pub const WIRE_VERSION: u8 = 5;
+/// The wire format version: the only one this build writes or reads. Bump
+/// on any change to the frame layout, a field or a tag table (`docs/WIRE.md`,
+/// "Versioning rules").
+pub const WIRE_VERSION: u8 = 6;
 
-/// First version that appends the CRC32 payload trailer. Versions 3 to 5
-/// share the trailered layout; version 2 is trailerless.
-pub const CRC_WIRE_VERSION: u8 = 3;
-
-/// First version that understands the query-scoped filter assignment
-/// (`ServerMessage::AssignQueryFilter`). A server downgrades the message to
-/// a plain `AssignFilter` for peers that negotiated anything older.
-pub const QUERY_WIRE_VERSION: u8 = 4;
-
-/// First version whose [`Frame::Replies`] may carry the idle signal. Peers
-/// that negotiated anything older never send it and are never skipped.
-pub const IDLE_WIRE_VERSION: u8 = 5;
-
-/// Oldest version this build still decodes and can be asked to encode.
-/// Version-2 frames are identical to version-3 frames minus the CRC32
-/// trailer (the version-3 tag additions are pure appends), so supporting
-/// both costs one branch in the payload codec.
-pub const LEGACY_WIRE_VERSION: u8 = 2;
-
-/// Upper bound on the payload length of a single frame (16 MiB).
+/// Upper bound on the payload length of a single frame or trace record
+/// (16 MiB).
 ///
 /// A dense observation row for 10⁶ nodes of near-maximal values is ~10 MB,
 /// so this accommodates every frame the engines produce while keeping the
@@ -156,10 +118,10 @@ pub enum ServerOp {
         /// The message payload, delivered to every node of the shard.
         msg: ServerMessage,
     },
-    /// Population churn delivery (version 3): the membership events of one
-    /// step, applied by the shard client to the slots it hosts. Free at the
-    /// model layer — only the recovery replay a `Join` triggers is charged,
-    /// and the server charges it, exactly as the in-process engines do.
+    /// Population churn delivery: the membership events of one step, applied
+    /// by the shard client to the slots it hosts. Free at the model layer —
+    /// only the recovery replay a `Join` triggers is charged, and the server
+    /// charges it, exactly as the in-process engines do.
     Membership {
         /// The events, applied in order.
         events: Vec<MembershipEvent>,
@@ -263,21 +225,12 @@ impl WireDecode for ServerOp {
 /// A complete transport frame (see the module docs for the layout).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
-    /// Client handshake: "I host shard `shard`, and I speak up to
-    /// `max_version`". Sent once per connection, immediately after
-    /// connecting, so the server can map accepted connections to node ranges
-    /// regardless of accept order. Always framed at
-    /// [`LEGACY_WIRE_VERSION`] (the pre-negotiation format every peer
-    /// reads); the version byte it carries is what upgrades the rest of the
-    /// conversation.
+    /// Client handshake: "I host shard `shard`". Sent once per connection,
+    /// immediately after connecting, so the server can map accepted
+    /// connections to node ranges regardless of accept order.
     Join {
         /// The shard index this connection hosts.
         shard: u32,
-        /// Best wire version the client speaks. Encoded as a trailing byte
-        /// that version-2 encoders never wrote, so its absence marks a
-        /// legacy peer and decodes as 2; encoding `2` omits the byte,
-        /// keeping the frame byte-identical to a genuine version-2 `Join`.
-        max_version: u8,
     },
     /// A batch of server operations for one shard.
     Batch {
@@ -302,10 +255,9 @@ pub enum Frame {
         seq: u64,
         /// The node messages, in ascending node-id order.
         replies: Vec<NodeMessage>,
-        /// The idle signal (version 5): the batch was an existence round and
-        /// *no* node of the shard satisfies its predicate, so none replied
-        /// and none drew randomness. Always `false` with replies present and
-        /// in frames framed below [`IDLE_WIRE_VERSION`].
+        /// The idle signal: the batch was an existence round and *no* node
+        /// of the shard satisfies its predicate, so none replied and none
+        /// drew randomness. Always `false` with replies present.
         idle: bool,
     },
     /// Orderly connection shutdown (server → node).
@@ -319,10 +271,10 @@ pub enum Frame {
         /// The sequence number of the missing reply.
         seq: u64,
     },
-    /// Orderly departure announcement (node → server, version 3): the shard
-    /// client is closing its connection on purpose. Lets the server tell a
-    /// deliberate goodbye from a crashed connection — only the latter is
-    /// eligible for the reconnect/backoff path.
+    /// Orderly departure announcement (node → server): the shard client is
+    /// closing its connection on purpose. Lets the server tell a deliberate
+    /// goodbye from a crashed connection — only the latter is eligible for
+    /// the reconnect/backoff path.
     Leave {
         /// The shard index that is departing.
         shard: u32,
@@ -332,12 +284,9 @@ pub enum Frame {
 impl WireEncode for Frame {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            Frame::Join { shard, max_version } => {
+            Frame::Join { shard } => {
                 buf.push(0);
                 varint::write_u64(buf, u64::from(*shard));
-                if *max_version != LEGACY_WIRE_VERSION {
-                    buf.push(*max_version);
-                }
             }
             Frame::Batch {
                 wants_reply,
@@ -359,8 +308,8 @@ impl WireEncode for Frame {
                 for reply in replies {
                     reply.encode(buf);
                 }
-                // Absent unless set, so a frame without the signal keeps its
-                // pre-v5 bytes.
+                // Absent unless set: a frame without the signal ends after
+                // its replies.
                 if *idle {
                     buf.push(1);
                 }
@@ -383,27 +332,12 @@ impl WireDecode for Frame {
         match r.u8("Frame")? {
             0 => {
                 let shard = r.u64()?;
-                let shard = u32::try_from(shard).map_err(|_| WireError::BadTag {
-                    what: "Frame::Join shard (exceeds u32)",
-                    tag: 0,
-                })?;
-                // The trailing version byte arrived with version 3; a
-                // version-2 peer's Join simply ends after the shard index.
-                // The frame length prefix delimits the body, so absence is
-                // unambiguous.
-                let max_version = if r.remaining() > 0 {
-                    let v = r.u8("Frame::Join max_version")?;
-                    if v < LEGACY_WIRE_VERSION {
-                        return Err(WireError::BadTag {
-                            what: "Frame::Join max_version",
-                            tag: v,
-                        });
-                    }
-                    v
-                } else {
-                    LEGACY_WIRE_VERSION
-                };
-                Ok(Frame::Join { shard, max_version })
+                u32::try_from(shard)
+                    .map(|shard| Frame::Join { shard })
+                    .map_err(|_| WireError::BadTag {
+                        what: "Frame::Join shard (exceeds u32)",
+                        tag: 0,
+                    })
             }
             1 => {
                 let flags = r.u8("Frame::Batch flags")?;
@@ -432,8 +366,8 @@ impl WireDecode for Frame {
                 for _ in 0..count {
                     replies.push(NodeMessage::decode(r)?);
                 }
-                // The idle byte arrived with version 5; the frame length
-                // prefix delimits the body, so its absence is unambiguous.
+                // The frame length prefix delimits the body, so the idle
+                // byte's absence is unambiguous.
                 let idle = r.remaining() > 0;
                 if idle {
                     let flag = r.u8("Frame::Replies idle flag")?;
@@ -444,10 +378,7 @@ impl WireDecode for Frame {
                         });
                     }
                     if !replies.is_empty() {
-                        return Err(WireError::BadTag {
-                            what: "Frame::Replies idle flag on a non-empty reply",
-                            tag: flag,
-                        });
+                        return Err(IDLE_WITH_REPLIES);
                     }
                 }
                 Ok(Frame::Replies { seq, replies, idle })
@@ -468,197 +399,78 @@ impl WireDecode for Frame {
     }
 }
 
-/// Writes one frame (length prefix + header + body) at [`WIRE_VERSION`],
-/// with the CRC32 trailer, and flushes.
+/// The idle signal on a reply that carries messages: refused by the decoder
+/// and, before any byte is written, by [`write_frame`].
+const IDLE_WITH_REPLIES: WireError = WireError::BadTag {
+    what: "Frame::Replies idle flag on a non-empty reply",
+    tag: 1,
+};
+
+/// Writes one frame (length prefix, header, body, CRC32 trailer) at
+/// [`WIRE_VERSION`] and flushes.
 ///
 /// Returns the total number of bytes put on the wire, including the length
-/// prefix — the quantity the throughput harness's bytes/message metric sums.
+/// prefix — the quantity the throughput harness's bytes-per-step metric
+/// sums.
 ///
 /// # Errors
 ///
-/// [`WireError::FrameTooLarge`] if the encoded payload exceeds
-/// [`MAX_FRAME_LEN`] — refused at the send site, *before* any bytes hit the
-/// wire, so an oversized batch surfaces as a typed error here rather than as
-/// a bogus corrupt-stream diagnostic on the receiving peer. Otherwise
+/// Refused before any byte hits the wire, so the failure surfaces here as a
+/// typed error rather than as a bogus corrupt-stream diagnostic on the
+/// receiving peer: [`WireError::FrameTooLarge`] if the encoded payload
+/// exceeds [`MAX_FRAME_LEN`], and [`WireError::BadTag`] for a frame the
+/// decoder would refuse (the idle signal on a non-empty reply). Otherwise
 /// propagates transport errors from the writer.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, WireError> {
-    write_frame_versioned(w, frame, WIRE_VERSION)
-}
-
-/// Writes one frame at an explicit wire version — any of
-/// [`LEGACY_WIRE_VERSION`]`..=`[`WIRE_VERSION`], as negotiated in the
-/// [`Frame::Join`] handshake. Versions from [`CRC_WIRE_VERSION`] on carry
-/// the CRC32 trailer; version 2 is trailerless.
-///
-/// # Errors
-///
-/// [`WireError::UnsupportedVersion`] for a version this build does not
-/// encode; otherwise the same errors as [`write_frame`].
-pub fn write_frame_versioned(
-    w: &mut impl Write,
-    frame: &Frame,
-    version: u8,
-) -> Result<usize, WireError> {
-    if !(LEGACY_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-        return Err(WireError::UnsupportedVersion { found: version });
+    if matches!(frame, Frame::Replies { idle: true, replies, .. } if !replies.is_empty()) {
+        return Err(IDLE_WITH_REPLIES);
     }
-    check_frame_version(frame, version)?;
-    let mut payload = Vec::with_capacity(16);
-    payload.push(MAGIC);
-    payload.push(version);
-    frame.encode(&mut payload);
-    if version >= CRC_WIRE_VERSION {
-        let crc = crc32(&payload);
-        payload.extend_from_slice(&crc.to_le_bytes());
-    }
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(WireError::FrameTooLarge {
-            len: payload.len() as u64,
-        });
-    }
-    let len = u32::try_from(payload.len()).expect("MAX_FRAME_LEN fits u32");
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&payload)?;
+    let wire = seal(MAGIC, WIRE_VERSION, |buf| frame.encode(buf))?;
+    w.write_all(&wire)?;
     w.flush()?;
-    Ok(4 + payload.len())
+    Ok(wire.len())
 }
 
-/// Reads one complete frame, validating length bound, magic and version.
+/// Reads one complete frame from a blocking reader: a [`FrameAccumulator`]
+/// run to completion, so both readers share every check.
 ///
 /// Returns the frame and the total bytes consumed (including the prefix).
 ///
 /// # Errors
 ///
-/// [`WireError::FrameTooLarge`] for an oversized length prefix,
-/// [`WireError::BadMagic`] / [`WireError::UnsupportedVersion`] for a bad
-/// header, any decoding error for a corrupt body, and
-/// [`WireError::Io`] (typically `UnexpectedEof`) if the stream ends.
+/// The errors of [`FrameAccumulator::read_frame`]; a reader that times out
+/// before the frame completes is [`WireError::Io`] with
+/// [`TimedOut`](ErrorKind::TimedOut), and the partial frame is lost — use a
+/// [`FrameAccumulator`] to survive timeouts.
 pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), WireError> {
-    read_frame_versioned(r).map(|(frame, bytes, _)| (frame, bytes))
-}
-
-/// Like [`read_frame`], but also returns the frame's version byte — the
-/// signal a client uses to adopt the version the server negotiated from its
-/// `Join` advertisement.
-///
-/// # Errors
-///
-/// The same errors as [`read_frame`].
-pub fn read_frame_versioned(r: &mut impl Read) -> Result<(Frame, usize, u8), WireError> {
-    let mut prefix = [0u8; 4];
-    r.read_exact(&mut prefix)?;
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::FrameTooLarge { len: len as u64 });
-    }
-    if len < 3 {
-        // magic + version + frame tag are mandatory
-        return Err(WireError::Truncated {
-            what: "frame header",
-        });
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let version = payload[1];
-    let frame = decode_payload(&payload)?;
-    Ok((frame, 4 + len, version))
-}
-
-/// Decodes a complete frame payload (the `len` bytes after the length
-/// prefix): validates magic, version and — for version-3+ frames — the
-/// CRC32 trailer, then decodes the frame body. Shared by [`read_frame`] and
-/// the resumable [`FrameAccumulator`](crate::stream::FrameAccumulator).
-///
-/// Versions 2 through [`WIRE_VERSION`] are accepted; the version byte
-/// decides whether the last four bytes are a checksum trailer or body.
-///
-/// # Errors
-///
-/// [`WireError::BadMagic`] / [`WireError::UnsupportedVersion`] for a bad
-/// header, [`WireError::Truncated`] for a payload too short to hold one,
-/// [`WireError::ChecksumMismatch`] for a version-3+ payload whose trailer
-/// disagrees with its bytes, and any decoding error for a corrupt body.
-pub(crate) fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
-    if payload.len() < 3 {
-        // magic + version + frame tag are mandatory
-        return Err(WireError::Truncated {
-            what: "frame header",
-        });
-    }
-    let magic = payload[0];
-    if magic != MAGIC {
-        return Err(WireError::BadMagic { found: magic });
-    }
-    let version = payload[1];
-    let body = match version {
-        LEGACY_WIRE_VERSION => &payload[2..],
-        v if (CRC_WIRE_VERSION..=WIRE_VERSION).contains(&v) => {
-            // magic + version + tag + 4-byte trailer is the minimum.
-            if payload.len() < 7 {
-                return Err(WireError::Truncated {
-                    what: "frame checksum trailer",
-                });
-            }
-            let split = payload.len() - 4;
-            let found = u32::from_le_bytes(payload[split..].try_into().expect("4 bytes"));
-            let expected = crc32(&payload[..split]);
-            if found != expected {
-                return Err(WireError::ChecksumMismatch { expected, found });
-            }
-            &payload[2..split]
-        }
-        _ => return Err(WireError::UnsupportedVersion { found: version }),
-    };
-    let frame = from_bytes::<Frame>(body)?;
-    check_frame_version(&frame, version)?;
-    Ok(frame)
-}
-
-/// Refuses a frame whose content its version cannot carry: the idle signal
-/// exists from [`IDLE_WIRE_VERSION`] on. Checked on both sides, so neither
-/// an encoder nor a decoder ever lets a v5 signal into an older frame.
-fn check_frame_version(frame: &Frame, version: u8) -> Result<(), WireError> {
-    match frame {
-        Frame::Replies { idle: true, .. } if version < IDLE_WIRE_VERSION => {
-            Err(WireError::BadTag {
-                what: "Frame::Replies idle flag below wire v5",
-                tag: version,
-            })
-        }
-        _ => Ok(()),
-    }
+    FrameAccumulator::new().read_frame(r)?.ok_or_else(|| {
+        WireError::Io(std::io::Error::new(
+            ErrorKind::TimedOut,
+            "read timed out before the frame completed",
+        ))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc32::crc32;
     use proptest::prelude::*;
     use topk_model::message::ExistencePredicate;
 
     fn roundtrip_frame(frame: &Frame) {
-        // Every negotiable version must carry every pre-v5 frame; versions 3
-        // and up grow a 4-byte trailer, version 2 is the legacy layout.
-        roundtrip_frame_at(frame, LEGACY_WIRE_VERSION..=WIRE_VERSION);
-    }
-
-    fn roundtrip_frame_at(frame: &Frame, versions: std::ops::RangeInclusive<u8>) {
-        for version in versions {
-            let mut wire = Vec::new();
-            let written = write_frame_versioned(&mut wire, frame, version).unwrap();
-            assert_eq!(written, wire.len());
-            let mut cursor = &wire[..];
-            let (back, consumed) = read_frame(&mut cursor).unwrap();
-            assert_eq!(&back, frame);
-            assert_eq!(consumed, written);
-            assert!(cursor.is_empty());
-            // Every strict prefix of the wire bytes fails (EOF or truncation).
-            for cut in 0..wire.len() {
-                let mut cursor = &wire[..cut];
-                assert!(
-                    read_frame(&mut cursor).is_err(),
-                    "prefix {cut} decoded (version {version})"
-                );
-            }
+        let mut wire = Vec::new();
+        let written = write_frame(&mut wire, frame).unwrap();
+        assert_eq!(written, wire.len());
+        let mut cursor = &wire[..];
+        let (back, consumed) = read_frame(&mut cursor).unwrap();
+        assert_eq!(&back, frame);
+        assert_eq!(consumed, written);
+        assert!(cursor.is_empty());
+        // Every strict prefix of the wire bytes fails (EOF or truncation).
+        for cut in 0..wire.len() {
+            let mut cursor = &wire[..cut];
+            assert!(read_frame(&mut cursor).is_err(), "prefix {cut} decoded");
         }
     }
 
@@ -702,12 +514,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Frames of every kind survive the write → read loop and reject all
-        /// strict byte prefixes.
+        /// strict byte prefixes; the one frame the decoder refuses is refused
+        /// by the writer too.
         #[test]
         fn frames_roundtrip(x in 0u64..u64::MAX, y in 0u64..u64::MAX, shard in 0u32..4096) {
-            roundtrip_frame(&Frame::Join { shard, max_version: LEGACY_WIRE_VERSION });
-            roundtrip_frame(&Frame::Join { shard, max_version: CRC_WIRE_VERSION });
-            roundtrip_frame(&Frame::Join { shard, max_version: WIRE_VERSION });
+            roundtrip_frame(&Frame::Join { shard });
             roundtrip_frame(&Frame::Leave { shard });
             roundtrip_frame(&Frame::Shutdown);
             roundtrip_frame(&Frame::Poll { seq: x });
@@ -722,17 +533,19 @@ mod tests {
                 },
             ], idle: false });
             roundtrip_frame(&Frame::Replies { seq: u64::MAX, replies: Vec::new(), idle: false });
-            // The idle signal exists from v5 on, and only there.
-            let idle = Frame::Replies { seq: y, replies: Vec::new(), idle: true };
-            roundtrip_frame_at(&idle, IDLE_WIRE_VERSION..=WIRE_VERSION);
-            for version in LEGACY_WIRE_VERSION..IDLE_WIRE_VERSION {
-                let mut wire = Vec::new();
-                prop_assert!(matches!(
-                    write_frame_versioned(&mut wire, &idle, version),
-                    Err(WireError::BadTag { .. })
-                ));
-                prop_assert!(wire.is_empty(), "no bytes may precede the error");
-            }
+            roundtrip_frame(&Frame::Replies { seq: y, replies: Vec::new(), idle: true });
+            // The idle signal on a reply that carries a message.
+            let idle_with_reply = Frame::Replies {
+                seq: y,
+                replies: vec![NodeMessage::ExistenceResponse { node: NodeId((x % 9999) as usize), value: x }],
+                idle: true,
+            };
+            let mut wire = Vec::new();
+            prop_assert!(matches!(
+                write_frame(&mut wire, &idle_with_reply),
+                Err(WireError::BadTag { .. })
+            ));
+            prop_assert!(wire.is_empty(), "no bytes may precede the error");
         }
 
         /// Any single corrupt byte of an idle reply after the header trips
@@ -753,14 +566,14 @@ mod tests {
     }
 
     /// Frames a hand-built body at `version` with a valid trailer, so the
-    /// decoder's own checks — not the checksum — have to refuse it.
+    /// decoder's own checks — not the checksum — have to refuse it. Built
+    /// byte by byte, independently of the writer, so byte-exact tests pin
+    /// the layout rather than the writer's agreement with itself.
     fn framed(version: u8, body: &[u8]) -> Vec<u8> {
         let mut payload = vec![MAGIC, version];
         payload.extend_from_slice(body);
-        if version >= CRC_WIRE_VERSION {
-            let crc = crc32(&payload);
-            payload.extend_from_slice(&crc.to_le_bytes());
-        }
+        let crc = crc32(&payload);
+        payload.extend_from_slice(&crc.to_le_bytes());
         let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
         wire.extend_from_slice(&payload);
         wire
@@ -768,26 +581,82 @@ mod tests {
 
     #[test]
     fn replies_without_the_signal_keep_their_pre_v5_bytes() {
-        // Tag 2, seq 9, zero replies: the v2–v4 body, and the v5 body too
-        // whenever the signal is clear.
-        for version in LEGACY_WIRE_VERSION..=WIRE_VERSION {
+        // Tag 2, seq 9, zero replies, then the idle byte only when set.
+        for (idle, body) in [(false, &[2u8, 9, 0][..]), (true, &[2, 9, 0, 1])] {
             let mut wire = Vec::new();
             let frame = Frame::Replies {
                 seq: 9,
                 replies: Vec::new(),
-                idle: false,
+                idle,
             };
-            write_frame_versioned(&mut wire, &frame, version).unwrap();
-            assert_eq!(wire, framed(version, &[2, 9, 0]), "version {version}");
+            write_frame(&mut wire, &frame).unwrap();
+            assert_eq!(wire, framed(WIRE_VERSION, body), "idle {idle}");
         }
+    }
+
+    #[test]
+    fn join_encoding_is_byte_exact() {
+        // Tag 0, then the shard index.
         let mut wire = Vec::new();
-        let idle = Frame::Replies {
-            seq: 9,
-            replies: Vec::new(),
-            idle: true,
-        };
-        write_frame(&mut wire, &idle).unwrap();
-        assert_eq!(wire, framed(WIRE_VERSION, &[2, 9, 0, 1]));
+        write_frame(&mut wire, &Frame::Join { shard: 7 }).unwrap();
+        assert_eq!(wire, framed(WIRE_VERSION, &[0, 7]));
+        // Nothing may follow the shard index: a trailing byte is refused,
+        // not read as an extension of the handshake.
+        assert!(matches!(
+            read_frame(&mut &framed(WIRE_VERSION, &[0, 7, WIRE_VERSION])[..]),
+            Err(WireError::TrailingBytes { remaining: 1 })
+        ));
+    }
+
+    #[test]
+    fn every_other_version_byte_is_refused() {
+        // A Poll for seq 7, sealed with a valid trailer at each version byte
+        // but the current one: the version check, not the checksum, has to
+        // refuse it, on the blocking reader and on the accumulator alike.
+        for version in (0..=u8::MAX).filter(|&v| v != WIRE_VERSION) {
+            let wire = framed(version, &[4, 7]);
+            assert!(
+                matches!(
+                    read_frame(&mut &wire[..]),
+                    Err(WireError::UnsupportedVersion { found }) if found == version
+                ),
+                "read_frame accepted version {version}"
+            );
+            assert!(
+                matches!(
+                    FrameAccumulator::new().read_frame(&mut &wire[..]),
+                    Err(WireError::UnsupportedVersion { found }) if found == version
+                ),
+                "FrameAccumulator accepted version {version}"
+            );
+        }
+        let (frame, _) = read_frame(&mut &framed(WIRE_VERSION, &[4, 7])[..]).unwrap();
+        assert_eq!(frame, Frame::Poll { seq: 7 });
+    }
+
+    #[test]
+    fn trace_records_are_refused_by_their_magic() {
+        use crate::trace::{write_record, TraceRecord, TraceStep, TRACE_MAGIC};
+        // The same envelope with the trace magic: the frame readers refuse
+        // it on its first payload byte.
+        let mut wire = Vec::new();
+        let record = TraceRecord::Step(TraceStep {
+            step: 0,
+            events: Vec::new(),
+            row: vec![3, 1, 4],
+            output: vec![NodeId(2)],
+            valid: true,
+            messages_total: 5,
+        });
+        write_record(&mut wire, &record).unwrap();
+        assert!(matches!(
+            read_frame(&mut &wire[..]),
+            Err(WireError::BadMagic { found: TRACE_MAGIC })
+        ));
+        assert!(matches!(
+            FrameAccumulator::new().read_frame(&mut &wire[..]),
+            Err(WireError::BadMagic { found: TRACE_MAGIC })
+        ));
     }
 
     #[test]
@@ -811,13 +680,6 @@ mod tests {
             read_frame(&mut &framed(WIRE_VERSION, &body)[..]),
             Err(WireError::BadTag { .. })
         ));
-        // The signal in a frame framed below v5, checksum and all valid.
-        for version in LEGACY_WIRE_VERSION..IDLE_WIRE_VERSION {
-            assert!(matches!(
-                read_frame(&mut &framed(version, &[2, 9, 0, 1])[..]),
-                Err(WireError::BadTag { .. })
-            ));
-        }
         // Two trailing bytes: the flag, then garbage.
         assert!(matches!(
             read_frame(&mut &framed(WIRE_VERSION, &[2, 9, 0, 1, 1])[..]),
@@ -877,19 +739,15 @@ mod tests {
 
     #[test]
     fn trailing_garbage_inside_a_frame_is_refused() {
-        // Grow the declared length by one and append a stray byte. On a
-        // legacy frame the body decoder notices the unconsumed byte; on a
-        // version-3 frame the stray byte shifts the trailer window, so the
-        // checksum catches it first. Either way the frame is refused.
-        let mut wire = Vec::new();
-        write_frame_versioned(&mut wire, &Frame::Shutdown, LEGACY_WIRE_VERSION).unwrap();
-        let len = u32::from_le_bytes(wire[..4].try_into().unwrap());
-        wire[..4].copy_from_slice(&(len + 1).to_le_bytes());
-        wire.push(0xAB);
+        // A stray byte after a complete body, sealed under a valid trailer:
+        // the body decoder notices the unconsumed byte.
         assert!(matches!(
-            read_frame(&mut &wire[..]),
+            read_frame(&mut &framed(WIRE_VERSION, &[3, 0xAB])[..]),
             Err(WireError::TrailingBytes { remaining: 1 })
         ));
+        // Appended after the trailer instead (the declared length grown by
+        // one): the stray byte shifts the trailer window, so the checksum
+        // catches it first.
         let mut wire = Vec::new();
         write_frame(&mut wire, &Frame::Shutdown).unwrap();
         let len = u32::from_le_bytes(wire[..4].try_into().unwrap());
@@ -903,7 +761,7 @@ mod tests {
 
     #[test]
     fn undersized_frames_are_refused() {
-        // Declared length 2 cannot hold magic + version + tag.
+        // Declared length 2 cannot hold magic + version + tag + trailer.
         let mut wire = Vec::new();
         wire.extend_from_slice(&2u32.to_le_bytes());
         wire.extend_from_slice(&[MAGIC, WIRE_VERSION]);
@@ -922,14 +780,8 @@ mod tests {
         let mut body = vec![2u8]; // Replies tag
         varint::write_u64(&mut body, 7); // seq
         varint::write_u64(&mut body, 1 << 40);
-        let mut payload = vec![MAGIC, WIRE_VERSION];
-        payload.extend_from_slice(&body);
-        let crc = crc32(&payload);
-        payload.extend_from_slice(&crc.to_le_bytes());
-        let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
-        wire.extend_from_slice(&payload);
         assert!(matches!(
-            read_frame(&mut &wire[..]),
+            read_frame(&mut &framed(WIRE_VERSION, &body)[..]),
             Err(WireError::Truncated { .. })
         ));
     }
@@ -955,10 +807,10 @@ mod tests {
     }
 
     proptest! {
-        /// Any single-byte corruption anywhere in a version-3 payload is
-        /// refused — magic and version corruption by the header checks,
-        /// everything else by the CRC32 trailer. Truncating the trailer
-        /// itself is refused as a truncation, not decoded as a shorter body.
+        /// Any single-byte corruption anywhere in a frame payload is refused
+        /// — magic and version corruption by the header checks, everything
+        /// else by the CRC32 trailer. Truncating the trailer itself is
+        /// refused too, never decoded as a shorter body.
         #[test]
         fn corrupted_v3_frames_never_decode(seq in 0u64..u64::MAX, mask in 1u32..256) {
             let mask = mask as u8;
@@ -972,80 +824,13 @@ mod tests {
                     "payload byte {i} xor {mask:#04x} decoded"
                 );
             }
-            // A v3 frame whose trailer is cut off mid-way: shrink the
-            // declared length by two so the payload ends inside the CRC.
+            // A frame whose trailer is cut off mid-way: shrink the declared
+            // length by two so the payload ends inside the CRC.
             let mut truncated = wire.clone();
             let len = u32::from_le_bytes(truncated[..4].try_into().unwrap());
             truncated[..4].copy_from_slice(&(len - 2).to_le_bytes());
             truncated.truncate(truncated.len() - 2);
             prop_assert!(read_frame(&mut &truncated[..]).is_err());
         }
-    }
-
-    #[test]
-    fn legacy_join_encoding_is_byte_identical() {
-        // A Join advertising only version 2 must be indistinguishable from a
-        // genuine version-2 peer's handshake: same trailerless framing, no
-        // version byte in the body.
-        let mut ours = Vec::new();
-        write_frame_versioned(
-            &mut ours,
-            &Frame::Join {
-                shard: 7,
-                max_version: LEGACY_WIRE_VERSION,
-            },
-            LEGACY_WIRE_VERSION,
-        )
-        .unwrap();
-        let legacy_payload = vec![MAGIC, LEGACY_WIRE_VERSION, 0u8, 7u8];
-        let mut legacy = (legacy_payload.len() as u32).to_le_bytes().to_vec();
-        legacy.extend_from_slice(&legacy_payload);
-        assert_eq!(ours, legacy);
-    }
-
-    #[test]
-    fn join_negotiation_byte_upgrades_and_its_absence_means_legacy() {
-        // A v3 client frames its Join at the legacy version (so any server
-        // reads it) but advertises 3 in the body.
-        let mut wire = Vec::new();
-        write_frame_versioned(
-            &mut wire,
-            &Frame::Join {
-                shard: 2,
-                max_version: WIRE_VERSION,
-            },
-            LEGACY_WIRE_VERSION,
-        )
-        .unwrap();
-        let (frame, _) = read_frame(&mut &wire[..]).unwrap();
-        assert_eq!(
-            frame,
-            Frame::Join {
-                shard: 2,
-                max_version: WIRE_VERSION
-            }
-        );
-        // A hand-built legacy Join (no version byte) decodes as version 2.
-        let payload = vec![MAGIC, LEGACY_WIRE_VERSION, 0u8, 2u8];
-        let mut legacy = (payload.len() as u32).to_le_bytes().to_vec();
-        legacy.extend_from_slice(&payload);
-        let (frame, _) = read_frame(&mut &legacy[..]).unwrap();
-        assert_eq!(
-            frame,
-            Frame::Join {
-                shard: 2,
-                max_version: LEGACY_WIRE_VERSION
-            }
-        );
-    }
-
-    #[test]
-    fn unknown_write_versions_are_refused() {
-        let mut wire = Vec::new();
-        assert!(matches!(
-            write_frame_versioned(&mut wire, &Frame::Shutdown, WIRE_VERSION + 1),
-            Err(WireError::UnsupportedVersion { .. })
-        ));
-        assert!(wire.is_empty());
     }
 }

@@ -20,26 +20,29 @@
 //!   one-byte tag per enum variant, for [`ServerMessage`], [`NodeMessage`]
 //!   and every payload type they embed ([`Filter`], [`FilterParams`],
 //!   [`NodeGroup`], [`Violation`], [`ExistencePredicate`]);
-//! * [`frame`] — the transport unit: a little-endian `u32` length prefix
-//!   followed by a payload starting with magic byte, version byte and a frame
-//!   tag. A [`Frame`] batches many model messages (an observation row, the
-//!   replies of an existence round) into one socket write. Reply-bearing
-//!   frames carry a sequence number so a lossy transport can re-request a
-//!   missing answer ([`Frame::Poll`]) and recognise duplicates. Version-3
-//!   frames end with a CRC32 integrity trailer ([`crc32`]), negotiated in
-//!   the `Join` handshake so version-2 peers keep working. Version-5
-//!   replies may carry an idle signal (no node of the shard satisfies the
-//!   existence round's predicate) that lets the coordinator skip the shard
-//!   for the rest of the run.
+//! * [`frame`] — the transport unit: a little-endian `u32` length prefix,
+//!   then a payload of magic byte, version byte, frame tag, body and a CRC32
+//!   integrity trailer ([`crc32`]). A [`Frame`] batches many model messages
+//!   (an observation row, the replies of an existence round) into one socket
+//!   write. Reply-bearing frames carry a sequence number so a lossy
+//!   transport can re-request a missing answer ([`Frame::Poll`]) and
+//!   recognise duplicates, and a reply may carry an idle signal (no node of
+//!   the shard satisfies the existence round's predicate) that lets the
+//!   coordinator skip the shard for the rest of the run. There is one wire
+//!   version, [`WIRE_VERSION`]; a frame at any other is refused.
 //!   [`stream::FrameAccumulator`] is the timeout-surviving reader the
-//!   retrying coordinator uses.
+//!   retrying coordinator uses, and [`read_frame`] is the same reader run to
+//!   completion.
 //!
-//! A fourth layer, [`trace`], reuses the same framing discipline for files
-//! instead of sockets: a record stream capturing one monitored run step by
-//! step (magic `0xC7`, its own version byte, a CRC32 trailer on every
-//! record), the storage format of the golden-trace regression corpus under
-//! `tests/traces/` and of `experiments --record`/`--replay`. The schema is
-//! documented in `docs/SCENARIOS.md`.
+//! A fourth layer, [`trace`], stores a monitored run step by step in files
+//! instead of sockets: the storage format of the golden-trace regression
+//! corpus under `tests/traces/` and of `experiments --record`/`--replay`.
+//! Its records travel in the frame envelope — length prefix, magic byte,
+//! version byte, body, CRC32 trailer — with their own magic (`0xC7`) and
+//! version byte ([`TRACE_VERSION`]). One private module seals and opens that
+//! envelope for frames and records alike, so the length bound, magic,
+//! version and checksum checks exist once. The schema is documented in
+//! `docs/SCENARIOS.md`.
 //!
 //! Decoding is strict: unknown tags, truncated input, oversized frames and
 //! trailing bytes are all [`WireError`]s, never panics — a corrupt or
@@ -60,6 +63,7 @@
 
 pub mod codec;
 pub mod crc32;
+mod envelope;
 pub mod error;
 pub mod frame;
 pub mod stream;
@@ -68,13 +72,9 @@ pub mod varint;
 
 pub use codec::{from_bytes, to_bytes, Reader, WireDecode, WireEncode};
 pub use error::WireError;
-pub use frame::{
-    read_frame, read_frame_versioned, write_frame, write_frame_versioned, Frame, ServerOp,
-    CRC_WIRE_VERSION, IDLE_WIRE_VERSION, LEGACY_WIRE_VERSION, MAX_FRAME_LEN, QUERY_WIRE_VERSION,
-    WIRE_VERSION,
-};
+pub use frame::{read_frame, write_frame, Frame, ServerOp, MAX_FRAME_LEN, WIRE_VERSION};
 pub use stream::FrameAccumulator;
 pub use trace::{
     read_all_records, read_record, write_record, TraceEnd, TraceHeader, TraceRecord, TraceStep,
-    MAX_RECORD_LEN, TRACE_MAGIC, TRACE_VERSION,
+    TRACE_MAGIC, TRACE_VERSION,
 };

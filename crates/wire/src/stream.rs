@@ -1,7 +1,6 @@
 //! Resumable frame reading for sockets with read timeouts.
 //!
-//! [`read_frame`](crate::read_frame) issues blocking `read_exact` calls, so
-//! on a socket with a read timeout a mid-frame timeout *loses* the bytes
+//! A reader that gives up on a read timeout mid-frame *loses* the bytes
 //! already consumed and permanently desynchronises the stream. The retrying
 //! coordinator needs to time out waiting for a reply, send a poll, and then
 //! keep reading the *same* stream — which requires a reader that can park a
@@ -11,12 +10,15 @@
 //! arrived, returns `Ok(None)` when the transport reports
 //! [`WouldBlock`](std::io::ErrorKind::WouldBlock) /
 //! [`TimedOut`](std::io::ErrorKind::TimedOut), and resumes exactly where it
-//! left off on the next call. Frame validation (length bound, magic,
-//! version, full body decode) is byte-for-byte the same as
-//! [`read_frame`](crate::read_frame) — the two share the payload decoder.
+//! left off on the next call. [`read_frame`](crate::read_frame) is this
+//! reader run to completion on a blocking stream, so the two share every
+//! check: the length bound, magic, version and CRC32 of the envelope
+//! (`envelope.rs`), then the strict body decode.
 
+use crate::codec::from_bytes;
+use crate::envelope::{open, payload_len};
 use crate::error::WireError;
-use crate::frame::{decode_payload, Frame, MAX_FRAME_LEN};
+use crate::frame::{Frame, MAGIC, WIRE_VERSION};
 use std::io::{ErrorKind, Read};
 
 /// Incremental frame reader that survives read timeouts (see module docs).
@@ -44,10 +46,14 @@ impl FrameAccumulator {
     ///
     /// # Errors
     ///
-    /// The same errors as [`read_frame`](crate::read_frame): an oversized or
-    /// undersized length prefix, bad magic or version, a corrupt body, and
-    /// [`WireError::Io`] with [`UnexpectedEof`](ErrorKind::UnexpectedEof) if
-    /// the stream ends (cleanly or mid-frame).
+    /// [`WireError::FrameTooLarge`] for an oversized length prefix,
+    /// [`WireError::Truncated`] for a payload too short to hold a frame,
+    /// [`WireError::BadMagic`] / [`WireError::UnsupportedVersion`] for a
+    /// header other than [`MAGIC`] / [`WIRE_VERSION`],
+    /// [`WireError::ChecksumMismatch`] for a payload its trailer disagrees
+    /// with, any decoding error for a corrupt body, and [`WireError::Io`]
+    /// with [`UnexpectedEof`](ErrorKind::UnexpectedEof) if the stream ends
+    /// (cleanly or mid-frame).
     pub fn read_frame(&mut self, r: &mut impl Read) -> Result<Option<(Frame, usize)>, WireError> {
         // Phase 1: the 4-byte length prefix.
         if self.filled < 4 {
@@ -55,19 +61,16 @@ impl FrameAccumulator {
             if !self.fill(r, 4)? {
                 return Ok(None);
             }
-            let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
-            if len > MAX_FRAME_LEN {
-                return Err(WireError::FrameTooLarge { len: len as u64 });
-            }
+            let len = payload_len(self.buf[..4].try_into().expect("4 bytes"))?;
             self.buf.resize(4 + len, 0);
         }
-        // Phase 2: the payload (possibly empty — then decode fails with the
-        // same Truncated error a blocking read would produce).
+        // Phase 2: the payload (possibly too short to open — then `open`
+        // refuses it as truncated).
         let total = self.buf.len();
         if !self.fill(r, total)? {
             return Ok(None);
         }
-        let frame = decode_payload(&self.buf[4..]);
+        let frame = open(&self.buf[4..], MAGIC, WIRE_VERSION).and_then(from_bytes::<Frame>);
         self.buf.clear();
         self.filled = 0;
         frame.map(|f| Some((f, total)))
@@ -135,10 +138,7 @@ mod tests {
 
     fn sample_frames() -> (Vec<Frame>, Vec<u8>) {
         let frames = vec![
-            Frame::Join {
-                shard: 3,
-                max_version: crate::frame::WIRE_VERSION,
-            },
+            Frame::Join { shard: 3 },
             Frame::Poll { seq: 41 },
             Frame::Replies {
                 seq: 41,

@@ -10,19 +10,20 @@
 //!
 //! ## Stream layout
 //!
-//! A trace file is a flat sequence of records; each record is framed exactly
-//! like a version-3 protocol frame (see `docs/WIRE.md`):
+//! A trace file is a flat sequence of records; each record travels in the
+//! same envelope as a protocol frame (`envelope.rs`, `docs/WIRE.md`), with
+//! its own magic byte and version:
 //!
 //! ```text
 //! | len: u32 LE | payload (len bytes) |
 //!   payload = magic 0xC7 | version | record tag | body… | CRC32 LE |
 //! ```
 //!
-//! The CRC32 (same reflected IEEE polynomial as the frame codec) covers the
-//! magic byte through the last body byte. [`read_record`] returns `Ok(None)`
-//! only on a clean end of stream — EOF *between* records; EOF anywhere inside
-//! a record is an error, so a truncated capture can never pass for a complete
-//! one.
+//! The CRC32 covers the magic byte through the last body byte, and `len` is
+//! bounded by [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN). [`read_record`]
+//! returns `Ok(None)` only on a clean end of stream — EOF *between* records;
+//! EOF anywhere inside a record is an error, so a truncated capture can never
+//! pass for a complete one.
 //!
 //! ## Record tags (append-only across versions)
 //!
@@ -45,7 +46,7 @@
 use std::io::{Read, Write};
 
 use crate::codec::{from_bytes, Reader, WireDecode, WireEncode};
-use crate::crc32::crc32;
+use crate::envelope::{open, payload_len, seal};
 use crate::error::WireError;
 use crate::varint;
 use topk_model::prelude::*;
@@ -58,11 +59,6 @@ pub const TRACE_MAGIC: u8 = 0xC7;
 /// Current trace format version. Bump on any layout change; readers reject
 /// other versions with [`WireError::UnsupportedVersion`] rather than guess.
 pub const TRACE_VERSION: u8 = 1;
-
-/// Upper bound on one record's payload, mirroring
-/// [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN): a corrupt length prefix is
-/// refused before any allocation.
-pub const MAX_RECORD_LEN: usize = 16 << 20;
 
 /// The opening record of a trace: everything needed to rebuild the monitor
 /// and engine that produced it.
@@ -568,39 +564,29 @@ impl WireDecode for TraceRecord {
 /// # Errors
 ///
 /// [`WireError::FrameTooLarge`] if the encoded payload exceeds
-/// [`MAX_RECORD_LEN`] — refused before any bytes are written — and
-/// [`WireError::Io`] for writer failures.
+/// [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN) — refused before any bytes are
+/// written — and [`WireError::Io`] for writer failures.
 pub fn write_record(w: &mut impl Write, record: &TraceRecord) -> Result<usize, WireError> {
-    let mut payload = Vec::with_capacity(64);
-    payload.push(TRACE_MAGIC);
-    payload.push(TRACE_VERSION);
-    record.encode(&mut payload);
-    let crc = crc32(&payload);
-    payload.extend_from_slice(&crc.to_le_bytes());
-    if payload.len() > MAX_RECORD_LEN {
-        return Err(WireError::FrameTooLarge {
-            len: payload.len() as u64,
-        });
-    }
-    let len = u32::try_from(payload.len()).expect("MAX_RECORD_LEN fits u32");
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&payload)?;
-    Ok(4 + payload.len())
+    let wire = seal(TRACE_MAGIC, TRACE_VERSION, |buf| record.encode(buf))?;
+    w.write_all(&wire)?;
+    Ok(wire.len())
 }
 
 /// Reads the next record, or `Ok(None)` on a clean end of stream.
 ///
 /// "Clean" means EOF *before* the first length byte; EOF anywhere later is
-/// [`WireError::Io`] (`UnexpectedEof`), so a truncated capture is always a
-/// typed error rather than a silently shorter trace.
+/// an error, so a truncated capture is always a typed error rather than a
+/// silently shorter trace.
 ///
 /// # Errors
 ///
 /// [`WireError::FrameTooLarge`] for an oversized length prefix,
-/// [`WireError::BadMagic`] / [`WireError::UnsupportedVersion`] for a bad
-/// record header, [`WireError::ChecksumMismatch`] for a corrupted payload,
-/// any decoding error for a corrupt body, and [`WireError::Io`] for reader
-/// failures.
+/// [`WireError::Truncated`] for a record cut off inside its prefix or too
+/// short to hold a record, [`WireError::BadMagic`] /
+/// [`WireError::UnsupportedVersion`] for a header other than
+/// [`TRACE_MAGIC`] / [`TRACE_VERSION`], [`WireError::ChecksumMismatch`] for
+/// a corrupted payload, any decoding error for a corrupt body, and
+/// [`WireError::Io`] for reader failures.
 pub fn read_record(r: &mut impl Read) -> Result<Option<(TraceRecord, usize)>, WireError> {
     let mut prefix = [0u8; 4];
     let mut got = 0;
@@ -617,39 +603,11 @@ pub fn read_record(r: &mut impl Read) -> Result<Option<(TraceRecord, usize)>, Wi
             Err(e) => return Err(WireError::Io(e)),
         }
     }
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > MAX_RECORD_LEN {
-        return Err(WireError::FrameTooLarge { len: len as u64 });
-    }
-    // magic + version + record tag + 4-byte trailer is the minimum.
-    if len < 7 {
-        return Err(WireError::Truncated {
-            what: "trace record header",
-        });
-    }
+    let len = payload_len(prefix)?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    let record = decode_record_payload(&payload)?;
+    let record = from_bytes::<TraceRecord>(open(&payload, TRACE_MAGIC, TRACE_VERSION)?)?;
     Ok(Some((record, 4 + len)))
-}
-
-/// Decodes one complete record payload: magic, version, CRC trailer, body.
-fn decode_record_payload(payload: &[u8]) -> Result<TraceRecord, WireError> {
-    let magic = payload[0];
-    if magic != TRACE_MAGIC {
-        return Err(WireError::BadMagic { found: magic });
-    }
-    let version = payload[1];
-    if version != TRACE_VERSION {
-        return Err(WireError::UnsupportedVersion { found: version });
-    }
-    let split = payload.len() - 4;
-    let found = u32::from_le_bytes(payload[split..].try_into().expect("4 bytes"));
-    let expected = crc32(&payload[..split]);
-    if found != expected {
-        return Err(WireError::ChecksumMismatch { expected, found });
-    }
-    from_bytes::<TraceRecord>(&payload[2..split])
 }
 
 /// Reads an entire stream into a record list (convenience for tests and the
@@ -669,6 +627,7 @@ pub fn read_all_records(r: &mut impl Read) -> Result<Vec<TraceRecord>, WireError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc32::crc32;
     use proptest::prelude::*;
 
     /// Deterministic derivation of each record family from a few integers,
