@@ -317,6 +317,8 @@ const WARMUP_STEPS: u64 = 8;
 
 /// Outcome of the shared measurement loop, engine-agnostic.
 struct LoopOutcome {
+    /// Measured steps (after warm-up).
+    steps: u64,
     elapsed_s: f64,
     messages: u64,
     mean_changed_per_step: f64,
@@ -325,15 +327,17 @@ struct LoopOutcome {
 
 /// The monitoring loop every measurement drives: calibrate filters, warm up,
 /// then time observation delivery plus the per-step violation check and
-/// repairs. Generic over the engine so callers with engine-specific counters
-/// (the remote transport axis) can snapshot them when the warm-up ends via
-/// `at_warmup_end`.
+/// repairs, for at least `steps` steps and until the timed work adds up to
+/// at least `window`. Generic over the engine so callers with
+/// engine-specific counters (the remote transport axis) can snapshot them
+/// when the warm-up ends via `at_warmup_end`.
 fn drive<N: Network>(
     net: &mut N,
     workload: &mut dyn AdaptiveWorkload,
     n: usize,
     mode: DeliveryMode,
     steps: u64,
+    window: Duration,
     mut at_warmup_end: impl FnMut(&N),
 ) -> LoopOutcome {
     // Setup (untimed): observe a few calibration steps under the all-embracing
@@ -371,7 +375,8 @@ fn drive<N: Network>(
     let mut phase_detect = Duration::ZERO;
     let mut violations = 0u64;
 
-    for step in 0..(WARMUP_STEPS + steps) {
+    let mut step = 0;
+    while step < WARMUP_STEPS + steps || elapsed < window {
         if step == WARMUP_STEPS {
             elapsed = Duration::ZERO;
             total_changed = 0;
@@ -423,12 +428,15 @@ fn drive<N: Network>(
 
         prev = row;
         net.peek_filters_into(&mut filters);
+        step += 1;
     }
+    let steps = step - WARMUP_STEPS;
     let stats = net.stats();
     let messages = stats.total_messages() - messages_at_warmup_end;
     let rounds = stats.rounds - rounds_at_warmup_end;
     let elapsed_s = elapsed.as_secs_f64().max(1e-9);
     LoopOutcome {
+        steps,
         elapsed_s,
         messages,
         mean_changed_per_step: total_changed as f64 / steps as f64,
@@ -458,21 +466,24 @@ pub fn measure(
     seed: u64,
 ) -> ThroughputRow {
     let mut workload = make_workload(generator, n, seed);
+    let w = workload.as_mut();
+    // In-process rows run exactly `steps` steps.
+    let window = Duration::ZERO;
     let out = match kind {
         EngineKind::Baseline => {
             let mut net = DeterministicEngine::new(n, seed);
-            drive(&mut net, workload.as_mut(), n, mode, steps, |_| {})
+            drive(&mut net, w, n, mode, steps, window, |_| {})
         }
         EngineKind::Indexed => {
             let mut net = IndexedEngine::new(n, seed);
-            drive(&mut net, workload.as_mut(), n, mode, steps, |_| {})
+            drive(&mut net, w, n, mode, steps, window, |_| {})
         }
         // `Dispatch::Auto`: the engine uses its worker pool when the machine
         // has usable parallelism and falls back to inline shard execution
         // otherwise — the measurement reflects what a deployment would get.
         EngineKind::Sharded(workers) => {
             let mut net = ShardedEngine::new(n, seed, workers);
-            drive(&mut net, workload.as_mut(), n, mode, steps, |_| {})
+            drive(&mut net, w, n, mode, steps, window, |_| {})
         }
     };
     ThroughputRow {
@@ -545,21 +556,24 @@ pub struct RemoteReport {
     pub rows: Vec<RemoteRow>,
 }
 
-/// Runs one remote-transport configuration.
+/// Runs one remote-transport configuration for at least `steps` measured
+/// steps and until their timed work adds up to at least `window`.
 pub fn measure_remote(
     generator: &str,
     n: usize,
     shards: usize,
     mode: DeliveryMode,
     steps: u64,
+    window: Duration,
     seed: u64,
 ) -> RemoteRow {
     let mut workload = make_workload(generator, n, seed);
     let mut net = RemoteEngine::with_shards(n, seed, shards);
     let mut transport_at_warmup_end = TransportStats::default();
-    let out = drive(&mut net, workload.as_mut(), n, mode, steps, |net| {
+    let out = drive(&mut net, workload.as_mut(), n, mode, steps, window, |net| {
         transport_at_warmup_end = net.transport_stats()
     });
+    let steps = out.steps;
     let transport = net.transport_stats();
     let frames = transport.frames() - transport_at_warmup_end.frames();
     let bytes = transport.bytes() - transport_at_warmup_end.bytes();
@@ -591,7 +605,7 @@ fn remote_sizes(quick: bool) -> &'static [usize] {
     }
 }
 
-/// Measured steps for the remote engine at population `n`.
+/// The fewest measured steps for the remote engine at population `n`.
 fn remote_steps(n: usize, quick: bool) -> u64 {
     if quick {
         30
@@ -602,15 +616,27 @@ fn remote_steps(n: usize, quick: bool) -> u64 {
     }
 }
 
+/// The least timed work per remote row. A quick row's 30 steps can take
+/// under 5 ms on a silent workload, too short a window for a rate that two
+/// runs agree on, so quick rows run on until a quarter second of timed work.
+fn remote_window(quick: bool) -> Duration {
+    if quick {
+        Duration::from_millis(250)
+    } else {
+        Duration::ZERO
+    }
+}
+
 /// Runs the remote-transport benchmark matrix (the `--remote` axis).
 pub fn run_remote(quick: bool, shards: usize, log: impl Fn(&str)) -> RemoteReport {
     let seed = 0xBE7C;
+    let window = remote_window(quick);
     let mut rows = Vec::new();
     for &n in remote_sizes(quick) {
         for generator in GENERATORS {
             let steps = remote_steps(n, quick);
             for mode in [DeliveryMode::Dense, DeliveryMode::Sparse] {
-                let row = measure_remote(generator, n, shards, mode, steps, seed);
+                let row = measure_remote(generator, n, shards, mode, steps, window, seed);
                 log(&format!(
                     "remote: {generator:>12} n={n:>8} {shards} conns/{:<6} {:>10.1} steps/s {:>7.1} frames/step {:>10.1} B/step {:>6} msgs",
                     row.mode, row.steps_per_sec, row.frames_per_step, row.bytes_per_step, row.messages
@@ -1300,7 +1326,7 @@ mod tests {
             5,
         );
         for mode in [DeliveryMode::Dense, DeliveryMode::Sparse] {
-            let row = measure_remote("noise", 128, 2, mode, 10, 5);
+            let row = measure_remote("noise", 128, 2, mode, 10, Duration::ZERO, 5);
             assert_eq!(row.steps, 10);
             assert_eq!(row.shards, 2);
             assert!(row.steps_per_sec > 0.0);
@@ -1315,6 +1341,18 @@ mod tests {
     }
 
     #[test]
+    fn a_remote_row_runs_until_its_window_is_full() {
+        let window = Duration::from_millis(40);
+        let row = measure_remote("noise", 64, 1, DeliveryMode::Sparse, 3, window, 5);
+        assert!(row.steps >= 3, "{} steps", row.steps);
+        assert!(row.elapsed_s >= window.as_secs_f64(), "{} s", row.elapsed_s);
+        // Every per-step figure divides by the steps actually measured.
+        assert_eq!(row.steps_per_sec, row.steps as f64 / row.elapsed_s);
+        assert_eq!(row.frames_per_step, row.frames as f64 / row.steps as f64);
+        assert_eq!(row.bytes_per_step, row.bytes as f64 / row.steps as f64);
+    }
+
+    #[test]
     fn remote_report_serialises_and_roundtrips() {
         let report = RemoteReport {
             bench: REMOTE_BENCH.into(),
@@ -1326,6 +1364,7 @@ mod tests {
                 2,
                 DeliveryMode::Sparse,
                 5,
+                Duration::ZERO,
                 1,
             )],
         };
@@ -1341,14 +1380,14 @@ mod tests {
     fn silent_remote_rows_hold_the_frame_floor_and_tampering_fails() {
         // Noise at n = 256 under calibrated filters sends no model messages:
         // every step is an observation plus one silent existence run.
-        let quiet = measure_remote("noise", 256, 3, DeliveryMode::Dense, 12, 5);
+        let quiet = measure_remote("noise", 256, 3, DeliveryMode::Dense, 12, Duration::ZERO, 5);
         assert_eq!(quiet.messages, 0, "the cell must be silent");
         assert!(
             quiet.frames_per_step <= 9.0,
             "{} frames/step",
             quiet.frames_per_step
         );
-        let busy = measure_remote("zipf", 64, 2, DeliveryMode::Sparse, 12, 3);
+        let busy = measure_remote("zipf", 64, 2, DeliveryMode::Sparse, 12, Duration::ZERO, 3);
         let report = RemoteReport {
             bench: REMOTE_BENCH.into(),
             scale: "quick".into(),

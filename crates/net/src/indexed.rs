@@ -39,8 +39,9 @@
 //! the run's first round — and reuses them until the predicate changes or a
 //! mutator writes node state (`NodeStateSoA::writes`). The streams sit in a
 //! struct-of-arrays keystream table (`crate::keystream`) that refills the
-//! exhausted streams of a round eight ChaCha8 blocks at a time and draws
-//! exactly the words each node's `ChaCha8Rng` would.
+//! exhausted streams of a round four ChaCha8 blocks at a time, straight
+//! from and into each stream's own rows, and draws exactly the words each
+//! node's `ChaCha8Rng` would.
 //!
 //! ## Why skipping inactive nodes is exact, not approximate
 //!

@@ -1,24 +1,32 @@
-//! The keystream table: every node's ChaCha8 stream, stored column by column
-//! so that one existence round refills up to eight streams per kernel call.
+//! The keystream table: every node's ChaCha8 stream, stored row by row so
+//! that one existence round refills its exhausted streams four blocks at a
+//! time, each block read from and written to its stream's own rows.
 //!
-//! [`Keystream`] holds, per node, the 16-word ChaCha input block (constants,
-//! key, the 64-bit counter of the next block, nonce), the buffered keystream
-//! block and a dense `u8` word index. A node's entry is built from its
-//! `ChaCha8Rng` through the generator's `get_seed`, `get_stream` and
-//! `get_word_pos` accessors, and from then on the table draws exactly the
-//! `u64`s that the generator's `next_u64` would have drawn (module tests
-//! check it draw for draw).
+//! [`Keystream`] holds, per node, the 12 words of the ChaCha input block
+//! that differ between blocks and streams (key, the 64-bit counter of the
+//! next block, nonce — the four constant words live in the kernels), the
+//! buffered keystream block and a dense `u8` word index. A node's entry is
+//! built from its `ChaCha8Rng` through the generator's `get_seed`,
+//! `get_stream` and `get_word_pos` accessors, and from then on the table
+//! draws exactly the `u64`s that the generator's `next_u64` would have drawn
+//! (module tests check it draw for draw).
 //!
-//! ## The three passes of a round
+//! ## The two passes of a round
 //!
 //! [`Keystream::draw_each`] takes a round's active ids (distinct, so each
 //! stream draws once) and
 //!
-//! 1. gathers, without a branch, the streams whose buffer cannot serve a
-//!    whole `u64` — the dense index column is all this pass reads;
-//! 2. refills those streams, eight blocks per kernel call;
-//! 3. draws one `u64` per id in the order given, two words straight from
-//!    the buffer.
+//! 1. draws one `u64` per id in the order given, two words straight from
+//!    the buffer, and gathers, without a branch, the streams whose buffer
+//!    can no longer serve a whole `u64`;
+//! 2. refills those streams, four blocks per kernel iteration.
+//!
+//! So a stream is refilled as soon as it runs dry, and every stream that
+//! has drawn since it was seeded holds a whole `u64` when its next round
+//! comes. Only a freshly seeded stream can still be dry at its first draw;
+//! the draw pass refills it on the spot, a branch taken once per stream.
+//! Seeding does not refill, so a node that never draws never touches its
+//! buffer row.
 //!
 //! A `u64` whose low word is the last word of a block takes its high word
 //! from the next block. The buffer row therefore has a 17th slot: slot 0
@@ -29,24 +37,23 @@
 //!
 //! ## The kernel
 //!
-//! [`chacha8`] runs ChaCha8 on `L` streams at once over a transposed state,
-//! `x[word][lane]`, so each step of a quarter round is one lane-wise
-//! operation on a row. With `L = 8` a row is one 256-bit vector. Once the
-//! CPU reports AVX2, a round's stale streams go through the eight-lane
-//! kernel compiled for AVX2, eight at a time, the last batch padded. Without
-//! AVX2, and off x86-64, every refill runs the same kernel one lane at a
-//! time, which is the scalar ChaCha8 block function: there the eight-lane
-//! kernel would be slower than eight one-lane calls, because LLVM leaves
-//! its rotates scalar. `docs/ARCHITECTURE.md` ("Keystream table") has the
-//! measured costs.
+//! A ChaCha state is a 4×4 matrix of words: the constants, the two halves of
+//! the key, and the counter with the nonce. Every step of a round works on
+//! whole rows — the column round adds, xors and rotates row against row, and
+//! the diagonal round is the same once rows 1–3 are rotated by one, two and
+//! three words. Once the CPU reports AVX2, `refill_avx2` keeps one stream's
+//! row in each 128-bit half of a 256-bit register, two streams per register
+//! and two such pairs side by side, so a refill loads the stream's input row
+//! as it lies in the table and stores the block straight into the stream's
+//! buffer row: no transpose on either side. Without AVX2, and off x86-64,
+//! every refill runs [`chacha8`], the scalar one-lane block function, which
+//! is also the reference the AVX2 kernel is tested against.
+//! `docs/ARCHITECTURE.md` ("Keystream table") has the measured costs.
 
 use rand_chacha::ChaCha8Rng;
 
 /// "expand 32-byte k": words 0–3 of every ChaCha input block.
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
-
-/// Streams per wide kernel call.
-const LANES: usize = 8;
 
 /// A word index at or past this leaves fewer than two unread words: the
 /// stream needs a refill before its next `u64`.
@@ -58,8 +65,11 @@ const EXHAUSTED: u8 = 17;
 /// Per-node ChaCha8 streams as a struct of arrays (see module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct Keystream {
-    /// Per stream: the ChaCha input block of the next block to generate.
-    input: Vec<[u32; 16]>,
+    /// Per stream: words 4–15 of the ChaCha input block of the next block to
+    /// generate — the key in 0–7, the 64-bit block counter in 8–9 (low word
+    /// first) and the nonce in 10–11. Words 0–3 are [`SIGMA`] for every
+    /// stream, so the table does not store them.
+    input: Vec<[u32; 12]>,
     /// Per stream: slot 0 carries the previous block's last word, slots
     /// 1..=16 hold the current block.
     buffer: Vec<[u32; 17]>,
@@ -74,7 +84,7 @@ impl Keystream {
     pub(crate) fn new(rngs: impl ExactSizeIterator<Item = ChaCha8Rng>) -> Keystream {
         let len = rngs.len();
         let mut table = Keystream {
-            input: vec![[0; 16]; len],
+            input: vec![[0; 12]; len],
             buffer: vec![[0; 17]; len],
             pos: vec![EXHAUSTED; len],
             stale: Vec::new(),
@@ -92,14 +102,13 @@ impl Keystream {
         let word_pos = rng.get_word_pos();
         let block = (word_pos >> 4) as u64;
         let input = &mut self.input[i];
-        input[..4].copy_from_slice(&SIGMA);
-        for (word, bytes) in input[4..12].iter_mut().zip(seed.chunks_exact(4)) {
+        for (word, bytes) in input[..8].iter_mut().zip(seed.chunks_exact(4)) {
             *word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
-        input[12] = block as u32;
-        input[13] = (block >> 32) as u32;
-        input[14] = stream as u32;
-        input[15] = (stream >> 32) as u32;
+        input[8] = block as u32;
+        input[9] = (block >> 32) as u32;
+        input[10] = stream as u32;
+        input[11] = (stream >> 32) as u32;
         self.pos[i] = EXHAUSTED;
         // Mid-block: generate the block and skip the words already read.
         let word = (word_pos & 15) as u8;
@@ -112,100 +121,231 @@ impl Keystream {
     /// Draws the next `u64` of each stream in `ids` — exactly what the
     /// stream's `ChaCha8Rng::next_u64` would return — and hands it to `each`
     /// with the id, in the order of `ids`. The ids must be distinct.
-    pub(crate) fn draw_each(&mut self, ids: &[u32], mut each: impl FnMut(u32, u64)) {
-        // Pass 1: gather the streams that need a refill. Every id is written
-        // and only a stale one is kept, so the loop has no branch to miss.
+    pub(crate) fn draw_each(&mut self, ids: &[u32], each: impl FnMut(u32, u64)) {
+        let stale = self.draw_and_gather(ids, each);
+        self.refill_gathered(stale);
+    }
+
+    /// Pass 1 of [`Keystream::draw_each`]: draws for every id in order and
+    /// gathers, at the front of the scratch list, the streams the draw left
+    /// without a whole `u64`; returns how many. Every id is written and only
+    /// a stale one is kept, so the gather has no branch to miss.
+    fn draw_and_gather(&mut self, ids: &[u32], mut each: impl FnMut(u32, u64)) -> usize {
         if self.stale.len() < ids.len() {
             self.stale.resize(ids.len(), 0);
         }
         let mut stale = 0;
         for &i in ids {
-            self.stale[stale] = i;
-            stale += usize::from(self.pos[i as usize] >= STALE);
-        }
-        // Pass 2: refill them.
-        let scratch = std::mem::take(&mut self.stale);
-        self.refill(&scratch[..stale]);
-        self.stale = scratch;
-        // Pass 3: draw in the order given.
-        for &i in ids {
             let s = i as usize;
+            if self.pos[s] >= STALE {
+                // Not drawn from since it was seeded (module docs).
+                self.refill_one(s);
+            }
             let p = usize::from(self.pos[s]);
             let words = &self.buffer[s][p..p + 2];
             let draw = u64::from(words[0]) | u64::from(words[1]) << 32;
-            self.pos[s] = p as u8 + 2;
+            let next = p as u8 + 2;
+            self.pos[s] = next;
+            self.stale[stale] = i;
+            stale += usize::from(next >= STALE);
             each(i, draw);
         }
+        stale
     }
 
-    /// Refills the streams `ids` (distinct, all stale): eight per wide
-    /// kernel call when the CPU has AVX2, else one at a time.
-    fn refill(&mut self, ids: &[u32]) {
+    /// Pass 2 of [`Keystream::draw_each`]: refills the first `count`
+    /// gathered streams (distinct, all stale), four per iteration of the
+    /// row-wise kernel when the CPU has AVX2, else one at a time.
+    fn refill_gathered(&mut self, count: usize) {
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
-            for batch in ids.chunks(LANES) {
-                // Lanes past a short batch compute a block nobody installs.
-                let mut lanes = [[0u32; LANES]; 16];
-                for (lane, &i) in batch.iter().enumerate() {
-                    for (row, &word) in lanes.iter_mut().zip(&self.input[i as usize]) {
-                        row[lane] = word;
-                    }
-                }
-                // SAFETY: `chacha8_avx2` requires a CPU with AVX2, and
-                // `is_x86_feature_detected!("avx2")` reported one above.
-                #[allow(unsafe_code)]
-                let blocks = unsafe { chacha8_avx2(&lanes) };
-                for (lane, &i) in batch.iter().enumerate() {
-                    self.install(i as usize, &std::array::from_fn(|w| blocks[w][lane]));
-                }
+            // SAFETY: `refill_avx2` requires a CPU with AVX2, and
+            // `is_x86_feature_detected!("avx2")` reported one above.
+            #[allow(unsafe_code)]
+            unsafe {
+                refill_avx2(
+                    &mut self.input,
+                    &mut self.buffer,
+                    &mut self.pos,
+                    &self.stale[..count],
+                );
             }
             return;
         }
-        for &i in ids {
-            self.refill_one(i as usize);
+        self.refill_one_lane(count);
+    }
+
+    /// The refill of a CPU without AVX2: the first `count` gathered streams,
+    /// one at a time.
+    fn refill_one_lane(&mut self, count: usize) {
+        for k in 0..count {
+            self.refill_one(self.stale[k] as usize);
         }
     }
 
-    /// Refills stream `i` with the one-lane kernel.
+    /// Refills stream `i` with the one-lane kernel: the unread last word of
+    /// the old block moves to slot 0, and the new block fills slots 1–16.
     fn refill_one(&mut self, i: usize) {
-        let block = chacha8(&self.input[i].map(|w| [w])).map(|[w]| w);
-        self.install(i, &block);
-    }
-
-    /// Makes `block`, the keystream block of stream `i`'s input, its current
-    /// block: the unread last word of the old block moves to slot 0, the
-    /// index moves back by a block, and the block counter advances.
-    fn install(&mut self, i: usize, block: &[u32; 16]) {
-        let buffer = &mut self.buffer[i];
-        buffer[0] = buffer[16];
-        buffer[1..].copy_from_slice(block);
-        self.pos[i] -= 16;
-        let input = &mut self.input[i];
-        let next = (u64::from(input[12]) | u64::from(input[13]) << 32).wrapping_add(1);
-        input[12] = next as u32;
-        input[13] = (next >> 32) as u32;
+        let block = chacha8(&self.input[i]);
+        let row = &mut self.buffer[i];
+        row[0] = row[16];
+        row[1..].copy_from_slice(&block);
+        advance(&mut self.input[i], &mut self.pos[i]);
     }
 }
 
-/// The eight-lane kernel compiled for AVX2.
+/// Moves a stream on past the block just written to slots 1–16 of its
+/// buffer row: its word index moves back by a block, and its block counter
+/// advances, carrying into the high word.
+#[inline(always)]
+fn advance(input: &mut [u32; 12], pos: &mut u8) {
+    *pos -= 16;
+    let next = (u64::from(input[8]) | u64::from(input[9]) << 32).wrapping_add(1);
+    input[8] = next as u32;
+    input[9] = (next >> 32) as u32;
+}
+
+/// Refills the streams `ids` (distinct, all stale) in place, four per
+/// iteration. Streams `ids[4g..4g + 4]` share the eight registers of one
+/// iteration: registers `[row][pair]` hold input row `row` of stream `4g +
+/// 2·pair` in their low half and of stream `4g + 2·pair + 1` in their high
+/// half. Each stream's key, counter and nonce rows are loaded from its row
+/// of `input` as they lie, and its block is stored straight into slots 1–16
+/// of its row of `buffer`, after slot 16 moves to slot 0; then [`advance`]
+/// moves it on, exactly like the one-lane path. A short last group repeats
+/// its first stream in the lanes it does not fill and stores only the
+/// streams it holds.
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2.
+/// The CPU must support AVX2. That is the only precondition: every row is
+/// taken by checked indexing, and every load or store moves 16 or 32 bytes
+/// through a pointer to a slice of exactly that many bytes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(unsafe_code)] // `#[target_feature]` requires an `unsafe fn` on Rust 1.75
-unsafe fn chacha8_avx2(input: &[[u32; LANES]; 16]) -> [[u32; LANES]; 16] {
-    chacha8(input)
+unsafe fn refill_avx2(
+    input: &mut [[u32; 12]],
+    buffer: &mut [[u32; 17]],
+    pos: &mut [u8],
+    ids: &[u32],
+) {
+    use std::arch::x86_64::*;
+
+    let [s0, s1, s2, s3] = SIGMA.map(|w| w as i32);
+    let sigma = _mm256_setr_epi32(s0, s1, s2, s3, s0, s1, s2, s3);
+
+    // Words `w..w + 4` of the input rows of streams `lo` and `hi`, one per
+    // 128-bit half.
+    macro_rules! pair_row {
+        ($lo:expr, $hi:expr, $w:literal) => {
+            _mm256_loadu2_m128i(
+                input[$hi][$w..$w + 4].as_ptr().cast(),
+                input[$lo][$w..$w + 4].as_ptr().cast(),
+            )
+        };
+    }
+    // Every rotation is two shifts and an or; LLVM compiles those by 16 and
+    // by 8 to byte shuffles.
+    macro_rules! rotate_left {
+        ($x:expr, $n:literal) => {{
+            let x = $x;
+            _mm256_or_si256(
+                _mm256_slli_epi32::<$n>(x),
+                _mm256_srli_epi32::<{ 32 - $n }>(x),
+            )
+        }};
+    }
+    // One quarter round on every column of both states in a register set.
+    macro_rules! quarter_round {
+        ($a:expr, $b:expr, $c:expr, $d:expr) => {
+            $a = _mm256_add_epi32($a, $b);
+            $d = rotate_left!(_mm256_xor_si256($d, $a), 16);
+            $c = _mm256_add_epi32($c, $d);
+            $b = rotate_left!(_mm256_xor_si256($b, $c), 12);
+            $a = _mm256_add_epi32($a, $b);
+            $d = rotate_left!(_mm256_xor_si256($d, $a), 8);
+            $c = _mm256_add_epi32($c, $d);
+            $b = rotate_left!(_mm256_xor_si256($b, $c), 7);
+        };
+    }
+
+    for group in ids.chunks(4) {
+        let lane: [usize; 4] =
+            std::array::from_fn(|l| group.get(l).map_or(group[0], |&i| i) as usize);
+        let start = [
+            [
+                pair_row!(lane[0], lane[1], 0),
+                pair_row!(lane[2], lane[3], 0),
+            ],
+            [
+                pair_row!(lane[0], lane[1], 4),
+                pair_row!(lane[2], lane[3], 4),
+            ],
+            [
+                pair_row!(lane[0], lane[1], 8),
+                pair_row!(lane[2], lane[3], 8),
+            ],
+        ];
+        let [mut a, mut b, mut c, mut d] = [[sigma; 2], start[0], start[1], start[2]];
+        for _ in 0..4 {
+            for pair in 0..2 {
+                quarter_round!(a[pair], b[pair], c[pair], d[pair]);
+                // Line the diagonals up as columns, run the diagonal round
+                // as a column round, and rotate the rows back.
+                b[pair] = _mm256_shuffle_epi32::<0b00_11_10_01>(b[pair]);
+                c[pair] = _mm256_shuffle_epi32::<0b01_00_11_10>(c[pair]);
+                d[pair] = _mm256_shuffle_epi32::<0b10_01_00_11>(d[pair]);
+                quarter_round!(a[pair], b[pair], c[pair], d[pair]);
+                b[pair] = _mm256_shuffle_epi32::<0b10_01_00_11>(b[pair]);
+                c[pair] = _mm256_shuffle_epi32::<0b01_00_11_10>(c[pair]);
+                d[pair] = _mm256_shuffle_epi32::<0b00_11_10_01>(d[pair]);
+            }
+        }
+        for pair in 0..2 {
+            a[pair] = _mm256_add_epi32(a[pair], sigma);
+            b[pair] = _mm256_add_epi32(b[pair], start[0][pair]);
+            c[pair] = _mm256_add_epi32(c[pair], start[1][pair]);
+            d[pair] = _mm256_add_epi32(d[pair], start[2][pair]);
+        }
+        // Per stream, words 0–7 and 8–15 of its block: the low halves of a
+        // pair's rows for its first stream, the high halves for its second.
+        let blocks = [
+            (
+                _mm256_permute2x128_si256::<0x20>(a[0], b[0]),
+                _mm256_permute2x128_si256::<0x20>(c[0], d[0]),
+            ),
+            (
+                _mm256_permute2x128_si256::<0x31>(a[0], b[0]),
+                _mm256_permute2x128_si256::<0x31>(c[0], d[0]),
+            ),
+            (
+                _mm256_permute2x128_si256::<0x20>(a[1], b[1]),
+                _mm256_permute2x128_si256::<0x20>(c[1], d[1]),
+            ),
+            (
+                _mm256_permute2x128_si256::<0x31>(a[1], b[1]),
+                _mm256_permute2x128_si256::<0x31>(c[1], d[1]),
+            ),
+        ];
+        for (&i, (first, second)) in group.iter().zip(blocks) {
+            let i = i as usize;
+            let row = &mut buffer[i];
+            row[0] = row[16];
+            _mm256_storeu_si256(row[1..9].as_mut_ptr().cast(), first);
+            _mm256_storeu_si256(row[9..17].as_mut_ptr().cast(), second);
+            advance(&mut input[i], &mut pos[i]);
+        }
+    }
 }
 
-/// The ChaCha8 block function on `L` streams at once: `input[w][l]` is word
-/// `w` of lane `l`'s input block, and the result holds the keystream blocks
-/// in the same layout. It and its helpers are always inlined, so that inside
-/// `chacha8_avx2` they compile to AVX2 code.
-#[inline(always)]
-fn chacha8<const L: usize>(input: &[[u32; L]; 16]) -> [[u32; L]; 16] {
-    let mut x = *input;
+/// The ChaCha8 block function on one stream: the keystream block of the
+/// input block whose words 4–15 are `input` (words 0–3 are [`SIGMA`]).
+fn chacha8(input: &[u32; 12]) -> [u32; 16] {
+    let mut start = [0; 16];
+    start[..4].copy_from_slice(&SIGMA);
+    start[4..].copy_from_slice(input);
+    let mut x = start;
     for _ in 0..4 {
         // Column round.
         quarter_round(&mut x, 0, 4, 8, 12);
@@ -218,33 +358,22 @@ fn chacha8<const L: usize>(input: &[[u32; L]; 16]) -> [[u32; L]; 16] {
         quarter_round(&mut x, 2, 7, 8, 13);
         quarter_round(&mut x, 3, 4, 9, 14);
     }
-    for (row, start) in x.iter_mut().zip(input) {
-        for (word, &first) in row.iter_mut().zip(start) {
-            *word = word.wrapping_add(first);
-        }
+    for (word, first) in x.iter_mut().zip(start) {
+        *word = word.wrapping_add(first);
     }
     x
 }
 
 #[inline(always)]
-fn quarter_round<const L: usize>(x: &mut [[u32; L]; 16], a: usize, b: usize, c: usize, d: usize) {
-    mix(x, a, b, d, 16);
-    mix(x, c, d, b, 12);
-    mix(x, a, b, d, 8);
-    mix(x, c, d, b, 7);
-}
-
-/// One step of a quarter round, lane by lane: `x[p] += x[q]`, then
-/// `x[r] = (x[r] ^ x[p]) <<< n`.
-#[inline(always)]
-fn mix<const L: usize>(x: &mut [[u32; L]; 16], p: usize, q: usize, r: usize, n: u32) {
-    let (mut xp, xq, mut xr) = (x[p], x[q], x[r]);
-    for ((a, b), d) in xp.iter_mut().zip(xq).zip(&mut xr) {
-        *a = a.wrapping_add(b);
-        *d = (*d ^ *a).rotate_left(n);
-    }
-    x[p] = xp;
-    x[r] = xr;
+fn quarter_round(x: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+    x[a] = x[a].wrapping_add(x[b]);
+    x[d] = (x[d] ^ x[a]).rotate_left(16);
+    x[c] = x[c].wrapping_add(x[d]);
+    x[b] = (x[b] ^ x[c]).rotate_left(12);
+    x[a] = x[a].wrapping_add(x[b]);
+    x[d] = (x[d] ^ x[a]).rotate_left(8);
+    x[c] = x[c].wrapping_add(x[d]);
+    x[b] = (x[b] ^ x[c]).rotate_left(7);
 }
 
 #[cfg(test)]
@@ -268,9 +397,9 @@ mod tests {
         }
     }
 
-    /// A stream's input block and its next 16 words, read off `rng` at the
+    /// A stream's input row and its next 16 words, read off `rng` at the
     /// start of block `block`.
-    fn block_of(rng: &ChaCha8Rng, block: u64) -> ([u32; 16], [u32; 16]) {
+    fn block_of(rng: &ChaCha8Rng, block: u64) -> ([u32; 12], [u32; 16]) {
         let mut at = rng.clone();
         at.set_word_pos(u128::from(block) << 4);
         let table = Keystream::new([at.clone()].into_iter());
@@ -335,23 +464,62 @@ mod tests {
     }
 
     #[test]
-    fn the_eight_lane_kernel_computes_each_lane_block() {
-        let rngs: Vec<ChaCha8Rng> = (0..8).map(|s| ChaCha8Rng::seed_from_u64(s + 100)).collect();
-        let blocks: Vec<([u32; 16], [u32; 16])> = rngs
-            .iter()
-            .enumerate()
-            .map(|(lane, rng)| block_of(rng, 3 + lane as u64))
-            .collect();
-        let mut lanes = [[0u32; 8]; 16];
-        for (lane, (input, _)) in blocks.iter().enumerate() {
-            for (row, &word) in lanes.iter_mut().zip(input) {
-                row[lane] = word;
+    fn the_row_kernel_refills_each_lane_with_its_one_lane_block() {
+        // On a CPU with AVX2 (checked below) `refill_gathered` runs the row
+        // kernel, else the one-lane path. Random keys, nonces and buffers at
+        // three block counters; 1 to 8 of ten stale streams, in shuffled
+        // order, so the last group of a call holds 1 to 4 live streams.
+        // Each refilled stream must hold the one-lane block of its own
+        // input, and every other stream must keep its rows.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut word = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 16) as u32
+        };
+        let order = [4u32, 1, 9, 0, 7, 2, 8, 5];
+        for counter in [0, u64::from(u32::MAX), u64::MAX] {
+            for live in 1..=order.len() {
+                let input = (0..10)
+                    .map(|_| {
+                        let mut row: [u32; 12] = std::array::from_fn(|_| word());
+                        row[8] = counter as u32;
+                        row[9] = (counter >> 32) as u32;
+                        row
+                    })
+                    .collect();
+                let mut table = Keystream {
+                    input,
+                    buffer: (0..10).map(|_| std::array::from_fn(|_| word())).collect(),
+                    pos: (0..10).map(|i| STALE + i % 2).collect(),
+                    stale: order[..live].to_vec(),
+                };
+                let before = table.clone();
+                table.refill_gathered(live);
+                let next = counter.wrapping_add(1);
+                for i in 0..10 {
+                    let what = format!("stream {i}, {live} live, counter {counter:#x}");
+                    if !order[..live].contains(&(i as u32)) {
+                        assert_eq!(table.buffer[i], before.buffer[i], "{what}");
+                        assert_eq!(table.input[i], before.input[i], "{what}");
+                        assert_eq!(table.pos[i], before.pos[i], "{what}");
+                        continue;
+                    }
+                    let block = chacha8(&before.input[i]);
+                    assert_eq!(table.buffer[i][0], before.buffer[i][16], "{what}");
+                    assert_eq!(table.buffer[i][1..], block, "{what}");
+                    assert_eq!(table.pos[i], before.pos[i] - 16, "{what}");
+                    let mut advanced = before.input[i];
+                    advanced[8] = next as u32;
+                    advanced[9] = (next >> 32) as u32;
+                    assert_eq!(table.input[i], advanced, "{what}");
+                }
             }
         }
-        let out = chacha8(&lanes);
-        for (lane, (_, expected)) in blocks.iter().enumerate() {
-            let got: [u32; 16] = std::array::from_fn(|w| out[w][lane]);
-            assert_eq!(&got, expected, "lane {lane}");
+        #[cfg(target_arch = "x86_64")]
+        if !is_x86_feature_detected!("avx2") {
+            eprintln!("no AVX2 on this CPU: only the one-lane path was checked");
         }
     }
 
@@ -360,35 +528,33 @@ mod tests {
         let rng = ChaCha8Rng::seed_from_u64(5);
         for block in [0, 1, 2, 1000] {
             let (input, expected) = block_of(&rng, block);
-            assert_eq!(
-                chacha8(&input.map(|w| [w])).map(|[w]| w),
-                expected,
-                "block {block}"
-            );
+            assert_eq!(chacha8(&input), expected, "block {block}");
         }
     }
 
     #[test]
     fn the_one_lane_refill_path_draws_like_the_generators() {
         // The path of every refill on a CPU without AVX2, taken here on any
-        // CPU: refill each stale stream one lane at a time before drawing,
-        // so pass 2 finds nothing left to refill.
+        // CPU: each round is pass 1 of `draw_each`, then the one-lane refill
+        // of the streams it gathered.
         let mut rngs: Vec<ChaCha8Rng> = (0..11).map(ChaCha8Rng::seed_from_u64).collect();
         for (s, rng) in rngs.iter_mut().enumerate() {
             rng.set_word_pos(s as u128 * 3);
         }
         let mut table = Keystream::new(rngs.clone().into_iter());
+        let ids: Vec<u32> = (0..11).collect();
+        let mut refilled = 0;
         for round in 0..40 {
-            for i in 0..rngs.len() {
-                if table.pos[i] >= STALE {
-                    table.refill_one(i);
-                }
-            }
             let expected: Vec<u64> = rngs.iter_mut().map(RngCore::next_u64).collect();
             let mut drawn = Vec::new();
-            table.draw_each(&(0..11).collect::<Vec<u32>>(), |_, draw| drawn.push(draw));
+            let stale = table.draw_and_gather(&ids, |_, draw| drawn.push(draw));
+            table.refill_one_lane(stale);
+            refilled += stale;
             assert_eq!(drawn, expected, "round {round}");
         }
+        // Each stream read 80 words, five blocks or more: all but its first
+        // came through the one-lane refill.
+        assert!(refilled >= 4 * ids.len(), "{refilled} one-lane refills");
     }
 
     #[test]
@@ -406,7 +572,7 @@ mod tests {
                 .collect();
             let mut table = Keystream::new(rngs.clone().into_iter());
             assert_draws_match(&mut table, &mut rngs, 40);
-            assert_eq!(table.input[0][13], 1, "the counter's high word");
+            assert_eq!(table.input[0][9], 1, "the counter's high word");
         }
     }
 

@@ -58,9 +58,10 @@
 //! produced a response (one broadcast), which keeps the expected message count
 //! per run constant.
 
-// Denied, not forbidden: `keystream.rs` allows it on the AVX2 build of the
-// keystream kernel (an `unsafe fn`, which `#[target_feature]` requires on
-// Rust 1.75) and on its one call, the only `unsafe` block in the crate.
+// Denied, not forbidden: `keystream.rs` allows it on `refill_avx2`, the
+// row-wise AVX2 refill kernel (an `unsafe fn`, which `#[target_feature]`
+// requires on Rust 1.75), and on its one call, the only `unsafe` block in
+// the crate.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

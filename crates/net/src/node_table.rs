@@ -8,7 +8,7 @@
 //! of the sharded engine owns one over its slice. Both answer every round
 //! with the same collect-and-flip kernel, [`NodeTable::round_into`]: collect
 //! the active ids, then draw one `u64` per active node from the keystream
-//! table (which refills the exhausted streams eight at a time) and compare
+//! table (which refills the exhausted streams four at a time) and compare
 //! it against the round's [`Coin`].
 //!
 //! ## One collection per run

@@ -1161,15 +1161,18 @@ impl Drop for RemoteEngine {
 
 /// Accepts one client connection and completes its `Join` handshake.
 ///
-/// Arms the policy's base deadline when a retry policy is set, and returns
-/// the connection together with the shard index the client claimed (the
-/// caller slots or verifies it).
+/// Under a retry policy both waits are bounded: the wait for a connection
+/// ([`accept_with_policy`]) and the wait for its `Join` ([`read_join`]).
+/// Without one, both block. Arms the policy's base deadline when a retry
+/// policy is set, and returns the connection together with the shard index
+/// the client claimed (the caller slots or verifies it).
 ///
 /// # Panics
 ///
 /// Panics, naming the cause, if the handshake fails — a `Join` at another
-/// wire version, corrupt bytes, any other frame — or if the `Join` names a
-/// shard at or above `shards`.
+/// wire version, corrupt bytes, any other frame, no whole `Join` within the
+/// policy's deadlines — or if the `Join` names a shard at or above
+/// `shards`.
 fn accept_shard(
     listener: &TcpListener,
     policy: Option<&RetryPolicy>,
@@ -1188,8 +1191,11 @@ fn accept_shard(
         .set_nodelay(true)
         .expect("remote transport: cannot set TCP_NODELAY");
     let mut reader = stream.try_clone().expect("remote transport: clone stream");
-    let (frame, bytes) = read_frame(&mut reader)
-        .unwrap_or_else(|e| panic!("remote transport: join handshake failed: {e}"));
+    let (frame, bytes) = match policy {
+        None => read_frame(&mut reader),
+        Some(policy) => read_join(&mut reader, policy),
+    }
+    .unwrap_or_else(|e| panic!("remote transport: join handshake failed: {e}"));
     let Frame::Join { shard } = frame else {
         panic!("remote transport: expected a join frame, got {frame:?}");
     };
@@ -1215,6 +1221,28 @@ fn accept_shard(
         conn.arm_deadline(policy.deadline(0));
     }
     (conn, shard)
+}
+
+/// Reads a new connection's first frame under the retry policy's deadline
+/// schedule, as [`accept_with_policy`] waits for the connection: attempt `i`
+/// waits the policy's deadline for `i`, keeping any partial frame, and once
+/// `max_attempts` deadlines have elapsed without a whole frame the client is
+/// declared silent. A connected process that never writes therefore cannot
+/// hold up [`RemoteEngine::build`] or [`RemoteEngine::reconnect_shard`].
+fn read_join(reader: &mut TcpStream, policy: &RetryPolicy) -> Result<(Frame, usize), WireError> {
+    let mut acc = FrameAccumulator::new();
+    for attempt in 0..policy.max_attempts {
+        reader
+            .set_read_timeout(Some(policy.deadline(attempt)))
+            .expect("remote transport: cannot set read timeout");
+        if let Some(frame) = acc.read_frame(reader)? {
+            return Ok(frame);
+        }
+    }
+    panic!(
+        "remote transport: no join frame within {} read deadlines — client silent",
+        policy.max_attempts
+    );
 }
 
 /// Accepts a connection under the retry policy's deadline schedule instead of
@@ -1753,6 +1781,35 @@ mod tests {
             accept_with_policy(&lonely, &tiny)
         }));
         assert!(outcome.is_err(), "an absent client must exhaust the budget");
+    }
+
+    #[test]
+    fn a_silent_client_cannot_stall_the_handshake() {
+        // A process that connects and never sends its `Join`: under a retry
+        // policy the handshake refuses it once the policy's read deadlines
+        // have elapsed, instead of waiting forever.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let silent = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let policy = RetryPolicy::new(Duration::from_millis(5), 1, Duration::from_millis(5), 4);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                accept_shard(&listener, Some(&policy), 2)
+            }));
+            let refusal = outcome
+                .err()
+                .map(|panic| panic.downcast_ref::<String>().cloned().unwrap_or_default());
+            let _ = tx.send(refusal);
+        });
+        let refusal = rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the handshake must give up on a silent client");
+        drop(silent);
+        let refusal = refusal.expect("the handshake must refuse a silent client");
+        assert!(
+            refusal.contains("no join frame within 4 read deadlines"),
+            "{refusal}"
+        );
     }
 
     #[test]

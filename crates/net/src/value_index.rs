@@ -79,8 +79,11 @@ fn bucket_of(v: Value) -> usize {
 pub struct ValueIndex {
     /// Global id of local id 0 (0 for unsharded engines).
     offset: usize,
-    /// Bucket contents (local ids, arbitrary order). Allocated lazily by the
-    /// first warm-up so cold indexes cost nothing but the struct itself.
+    /// Bucket contents (local ids, arbitrary order), for keys up to the
+    /// highest one seen so far: grown by warm-ups and updates, never shrunk,
+    /// so cold indexes cost nothing but the struct itself and small values
+    /// never pay for the headers of keys they do not reach. A key past the
+    /// end is an empty bucket.
     buckets: Vec<Vec<u32>>,
     /// Per id: its current bucket key. Valid only while warm.
     key_of: Vec<u16>,
@@ -129,21 +132,20 @@ impl ValueIndex {
             return false;
         }
         assert_eq!(values.len(), self.key_of.len(), "one value per id required");
-        if self.buckets.is_empty() {
-            self.buckets = vec![Vec::new(); BUCKETS];
-        } else {
-            // Clear exactly the buckets the previous warm period used,
-            // keeping their capacity.
-            for w in 0..OCC_WORDS {
-                let mut word = self.occ[w];
-                while word != 0 {
-                    let b = word.trailing_zeros() as usize;
-                    self.buckets[w * 64 + b].clear();
-                    word &= word - 1;
-                }
+        // Clear exactly the buckets the previous warm period used, keeping
+        // their capacity, then make room up to the largest value's key.
+        for w in 0..OCC_WORDS {
+            let mut word = self.occ[w];
+            while word != 0 {
+                let b = word.trailing_zeros() as usize;
+                self.buckets[w * 64 + b].clear();
+                word &= word - 1;
             }
         }
         self.occ.fill(0);
+        if let Some(&top) = values.iter().max() {
+            self.grow_to(bucket_of(top));
+        }
         for (i, &v) in values.iter().enumerate() {
             let k = bucket_of(v);
             self.key_of[i] = k as u16;
@@ -179,10 +181,25 @@ impl ValueIndex {
             self.occ[k_old / 64] &= !(1 << (k_old % 64));
         }
         // Insert into the new bucket.
+        self.grow_to(k_new);
         self.key_of[id as usize] = k_new as u16;
         self.slot_of[id as usize] = self.buckets[k_new].len() as u32;
         self.buckets[k_new].push(id);
         self.occ[k_new / 64] |= 1 << (k_new % 64);
+    }
+
+    /// Makes room for bucket key `k`.
+    #[inline]
+    fn grow_to(&mut self, k: usize) {
+        if k >= self.buckets.len() {
+            self.buckets.resize_with(k + 1, Vec::new);
+        }
+    }
+
+    /// The ids in bucket `k`: none for a key past the end of the table.
+    #[inline]
+    fn bucket(&self, k: usize) -> &[u32] {
+        self.buckets.get(k).map_or(&[], Vec::as_slice)
     }
 
     /// Calls `f(k)` for every occupied bucket key in `lo..=hi`, in ascending
@@ -222,7 +239,7 @@ impl ValueIndex {
     pub fn collect_greater_than(&self, t: Value, values: &[Value], out: &mut Vec<u32>) {
         debug_assert!(self.warm, "query on a cold index");
         let kt = bucket_of(t);
-        for &id in &self.buckets[kt] {
+        for &id in self.bucket(kt) {
             if values[id as usize] > t {
                 out.push(id);
             }
@@ -237,7 +254,7 @@ impl ValueIndex {
     pub fn collect_at_least(&self, t: Value, values: &[Value], out: &mut Vec<u32>) {
         debug_assert!(self.warm, "query on a cold index");
         let kt = bucket_of(t);
-        for &id in &self.buckets[kt] {
+        for &id in self.bucket(kt) {
             if values[id as usize] >= t {
                 out.push(id);
             }
@@ -257,7 +274,7 @@ impl ValueIndex {
                 out.extend_from_slice(&self.buckets[k]);
             });
         }
-        for &id in &self.buckets[kt] {
+        for &id in self.bucket(kt) {
             if values[id as usize] < t {
                 out.push(id);
             }
@@ -479,6 +496,80 @@ mod tests {
             fresh.collect_less_than(t, &values, &mut b);
             assert_eq!(sorted_ids(a), sorted_ids(b), "round {round}");
         }
+    }
+
+    #[test]
+    fn buckets_grow_only_to_the_largest_key_seen() {
+        let mut seed = 0x5eedu64;
+        let n = 200;
+        let mut values: Vec<Value> = (0..n).map(|_| lcg(&mut seed) % 1024).collect();
+        let mut idx = ValueIndex::new(0, n);
+        idx.ensure_warm(&values);
+        // Values below 2¹⁰ reach exponent 9 at most: no header past key
+        // 1 + 9·256 + 255.
+        assert!(
+            idx.buckets.len() <= 1 + 10 * 256 + 256,
+            "{} bucket headers",
+            idx.buckets.len()
+        );
+        // A threshold past the table: its boundary bucket reads as empty.
+        for t in [1 << 40, Value::MAX] {
+            let mut out = Vec::new();
+            idx.collect_less_than(t, &values, &mut out);
+            assert_eq!(out.len(), n, "lt {t}");
+            out.clear();
+            idx.collect_at_least(t, &values, &mut out);
+            assert!(out.is_empty(), "ge {t}");
+        }
+        // Magnitudes jump past the table in mid-run; thresholds and window
+        // bounds land past it too.
+        for round in 0..60 {
+            for _ in 0..4 {
+                let i = (lcg(&mut seed) % n as u64) as usize;
+                values[i] = random_value(&mut seed);
+                idx.note_update(i as u32, values[i]);
+            }
+            let reference = sorted_reference(0, &values);
+            let select = |keep: &dyn Fn(Value, u32) -> bool| -> Vec<u32> {
+                let ids = reference.iter().filter(|&&(v, i)| keep(v, i));
+                sorted_ids(ids.map(|&(_, i)| i).collect())
+            };
+            let t = match round % 3 {
+                0 => random_value(&mut seed),
+                1 => values[(lcg(&mut seed) % n as u64) as usize],
+                _ => Value::MAX,
+            };
+            let mut out = Vec::new();
+            idx.collect_greater_than(t, &values, &mut out);
+            assert_eq!(sorted_ids(out.clone()), select(&|v, _| v > t), "gt {t}");
+            out.clear();
+            idx.collect_at_least(t, &values, &mut out);
+            assert_eq!(sorted_ids(out.clone()), select(&|v, _| v >= t), "ge {t}");
+            out.clear();
+            idx.collect_less_than(t, &values, &mut out);
+            assert_eq!(sorted_ids(out.clone()), select(&|v, _| v < t), "lt {t}");
+            out.clear();
+            let above = Some((t / 2, NodeId(round)));
+            let below = Some((t, NodeId(n - round)));
+            idx.collect_rank_window(above, below, &values, &mut out);
+            let inside = |v: Value, i: u32| {
+                let key = (v, NodeId(i as usize));
+                above.map_or(true, |b| value_order(key, b) == std::cmp::Ordering::Greater)
+                    && below.map_or(true, |b| value_order(key, b) == std::cmp::Ordering::Less)
+            };
+            assert_eq!(sorted_ids(out), select(&inside), "window ({t})");
+        }
+        let fresh = {
+            let mut fresh = ValueIndex::new(0, n);
+            fresh.ensure_warm(&values);
+            fresh
+        };
+        let top = bucket_of(*values.iter().max().expect("values"));
+        assert_eq!(
+            fresh.buckets.len(),
+            top + 1,
+            "a warm-up sizes to its top key"
+        );
     }
 
     #[test]
