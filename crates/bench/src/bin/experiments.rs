@@ -7,8 +7,6 @@
 //! cargo run -p topk-bench --bin experiments --release -- --json results/
 //! cargo run -p topk-bench --bin experiments --release -- --throughput               # engine bench
 //! cargo run -p topk-bench --bin experiments --release -- --throughput --quick       # CI smoke
-//! cargo run -p topk-bench --bin experiments --release -- --throughput --sharded 8   # 8 workers
-//! cargo run -p topk-bench --bin experiments --release -- --scaling --quick          # scaling smoke
 //! cargo run -p topk-bench --bin experiments --release -- --check-floors FILE.json   # validate only
 //! cargo run -p topk-bench --bin experiments --release -- --campaign                 # scenarios/ library
 //! cargo run -p topk-bench --bin experiments --release -- --campaign --quick         # CI ratchet
@@ -19,29 +17,18 @@
 //! Prints one aligned table per experiment (the tables quoted in
 //! EXPERIMENTS.md) and optionally writes each as JSON into a directory.
 //!
-//! `--throughput` runs the engine throughput benchmark instead (baseline vs.
-//! indexed vs. sharded engine, see `topk_bench::throughput`), writes
-//! `BENCH_throughput.json` (path overridable with `--out FILE`) and exits
-//! non-zero if an engine regresses below the CI floors. `--sharded <threads>`
-//! sets the sharded engine's worker count (default 4). `--remote <conns>`
-//! measures the TCP-loopback `RemoteEngine` on `<conns>` shard connections —
-//! steps/sec plus the wire-level frames and bytes per step — writes
-//! `BENCH_remote.json` (`BENCH_remote_quick.json` with `--quick`) and exits
-//! non-zero if a silent row moves more frames per shard than the floor
-//! table allows; on its own it runs just that axis, combined with
-//! `--throughput` it runs after the in-process matrix. `--check-floors FILE`
-//! re-validates an existing report, throughput or remote by its `bench` id —
-//! CI uses it to hold the *committed* full-scale `BENCH_throughput.json` to
-//! the `n = 10⁶` floors and `BENCH_remote.json` to the silent-step frame bar
-//! without re-measuring on shared runners.
-//!
-//! `--scaling` measures just the multi-core scaling curve (the sharded engine
-//! across worker counts on the noise/dense cell), writes
-//! `BENCH_scaling.json` — or `BENCH_scaling_quick.json` with `--quick` — and
-//! exits non-zero if a point misses the parallel-efficiency floor. The CI
-//! scaling-smoke job runs the quick curve on every push; the committed
-//! full-scale curve is embedded in `BENCH_throughput.json` and guarded by
-//! `--check-floors`.
+//! `--throughput` runs the engine throughput benchmark instead (see
+//! `topk_bench::throughput`): the deterministic, indexed, sharded and remote
+//! engines across the generator × n × delivery matrix — steps/s, model
+//! messages, and the wire frames and bytes per step the TCP-loopback remote
+//! engine moves — plus the sharded engine's multi-core scaling curve. It
+//! writes one report, `BENCH_throughput.json` (`BENCH_throughput_quick.json`
+//! with `--quick`; path overridable with `--out FILE`), and exits non-zero if
+//! the report misses a bar of the floor table. `--check-floors FILE`
+//! re-validates an existing full-scale report with the same checker — CI uses
+//! it to hold the *committed* `BENCH_throughput.json` to the `n = 10⁶` floors,
+//! the full scaling curve and the silent-step frame bar without re-measuring
+//! on shared runners.
 //!
 //! `--campaign` runs the scenario campaign (see `topk_bench::campaign`): every
 //! file of the `scenarios/` library — read from the working directory, so run
@@ -70,7 +57,7 @@
 
 use std::path::{Path, PathBuf};
 use topk_bench::experiments::{self, Scale};
-use topk_bench::{campaign, replay, scenario, throughput, ExperimentTable, FloorTable};
+use topk_bench::{campaign, replay, scenario, throughput, EngineKind, ExperimentTable, FloorTable};
 use topk_offline::PhaseSolver;
 
 fn report_floors(report: &throughput::ThroughputReport) -> ! {
@@ -78,13 +65,16 @@ fn report_floors(report: &throughput::ThroughputReport) -> ! {
     if failures.is_empty() {
         let floors = FloorTable::STANDARD.throughput;
         println!(
-            "floors ok: indexed >= {}x baseline (and >= {} steps/s) at n=1e5, sharded >= {}x indexed at n=1e6 (or >= {}x at n=1e5 for quick runs), noise/dense; scaling curve >= {} worker counts with parallel efficiency >= {}",
+            "floors ok: indexed >= {}x deterministic (and >= {} steps/s) at n=1e5, sharded ({} workers) >= {}x indexed at n=1e6 (or >= {}x at n=1e5 for quick runs), noise/dense; scaling curve >= {} worker counts with parallel efficiency >= {} (>= {} quick); <= {} frames per occupied shard per step on every remote row with 0 model messages",
             floors.indexed_speedup,
             floors.indexed_absolute_steps_per_sec,
+            floors.sharded_floor_workers,
             floors.sharded_speedup_full,
             floors.sharded_speedup_quick,
             floors.scaling_min_worker_counts,
             floors.scaling_efficiency_full,
+            floors.scaling_efficiency_quick,
+            FloorTable::STANDARD.remote.max_silent_frames_per_shard_step,
         );
         std::process::exit(0);
     }
@@ -92,6 +82,17 @@ fn report_floors(report: &throughput::ThroughputReport) -> ! {
         eprintln!("FLOOR REGRESSION: {f}");
     }
     std::process::exit(1);
+}
+
+/// The report a measuring mode writes when `--out` is not given: a quick run
+/// gets its own `*_quick.json`, so it never overwrites the committed
+/// full-scale report.
+fn default_out(stem: &str, quick: bool) -> PathBuf {
+    PathBuf::from(if quick {
+        format!("{stem}_quick.json")
+    } else {
+        format!("{stem}.json")
+    })
 }
 
 /// The campaign's scenario library, relative to the working directory.
@@ -188,98 +189,44 @@ fn check_competitive_floors_only(path: PathBuf) -> ! {
     report_competitive_floors(&report, &load_library_or_exit())
 }
 
-fn run_scaling_bench(quick: bool, out: PathBuf) -> ! {
-    let report = throughput::run_scaling(quick, |line| eprintln!("{line}"));
-    std::fs::write(&out, throughput::scaling_to_json(&report)).expect("write scaling json");
-    eprintln!("wrote {}", out.display());
-    let failures = throughput::check_scaling_floors(&report);
-    if failures.is_empty() {
-        let floors = FloorTable::STANDARD.throughput;
-        println!(
-            "scaling floors ok: {} worker counts on {} cores, every point's parallel efficiency >= {} (full) / {} (quick)",
-            report.rows.len(),
-            report.cores,
-            floors.scaling_efficiency_full,
-            floors.scaling_efficiency_quick,
-        );
-        std::process::exit(0);
-    }
-    for f in &failures {
-        eprintln!("SCALING FLOOR REGRESSION: {f}");
-    }
-    std::process::exit(1);
-}
-
-/// Runs the remote axis, writes its report (quick runs to their own file, so
-/// a smoke run never clobbers the committed one) and exits non-zero if a row
-/// misses the remote floors.
-fn run_remote_bench(quick: bool, conns: usize) {
-    let remote = throughput::run_remote(quick, conns, |line| eprintln!("{line}"));
-    let remote_out = PathBuf::from(if quick {
-        "BENCH_remote_quick.json"
-    } else {
-        "BENCH_remote.json"
-    });
-    std::fs::write(&remote_out, throughput::remote_to_json(&remote)).expect("write remote json");
-    eprintln!("wrote {}", remote_out.display());
-    enforce_remote_floors(&throughput::check_remote_floors(&remote));
-}
-
-/// Prints the remote floor verdict and exits 1 if any bar was missed.
-fn enforce_remote_floors(failures: &[String]) {
-    if failures.is_empty() {
-        println!(
-            "remote floors ok: at most {} frames per occupied shard per step on every row with 0 model messages",
-            FloorTable::STANDARD.remote.max_silent_frames_per_shard_step
-        );
-        return;
-    }
-    for f in failures {
-        eprintln!("REMOTE FLOOR REGRESSION: {f}");
-    }
-    std::process::exit(1);
-}
-
-fn run_throughput_bench(
-    quick: bool,
-    sharded_workers: usize,
-    remote_conns: Option<usize>,
-    out: PathBuf,
-) -> ! {
-    let report = throughput::run_throughput(quick, sharded_workers, |line| eprintln!("{line}"));
+fn run_throughput_bench(quick: bool, out: PathBuf) -> ! {
+    let report = throughput::run_throughput(quick, |line| eprintln!("{line}"));
     std::fs::write(&out, throughput::to_json(&report)).expect("write throughput json");
     eprintln!("wrote {}", out.display());
-    if let Some(conns) = remote_conns {
-        run_remote_bench(quick, conns);
-    }
-    for s in &report.speedups_dense {
-        println!(
-            "speedup {:>12} n={:>8}: {:>8.1}x (indexed vs baseline, dense delivery)",
-            s.generator, s.n, s.speedup
-        );
-    }
-    for s in &report.speedups_sharded {
-        println!(
-            "speedup {:>12} n={:>8}: {:>8.1}x (sharded vs indexed, dense delivery)",
-            s.generator, s.n, s.speedup
-        );
-    }
+    print_speedups(&report.rows);
     report_floors(&report)
+}
+
+/// Prints, per (generator, n), the dense-delivery steps/s ratio of the
+/// indexed engine over the deterministic one and of the sharded engine over
+/// the indexed one.
+fn print_speedups(rows: &[throughput::ThroughputRow]) {
+    for (engine, reference) in [
+        (EngineKind::Indexed, EngineKind::Deterministic),
+        (EngineKind::Sharded, EngineKind::Indexed),
+    ] {
+        let dense = |kind: EngineKind| {
+            rows.iter()
+                .filter(move |r| r.engine == kind.name() && r.mode == "dense")
+        };
+        for row in dense(engine) {
+            if let Some(base) =
+                dense(reference).find(|r| r.generator == row.generator && r.n == row.n)
+            {
+                println!(
+                    "speedup {:>12} n={:>8}: {:>8.1}x ({engine} vs {reference}, dense delivery)",
+                    row.generator,
+                    row.n,
+                    row.steps_per_sec / base.steps_per_sec
+                );
+            }
+        }
+    }
 }
 
 fn check_floors_only(path: PathBuf) -> ! {
     let json = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    // Both reports name their benchmark in `bench`; dispatch on it.
-    #[derive(serde::Deserialize)]
-    struct BenchId {
-        bench: String,
-    }
-    let id: BenchId = serde_json::from_str(&json)
-        .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()));
-    if id.bench == throughput::REMOTE_BENCH {
-        check_remote_floors_only(&path, &json);
-    }
     let report: throughput::ThroughputReport = serde_json::from_str(&json)
         .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()));
     eprintln!(
@@ -299,29 +246,6 @@ fn check_floors_only(path: PathBuf) -> ! {
         std::process::exit(1);
     }
     report_floors(&report)
-}
-
-fn check_remote_floors_only(path: &Path, json: &str) -> ! {
-    let report: throughput::RemoteReport = serde_json::from_str(json)
-        .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()));
-    eprintln!(
-        "checking remote floors of {} ({} scale, {} rows, {} cores)",
-        path.display(),
-        report.scale,
-        report.rows.len(),
-        report.cores
-    );
-    let mut failures = throughput::check_remote_floors(&report);
-    // Like the throughput mode: the committed report must be full-scale.
-    if report.scale != "full" {
-        failures.push(format!(
-            "{} is a '{}'-scale report; the committed benchmark must be full-scale",
-            path.display(),
-            report.scale
-        ));
-    }
-    enforce_remote_floors(&failures);
-    std::process::exit(0);
 }
 
 fn load_scenario_or_exit(path: &Path) -> scenario::ScenarioFile {
@@ -441,13 +365,9 @@ fn main() {
     let mut json_dir: Option<PathBuf> = None;
     let mut wanted: Vec<String> = Vec::new();
     let mut throughput_mode = false;
-    let mut scaling_mode = false;
     let mut campaign_mode = false;
     let mut quick = false;
     let mut out: Option<PathBuf> = None;
-    let mut sharded_workers = 4usize;
-    let mut sharded_set = false;
-    let mut remote_conns: Option<usize> = None;
     let mut check_floors_path: Option<PathBuf> = None;
     let mut check_competitive_path: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
@@ -461,26 +381,8 @@ fn main() {
         match arg.as_str() {
             "--small" => scale = Scale::Small,
             "--throughput" => throughput_mode = true,
-            "--scaling" => scaling_mode = true,
             "--campaign" => campaign_mode = true,
             "--quick" => quick = true,
-            "--sharded" => {
-                let parsed = iter.next().and_then(|w| w.parse::<usize>().ok());
-                let Some(workers) = parsed.filter(|&w| w >= 1) else {
-                    eprintln!("--sharded requires a worker count >= 1");
-                    std::process::exit(2);
-                };
-                sharded_workers = workers;
-                sharded_set = true;
-            }
-            "--remote" => {
-                let parsed = iter.next().and_then(|w| w.parse::<usize>().ok());
-                let Some(conns) = parsed.filter(|&w| w >= 1) else {
-                    eprintln!("--remote requires a connection count >= 1");
-                    std::process::exit(2);
-                };
-                remote_conns = Some(conns);
-            }
             "--check-floors" => {
                 let Some(path) = iter.next() else {
                     eprintln!("--check-floors requires a json file argument");
@@ -553,7 +455,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: experiments [--small] [--json DIR] [e1 e2 ... e8]\n       experiments --throughput [--quick] [--sharded THREADS] [--remote CONNS] [--out FILE]\n       experiments --scaling [--quick] [--out FILE]\n       experiments --campaign [--quick] [--out FILE] [--baseline COMMITTED.json]\n       experiments --check-floors FILE.json\n       experiments --check-competitive-floors FILE.json\n       experiments --scenario FILE.json\n       experiments --scenario FILE.json --record OUT.trace [--protocol NAME]\n       experiments --replay FILE.trace [--engine NAME]"
+                    "usage: experiments [--small] [--json DIR] [e1 e2 ... e8]\n       experiments --throughput [--quick] [--out FILE]\n       experiments --campaign [--quick] [--out FILE] [--baseline COMMITTED.json]\n       experiments --check-floors FILE.json\n       experiments --check-competitive-floors FILE.json\n       experiments --scenario FILE.json\n       experiments --scenario FILE.json --record OUT.trace [--protocol NAME]\n       experiments --replay FILE.trace [--engine NAME]"
                 );
                 return;
             }
@@ -567,15 +469,12 @@ fn main() {
     }
     if let Some(path) = check_floors_path {
         if throughput_mode
-            || scaling_mode
             || campaign_mode
             || scale == Scale::Small
             || json_dir.is_some()
             || !wanted.is_empty()
             || quick
             || out.is_some()
-            || sharded_set
-            || remote_conns.is_some()
             || check_competitive_path.is_some()
             || baseline_path.is_some()
             || scenario_path.is_some()
@@ -591,15 +490,12 @@ fn main() {
     }
     if let Some(path) = check_competitive_path {
         if throughput_mode
-            || scaling_mode
             || campaign_mode
             || scale == Scale::Small
             || json_dir.is_some()
             || !wanted.is_empty()
             || quick
             || out.is_some()
-            || sharded_set
-            || remote_conns.is_some()
             || baseline_path.is_some()
             || scenario_path.is_some()
             || record_path.is_some()
@@ -615,13 +511,10 @@ fn main() {
     let scenario_mode = scenario_path.is_some() || record_path.is_some() || replay_path.is_some();
     if scenario_mode {
         if throughput_mode
-            || scaling_mode
             || campaign_mode
             || scale == Scale::Small
             || json_dir.is_some()
             || !wanted.is_empty()
-            || sharded_set
-            || remote_conns.is_some()
             || baseline_path.is_some()
             || out.is_some()
             || quick
@@ -663,50 +556,16 @@ fn main() {
         std::process::exit(2);
     }
     if campaign_mode {
-        if throughput_mode
-            || scaling_mode
-            || scale == Scale::Small
-            || json_dir.is_some()
-            || !wanted.is_empty()
-            || sharded_set
-            || remote_conns.is_some()
-        {
-            eprintln!("--campaign does not combine with --throughput/--small/--json/--sharded/--remote/experiment ids (use --quick, --out and --baseline)");
+        if throughput_mode || scale == Scale::Small || json_dir.is_some() || !wanted.is_empty() {
+            eprintln!("--campaign does not combine with --throughput/--small/--json/experiment ids (use --quick, --out and --baseline)");
             std::process::exit(2);
         }
-        // Quick runs default to their own file: a bare `--campaign --quick`
-        // must never clobber the committed full-scale report.
-        let default_out = if quick {
-            "BENCH_competitive_quick.json"
-        } else {
-            "BENCH_competitive.json"
-        };
-        let out = out.unwrap_or_else(|| PathBuf::from(default_out));
+        let out = out.unwrap_or_else(|| default_out("BENCH_competitive", quick));
         run_campaign_bench(quick, out, baseline_path);
     }
     if baseline_path.is_some() {
         eprintln!("--baseline only applies to --campaign");
         std::process::exit(2);
-    }
-    if scaling_mode {
-        if throughput_mode
-            || scale == Scale::Small
-            || json_dir.is_some()
-            || !wanted.is_empty()
-            || sharded_set
-            || remote_conns.is_some()
-        {
-            eprintln!("--scaling does not combine with --throughput/--small/--json/--sharded/--remote/experiment ids (use --quick and --out)");
-            std::process::exit(2);
-        }
-        // Quick runs default to their own file so a smoke run never clobbers
-        // a committed full-scale curve.
-        let default_out = if quick {
-            "BENCH_scaling_quick.json"
-        } else {
-            "BENCH_scaling.json"
-        };
-        run_scaling_bench(quick, out.unwrap_or_else(|| PathBuf::from(default_out)));
     }
     if throughput_mode {
         if scale == Scale::Small || json_dir.is_some() || !wanted.is_empty() {
@@ -715,30 +574,12 @@ fn main() {
         }
         run_throughput_bench(
             quick,
-            sharded_workers,
-            remote_conns,
-            out.unwrap_or_else(|| PathBuf::from("BENCH_throughput.json")),
+            out.unwrap_or_else(|| default_out("BENCH_throughput", quick)),
         );
-    }
-    if let Some(conns) = remote_conns {
-        // `--remote` on its own: just the transport axis, no in-process matrix.
-        if scale == Scale::Small
-            || json_dir.is_some()
-            || !wanted.is_empty()
-            || out.is_some()
-            || sharded_set
-        {
-            eprintln!(
-                "--remote on its own does not combine with --small/--json/--out/--sharded/experiment ids"
-            );
-            std::process::exit(2);
-        }
-        run_remote_bench(quick, conns);
-        return;
     }
     if quick || out.is_some() {
         eprintln!(
-            "--quick/--out only apply to --throughput/--scaling/--remote (did you mean --small/--json?)"
+            "--quick/--out only apply to --throughput/--campaign (did you mean --small/--json?)"
         );
         std::process::exit(2);
     }
@@ -779,6 +620,25 @@ fn main() {
             let path = dir.join(format!("{}.json", table.id.to_lowercase()));
             std::fs::write(&path, table.to_json()).expect("write json table");
             eprintln!("wrote {}", path.display());
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_quick_run_defaults_to_its_own_report() {
+        for stem in ["BENCH_throughput", "BENCH_competitive"] {
+            assert_eq!(
+                default_out(stem, false),
+                PathBuf::from(format!("{stem}.json"))
+            );
+            assert_eq!(
+                default_out(stem, true),
+                PathBuf::from(format!("{stem}_quick.json"))
+            );
         }
     }
 }

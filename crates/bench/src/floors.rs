@@ -6,10 +6,10 @@
 //! [`FloorTable::STANDARD`], shared by both gate modes of the `experiments`
 //! binary:
 //!
-//! * `--check-floors` validates a throughput report against
-//!   [`ThroughputFloors`] (speedup and absolute steps/sec bars), or a
-//!   remote-transport report against [`RemoteFloors`] (wire frames per silent
-//!   step), telling the two apart by the report's `bench` id;
+//! * `--check-floors` (and every `--throughput` run) validates a throughput
+//!   report against [`ThroughputFloors`] (speedup, absolute steps/sec and
+//!   scaling-efficiency bars) and [`RemoteFloors`] (wire frames per silent
+//!   step on the report's remote rows);
 //! * `--check-competitive-floors` validates a campaign report against
 //!   [`CompetitiveFloors`] (coverage, correctness, per-cell ratio ceilings).
 //!
@@ -42,8 +42,8 @@ pub struct ThroughputFloors {
     /// report.
     pub sharded_speedup_quick: f64,
     /// Worker count the full-scale sharded floor is stated for. A committed
-    /// report whose sharded rows were generated with a different `--sharded`
-    /// value must not satisfy the gate.
+    /// report whose sharded rows were measured with a different worker count
+    /// must not satisfy the gate.
     pub sharded_floor_workers: u64,
     /// Minimum number of distinct worker counts a full-scale report's scaling
     /// curve must cover (quick smoke curves need only 2).
@@ -60,8 +60,8 @@ pub struct ThroughputFloors {
     pub scaling_efficiency_quick: f64,
 }
 
-/// Floors for the remote-transport report (`--check-floors BENCH_remote.json`
-/// and the live `--remote` run).
+/// Floors for the remote rows of a throughput report (`--check-floors` and
+/// the live `--throughput` run).
 ///
 /// A count, not a timing: on a reliable transport the frames a step moves are
 /// deterministic, so the bar holds on any machine.
@@ -160,7 +160,7 @@ impl CompetitiveFloors {
 pub struct FloorTable {
     /// Engine throughput floors (`--check-floors`).
     pub throughput: ThroughputFloors,
-    /// Remote-transport floors (`--check-floors` on a remote report).
+    /// Remote-transport floors (`--check-floors`, on the remote rows).
     pub remote: RemoteFloors,
     /// Campaign floors (`--check-competitive-floors`).
     pub competitive: CompetitiveFloors,

@@ -19,13 +19,14 @@
 //! | [`experiments::e8_crossover`] | Cor. 3.3 vs Thm. 4.5 | exact-midpoint vs `TopKProtocol` message counts as `Δ` grows |
 //!
 //! The `experiments` binary (`cargo run -p topk-bench --bin experiments --release`)
-//! prints the tables; the Criterion benches under `benches/` measure the
-//! wall-clock cost of the same code paths.
+//! prints the tables.
 //!
 //! [`throughput`] is the engine-throughput benchmark (`experiments
-//! --throughput [--sharded <threads>]`): simulated steps per second of the
-//! baseline vs. the indexed vs. the sharded engine across workloads and
-//! population sizes (up to 10⁷ nodes), written to `BENCH_throughput.json`.
+//! --throughput`): simulated steps per second, model messages and wire
+//! frames and bytes per step of the deterministic, indexed, sharded and
+//! remote engines across workloads and population sizes (up to 10⁷ nodes),
+//! plus the sharded engine's scaling curve, in one report,
+//! `BENCH_throughput.json`, held by one checker.
 //!
 //! [`campaign`] is the scenario campaign (`experiments --campaign`): every
 //! file of the `scenarios/` library ([`scenario`]) run under every protocol

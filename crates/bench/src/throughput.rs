@@ -2,14 +2,17 @@
 //!
 //! The paper's point is that *communication* scales with `O(k log n + …)`, not
 //! with `n` — but a simulator is only useful at scale if its *computation*
-//! tracks the communication. This harness measures simulated steps per second
-//! for the baseline [`DeterministicEngine`] (Θ(n log n) node invocations per
-//! silent step) against the [`IndexedEngine`] (O(active) work per step) and the
-//! [`ShardedEngine`] (the same O(active) algorithm on a worker-pool shard
-//! layout with a tuned bulk observation path, `--sharded <threads>`) across
-//! the workload generators, at `n` from 10³ to 10⁷ (the baseline stops at 10⁶
-//! where its Θ(n log n) steps become minutes), and writes the result as
-//! `BENCH_throughput.json` — the repo's bench trajectory.
+//! tracks the communication. This harness measures simulated steps per second,
+//! model messages and wire traffic per step on all four engines of
+//! [`EngineKind`]: the reference [`DeterministicEngine`] (Θ(n log n) node
+//! invocations per silent step), the [`IndexedEngine`] (O(active) work per
+//! step), the [`ShardedEngine`] (the same O(active) algorithm on a worker-pool
+//! shard layout with a tuned bulk observation path) and the TCP-loopback
+//! [`RemoteEngine`]. It runs them across the workload generators at `n` from
+//! 10³ to 10⁷, measures the sharded engine's multi-core scaling curve, and
+//! writes everything as one report, `BENCH_throughput.json` — the repo's bench
+//! trajectory. [`check_floors`] holds that report to every throughput and
+//! remote bar of [`FloorTable::STANDARD`].
 //!
 //! Each run drives a minimal but honest monitoring loop: observations arrive,
 //! the Corollary 3.2 violation check (`detect_violations`) runs every step, and
@@ -18,7 +21,8 @@
 //! bounds describe — mostly silent steps with occasional violations — during
 //! the untimed warm-up. Workload generation and inspection happen outside the
 //! timed sections; only engine work (observation delivery, existence rounds,
-//! filter repairs) is on the clock.
+//! filter repairs, and for the remote engine the socket round trips they take)
+//! is on the clock.
 //!
 //! Two delivery modes are measured:
 //!
@@ -28,6 +32,7 @@
 //!   (what a real ingest path would deliver). On quiet workloads the indexed
 //!   engine's per-step cost is then near-independent of `n`.
 
+use crate::floors::{FloorTable, RemoteFloors, ThroughputFloors};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 use topk_core::existence::detect_violations_into;
@@ -37,41 +42,23 @@ use topk_gen::{
 };
 use topk_model::prelude::*;
 use topk_net::{
-    DeterministicEngine, IndexedEngine, Network, RemoteEngine, ShardedEngine, TransportStats,
+    DeterministicEngine, EngineKind, IndexedEngine, Network, RemoteEngine, ShardedEngine,
+    TransportStats,
 };
 
 /// The workload generators exercised by the throughput benchmark.
 pub const GENERATORS: [&str; 4] = ["zipf", "noise", "random-walk", "adversarial"];
 
-/// Which engine a measurement drove.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// `DeterministicEngine` — reference semantics, Θ(n) per existence round.
-    Baseline,
-    /// `IndexedEngine` — O(active) per round, bit-identical behaviour.
-    Indexed,
-    /// `ShardedEngine` with the given worker count — the indexed algorithm on
-    /// contiguous shards with a tuned bulk observation path, bit-identical.
-    Sharded(usize),
-}
+/// Worker threads of the sharded rows and shard connections of the remote
+/// rows. The full-scale sharded floor is stated for this count
+/// ([`ThroughputFloors::sharded_floor_workers`]).
+const WORKERS: usize = 4;
 
-impl EngineKind {
-    fn label(self) -> &'static str {
-        match self {
-            EngineKind::Baseline => "baseline",
-            EngineKind::Indexed => "indexed",
-            EngineKind::Sharded(_) => "sharded",
-        }
-    }
+/// The `bench` id of a throughput report.
+const BENCH: &str = "throughput";
 
-    /// Worker count recorded in the report (0 for single-threaded engines).
-    fn workers(self) -> u64 {
-        match self {
-            EngineKind::Baseline | EngineKind::Indexed => 0,
-            EngineKind::Sharded(w) => w as u64,
-        }
-    }
-}
+/// The seed of every engine and workload the benchmark measures.
+const SEED: u64 = 0xBE7C;
 
 /// Observation delivery mode of a measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,19 +106,31 @@ pub struct PhaseProfile {
     pub violations: u64,
 }
 
-/// One measured configuration.
+/// One measured configuration: one engine on one (generator, n, delivery)
+/// cell of the matrix.
+///
+/// Every engine shares this row. The wire fields count the frames and bytes
+/// that crossed the remote engine's loopback sockets; the in-process engines
+/// have no transport, so theirs are 0. Set beside the *model* message count,
+/// they show how far the paper's unit-cost accounting is from physical
+/// transport cost — per step, because a silent regime sends no model messages
+/// at all while its observations and round-0 queries still cross the wire.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ThroughputRow {
     /// Workload generator name (one of [`GENERATORS`]).
     pub generator: String,
     /// Number of nodes.
     pub n: u64,
-    /// `"baseline"`, `"indexed"` or `"sharded"`.
+    /// The engine's [`EngineKind::name`].
     pub engine: String,
-    /// Worker count of the sharded engine (0 for single-threaded engines).
+    /// Worker threads of a sharded row, shard connections of a remote row, 0
+    /// for the single-threaded engines.
     pub workers: u64,
     /// `"dense"` or `"sparse"` observation delivery.
     pub mode: String,
+    /// CPU cores of the machine that measured the row (what
+    /// `std::thread::available_parallelism` reported).
+    pub cores: u64,
     /// Measured steps (after warm-up).
     pub steps: u64,
     /// Wall-clock seconds spent in engine work over the measured steps.
@@ -142,30 +141,29 @@ pub struct ThroughputRow {
     pub us_per_step: f64,
     /// Model messages sent during the measured steps (violations + repairs).
     pub messages: u64,
+    /// Wire frames moved (both directions) during the measured steps.
+    pub frames: u64,
+    /// Wire bytes moved (both directions) during the measured steps.
+    pub bytes: u64,
+    /// Wire frames per measured step (`frames / steps`).
+    pub frames_per_step: f64,
+    /// Wire bytes per measured step (`bytes / steps`).
+    pub bytes_per_step: f64,
     /// Mean number of nodes whose value changed per step.
     pub mean_changed_per_step: f64,
     /// Where the engine time went (phase attribution and protocol rates).
     pub profile: PhaseProfile,
 }
 
-/// The full benchmark output, serialised to `BENCH_throughput.json`.
+/// The benchmark output, serialised to `BENCH_throughput.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ThroughputReport {
-    /// Schema/benchmark identifier.
+    /// Schema/benchmark identifier (`"throughput"`).
     pub bench: String,
     /// `"quick"` (CI smoke) or `"full"`.
     pub scale: String,
-    /// All measured configurations.
+    /// Every measured configuration, on all four engines.
     pub rows: Vec<ThroughputRow>,
-    /// Indexed-over-baseline steps/sec speedups per `(generator, n)`, dense mode.
-    pub speedups_dense: Vec<SpeedupRow>,
-    /// Sharded-over-indexed steps/sec speedups per `(generator, n)`, dense mode.
-    pub speedups_sharded: Vec<SpeedupRow>,
-    /// CPU cores available on the measuring machine (what
-    /// `std::thread::available_parallelism` reported); the denominator the
-    /// parallel-efficiency floor is normalised by. Pre-scaling reports lack
-    /// this field and fail deserialisation — regenerate them.
-    pub cores: u64,
     /// The multi-core scaling curve: the sharded engine re-measured on the
     /// noise/dense cell across worker counts (see [`ScalingRow`]).
     pub scaling: Vec<ScalingRow>,
@@ -188,6 +186,9 @@ pub struct ScalingRow {
     pub n: u64,
     /// Sharded-engine worker count of this point.
     pub workers: u64,
+    /// CPU cores of the machine that measured the point; the curve's
+    /// efficiency is normalised by them.
+    pub cores: u64,
     /// Measured steps (after warm-up).
     pub steps: u64,
     /// Simulated observation steps per second of engine work.
@@ -198,34 +199,6 @@ pub struct ScalingRow {
     pub speedup_vs_one: f64,
     /// `speedup_vs_one / min(workers, cores)`.
     pub efficiency: f64,
-}
-
-/// A standalone scaling-curve report (`--scaling`), written to
-/// `BENCH_scaling_quick.json` by the CI smoke job. The committed full-scale
-/// curve lives inside `BENCH_throughput.json` ([`ThroughputReport::scaling`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ScalingReport {
-    /// Schema/benchmark identifier (`"scaling"`).
-    pub bench: String,
-    /// `"quick"` or `"full"`.
-    pub scale: String,
-    /// CPU cores available on the measuring machine.
-    pub cores: u64,
-    /// The measured curve.
-    pub rows: Vec<ScalingRow>,
-}
-
-/// Speedup summary entry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SpeedupRow {
-    /// Workload generator name.
-    pub generator: String,
-    /// Number of nodes.
-    pub n: u64,
-    /// Steps/sec ratio of the faster engine over its reference (dense
-    /// delivery): indexed ÷ baseline in `speedups_dense`, sharded ÷ indexed in
-    /// `speedups_sharded`.
-    pub speedup: f64,
 }
 
 fn make_workload(name: &str, n: usize, seed: u64) -> Box<dyn AdaptiveWorkload> {
@@ -283,9 +256,9 @@ fn widened_filter(current: Filter, violating: Value) -> Filter {
     Filter::bounded(lo, hi.max(lo)).expect("lo <= hi")
 }
 
-/// Measured steps for the indexed and sharded engines at population `n`.
-fn indexed_steps(n: usize, quick: bool) -> u64 {
-    if quick {
+/// The fewest measured steps for `engine` at population `n`.
+fn min_steps(engine: EngineKind, n: usize, quick: bool) -> u64 {
+    let in_process = if quick {
         50
     } else if n <= 10_000 {
         200
@@ -295,19 +268,44 @@ fn indexed_steps(n: usize, quick: bool) -> u64 {
         30
     } else {
         15
+    };
+    match engine {
+        EngineKind::Indexed | EngineKind::Sharded => in_process,
+        // Capped so that the Θ(n log n) per-step cost keeps the benchmark
+        // runnable at large `n`.
+        EngineKind::Deterministic => in_process.min((4_000_000 / n as u64).max(3)),
+        EngineKind::Remote if quick => 30,
+        EngineKind::Remote if n <= 10_000 => 100,
+        EngineKind::Remote => 40,
     }
 }
 
-/// Measured steps for the baseline engine: capped so that the Θ(n log n)
-/// per-step cost keeps the benchmark runnable at large `n`.
-fn baseline_steps(n: usize, quick: bool) -> u64 {
-    indexed_steps(n, quick).min((4_000_000 / n as u64).max(3))
+/// The largest population `engine` is measured at.
+fn max_n(engine: EngineKind, quick: bool) -> usize {
+    match engine {
+        // Θ(n log n) node invocations per step make even a handful of
+        // measured steps take minutes at `n = 10⁷`, and the scaling question
+        // up there is indexed vs sharded anyway.
+        EngineKind::Deterministic => 1_000_000,
+        // Every operation pays socket round trips, so the remote rows stay
+        // below the in-process sizes.
+        EngineKind::Remote if quick => 1_000,
+        EngineKind::Remote => 100_000,
+        EngineKind::Indexed | EngineKind::Sharded => usize::MAX,
+    }
 }
 
-/// The baseline engine is excluded above this population: Θ(n log n) node
-/// invocations per step make even a handful of measured steps take minutes at
-/// `n = 10⁷`, and the scaling question up there is indexed vs sharded anyway.
-const BASELINE_MAX_N: usize = 1_000_000;
+/// The least timed work per row. A quick remote row's 30 steps can take
+/// under 5 ms on a silent workload, too short a window for a rate that two
+/// runs agree on, so quick remote rows run on until a quarter second of
+/// timed work; every other row runs exactly its steps.
+fn min_window(engine: EngineKind, quick: bool) -> Duration {
+    if quick && engine == EngineKind::Remote {
+        Duration::from_millis(250)
+    } else {
+        Duration::ZERO
+    }
+}
 
 // 16 calibration samples make the band classification reliable: the chance a
 // wide-ranging node's samples all land within a 2x ratio (earning it a
@@ -328,9 +326,9 @@ struct LoopOutcome {
 /// The monitoring loop every measurement drives: calibrate filters, warm up,
 /// then time observation delivery plus the per-step violation check and
 /// repairs, for at least `steps` steps and until the timed work adds up to
-/// at least `window`. Generic over the engine so callers with
-/// engine-specific counters (the remote transport axis) can snapshot them
-/// when the warm-up ends via `at_warmup_end`.
+/// at least `window`. Generic over the engine so that the remote engine's
+/// transport counters can be snapshotted when the warm-up ends, via
+/// `at_warmup_end`.
 fn drive<N: Network>(
     net: &mut N,
     workload: &mut dyn AdaptiveWorkload,
@@ -456,132 +454,64 @@ fn drive<N: Network>(
     }
 }
 
-/// Runs one configuration and returns its measurement row.
+/// Runs `engine` on one cell for at least `steps` measured steps and until
+/// their timed work adds up to at least `window`, and returns its row.
+///
+/// `workers` is the sharded engine's worker count or the remote engine's
+/// shard-connection count; the single-threaded engines ignore it and record
+/// 0. The harness builds each engine itself rather than through
+/// [`topk_net::build_engine`], whose configuration is fixed, because the
+/// scaling curve needs several worker counts.
+#[allow(clippy::too_many_arguments)]
 pub fn measure(
     generator: &str,
     n: usize,
-    kind: EngineKind,
-    mode: DeliveryMode,
-    steps: u64,
-    seed: u64,
-) -> ThroughputRow {
-    let mut workload = make_workload(generator, n, seed);
-    let w = workload.as_mut();
-    // In-process rows run exactly `steps` steps.
-    let window = Duration::ZERO;
-    let out = match kind {
-        EngineKind::Baseline => {
-            let mut net = DeterministicEngine::new(n, seed);
-            drive(&mut net, w, n, mode, steps, window, |_| {})
-        }
-        EngineKind::Indexed => {
-            let mut net = IndexedEngine::new(n, seed);
-            drive(&mut net, w, n, mode, steps, window, |_| {})
-        }
-        // `Dispatch::Auto`: the engine uses its worker pool when the machine
-        // has usable parallelism and falls back to inline shard execution
-        // otherwise — the measurement reflects what a deployment would get.
-        EngineKind::Sharded(workers) => {
-            let mut net = ShardedEngine::new(n, seed, workers);
-            drive(&mut net, w, n, mode, steps, window, |_| {})
-        }
-    };
-    ThroughputRow {
-        generator: generator.to_string(),
-        n: n as u64,
-        engine: kind.label().to_string(),
-        workers: kind.workers(),
-        mode: mode.label().to_string(),
-        steps,
-        elapsed_s: out.elapsed_s,
-        steps_per_sec: steps as f64 / out.elapsed_s,
-        us_per_step: out.elapsed_s * 1e6 / steps as f64,
-        messages: out.messages,
-        mean_changed_per_step: out.mean_changed_per_step,
-        profile: out.profile,
-    }
-}
-
-/// One measured remote-transport configuration (the `--remote` axis).
-///
-/// Extends the in-process metrics with *wire-level* quantities: frames and
-/// bytes actually moved over the loopback TCP connections, in total and per
-/// step. Set beside the *model* message count, they show how far the paper's
-/// unit-cost accounting is from physical transport cost on each workload
-/// regime — per step, because a silent regime sends no model messages at
-/// all while its observations and round-0 queries still cross the wire.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RemoteRow {
-    /// Workload generator name (one of [`GENERATORS`]).
-    pub generator: String,
-    /// Number of nodes.
-    pub n: u64,
-    /// Number of shard connections (client processes).
-    pub shards: u64,
-    /// `"dense"` or `"sparse"` observation delivery.
-    pub mode: String,
-    /// Measured steps (after warm-up).
-    pub steps: u64,
-    /// Wall-clock seconds of engine + transport work over the measured steps.
-    pub elapsed_s: f64,
-    /// Simulated observation steps per second.
-    pub steps_per_sec: f64,
-    /// Microseconds per step.
-    pub us_per_step: f64,
-    /// Model messages sent during the measured steps.
-    pub messages: u64,
-    /// Wire frames moved (both directions) during the measured steps.
-    pub frames: u64,
-    /// Wire bytes moved (both directions) during the measured steps.
-    pub bytes: u64,
-    /// Frames per second of wall-clock time.
-    pub frames_per_sec: f64,
-    /// Wire frames per measured step (`frames / steps`).
-    pub frames_per_step: f64,
-    /// Wire bytes per measured step (`bytes / steps`).
-    pub bytes_per_step: f64,
-}
-
-/// The `--remote` benchmark output, serialised to `BENCH_remote.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RemoteReport {
-    /// Schema/benchmark identifier (`"remote-transport"`).
-    pub bench: String,
-    /// `"quick"` or `"full"`.
-    pub scale: String,
-    /// CPU cores of the measuring machine (shard clients and the
-    /// coordinator share them).
-    pub cores: u64,
-    /// All measured configurations.
-    pub rows: Vec<RemoteRow>,
-}
-
-/// Runs one remote-transport configuration for at least `steps` measured
-/// steps and until their timed work adds up to at least `window`.
-pub fn measure_remote(
-    generator: &str,
-    n: usize,
-    shards: usize,
+    engine: EngineKind,
+    workers: usize,
     mode: DeliveryMode,
     steps: u64,
     window: Duration,
     seed: u64,
-) -> RemoteRow {
+) -> ThroughputRow {
     let mut workload = make_workload(generator, n, seed);
-    let mut net = RemoteEngine::with_shards(n, seed, shards);
-    let mut transport_at_warmup_end = TransportStats::default();
-    let out = drive(&mut net, workload.as_mut(), n, mode, steps, window, |net| {
-        transport_at_warmup_end = net.transport_stats()
-    });
+    let w = workload.as_mut();
+    let (out, workers, frames, bytes) = match engine {
+        EngineKind::Deterministic => {
+            let mut net = DeterministicEngine::new(n, seed);
+            (drive(&mut net, w, n, mode, steps, window, |_| {}), 0, 0, 0)
+        }
+        EngineKind::Indexed => {
+            let mut net = IndexedEngine::new(n, seed);
+            (drive(&mut net, w, n, mode, steps, window, |_| {}), 0, 0, 0)
+        }
+        // `Dispatch::Auto`: the engine uses its worker pool when the machine
+        // has usable parallelism and falls back to inline shard execution
+        // otherwise — the measurement reflects what a deployment would get.
+        EngineKind::Sharded => {
+            let mut net = ShardedEngine::new(n, seed, workers);
+            let out = drive(&mut net, w, n, mode, steps, window, |_| {});
+            (out, workers, 0, 0)
+        }
+        EngineKind::Remote => {
+            let mut net = RemoteEngine::with_shards(n, seed, workers);
+            let mut at_warmup_end = TransportStats::default();
+            let out = drive(&mut net, w, n, mode, steps, window, |net| {
+                at_warmup_end = net.transport_stats()
+            });
+            let total = net.transport_stats();
+            let frames = total.frames() - at_warmup_end.frames();
+            let bytes = total.bytes() - at_warmup_end.bytes();
+            (out, workers, frames, bytes)
+        }
+    };
     let steps = out.steps;
-    let transport = net.transport_stats();
-    let frames = transport.frames() - transport_at_warmup_end.frames();
-    let bytes = transport.bytes() - transport_at_warmup_end.bytes();
-    RemoteRow {
+    ThroughputRow {
         generator: generator.to_string(),
         n: n as u64,
-        shards: shards as u64,
+        engine: engine.name().to_string(),
+        workers: workers as u64,
         mode: mode.label().to_string(),
+        cores: available_cores(),
         steps,
         elapsed_s: out.elapsed_s,
         steps_per_sec: steps as f64 / out.elapsed_s,
@@ -589,146 +519,16 @@ pub fn measure_remote(
         messages: out.messages,
         frames,
         bytes,
-        frames_per_sec: frames as f64 / out.elapsed_s,
         frames_per_step: frames as f64 / steps as f64,
         bytes_per_step: bytes as f64 / steps as f64,
+        mean_changed_per_step: out.mean_changed_per_step,
+        profile: out.profile,
     }
-}
-
-/// Populations the remote axis measures: every operation pays socket
-/// round-trips, so the matrix stays below the in-process sizes.
-fn remote_sizes(quick: bool) -> &'static [usize] {
-    if quick {
-        &[1_000]
-    } else {
-        &[1_000, 10_000, 100_000]
-    }
-}
-
-/// The fewest measured steps for the remote engine at population `n`.
-fn remote_steps(n: usize, quick: bool) -> u64 {
-    if quick {
-        30
-    } else if n <= 10_000 {
-        100
-    } else {
-        40
-    }
-}
-
-/// The least timed work per remote row. A quick row's 30 steps can take
-/// under 5 ms on a silent workload, too short a window for a rate that two
-/// runs agree on, so quick rows run on until a quarter second of timed work.
-fn remote_window(quick: bool) -> Duration {
-    if quick {
-        Duration::from_millis(250)
-    } else {
-        Duration::ZERO
-    }
-}
-
-/// Runs the remote-transport benchmark matrix (the `--remote` axis).
-pub fn run_remote(quick: bool, shards: usize, log: impl Fn(&str)) -> RemoteReport {
-    let seed = 0xBE7C;
-    let window = remote_window(quick);
-    let mut rows = Vec::new();
-    for &n in remote_sizes(quick) {
-        for generator in GENERATORS {
-            let steps = remote_steps(n, quick);
-            for mode in [DeliveryMode::Dense, DeliveryMode::Sparse] {
-                let row = measure_remote(generator, n, shards, mode, steps, window, seed);
-                log(&format!(
-                    "remote: {generator:>12} n={n:>8} {shards} conns/{:<6} {:>10.1} steps/s {:>7.1} frames/step {:>10.1} B/step {:>6} msgs",
-                    row.mode, row.steps_per_sec, row.frames_per_step, row.bytes_per_step, row.messages
-                ));
-                rows.push(row);
-            }
-        }
-    }
-    RemoteReport {
-        bench: REMOTE_BENCH.to_string(),
-        scale: if quick { "quick" } else { "full" }.to_string(),
-        cores: available_cores(),
-        rows,
-    }
-}
-
-/// The `bench` id of a [`RemoteReport`], by which `--check-floors` tells it
-/// from a throughput report.
-pub const REMOTE_BENCH: &str = "remote-transport";
-
-/// Checks a remote report against [`FloorTable::STANDARD`](crate::floors::FloorTable)'s
-/// remote floors; returns one message per violated bar (empty = pass).
-///
-/// Every row's per-step figures are recomputed from its totals, so an edited
-/// derived field fails. Rows with no model messages — every step an
-/// observation plus one silent existence run — must stay within
-/// `max_silent_frames_per_shard_step` frames per occupied shard per step,
-/// and the report must hold at least one such row, so the bar never checks
-/// nothing.
-pub fn check_remote_floors(report: &RemoteReport) -> Vec<String> {
-    let floors = crate::floors::FloorTable::STANDARD.remote;
-    let mut failures = Vec::new();
-    if report.bench != REMOTE_BENCH {
-        failures.push(format!(
-            "bench id is '{}', expected '{REMOTE_BENCH}'",
-            report.bench
-        ));
-    }
-    if report.cores == 0 {
-        failures.push("the report does not record the measuring machine's cores".to_string());
-    }
-    let mut silent_rows = 0usize;
-    for row in &report.rows {
-        let cell = format!(
-            "{} n={} {} conns/{}",
-            row.generator, row.n, row.shards, row.mode
-        );
-        if row.steps == 0 {
-            failures.push(format!("{cell}: no measured steps"));
-            continue;
-        }
-        let steps = row.steps as f64;
-        let frames_per_step = row.frames as f64 / steps;
-        let bytes_per_step = row.bytes as f64 / steps;
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(1.0);
-        if !close(row.frames_per_step, frames_per_step)
-            || !close(row.bytes_per_step, bytes_per_step)
-        {
-            failures.push(format!(
-                "{cell}: per-step figures ({:.3} frames, {:.1} B) disagree with the totals ({frames_per_step:.3}, {bytes_per_step:.1})",
-                row.frames_per_step, row.bytes_per_step
-            ));
-        }
-        if row.messages > 0 {
-            continue;
-        }
-        silent_rows += 1;
-        let occupied = row.shards.min(row.n);
-        let bar = floors.max_silent_frames_per_shard_step * occupied;
-        if frames_per_step > bar as f64 {
-            failures.push(format!(
-                "{cell}: {frames_per_step:.2} frames/step on a silent row, above {} per occupied shard ({bar} for {occupied} shards)",
-                floors.max_silent_frames_per_shard_step
-            ));
-        }
-    }
-    if silent_rows == 0 {
-        failures.push(
-            "no row with 0 model messages: the silent-step frame bar checks nothing".to_string(),
-        );
-    }
-    failures
-}
-
-/// Serialises a remote report as pretty JSON.
-pub fn remote_to_json(report: &RemoteReport) -> String {
-    serde_json::to_string_pretty(report).expect("remote reports serialise")
 }
 
 /// CPU cores the measuring machine offers — the denominator of the
 /// parallel-efficiency normalisation.
-pub fn available_cores() -> u64 {
+fn available_cores() -> u64 {
     std::thread::available_parallelism()
         .map(|c| c.get() as u64)
         .unwrap_or(1)
@@ -748,35 +548,36 @@ fn scaling_worker_counts(quick: bool) -> &'static [usize] {
 /// (quick). The `workers = 1` point anchors `speedup_vs_one`; `efficiency`
 /// normalises by `min(workers, cores)` so the curve is meaningful on any
 /// machine (on a 1-core runner it degenerates to a sharding-overhead bound).
-pub fn measure_scaling(quick: bool, log: impl Fn(&str)) -> (u64, Vec<ScalingRow>) {
-    let cores = available_cores();
+fn measure_scaling(quick: bool, log: impl Fn(&str)) -> Vec<ScalingRow> {
     let n: usize = if quick { 100_000 } else { 1_000_000 };
-    let steps = indexed_steps(n, quick);
-    let seed = 0xBE7C;
+    let steps = min_steps(EngineKind::Sharded, n, quick);
     let mut rows: Vec<ScalingRow> = Vec::new();
     let mut one_sps = 0.0_f64;
     for &workers in scaling_worker_counts(quick) {
         let row = measure(
             "noise",
             n,
-            EngineKind::Sharded(workers),
+            EngineKind::Sharded,
+            workers,
             DeliveryMode::Dense,
             steps,
-            seed,
+            Duration::ZERO,
+            SEED,
         );
         if workers == 1 {
             one_sps = row.steps_per_sec;
         }
         let speedup_vs_one = row.steps_per_sec / one_sps.max(1e-9);
-        let efficiency = speedup_vs_one / (workers as u64).min(cores).max(1) as f64;
+        let efficiency = speedup_vs_one / (workers as u64).min(row.cores).max(1) as f64;
         log(&format!(
-            "scaling:    noise n={n:>8} workers={workers:>2} {:>12.1} steps/s  speedup {:>5.2}x  efficiency {:>5.2} (cores={cores})",
-            row.steps_per_sec, speedup_vs_one, efficiency
+            "scaling:    noise n={n:>8} workers={workers:>2} {:>12.1} steps/s  speedup {:>5.2}x  efficiency {:>5.2} (cores={})",
+            row.steps_per_sec, speedup_vs_one, efficiency, row.cores
         ));
         rows.push(ScalingRow {
             generator: row.generator,
             n: row.n,
-            workers: workers as u64,
+            workers: row.workers,
+            cores: row.cores,
             steps: row.steps,
             steps_per_sec: row.steps_per_sec,
             us_per_step: row.us_per_step,
@@ -784,145 +585,91 @@ pub fn measure_scaling(quick: bool, log: impl Fn(&str)) -> (u64, Vec<ScalingRow>
             efficiency,
         });
     }
-    (cores, rows)
+    rows
 }
 
-/// Runs only the scaling curve and wraps it as a standalone report — the
-/// `--scaling` mode the CI smoke job uses.
-pub fn run_scaling(quick: bool, log: impl Fn(&str)) -> ScalingReport {
-    let (cores, rows) = measure_scaling(quick, log);
-    ScalingReport {
-        bench: "scaling".to_string(),
-        scale: if quick { "quick" } else { "full" }.to_string(),
-        cores,
-        rows,
-    }
-}
-
-/// Serialises a scaling report as pretty JSON.
-pub fn scaling_to_json(report: &ScalingReport) -> String {
-    serde_json::to_string_pretty(report).expect("scaling reports serialise")
-}
-
-/// Checks a standalone scaling report against the standard floor table:
-/// same bars as the embedded curve in a throughput report of the same scale.
-pub fn check_scaling_floors(report: &ScalingReport) -> Vec<String> {
-    check_scaling_axis(
-        &report.rows,
-        report.cores,
-        &report.scale,
-        &crate::floors::FloorTable::STANDARD.throughput,
-    )
-}
-
-/// Runs the whole benchmark matrix.
+/// Runs the whole benchmark matrix and the scaling curve.
 ///
 /// `quick` is the CI smoke configuration: `n ∈ {10³, 10⁴, 10⁵}` and fewer
-/// steps. The full configuration adds `n = 10⁶` and — for the indexed and
-/// sharded engines only (see `BASELINE_MAX_N`) — `n = 10⁷`.
-///
-/// `sharded_workers` is the worker count of the `--sharded` axis (the sharded
-/// engine is measured alongside baseline and indexed at every size).
-pub fn run_throughput(quick: bool, sharded_workers: usize, log: impl Fn(&str)) -> ThroughputReport {
+/// steps, with the remote engine at `n = 10³` only. The full configuration
+/// adds `n = 10⁶` and `n = 10⁷`; the deterministic engine stops at 10⁶ and the
+/// remote engine at 10⁵ (see `max_n`). The sharded and remote rows run on 4
+/// worker threads and 4 shard connections.
+pub fn run_throughput(quick: bool, log: impl Fn(&str)) -> ThroughputReport {
     let sizes: &[usize] = if quick {
         &[1_000, 10_000, 100_000]
     } else {
         &[1_000, 10_000, 100_000, 1_000_000, 10_000_000]
     };
-    let seed = 0xBE7C;
     let mut rows = Vec::new();
     for &n in sizes {
         for generator in GENERATORS {
-            for kind in [
-                EngineKind::Baseline,
-                EngineKind::Indexed,
-                EngineKind::Sharded(sharded_workers),
-            ] {
-                if matches!(kind, EngineKind::Baseline) && n > BASELINE_MAX_N {
+            for engine in EngineKind::ALL {
+                if n > max_n(engine, quick) {
                     continue;
                 }
-                let steps = match kind {
-                    EngineKind::Baseline => baseline_steps(n, quick),
-                    EngineKind::Indexed | EngineKind::Sharded(_) => indexed_steps(n, quick),
-                };
+                let steps = min_steps(engine, n, quick);
+                let window = min_window(engine, quick);
                 for mode in [DeliveryMode::Dense, DeliveryMode::Sparse] {
-                    let row = measure(generator, n, kind, mode, steps, seed);
+                    let row = measure(generator, n, engine, WORKERS, mode, steps, window, SEED);
                     log(&format!(
-                        "throughput: {generator:>12} n={n:>8} {:>8}/{:<6} {:>12.1} steps/s ({:.1} us/step, {} msgs)",
-                        row.engine, row.mode, row.steps_per_sec, row.us_per_step, row.messages
+                        "throughput: {generator:>12} n={n:>8} {:>13}/{:<6} {:>12.1} steps/s ({:.1} us/step, {} msgs, {:.1} frames/step, {:.0} B/step)",
+                        row.engine, row.mode, row.steps_per_sec, row.us_per_step, row.messages, row.frames_per_step, row.bytes_per_step
                     ));
                     rows.push(row);
                 }
             }
         }
     }
-    let speedups_dense = speedups(&rows, "indexed", "baseline");
-    let speedups_sharded = speedups(&rows, "sharded", "indexed");
-    let (cores, scaling) = measure_scaling(quick, &log);
+    let scaling = measure_scaling(quick, &log);
     ThroughputReport {
-        bench: "throughput".to_string(),
+        bench: BENCH.to_string(),
         scale: if quick { "quick" } else { "full" }.to_string(),
         rows,
-        speedups_dense,
-        speedups_sharded,
-        cores,
         scaling,
     }
 }
 
-/// Dense-mode steps/sec ratios of `engine` over `reference` per
-/// `(generator, n)`.
-fn speedups(rows: &[ThroughputRow], engine: &str, reference: &str) -> Vec<SpeedupRow> {
-    let mut out = Vec::new();
-    for row in rows {
-        if row.engine != engine || row.mode != "dense" {
-            continue;
-        }
-        let base = rows.iter().find(|r| {
-            r.generator == row.generator
-                && r.n == row.n
-                && r.engine == reference
-                && r.mode == "dense"
-        });
-        if let Some(b) = base {
-            out.push(SpeedupRow {
-                generator: row.generator.clone(),
-                n: row.n,
-                speedup: row.steps_per_sec / b.steps_per_sec,
-            });
-        }
-    }
-    out
-}
-
-/// Checks the CI floors against a report using the standard
-/// [`FloorTable`](crate::floors::FloorTable); returns a list of human-readable
-/// failures (empty = pass).
+/// Checks a report against [`FloorTable::STANDARD`]; returns one
+/// human-readable failure per missed bar (empty = pass).
+///
+/// Four bars, all on the noise/dense cell except the last:
+///
+/// * the indexed engine over the deterministic one at `n = 10⁵`, by ratio and
+///   by absolute steps/s;
+/// * the sharded engine over the indexed one — at `n = 10⁶` with
+///   `sharded_floor_workers` workers on a full-scale report, at `n = 10⁵` on a
+///   quick one;
+/// * the scaling curve's parallel efficiency (see `check_scaling_axis`);
+/// * at most `max_silent_frames_per_shard_step` wire frames per occupied
+///   shard per step on every remote row with no model messages.
+///
+/// Every row's per-step wire figures are recomputed from its totals, so an
+/// edited derived field fails, and the report must hold at least one silent
+/// remote row, so the frame bar never checks nothing.
 pub fn check_floors(report: &ThroughputReport) -> Vec<String> {
-    check_floors_against(report, &crate::floors::FloorTable::STANDARD.throughput)
-}
-
-/// Checks the CI floors against a report with an explicit floor table — the
-/// single source of the numeric bars shared with the campaign checker (the
-/// values used to be duplicated between doc comments, CI comments and this
-/// function).
-pub fn check_floors_against(
-    report: &ThroughputReport,
-    floors: &crate::floors::ThroughputFloors,
-) -> Vec<String> {
+    let floors = &FloorTable::STANDARD.throughput;
     let mut failures = Vec::new();
-    let at = |engine: &str, n: u64| {
-        report
-            .rows
-            .iter()
-            .find(|r| r.generator == "noise" && r.n == n && r.engine == engine && r.mode == "dense")
+    if report.bench != BENCH {
+        failures.push(format!(
+            "bench id is '{}', expected '{BENCH}'",
+            report.bench
+        ));
+    }
+    let at = |engine: EngineKind, n: u64| {
+        report.rows.iter().find(|r| {
+            r.generator == "noise" && r.n == n && r.engine == engine.name() && r.mode == "dense"
+        })
     };
-    match (at("indexed", 100_000), at("baseline", 100_000)) {
-        (Some(indexed), Some(baseline)) => {
-            let speedup = indexed.steps_per_sec / baseline.steps_per_sec;
+    match (
+        at(EngineKind::Indexed, 100_000),
+        at(EngineKind::Deterministic, 100_000),
+    ) {
+        (Some(indexed), Some(deterministic)) => {
+            let speedup = indexed.steps_per_sec / deterministic.steps_per_sec;
             if speedup < floors.indexed_speedup {
                 failures.push(format!(
-                    "indexed/baseline speedup at n=1e5 (noise, dense) is {speedup:.1}x, floor is {}x",
+                    "indexed/deterministic speedup at n=1e5 (noise, dense) is {speedup:.1}x, floor is {}x",
                     floors.indexed_speedup
                 ));
             }
@@ -943,12 +690,12 @@ pub fn check_floors_against(
     } else {
         (100_000, floors.sharded_speedup_quick)
     };
-    match (at("sharded", n), at("indexed", n)) {
+    match (at(EngineKind::Sharded, n), at(EngineKind::Indexed, n)) {
         (Some(sharded), Some(indexed)) => {
             if report.scale == "full" && sharded.workers != floors.sharded_floor_workers {
                 failures.push(format!(
-                    "full-scale sharded rows were measured with {} workers; the floor is stated for {} (regenerate with --sharded {})",
-                    sharded.workers, floors.sharded_floor_workers, floors.sharded_floor_workers
+                    "full-scale sharded rows were measured with {} workers; the floor is stated for {}",
+                    sharded.workers, floors.sharded_floor_workers
                 ));
             }
             let speedup = sharded.steps_per_sec / indexed.steps_per_sec;
@@ -963,26 +710,19 @@ pub fn check_floors_against(
             "report is missing the n={n} noise rows the sharded floor check needs"
         )),
     }
-    failures.extend(check_scaling_axis(
-        &report.scaling,
-        report.cores,
-        &report.scale,
-        floors,
-    ));
+    failures.extend(check_scaling_axis(&report.scaling, &report.scale, floors));
+    failures.extend(check_rows(&report.rows, &FloorTable::STANDARD.remote));
     failures
 }
 
 /// Validates a measured scaling curve against the floor table.
 ///
-/// Efficiency is *recomputed* here from `steps_per_sec` and the report's
-/// `cores` — the stored `efficiency` field never satisfies the gate on its
-/// own, so a hand-edited JSON cannot launder a regression through it.
-fn check_scaling_axis(
-    rows: &[ScalingRow],
-    cores: u64,
-    scale: &str,
-    floors: &crate::floors::ThroughputFloors,
-) -> Vec<String> {
+/// Efficiency is *recomputed* here from `steps_per_sec` and the cores of the
+/// machine that measured the curve — the stored `efficiency` field never
+/// satisfies the gate on its own, so a hand-edited JSON cannot launder a
+/// regression through it. A curve whose points record different core counts
+/// came from more than one machine, and its ratios mean nothing.
+fn check_scaling_axis(rows: &[ScalingRow], scale: &str, floors: &ThroughputFloors) -> Vec<String> {
     let mut failures = Vec::new();
     let (min_counts, min_n, floor) = if scale == "full" {
         (
@@ -993,9 +733,6 @@ fn check_scaling_axis(
     } else {
         (2, 100_000, floors.scaling_efficiency_quick)
     };
-    if cores == 0 {
-        failures.push("report records cores = 0; regenerate it with the scaling axis".into());
-    }
     let mut counts: Vec<u64> = rows.iter().map(|r| r.workers).collect();
     counts.sort_unstable();
     counts.dedup();
@@ -1016,6 +753,16 @@ fn check_scaling_axis(
         failures.push("scaling curve is missing its workers=1 anchor point".into());
         return failures;
     };
+    let cores = one.cores;
+    if cores == 0 {
+        failures.push("scaling curve records cores = 0; regenerate it".into());
+    }
+    if let Some(r) = rows.iter().find(|r| r.cores != cores) {
+        failures.push(format!(
+            "scaling curve mixes machines: workers={} was measured on {} cores, workers=1 on {cores}",
+            r.workers, r.cores
+        ));
+    }
     for row in rows.iter().filter(|r| r.workers > 1) {
         let speedup = row.steps_per_sec / one.steps_per_sec;
         let efficiency = speedup / row.workers.min(cores.max(1)).max(1) as f64;
@@ -1025,6 +772,63 @@ fn check_scaling_axis(
                 row.workers
             ));
         }
+    }
+    failures
+}
+
+/// Checks every row on its own: it measured steps, it records its machine's
+/// cores, its per-step wire figures agree with its totals, and a remote row
+/// with no model messages — every step an observation plus one silent
+/// existence run — stays within `max_silent_frames_per_shard_step` frames
+/// per occupied shard per step. At least one such remote row must exist;
+/// silent in-process rows move no frames and do not count.
+fn check_rows(rows: &[ThroughputRow], floors: &RemoteFloors) -> Vec<String> {
+    let mut failures = Vec::new();
+    let mut silent_remote_rows = 0usize;
+    for row in rows {
+        let cell = format!(
+            "{} n={} {} x{}/{}",
+            row.generator, row.n, row.engine, row.workers, row.mode
+        );
+        if row.steps == 0 {
+            failures.push(format!("{cell}: no measured steps"));
+            continue;
+        }
+        if row.cores == 0 {
+            failures.push(format!(
+                "{cell}: the row does not record the measuring machine's cores"
+            ));
+        }
+        let steps = row.steps as f64;
+        let frames_per_step = row.frames as f64 / steps;
+        let bytes_per_step = row.bytes as f64 / steps;
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(1.0);
+        if !close(row.frames_per_step, frames_per_step)
+            || !close(row.bytes_per_step, bytes_per_step)
+        {
+            failures.push(format!(
+                "{cell}: per-step figures ({:.3} frames, {:.1} B) disagree with the totals ({frames_per_step:.3}, {bytes_per_step:.1})",
+                row.frames_per_step, row.bytes_per_step
+            ));
+        }
+        if row.engine != EngineKind::Remote.name() || row.messages > 0 {
+            continue;
+        }
+        silent_remote_rows += 1;
+        let occupied = row.workers.min(row.n);
+        let bar = floors.max_silent_frames_per_shard_step * occupied;
+        if frames_per_step > bar as f64 {
+            failures.push(format!(
+                "{cell}: {frames_per_step:.2} frames/step on a silent row, above {} per occupied shard ({bar} for {occupied} shards)",
+                floors.max_silent_frames_per_shard_step
+            ));
+        }
+    }
+    if silent_remote_rows == 0 {
+        failures.push(
+            "no remote row with 0 model messages: the silent-step frame bar checks nothing"
+                .to_string(),
+        );
     }
     failures
 }
@@ -1044,14 +848,19 @@ mod tests {
             "noise",
             256,
             EngineKind::Indexed,
+            0,
             DeliveryMode::Dense,
             10,
+            Duration::ZERO,
             7,
         );
         assert_eq!(row.steps, 10);
         assert!(row.steps_per_sec > 0.0);
         assert!(row.us_per_step > 0.0);
         assert!(row.mean_changed_per_step > 0.0);
+        assert!(row.cores >= 1);
+        // An in-process engine has no transport.
+        assert_eq!((row.frames, row.bytes), (0, 0));
         // The phase attribution must account for the measured window: both
         // phases ran, and their sum is within the row's per-step total.
         assert!(row.profile.advance_ns_per_step > 0.0);
@@ -1066,37 +875,39 @@ mod tests {
         assert!(row.profile.rounds_per_sec > 0.0);
     }
 
+    /// `measure` with an exact step count and no window.
+    fn measure_steps(
+        generator: &str,
+        n: usize,
+        engine: EngineKind,
+        workers: usize,
+        mode: DeliveryMode,
+        steps: u64,
+        seed: u64,
+    ) -> ThroughputRow {
+        measure(
+            generator,
+            n,
+            engine,
+            workers,
+            mode,
+            steps,
+            Duration::ZERO,
+            seed,
+        )
+    }
+
     #[test]
     fn engines_send_identical_messages_in_the_harness_loop() {
+        use DeliveryMode::{Dense, Sparse};
         for generator in GENERATORS {
-            let base = measure(
-                generator,
-                128,
-                EngineKind::Baseline,
-                DeliveryMode::Dense,
-                15,
-                3,
-            );
-            let idx = measure(
-                generator,
-                128,
-                EngineKind::Indexed,
-                DeliveryMode::Dense,
-                15,
-                3,
-            );
+            let base = measure_steps(generator, 128, EngineKind::Deterministic, 0, Dense, 15, 3);
+            let idx = measure_steps(generator, 128, EngineKind::Indexed, 0, Dense, 15, 3);
             assert_eq!(
                 base.messages, idx.messages,
                 "{generator}: engines disagree on message counts"
             );
-            let sparse = measure(
-                generator,
-                128,
-                EngineKind::Indexed,
-                DeliveryMode::Sparse,
-                15,
-                3,
-            );
+            let sparse = measure_steps(generator, 128, EngineKind::Indexed, 0, Sparse, 15, 3);
             assert_eq!(
                 base.messages, sparse.messages,
                 "{generator}: sparse delivery changed message counts"
@@ -1108,10 +919,11 @@ mod tests {
     fn quiet_workload_converges_to_silence() {
         // After warm-up the ratcheting filters cover the adversary's range, so
         // the measured window sends (almost) no messages.
-        let row = measure(
+        let row = measure_steps(
             "adversarial",
             256,
             EngineKind::Indexed,
+            0,
             DeliveryMode::Sparse,
             20,
             11,
@@ -1132,6 +944,7 @@ mod tests {
                 generator: "noise".into(),
                 n: 1_000_000,
                 workers,
+                cores: 4,
                 steps: 1,
                 // Perfect linear scaling on the fixture's 4 "cores".
                 steps_per_sec: 100.0 * workers as f64,
@@ -1142,197 +955,229 @@ mod tests {
             .collect()
     }
 
+    /// A silent noise/dense fixture row with no wire traffic; the sharded
+    /// and remote rows run on the worker count the full-scale floor is stated
+    /// for — derived, never hard-coded, so a floor-table change cannot
+    /// silently diverge from the fixtures.
+    fn row(engine: EngineKind, n: u64, steps_per_sec: f64) -> ThroughputRow {
+        let workers = match engine {
+            EngineKind::Sharded | EngineKind::Remote => {
+                FloorTable::STANDARD.throughput.sharded_floor_workers
+            }
+            EngineKind::Deterministic | EngineKind::Indexed => 0,
+        };
+        ThroughputRow {
+            generator: "noise".into(),
+            n,
+            engine: engine.name().into(),
+            workers,
+            mode: "dense".into(),
+            cores: 4,
+            steps: 10,
+            elapsed_s: 10.0 / steps_per_sec,
+            steps_per_sec,
+            us_per_step: 1e6 / steps_per_sec,
+            messages: 0,
+            frames: 0,
+            bytes: 0,
+            frames_per_step: 0.0,
+            bytes_per_step: 0.0,
+            mean_changed_per_step: 0.0,
+            profile: PhaseProfile::default(),
+        }
+    }
+
+    /// A silent remote row exactly at the frame bar.
+    fn silent_remote_row() -> ThroughputRow {
+        let mut r = row(EngineKind::Remote, 1_000, 1_000.0);
+        let bar = FloorTable::STANDARD.remote.max_silent_frames_per_shard_step;
+        r.frames = bar * r.workers * r.steps;
+        r.bytes = 400 * r.frames;
+        r.frames_per_step = r.frames as f64 / r.steps as f64;
+        r.bytes_per_step = r.bytes as f64 / r.steps as f64;
+        r
+    }
+
+    /// A full-scale report that holds every bar.
+    fn passing_report() -> ThroughputReport {
+        ThroughputReport {
+            bench: BENCH.into(),
+            scale: "full".into(),
+            rows: vec![
+                row(EngineKind::Deterministic, 100_000, 10.0),
+                row(EngineKind::Indexed, 100_000, 1000.0),
+                // Only 1.0x over indexed, but a full-scale report is not held
+                // to the quick floor at n = 1e5.
+                row(EngineKind::Sharded, 100_000, 1000.0),
+                row(EngineKind::Indexed, 1_000_000, 100.0),
+                // 2.3x clears the full floor.
+                row(EngineKind::Sharded, 1_000_000, 230.0),
+                silent_remote_row(),
+            ],
+            scaling: scaling_fixture(),
+        }
+    }
+
     #[test]
     fn floor_check_detects_missing_rows() {
         let empty = ThroughputReport {
-            bench: "throughput".into(),
+            bench: BENCH.into(),
             scale: "quick".into(),
             rows: vec![],
-            speedups_dense: vec![],
-            speedups_sharded: vec![],
-            cores: 0,
             scaling: vec![],
         };
-        // The indexed and sharded floors report their missing rows; the
-        // scaling gate reports the zero cores field and the empty curve.
-        assert_eq!(check_floors(&empty).len(), 4);
+        // The indexed and sharded floors report their missing rows, the
+        // scaling gate its empty curve, and the frame bar its missing silent
+        // remote row.
+        assert_eq!(check_floors(&empty).len(), 4, "{:?}", check_floors(&empty));
     }
 
     #[test]
     fn sharded_floor_uses_full_scale_rows_when_present() {
-        // The sharded axis must be built with the same worker count the
-        // full-scale floor is stated for — derive it, never hard-code it, so
-        // a floor-table change cannot silently diverge from this fixture.
-        let floor_workers = crate::floors::FloorTable::STANDARD
-            .throughput
-            .sharded_floor_workers;
-        let row = |engine: &str, n: u64, steps_per_sec: f64| ThroughputRow {
-            generator: "noise".into(),
-            n,
-            engine: engine.into(),
-            workers: if engine == "sharded" {
-                floor_workers
-            } else {
-                0
-            },
-            mode: "dense".into(),
-            steps: 1,
-            elapsed_s: 1.0,
-            steps_per_sec,
-            us_per_step: 1.0,
-            messages: 0,
-            mean_changed_per_step: 0.0,
-            profile: PhaseProfile::default(),
-        };
-        let mut report = ThroughputReport {
-            bench: "throughput".into(),
-            scale: "full".into(),
-            rows: vec![
-                row("baseline", 100_000, 10.0),
-                row("indexed", 100_000, 1000.0),
-                row("sharded", 100_000, 1000.0), // only 1.0x — but quick floor not used
-                row("indexed", 1_000_000, 100.0),
-                row("sharded", 1_000_000, 230.0), // 2.3x clears the full floor
-            ],
-            speedups_dense: vec![],
-            speedups_sharded: vec![],
-            cores: 4,
-            scaling: scaling_fixture(),
-        };
-        assert!(check_floors(&report).is_empty());
+        let mut report = passing_report();
+        assert_eq!(check_floors(&report), Vec::<String>::new());
+        let i = report
+            .rows
+            .iter()
+            .position(|r| r.engine == "sharded" && r.n == 1_000_000)
+            .unwrap();
         // Degrading the 1e6 sharded row below 2x must trip the floor.
-        report.rows.last_mut().unwrap().steps_per_sec = 150.0;
-        let failures = check_floors(&report);
-        assert_eq!(failures.len(), 1);
+        let mut slow = report.clone();
+        slow.rows[i].steps_per_sec = 150.0;
+        let failures = check_floors(&slow);
+        assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("sharded/indexed"));
+        // Sharded rows measured with another worker count do not satisfy the
+        // full-scale floor, however fast.
+        let mut other_workers = report.clone();
+        other_workers.rows[i].workers += 1;
+        let failures = check_floors(&other_workers);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("the floor is stated for"));
         // A full-scale report *missing* its n=1e6 rows must fail, not fall
         // back to the loose quick floor (the scale field is authoritative).
         report.rows.retain(|r| r.n != 1_000_000);
         let failures = check_floors(&report);
-        assert_eq!(failures.len(), 1);
+        assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("missing the n=1000000"));
     }
 
     #[test]
     fn scaling_floor_recomputes_efficiency_from_steps_per_sec() {
-        let mut report = ThroughputReport {
-            bench: "throughput".into(),
-            scale: "full".into(),
-            rows: vec![],
-            speedups_dense: vec![],
-            speedups_sharded: vec![],
-            cores: 4,
-            scaling: scaling_fixture(),
-        };
-        let scaling_only = |r: &ThroughputReport| -> Vec<String> {
-            check_floors(r)
-                .into_iter()
-                .filter(|f| {
-                    f.contains("scaling") || f.contains("efficiency") || f.contains("cores")
-                })
-                .collect()
-        };
-        assert!(scaling_only(&report).is_empty());
+        let mut report = passing_report();
+        assert!(check_floors(&report).is_empty());
         // Dropping workers=4 to 1.2x over workers=1 (efficiency 0.3 on 4
         // cores) must trip the 0.5 floor — even though the *stored*
         // efficiency field still says 1.0 (the gate recomputes).
         report.scaling.last_mut().unwrap().steps_per_sec = 120.0;
-        let failures = scaling_only(&report);
-        assert_eq!(failures.len(), 1);
+        let failures = check_floors(&report);
+        assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("parallel efficiency at workers=4"));
         // On a 1-core machine the same numbers are *fine*: min(workers,
         // cores) = 1, so 1.2x over one worker is efficiency 1.2.
-        report.cores = 1;
-        assert!(scaling_only(&report).is_empty());
+        for point in &mut report.scaling {
+            point.cores = 1;
+        }
+        assert!(check_floors(&report).is_empty());
+        // The curve's cores are its own: a point from another machine fails.
+        report.scaling[1].cores = 2;
+        let failures = check_floors(&report);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("mixes machines"));
+        // A curve that does not record its cores fails.
+        for point in &mut report.scaling {
+            point.cores = 0;
+        }
+        let failures = check_floors(&report);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("cores = 0"));
         // Fewer than 3 distinct worker counts fails a full-scale report.
-        report.cores = 4;
+        report.scaling = scaling_fixture();
         report.scaling.pop();
-        let failures = scaling_only(&report);
-        assert_eq!(failures.len(), 1);
+        let failures = check_floors(&report);
+        assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("worker counts"));
         // A full-scale curve measured below n=1e6 fails.
         report.scaling = scaling_fixture();
         report.scaling[0].n = 100_000;
-        assert!(scaling_only(&report)
-            .iter()
-            .any(|f| f.contains("n >= 1000000")));
-    }
-
-    #[test]
-    fn standalone_scaling_report_round_trips_and_checks() {
-        let report = ScalingReport {
-            bench: "scaling".into(),
-            scale: "full".into(),
-            cores: 4,
-            rows: scaling_fixture(),
-        };
-        assert!(check_scaling_floors(&report).is_empty());
-        let json = scaling_to_json(&report);
-        let parsed: ScalingReport = serde_json::from_str(&json).expect("scaling deserialises");
-        assert_eq!(parsed.rows.len(), 3);
-        assert_eq!(parsed.cores, 4);
+        let failures = check_floors(&report);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("n >= 1000000"));
         // A quick-scale curve is allowed 2 worker counts at n=1e5.
-        let mut quick = report;
-        quick.scale = "quick".into();
-        quick.rows.pop();
-        for r in &mut quick.rows {
-            r.n = 100_000;
+        let mut quick = scaling_fixture();
+        quick.pop();
+        for point in &mut quick {
+            point.n = 100_000;
         }
-        assert!(check_scaling_floors(&quick).is_empty());
+        let floors = FloorTable::STANDARD.throughput;
+        assert!(check_scaling_axis(&quick, "quick", &floors).is_empty());
     }
 
     #[test]
     fn report_serialises_and_roundtrips() {
-        let row = measure(
+        let sharded = measure_steps(
             "random-walk",
             64,
-            EngineKind::Sharded(2),
+            EngineKind::Sharded,
+            2,
             DeliveryMode::Dense,
             5,
             1,
         );
-        assert_eq!(row.workers, 2);
+        assert_eq!(sharded.workers, 2);
+        let remote = measure_steps(
+            "random-walk",
+            64,
+            EngineKind::Remote,
+            2,
+            DeliveryMode::Sparse,
+            5,
+            1,
+        );
         let report = ThroughputReport {
-            bench: "throughput".into(),
+            bench: BENCH.into(),
             scale: "quick".into(),
-            speedups_dense: speedups(std::slice::from_ref(&row), "indexed", "baseline"),
-            speedups_sharded: speedups(std::slice::from_ref(&row), "sharded", "indexed"),
-            rows: vec![row],
-            cores: available_cores(),
-            scaling: vec![],
+            rows: vec![sharded, remote],
+            scaling: scaling_fixture(),
         };
         let json = to_json(&report);
         assert!(json.contains("\"generator\""));
         assert!(json.contains("random-walk"));
         assert!(json.contains("advance_ns_per_step"));
+        assert!(json.contains("frames_per_step") && json.contains("bytes_per_step"));
+        assert!(!json.contains("bytes_per_message"));
         let parsed: ThroughputReport = serde_json::from_str(&json).expect("reports deserialise");
-        assert_eq!(parsed.rows.len(), 1);
+        assert_eq!(parsed.rows.len(), 2);
         assert_eq!(parsed.rows[0].workers, 2);
-        assert!(parsed.cores >= 1);
-        // A pre-scaling report (no `cores`/`scaling` keys) must fail loudly
-        // at the parse, not silently pass a floor check with empty defaults.
+        assert_eq!(parsed.rows[1].engine, "remote");
+        assert_eq!(parsed.rows[1].workers, 2);
+        assert!(parsed.rows.iter().all(|r| r.cores >= 1));
+        assert_eq!(parsed.scaling.len(), 3);
+        // A report whose rows do not record their cores must fail loudly at
+        // the parse, not silently pass a floor check with empty defaults.
         let legacy = json.replace("\"cores\"", "\"cpus\"");
         assert!(serde_json::from_str::<ThroughputReport>(&legacy).is_err());
     }
 
     #[test]
     fn remote_measure_produces_sane_numbers_and_identical_messages() {
-        let base = measure(
+        let base = measure_steps(
             "noise",
             128,
-            EngineKind::Baseline,
+            EngineKind::Deterministic,
+            0,
             DeliveryMode::Dense,
             10,
             5,
         );
         for mode in [DeliveryMode::Dense, DeliveryMode::Sparse] {
-            let row = measure_remote("noise", 128, 2, mode, 10, Duration::ZERO, 5);
+            let row = measure_steps("noise", 128, EngineKind::Remote, 2, mode, 10, 5);
             assert_eq!(row.steps, 10);
-            assert_eq!(row.shards, 2);
+            assert_eq!(row.workers, 2);
             assert!(row.steps_per_sec > 0.0);
             assert!(row.frames > 0, "steps must move frames over the wire");
             assert!(row.bytes > 0);
-            assert!(row.frames_per_sec > 0.0);
+            assert!(row.frames_per_step > 0.0);
             assert_eq!(
                 base.messages, row.messages,
                 "the TCP transport changed model message counts in {mode:?}"
@@ -1343,7 +1188,16 @@ mod tests {
     #[test]
     fn a_remote_row_runs_until_its_window_is_full() {
         let window = Duration::from_millis(40);
-        let row = measure_remote("noise", 64, 1, DeliveryMode::Sparse, 3, window, 5);
+        let row = measure(
+            "noise",
+            64,
+            EngineKind::Remote,
+            1,
+            DeliveryMode::Sparse,
+            3,
+            window,
+            5,
+        );
         assert!(row.steps >= 3, "{} steps", row.steps);
         assert!(row.elapsed_s >= window.as_secs_f64(), "{} s", row.elapsed_s);
         // Every per-step figure divides by the steps actually measured.
@@ -1353,100 +1207,103 @@ mod tests {
     }
 
     #[test]
-    fn remote_report_serialises_and_roundtrips() {
-        let report = RemoteReport {
-            bench: REMOTE_BENCH.into(),
-            scale: "quick".into(),
-            cores: available_cores(),
-            rows: vec![measure_remote(
-                "random-walk",
-                64,
-                2,
-                DeliveryMode::Sparse,
-                5,
-                Duration::ZERO,
-                1,
-            )],
-        };
-        let json = remote_to_json(&report);
-        assert!(json.contains("frames_per_step") && json.contains("bytes_per_step"));
-        assert!(!json.contains("bytes_per_message"));
-        let parsed: RemoteReport = serde_json::from_str(&json).expect("remote reports deserialise");
-        assert_eq!(parsed.rows.len(), 1);
-        assert_eq!(parsed.rows[0].shards, 2);
-    }
-
-    #[test]
     fn silent_remote_rows_hold_the_frame_floor_and_tampering_fails() {
         // Noise at n = 256 under calibrated filters sends no model messages:
         // every step is an observation plus one silent existence run.
-        let quiet = measure_remote("noise", 256, 3, DeliveryMode::Dense, 12, Duration::ZERO, 5);
+        let quiet = measure_steps(
+            "noise",
+            256,
+            EngineKind::Remote,
+            3,
+            DeliveryMode::Dense,
+            12,
+            5,
+        );
         assert_eq!(quiet.messages, 0, "the cell must be silent");
         assert!(
             quiet.frames_per_step <= 9.0,
             "{} frames/step",
             quiet.frames_per_step
         );
-        let busy = measure_remote("zipf", 64, 2, DeliveryMode::Sparse, 12, Duration::ZERO, 3);
-        let report = RemoteReport {
-            bench: REMOTE_BENCH.into(),
-            scale: "quick".into(),
-            cores: available_cores(),
-            rows: vec![quiet.clone(), busy],
-        };
-        assert_eq!(check_remote_floors(&report), Vec::<String>::new());
+        let busy = measure_steps(
+            "zipf",
+            64,
+            EngineKind::Remote,
+            2,
+            DeliveryMode::Sparse,
+            12,
+            3,
+        );
+        let mut report = passing_report();
+        report.rows.retain(|r| r.engine != "remote");
+        report.rows.extend([quiet, busy]);
+        assert_eq!(check_floors(&report), Vec::<String>::new());
+        let quiet_at = report.rows.len() - 2;
         // Four frames per shard per step on the silent row: over the bar.
         let mut over = report.clone();
-        over.rows[0].frames = 4 * 3 * over.rows[0].steps;
-        over.rows[0].frames_per_step = 12.0;
-        assert_eq!(check_remote_floors(&over).len(), 1);
+        over.rows[quiet_at].frames = 4 * 3 * over.rows[quiet_at].steps;
+        over.rows[quiet_at].frames_per_step = 12.0;
+        assert_eq!(check_floors(&over).len(), 1, "{:?}", check_floors(&over));
         // A derived figure that disagrees with its totals.
         let mut edited = report.clone();
-        edited.rows[0].bytes_per_step += 1.0;
-        assert_eq!(check_remote_floors(&edited).len(), 1);
-        // No silent row at all: the bar would check nothing.
+        edited.rows[quiet_at].bytes_per_step += 1.0;
+        assert_eq!(check_floors(&edited).len(), 1);
+        // No silent remote row at all: the bar would check nothing.
         let mut vacuous = report.clone();
-        vacuous.rows.remove(0);
-        let failures = check_remote_floors(&vacuous);
-        assert!(
-            failures.iter().any(|f| f.contains("checks nothing")),
-            "{failures:?}"
-        );
+        vacuous.rows.remove(quiet_at);
+        let failures = check_floors(&vacuous);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("checks nothing"), "{failures:?}");
         // Wrong bench id, missing core count.
         let mut foreign = report;
-        foreign.bench = "throughput".into();
-        foreign.cores = 0;
-        assert_eq!(check_remote_floors(&foreign).len(), 2);
+        foreign.bench = "remote-transport".into();
+        foreign.rows[quiet_at].cores = 0;
+        assert_eq!(check_floors(&foreign).len(), 2);
+    }
+
+    #[test]
+    fn a_full_scale_report_without_remote_rows_fails_the_silent_frame_guard() {
+        let mut report = passing_report();
+        report.rows.retain(|r| r.engine != "remote");
+        // Every remaining row is silent, but none crossed a wire.
+        assert!(report.rows.iter().all(|r| r.messages == 0));
+        let failures = check_floors(&report);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("checks nothing"), "{failures:?}");
     }
 
     #[test]
     fn sharded_engine_sends_identical_messages_in_the_harness_loop() {
+        use DeliveryMode::{Dense, Sparse};
+        let base = measure_steps(
+            "random-walk",
+            128,
+            EngineKind::Deterministic,
+            0,
+            Dense,
+            15,
+            3,
+        );
         for workers in [1, 3] {
-            let base = measure(
+            let sharded = measure_steps(
                 "random-walk",
                 128,
-                EngineKind::Baseline,
-                DeliveryMode::Dense,
-                15,
-                3,
-            );
-            let sharded = measure(
-                "random-walk",
-                128,
-                EngineKind::Sharded(workers),
-                DeliveryMode::Dense,
+                EngineKind::Sharded,
+                workers,
+                Dense,
                 15,
                 3,
             );
             assert_eq!(
                 base.messages, sharded.messages,
-                "sharded({workers}) disagrees with the baseline on message counts"
+                "sharded({workers}) disagrees with the deterministic engine on message counts"
             );
-            let sparse = measure(
+            let sparse = measure_steps(
                 "random-walk",
                 128,
-                EngineKind::Sharded(workers),
-                DeliveryMode::Sparse,
+                EngineKind::Sharded,
+                workers,
+                Sparse,
                 15,
                 3,
             );

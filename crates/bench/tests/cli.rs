@@ -5,6 +5,7 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::time::{Duration, Instant};
 
 fn experiments(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -49,6 +50,34 @@ fn replay_names_the_four_engines_for_an_unknown_engine() {
         stderr.contains("one of: deterministic, indexed, sharded, remote"),
         "{stderr}"
     );
+}
+
+#[test]
+fn retired_measuring_flags_are_usage_errors() {
+    // `--throughput` is the one measuring mode: the scaling curve and the
+    // remote rows are part of its report, on a fixed worker count.
+    for args in [
+        &["--scaling", "--quick"][..],
+        &["--remote", "2"],
+        &["--throughput", "--sharded", "4"],
+    ] {
+        let stderr = assert_usage_error(args);
+        assert!(stderr.contains("unknown option"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn check_floors_passes_the_committed_report() {
+    let report = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_throughput.json");
+    let started = Instant::now();
+    let out = experiments(&["--check-floors", report.to_str().expect("UTF-8 path")]);
+    let elapsed = started.elapsed();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{stderr}");
+    assert!(stdout.starts_with("floors ok: "), "{stdout}");
+    // It re-validates the committed numbers; it measures nothing.
+    assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
 }
 
 /// Runs `--scenario` on a temporary file holding `text` and returns the

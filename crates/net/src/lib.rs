@@ -27,8 +27,8 @@
 //!   interaction encoded in the `topk-wire` binary format (`docs/WIRE.md`).
 //!   Still bit-identical to the baseline — replies, `CommStats` and node
 //!   state — while the messages genuinely cross a socket; exposes wire-level
-//!   [`TransportStats`] (frames/bytes) for the throughput harness's
-//!   `--remote` axis.
+//!   [`TransportStats`] (frames/bytes) for the throughput harness's remote
+//!   rows.
 //!
 //! Orthogonally to the engine choice, [`FaultyTransport`] wraps any of the
 //! four behind the same [`Network`] trait and executes a deterministic

@@ -204,7 +204,7 @@ impl Default for RetryPolicy {
 ///
 /// These measure *wire* activity — frames and bytes — as opposed to the
 /// `CommStats` *model* accounting (one unit per protocol message). The
-/// throughput harness's `--remote` axis reports both, per step.
+/// throughput harness's remote rows report both, per step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Frames the server wrote to shard connections.
