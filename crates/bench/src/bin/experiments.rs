@@ -112,10 +112,17 @@ fn load_library_or_exit() -> Vec<scenario::ScenarioFile> {
     }
 }
 
-fn read_report_or_exit(path: &Path) -> campaign::CompetitiveReport {
-    let json = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    serde_json::from_str(&json).unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()))
+/// Reads and parses the JSON report at `path`, or prints one line naming
+/// the path and the error and exits 1.
+fn read_report_or_exit<T: serde::Deserialize>(path: &Path) -> T {
+    let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {}: {e}", path.display());
+        std::process::exit(1)
+    });
+    serde_json::from_str(&json).unwrap_or_else(|e| {
+        eprintln!("cannot parse {}: {e}", path.display());
+        std::process::exit(1)
+    })
 }
 
 fn report_competitive_floors(
@@ -151,7 +158,7 @@ fn run_campaign_bench(quick: bool, out: PathBuf, baseline: Option<PathBuf>) -> !
     if let Some(path) = baseline {
         // The ratchet: hold the freshly measured cells to the ceilings
         // committed for the same (file, protocol) keys.
-        let committed = read_report_or_exit(&path);
+        let committed: campaign::CompetitiveReport = read_report_or_exit(&path);
         let failures = campaign::check_against_baseline(&report, &committed);
         if !failures.is_empty() {
             for f in &failures {
@@ -169,7 +176,7 @@ fn run_campaign_bench(quick: bool, out: PathBuf, baseline: Option<PathBuf>) -> !
 }
 
 fn check_competitive_floors_only(path: PathBuf) -> ! {
-    let report = read_report_or_exit(&path);
+    let report: campaign::CompetitiveReport = read_report_or_exit(&path);
     eprintln!(
         "checking competitive floors of {} ({} scale, {} cells)",
         path.display(),
@@ -225,10 +232,7 @@ fn print_speedups(rows: &[throughput::ThroughputRow]) {
 }
 
 fn check_floors_only(path: PathBuf) -> ! {
-    let json = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    let report: throughput::ThroughputReport = serde_json::from_str(&json)
-        .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()));
+    let report: throughput::ThroughputReport = read_report_or_exit(&path);
     eprintln!(
         "checking floors of {} ({} scale, {} rows)",
         path.display(),

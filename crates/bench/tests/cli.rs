@@ -1,7 +1,8 @@
 //! Command-line contract of the `experiments` binary: flag combinations a
 //! mode cannot honour are usage errors (exit status 2) before any work runs,
-//! never silently ignored, and an invalid scenario file fails validation
-//! (exit status 1) instead of panicking.
+//! never silently ignored, and an invalid scenario file or a report the
+//! check modes cannot read fails in one line (exit status 1) instead of
+//! panicking.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -78,6 +79,47 @@ fn check_floors_passes_the_committed_report() {
     assert!(stdout.starts_with("floors ok: "), "{stdout}");
     // It re-validates the committed numbers; it measures nothing.
     assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
+}
+
+/// Runs `mode` on a report that does not read or parse and asserts that it
+/// exits 1 with one stderr line naming the path and the failure.
+fn assert_unreadable_report_fails_in_one_line(mode: &str, name: &str, text: Option<&str>) {
+    let path = std::env::temp_dir().join(format!("{name}-{}.json", std::process::id()));
+    if let Some(text) = text {
+        std::fs::write(&path, text).expect("the temp dir is writable");
+    }
+    let shown = path.to_str().expect("temp path is UTF-8");
+    let out = experiments(&[mode, shown]);
+    if text.is_some() {
+        std::fs::remove_file(&path).expect("the temp file is removable");
+    }
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{mode} {shown}: {stderr}");
+    let verb = if text.is_some() { "parse" } else { "read" };
+    assert_eq!(stderr.lines().count(), 1, "{mode} {shown}: {stderr}");
+    assert!(
+        stderr.starts_with(&format!("cannot {verb} {shown}: ")),
+        "{mode} {shown}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{mode} {shown}: {stderr}");
+}
+
+#[test]
+fn check_modes_fail_in_one_line_on_a_missing_report() {
+    for mode in ["--check-floors", "--check-competitive-floors"] {
+        assert_unreadable_report_fails_in_one_line(mode, "no-such-report", None);
+    }
+}
+
+#[test]
+fn check_modes_fail_in_one_line_on_json_that_is_not_a_report() {
+    for mode in ["--check-floors", "--check-competitive-floors"] {
+        assert_unreadable_report_fails_in_one_line(
+            mode,
+            &format!("not-a-report{mode}"),
+            Some(r#"{"bench": "something else", "rows": 3}"#),
+        );
+    }
 }
 
 /// Runs `--scenario` on a temporary file holding `text` and returns the

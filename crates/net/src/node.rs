@@ -5,21 +5,20 @@
 //! watch the locally observed value for filter violations, answer probes, and
 //! participate in existence-protocol rounds by flipping the prescribed coin.
 //!
-//! Both simulation engines drive the same `SimNode` type, so their behaviour —
-//! including every random decision, because each node owns a `ChaCha8` RNG
-//! seeded from `(master seed, node id)` — is identical by construction.
+//! `SimNode` serves one engine: [`DeterministicEngine`](crate::DeterministicEngine)
+//! drives one per node and is the reference the other engines are tested
+//! against. Each node owns a `ChaCha8` RNG seeded from `(master seed, node
+//! id)` and flips with `Coin::flip`. The indexed engine, the sharded
+//! engine's shards and the remote engine's TCP shard clients run the node
+//! table (`crate::node_table`) instead: they keep the same streams in a
+//! keystream table (`crate::keystream`) that draws the same words in
+//! batches, and compare each draw with `Coin::accepts`.
 //!
 //! Every engine flips the same `Coin`: the caller builds it once per round
 //! from `(round, population)`, and a flip is one `u64` draw from the node's
 //! RNG compared against a precomputed threshold. The coin documents why that
 //! comparison is exactly the integer coin `gen_ratio(min(2^r, P), P)` the
 //! engines flipped before, outcome for outcome and draw for draw.
-//!
-//! `SimNode` — and so the deterministic engine and the remote shard
-//! clients — keeps each node's `ChaCha8Rng` and flips with `Coin::flip`; it
-//! is the reference. The indexed and sharded engines keep the same streams
-//! in a keystream table (`crate::keystream`) that draws the same words in
-//! batches, and compare each draw with `Coin::accepts`.
 
 use rand::RngCore;
 use rand::SeedableRng;
@@ -35,9 +34,8 @@ use topk_model::rule::filter_for;
 /// filter, the group or the parameters recomputes it, and nothing else
 /// writes it. Two consequences the engines rely on:
 ///
-/// - Re-observing an unchanged value is a no-op, so a transport may ship
-///   only the values that changed (`RemoteEngine` picks the shorter of a
-///   dense row and a sparse change list per shard).
+/// - Re-observing an unchanged value is a no-op, so a caller may deliver
+///   only the values that changed.
 /// - Whether an [`ExistencePredicate`] holds depends only on
 ///   `(id, value, pending_violation)`, so it can change only through a
 ///   message or an observation. A node whose predicate fails neither

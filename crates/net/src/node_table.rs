@@ -1,15 +1,18 @@
-//! The node table behind both O(active) engines.
+//! The node table behind every O(active) engine, and the shard that wraps it.
 //!
 //! [`NodeTable`] is one contiguous id range of nodes with the indexes that
 //! make an existence round cost O(active): struct-of-arrays node state
 //! ([`NodeStateSoA`]), every node's `ChaCha8` stream in a keystream table
 //! ([`Keystream`]), the ordered pending-violation set and the radix value
-//! index. `IndexedEngine` owns a single table over all `n` nodes; each shard
-//! of the sharded engine owns one over its slice. Both answer every round
-//! with the same collect-and-flip kernel, [`NodeTable::round_into`]: collect
-//! the active ids, then draw one `u64` per active node from the keystream
-//! table (which refills the exhausted streams four at a time) and compare
-//! it against the round's [`Coin`].
+//! index. It has three holders. `IndexedEngine` owns a single table over all
+//! `n` nodes. Each worker shard of the sharded engine and each TCP shard
+//! client of the remote engine owns a [`Shard`]: one table over its id range
+//! plus the zone-map dense delivery, the sparse delivery and the staging
+//! buffers that range needs when it is driven as a unit. All of them answer
+//! every round with the same collect-and-flip kernel,
+//! [`NodeTable::round_into`]: collect the active ids, then draw one `u64` per
+//! active node from the keystream table (which refills the exhausted streams
+//! four at a time) and compare it against the round's [`Coin`].
 //!
 //! ## One collection per run
 //!
@@ -34,6 +37,7 @@ use crate::value_index::ValueIndex;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
+use std::ops::Range;
 use topk_model::message::ExistencePredicate;
 use topk_model::prelude::*;
 use topk_model::rule::filter_for;
@@ -86,6 +90,11 @@ impl NodeTable {
         self.state.len()
     }
 
+    /// Global ids of the table's nodes.
+    pub(crate) fn ids(&self) -> Range<usize> {
+        self.offset..self.offset + self.len()
+    }
+
     /// Updates the pending set entry of local node `i` after a mutation
     /// whose before/after flags are known. The set is only touched on a
     /// transition — the hot path (a value churns but stays inside its
@@ -121,6 +130,15 @@ impl NodeTable {
         let now = self.state.set_value(i as usize, v).is_some();
         self.note_pending(i, was, now);
         self.index.note_update(i, v);
+    }
+
+    /// Records `v` for local node `i` unless it already holds it: an
+    /// unchanged value writes nothing.
+    #[inline]
+    pub(crate) fn observe(&mut self, i: u32, v: Value) {
+        if self.state.value(i as usize) != v {
+            self.apply_value(i, v);
+        }
     }
 
     /// Applies a filter to local node `i` and maintains the pending set.
@@ -181,12 +199,16 @@ impl NodeTable {
     /// (cleared first) in ascending id order. The active ids are collected
     /// once per run and reused while the predicate and the state's write
     /// count stay the same (module docs).
+    ///
+    /// Returns whether the run's collected active set is empty: no node
+    /// satisfies `predicate`, so none drew and none can reply until node
+    /// state changes.
     pub(crate) fn round_into(
         &mut self,
         coin: Coin,
         predicate: ExistencePredicate,
         replies: &mut Vec<NodeMessage>,
-    ) {
+    ) -> bool {
         let key = (predicate, self.state.writes());
         if self.active_for != Some(key) {
             self.collect_active(predicate);
@@ -218,6 +240,7 @@ impl NodeTable {
         if !matches!(predicate, ExistencePredicate::PendingViolation) {
             replies.sort_unstable_by_key(NodeMessage::sender);
         }
+        self.active.is_empty()
     }
 
     /// Fills `active` with the local ids of all nodes satisfying `predicate`.
@@ -252,5 +275,132 @@ impl NodeTable {
                     .collect_rank_window(above, below, values, &mut self.active);
             }
         }
+    }
+}
+
+/// One id range driven as a unit: a [`NodeTable`] plus its delivery paths
+/// and staging buffers. A worker of the sharded engine's pool and a TCP
+/// shard client of the remote engine each hold one.
+pub(crate) struct Shard {
+    pub(crate) table: NodeTable,
+    /// Scratch: pending-flag transitions reported by `advance_row`.
+    transitions: Vec<u32>,
+    /// Scratch: value-changed ids reported by `advance_row_tracked` when the
+    /// warm index is maintained across a dense row.
+    changed_ids: Vec<u32>,
+    /// Reply buffer of the last round, in ascending id order.
+    pub(crate) replies: Vec<NodeMessage>,
+    /// Staging buffer for the dense row when a pool worker runs the shard.
+    pub(crate) row: Vec<Value>,
+    /// Staging buffer for sparse changes (local id, value).
+    pub(crate) sparse: Vec<(u32, Value)>,
+    /// Regime estimate for `NodeStateSoA::advance_row`: whether the last
+    /// dense row changed at least 1/64 of the shard (see `DENSE_BIAS_SHIFT`).
+    dense_biased: bool,
+    /// Whether an inline bulk sparse pass wrote deferred values into this
+    /// shard (its pending flags must be refreshed before the step completes).
+    pub(crate) touched: bool,
+}
+
+/// A shard is *dense-biased* while at least `len >> DENSE_BIAS_SHIFT` of its
+/// nodes changed in the previous dense row (1/64: roughly where the cost of
+/// an unpredictable skip branch overtakes the cost of unconditional stores).
+const DENSE_BIAS_SHIFT: u32 = 6;
+
+impl Shard {
+    /// Fresh nodes with global ids `offset..offset + len` (see
+    /// [`NodeTable::new`]).
+    pub(crate) fn new(offset: usize, len: usize, master_seed: u64) -> Shard {
+        Shard {
+            table: NodeTable::new(offset, len, master_seed),
+            transitions: Vec::new(),
+            changed_ids: Vec::new(),
+            replies: Vec::new(),
+            row: Vec::new(),
+            sparse: Vec::new(),
+            // Runs start with calibration rows that change everything.
+            dense_biased: true,
+            touched: false,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Dense observation delivery of one value per node of the shard.
+    ///
+    /// Index policy: in the quiet regime a warm value index is kept warm —
+    /// `advance_row_tracked` reports exactly the changed ids and each one is
+    /// an `O(1)` bucket move. In the dense regime (≥ 1/64 of the shard
+    /// changing per step) per-id maintenance would approach the cost of a
+    /// full rebuild while forfeiting the vectorised dense kernel, so the
+    /// index is dropped cold instead and the next threshold round rebuilds
+    /// it once.
+    pub(crate) fn advance_dense(&mut self, row: &[Value]) {
+        let table = &mut self.table;
+        let changed = if table.index.is_warm() && !self.dense_biased {
+            let changed =
+                table
+                    .state
+                    .advance_row_tracked(row, &mut self.transitions, &mut self.changed_ids);
+            for &i in &self.changed_ids {
+                table.index.note_update(i, table.state.value(i as usize));
+            }
+            changed
+        } else {
+            let changed = table
+                .state
+                .advance_row(row, &mut self.transitions, self.dense_biased);
+            if changed > 0 {
+                table.index.invalidate();
+            }
+            changed
+        };
+        table.note_transitions(&self.transitions);
+        // Feed the observed change rate back as the next step's loop hint
+        // (workload regimes are temporally correlated).
+        self.dense_biased = changed >= (self.len() >> DENSE_BIAS_SHIFT).max(1);
+    }
+
+    /// Applies the staged sparse changes in order (last entry per node wins).
+    ///
+    /// Short change lists go through the per-node path (touching only the
+    /// changed nodes). A list covering a sizeable fraction of the shard is a
+    /// dense step in disguise: values are applied with the invariant deferred,
+    /// then one zipped pass re-establishes every pending flag — the same
+    /// column traffic as a dense advance instead of one scattered filter
+    /// lookup per change. Both paths produce identical state (the bulk pass
+    /// nets out intermediate transitions; the final flags and pending set are
+    /// a pure function of the final values).
+    pub(crate) fn advance_sparse(&mut self) {
+        let table = &mut self.table;
+        if self.sparse.len() * 4 >= table.len() {
+            let mut changed = false;
+            for &(i, v) in &self.sparse {
+                if table.state.value(i as usize) != v {
+                    table.state.set_value_deferred(i as usize, v);
+                    changed = true;
+                }
+            }
+            if changed {
+                // Deferred writes bypass `apply_value`, so the index cannot
+                // be maintained per id here; drop it cold.
+                table.index.invalidate();
+            }
+            self.refresh_after_deferred();
+        } else {
+            for &(i, v) in &self.sparse {
+                table.observe(i, v);
+            }
+        }
+        self.sparse.clear();
+    }
+
+    /// Re-establishes the pending invariant and index after a batch of
+    /// `NodeStateSoA::set_value_deferred` writes.
+    pub(crate) fn refresh_after_deferred(&mut self) {
+        self.table.state.refresh_pending_bulk(&mut self.transitions);
+        self.table.note_transitions(&self.transitions);
     }
 }

@@ -26,8 +26,8 @@
 //! Observations — from `advance_time` and `advance_time_sparse` alike — go
 //! out as whichever of a dense `ObserveRow` and a sparse `ObserveSparse`
 //! list of the changed entries encodes shorter, per shard, and a shard none
-//! of whose values changed gets no frame: re-observing an unchanged value is
-//! a no-op for a [`SimNode`] (see its invariant).
+//! of whose values changed gets no frame: re-observing an unchanged value
+//! writes nothing to a shard's node table.
 //!
 //! **Idle shards.** A shard answering an existence round also
 //! says whether *none* of its nodes satisfies the round's predicate, and
@@ -101,16 +101,17 @@
 //!
 //! ## Why the engine is bit-identical to the in-process baseline
 //!
-//! The clients drive the very same [`SimNode`] state machine on the very
-//! same per-node `(master seed, node id)` RNG streams, and the wire format
-//! round-trips every message losslessly (`topk-wire`'s proptests). A node's
-//! RNG advances only inside its own coin flip, so neither the sharding nor
-//! the transport can perturb any random stream; the id-ordered reply merge
-//! restores the baseline's reply sequence; and the server charges the
-//! [`CostMeter`] with exactly the baseline's accounting rules. Hence
-//! replies, `CommStats` and all node state match the baseline bit for bit —
-//! `tests/indexed_differential.rs` proves it over randomized schedules, and
-//! `topk-core`'s monitors run unchanged over loopback.
+//! Each shard client holds the sharded engine's shard over its id range —
+//! the same node table, keystream streams and delivery paths a pool worker
+//! runs — so the [sharded engine's argument](crate::sharded) applies as it
+//! stands: streams are per node, shards are contiguous and reply in id
+//! order, and the active set is a disjoint union over shards. The socket
+//! adds nothing to it: the wire format round-trips every message losslessly
+//! (`topk-wire`'s proptests), the server collects the replies in shard
+//! order, and it charges the [`CostMeter`] by the baseline's accounting
+//! rules. Hence replies, `CommStats` and all node state match the baseline
+//! bit for bit — `tests/indexed_differential.rs` proves it over randomized
+//! schedules, and `topk-core`'s monitors run unchanged over loopback.
 //!
 //! ## Server-side state mirror
 //!
@@ -123,7 +124,8 @@
 //! node state after every schedule.
 
 use crate::network::Network;
-use crate::node::{Coin, SimNode};
+use crate::node::Coin;
+use crate::node_table::Shard;
 use crate::partition::{shard_bounds, shard_of};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -543,11 +545,13 @@ impl RemoteEngine {
         let handles: Vec<Option<JoinHandle<()>>> = (0..shards)
             .map(|s| {
                 let (lo, hi) = (bounds[s], bounds[s + 1]);
-                let table = ShardNodes::new(lo, master_seed, vec![0; hi - lo]);
+                let client = ShardClient::new(lo, master_seed, vec![0; hi - lo]);
                 Some(
                     std::thread::Builder::new()
                         .name(format!("topk-shard-{s}"))
-                        .spawn(move || run_shard_client(addr, s as u32, master_seed, faults, table))
+                        .spawn(move || {
+                            run_shard_client(addr, s as u32, master_seed, faults, client)
+                        })
                         .expect("remote transport: cannot spawn shard client"),
                 )
             })
@@ -671,8 +675,8 @@ impl RemoteEngine {
     /// the mirror, which already holds the step's values) when that encodes
     /// shorter — exact varint bytes, the common op tag left out. A shard
     /// without changes gets no frame. Either way the shard's nodes end in the
-    /// same state: by the [`SimNode`] invariant, re-observing an unchanged
-    /// value is a no-op. The buffers are kept for the next step.
+    /// same state: re-observing an unchanged value writes nothing. The
+    /// buffers are kept for the next step.
     fn ship_observations(&mut self, s: usize) {
         let changes = &self.routed[s];
         if changes.is_empty() {
@@ -819,11 +823,11 @@ impl RemoteEngine {
             .collect();
         let master_seed = self.master_seed;
         let faults = self.faults;
-        let table = ShardNodes::new(lo, master_seed, gens);
+        let client = ShardClient::new(lo, master_seed, gens);
         self.handles[s] = Some(
             std::thread::Builder::new()
                 .name(format!("topk-shard-{s}"))
-                .spawn(move || run_shard_client(addr, s as u32, master_seed, faults, table))
+                .spawn(move || run_shard_client(addr, s as u32, master_seed, faults, client))
                 .expect("remote transport: cannot spawn shard client"),
         );
         let (mut conn, shard) =
@@ -848,8 +852,8 @@ impl RemoteEngine {
         }
     }
 
-    /// Mirror bookkeeping for a group change (the `SimNode` rule: the filter
-    /// re-derives only once parameters were broadcast).
+    /// Mirror bookkeeping for a group change (the filter re-derives only
+    /// once parameters were broadcast).
     fn mirror_group(&mut self, i: usize, group: NodeGroup) {
         self.mirror.set_group(i, group);
         if let Some(p) = self.params {
@@ -1282,54 +1286,167 @@ fn accept_with_policy(listener: &TcpListener, policy: &RetryPolicy) -> TcpStream
     stream
 }
 
-/// The node table one shard client drives: the [`SimNode`]s of global ids
-/// `lo..lo + nodes.len()` and the membership generation of each slot (all
-/// zeros for an initial connection; the population's current generations
-/// for a reconnect).
+/// The state one shard client drives: the sharded engine's [`Shard`] over
+/// the client's id range, the membership generation of each slot (all zeros
+/// for an initial connection; the population's current generations for a
+/// reconnect), and the last broadcast parameters — one shared copy, as the
+/// in-process table engines keep it.
 ///
 /// Built on the thread that spawns the client and moved into it. Memory a
 /// thread frees in its own malloc arena (glibc's per-thread arenas) stays
-/// resident after the thread exits; a table allocated by the spawner goes
+/// resident after the thread exits; a shard allocated by the spawner goes
 /// back to the spawner's heap instead, so dropping an engine or bouncing a
 /// shard leaves no dead node table resident in the process.
-struct ShardNodes {
-    lo: usize,
+struct ShardClient {
+    shard: Shard,
     gens: Vec<u32>,
-    nodes: Vec<SimNode>,
+    params: Option<FilterParams>,
 }
 
-impl ShardNodes {
-    fn new(lo: usize, master_seed: u64, gens: Vec<u32>) -> ShardNodes {
-        let nodes = (lo..)
-            .zip(&gens)
-            .map(|(i, &gen)| {
-                let mut node = SimNode::new(NodeId(i), master_seed);
-                if gen > 0 {
-                    node.rejoin_generation(master_seed, gen);
+impl ShardClient {
+    /// The client of global ids `lo..lo + gens.len()`: a slot of generation
+    /// `g > 0` is reseeded as the generation-`g` joiner it hosts.
+    fn new(lo: usize, master_seed: u64, gens: Vec<u32>) -> ShardClient {
+        let mut shard = Shard::new(lo, gens.len(), master_seed);
+        for (i, &gen) in (0..).zip(&gens) {
+            if gen > 0 {
+                shard.table.rejoin(i, master_seed, gen);
+            }
+        }
+        ShardClient {
+            shard,
+            gens,
+            params: None,
+        }
+    }
+
+    /// Ends the client: `what` names an op the server never sends to this
+    /// shard (a node outside its range, a row that does not cover it, a
+    /// message in a position the server never uses).
+    fn refuse(&self, what: std::fmt::Arguments<'_>) -> ! {
+        let ids = self.shard.table.ids();
+        panic!(
+            "shard client for nodes {}..{}: refused {what}",
+            ids.start, ids.end
+        )
+    }
+
+    /// The local index of `node`, which `op` names.
+    fn local(&self, node: NodeId, op: &str) -> u32 {
+        let ids = self.shard.table.ids();
+        if !ids.contains(&node.index()) {
+            self.refuse(format_args!(
+                "{op} naming node {}, outside its range",
+                node.index()
+            ));
+        }
+        (node.index() - ids.start) as u32
+    }
+
+    /// Applies one decoded batch operation, appending any upstream messages
+    /// to `replies` in ascending node-id order.
+    ///
+    /// Returns whether the op was an existence round in which no node's
+    /// predicate held: the round's collected active set is empty.
+    fn apply(&mut self, op: ServerOp, master_seed: u64, replies: &mut Vec<NodeMessage>) -> bool {
+        match op {
+            ServerOp::ObserveRow { start, values } => {
+                let ids = self.shard.table.ids();
+                if start.index() != ids.start || values.len() != ids.len() {
+                    self.refuse(format_args!(
+                        "an ObserveRow of {} values from node {}, which does not cover it",
+                        values.len(),
+                        start.index()
+                    ));
                 }
-                node
-            })
-            .collect();
-        ShardNodes { lo, gens, nodes }
+                self.shard.advance_dense(&values);
+            }
+            ServerOp::ObserveSparse { changes } => {
+                for (node, v) in changes {
+                    let i = self.local(node, "an ObserveSparse");
+                    self.shard.sparse.push((i, v));
+                }
+                self.shard.advance_sparse();
+            }
+            ServerOp::Broadcast { msg } => match msg {
+                ServerMessage::ExistenceRound {
+                    round,
+                    population,
+                    predicate,
+                } => {
+                    let coin = Coin::new(round, population);
+                    let shard = &mut self.shard;
+                    let idle = shard.table.round_into(coin, predicate, &mut shard.replies);
+                    replies.extend_from_slice(&shard.replies);
+                    return idle;
+                }
+                ServerMessage::BroadcastParams(p) => {
+                    self.params = Some(p);
+                    self.shard.table.set_params(p);
+                }
+                ServerMessage::BroadcastGroup(g) => self.shard.table.set_group_all(g, self.params),
+                ServerMessage::EndExistenceRun => {}
+                msg => self.refuse(format_args!("a broadcast {msg:?}")),
+            },
+            ServerOp::Unicast { node, msg } => {
+                let i = self.local(node, "a unicast");
+                let table = &mut self.shard.table;
+                match msg {
+                    // The QueryId is pure cost attribution: the node applies
+                    // the filter exactly like a plain assignment.
+                    ServerMessage::AssignFilter(f)
+                    | ServerMessage::AssignQueryFilter { filter: f, .. } => {
+                        table.apply_filter(i, f)
+                    }
+                    ServerMessage::AssignGroup(g) => table.assign_group(i, g, self.params),
+                    ServerMessage::Probe => replies.push(NodeMessage::ValueReport {
+                        node,
+                        value: table.state.value(i as usize),
+                    }),
+                    msg => self.refuse(format_args!("a unicast {msg:?} to node {}", node.index())),
+                }
+            }
+            // A `Join` reseeds the slot from (master seed, id, generation)
+            // and a `Leave` collapses its stream to a 0 observation: the
+            // transitions every in-process engine makes.
+            ServerOp::Membership { events } => {
+                for event in events {
+                    let i = self.local(event.node(), "a Membership");
+                    match event {
+                        MembershipEvent::Join(_) => {
+                            let gen = &mut self.gens[i as usize];
+                            *gen += 1;
+                            self.shard.table.rejoin(i, master_seed, *gen);
+                        }
+                        MembershipEvent::Leave(_) => self.shard.table.observe(i, 0),
+                    }
+                }
+            }
+        }
+        false
     }
 }
 
 /// Body of one shard-client thread: connect, join, then serve batches until
 /// shutdown.
 ///
-/// The client owns the [`SimNode`] state machines of its [`ShardNodes`] and
-/// is driven *only* by decoded frames — it shares no memory with the server.
-/// Replies accumulate in ascending node-id order because every op iterates
-/// the shard's nodes in ascending order.
+/// The client runs the sharded engine's `Shard` over its id range (see
+/// [`ShardClient`]) and is driven *only* by decoded frames — it shares no
+/// memory with the server. Each [`ServerOp`] maps onto an operation the
+/// shard already has, and a shard produces its replies in ascending node-id
+/// order.
 ///
 /// Every frame either way is sealed at [`WIRE_VERSION`](topk_wire::WIRE_VERSION).
 /// A frame the client cannot read — another version, corrupt bytes — ends
 /// the client with a panic naming the error, before it writes anything more.
+/// So does an op the server never sends to this shard: a node outside its
+/// range, a row that does not cover it, a unicast existence round or a
+/// broadcast probe; the panic names the op and the range.
 ///
 /// [`ServerOp::Membership`] events advance the slots' generations: a `Join`
-/// reseeds the slot via [`SimNode::rejoin_generation`] and a `Leave`
-/// collapses its stream to a 0 observation — the same transitions every
-/// in-process engine makes, so the RNG streams stay aligned bit for bit.
+/// reseeds the slot via the node table's `rejoin` and a `Leave` collapses its
+/// stream to a 0 observation — the same transitions every in-process engine
+/// makes, so the RNG streams stay aligned bit for bit.
 ///
 /// With `faults` set to `(seed, drop_permille)`, the client simulates a
 /// lossy upstream link: each *first* transmission of a reply frame is
@@ -1341,13 +1458,8 @@ fn run_shard_client(
     shard: u32,
     master_seed: u64,
     faults: Option<(u64, u32)>,
-    table: ShardNodes,
+    mut client: ShardClient,
 ) {
-    let ShardNodes {
-        lo,
-        mut gens,
-        mut nodes,
-    } = table;
     let stream = TcpStream::connect(addr).expect("shard client: cannot connect to server");
     stream
         .set_nodelay(true)
@@ -1387,22 +1499,7 @@ fn run_shard_client(
                 // is active in: the idle signal of the reply.
                 let mut idle = false;
                 for op in ops {
-                    idle = match op {
-                        ServerOp::Membership { events } => {
-                            for event in events {
-                                let local = event.node().index() - lo;
-                                match event {
-                                    MembershipEvent::Join(_) => {
-                                        gens[local] += 1;
-                                        nodes[local].rejoin_generation(master_seed, gens[local]);
-                                    }
-                                    MembershipEvent::Leave(_) => nodes[local].observe(0),
-                                }
-                            }
-                            false
-                        }
-                        op => apply_op(&mut nodes, lo, op, &mut replies),
-                    };
+                    idle = client.apply(op, master_seed, &mut replies);
                 }
                 if wants_reply {
                     // The drop coin applies to the first transmission only;
@@ -1456,68 +1553,6 @@ fn run_shard_client(
             other => panic!("shard client {shard}: unexpected frame {other:?}"),
         }
     }
-}
-
-/// Applies one decoded batch operation to a shard's nodes, appending any
-/// upstream messages to `replies` in ascending node-id order.
-///
-/// Returns whether the op was an existence round in which no node's
-/// predicate held — computed in the same pass that flips the coins.
-fn apply_op(
-    nodes: &mut [SimNode],
-    lo: usize,
-    op: ServerOp,
-    replies: &mut Vec<NodeMessage>,
-) -> bool {
-    match op {
-        ServerOp::Broadcast {
-            msg:
-                ServerMessage::ExistenceRound {
-                    round,
-                    population,
-                    predicate,
-                },
-        } => {
-            let mut active = false;
-            let coin = Coin::new(round, population);
-            for node in nodes.iter_mut() {
-                if let Some(reply) = node.existence_round(coin, predicate) {
-                    active = true;
-                    replies.extend(reply);
-                }
-            }
-            return !active;
-        }
-        ServerOp::ObserveRow { start, values } => {
-            let base = start.index() - lo;
-            for (j, v) in values.into_iter().enumerate() {
-                nodes[base + j].observe(v);
-            }
-        }
-        ServerOp::ObserveSparse { changes } => {
-            for (node, v) in changes {
-                nodes[node.index() - lo].observe(v);
-            }
-        }
-        ServerOp::Unicast { node, msg } => {
-            if let Some(reply) = nodes[node.index() - lo].handle(&msg) {
-                replies.push(reply);
-            }
-        }
-        ServerOp::Broadcast { msg } => {
-            for node in nodes.iter_mut() {
-                if let Some(reply) = node.handle(&msg) {
-                    replies.push(reply);
-                }
-            }
-        }
-        // Membership needs the generation table and is handled inline by the
-        // client loop before ops reach this function.
-        ServerOp::Membership { .. } => {
-            unreachable!("membership ops are applied by the client loop")
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -1878,7 +1913,7 @@ mod tests {
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
         let addr = listener.local_addr().expect("addr");
         let client = std::thread::spawn(move || {
-            run_shard_client(addr, 0, 99, None, ShardNodes::new(0, 99, vec![0; 2]))
+            run_shard_client(addr, 0, 99, None, ShardClient::new(0, 99, vec![0; 2]))
         });
         let (mut stream, _) = listener.accept().expect("accept");
         let (join, _) = read_frame(&mut stream).expect("join");
@@ -2016,16 +2051,19 @@ mod tests {
 
     #[test]
     fn dense_and_sparse_delivery_leave_identical_node_state() {
-        // Two copies of a shard: one re-observes every value of each row,
-        // the other sees only the entries that changed. Filters, groups and
-        // parameters move in between so pending violations appear and clear.
-        let (lo, len) = (4usize, 16usize);
-        let fresh = || -> Vec<SimNode> {
-            (lo..lo + len)
-                .map(|i| SimNode::new(NodeId(i), 99))
-                .collect()
-        };
+        // Two client shards: one re-observes every value of each row, the
+        // other sees only the entries that changed. Filters, groups and
+        // parameters move in between so pending violations appear and clear,
+        // and threshold rounds keep the value index warm between rows.
+        let (lo, len, seed) = (4usize, 16usize, 99u64);
+        let fresh = || ShardClient::new(lo, seed, vec![0; len]);
         let (mut dense, mut sparse) = (fresh(), fresh());
+        let both = |op: ServerOp, a: &mut ShardClient, b: &mut ShardClient| {
+            let (mut ra, mut rb) = (Vec::new(), Vec::new());
+            let ia = a.apply(op.clone(), seed, &mut ra);
+            let ib = b.apply(op, seed, &mut rb);
+            assert_eq!((ra, ia), (rb, ib));
+        };
         let mut prev = vec![0u64; len];
         let mut state = 0x5EEDu64;
         let mut next = || {
@@ -2035,12 +2073,6 @@ mod tests {
             state >> 33
         };
         for step in 0..200u64 {
-            let both = |op: ServerOp, a: &mut Vec<SimNode>, b: &mut Vec<SimNode>| {
-                let (mut ra, mut rb) = (Vec::new(), Vec::new());
-                let ia = apply_op(a, lo, op.clone(), &mut ra);
-                let ib = apply_op(b, lo, op, &mut rb);
-                assert_eq!((ra, ia), (rb, ib));
-            };
             let node = NodeId(lo + (next() as usize) % len);
             let msg = match step % 4 {
                 0 => ServerMessage::AssignFilter(Filter::at_most(next() % 100)),
@@ -2060,7 +2092,8 @@ mod tests {
                 _ => ServerOp::Unicast { node, msg },
             };
             both(op, &mut dense, &mut sparse);
-            // About a quarter of the values move each step.
+            // About a quarter of the values move each step, so the sparse
+            // side takes both its per-node and its bulk path.
             let row: Vec<Value> = prev
                 .iter()
                 .map(|&v| if next() % 4 == 0 { next() % 120 } else { v })
@@ -2071,29 +2104,27 @@ mod tests {
                 .map(|(i, (&new, _))| (NodeId(i), new))
                 .collect();
             let mut none = Vec::new();
-            apply_op(
-                &mut dense,
-                lo,
-                ServerOp::ObserveRow {
-                    start: NodeId(lo),
-                    values: row.clone(),
-                },
-                &mut none,
-            );
-            apply_op(
-                &mut sparse,
-                lo,
-                ServerOp::ObserveSparse { changes },
-                &mut none,
-            );
-            for (a, b) in dense.iter().zip(&sparse) {
-                assert_eq!(a.value(), b.value());
-                assert_eq!(a.filter(), b.filter());
-                assert_eq!(a.group(), b.group());
-                assert_eq!(a.pending_violation(), b.pending_violation());
+            let observe_row = ServerOp::ObserveRow {
+                start: NodeId(lo),
+                values: row.clone(),
+            };
+            assert!(!dense.apply(observe_row, seed, &mut none));
+            assert!(!sparse.apply(ServerOp::ObserveSparse { changes }, seed, &mut none));
+            assert!(none.is_empty());
+            let (a, b) = (&dense.shard.table, &sparse.shard.table);
+            for i in 0..len {
+                assert_eq!(a.state.value(i), b.state.value(i));
+                assert_eq!(a.state.filter(i), b.state.filter(i));
+                assert_eq!(a.state.group(i), b.state.group(i));
+                assert_eq!(a.state.pending(i), b.state.pending(i));
             }
+            assert_eq!(a.pending, b.pending);
             // The RNG streams agree too: a round draws on both alike.
-            let predicate = ExistencePredicate::PendingViolation;
+            let predicate = if step % 2 == 0 {
+                ExistencePredicate::PendingViolation
+            } else {
+                ExistencePredicate::AtLeast(next() % 120)
+            };
             let msg = ServerMessage::ExistenceRound {
                 round: (step % 5) as u32,
                 population: len as u32,
@@ -2101,6 +2132,129 @@ mod tests {
             };
             both(ServerOp::Broadcast { msg }, &mut dense, &mut sparse);
             prev = row;
+        }
+    }
+
+    #[test]
+    fn a_client_refuses_an_op_outside_its_range() {
+        use std::io::Read;
+        // The client of nodes 4..6, shard 1 of an engine over 6 nodes.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client = std::thread::spawn(move || {
+            run_shard_client(addr, 1, 99, None, ShardClient::new(4, 99, vec![0; 2]))
+        });
+        let (mut stream, _) = listener.accept().expect("accept");
+        let (join, _) = read_frame(&mut stream).expect("join");
+        assert_eq!(join, Frame::Join { shard: 1 });
+        // Node 6 is one past the range. A probe follows in the same batch,
+        // so a client that carried on would answer it.
+        let batch = Frame::Batch {
+            wants_reply: true,
+            seq: 1,
+            ops: vec![
+                ServerOp::ObserveSparse {
+                    changes: vec![(NodeId(5), 3), (NodeId(6), 7)],
+                },
+                ServerOp::Unicast {
+                    node: NodeId(4),
+                    msg: ServerMessage::Probe,
+                },
+            ],
+        };
+        write_frame(&mut stream, &batch).expect("batch");
+        let refusal = client.join().expect_err("the client must refuse the op");
+        let refusal = refusal
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            refusal.contains("nodes 4..6")
+                && refusal.contains("ObserveSparse naming node 6, outside its range"),
+            "{refusal}"
+        );
+        // The connection closed with no reply on it.
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("read to the end");
+        assert!(rest.is_empty(), "the client answered with {rest:?}");
+    }
+
+    #[test]
+    fn every_op_the_server_never_sends_is_refused_by_name() {
+        let round = ServerMessage::ExistenceRound {
+            round: 0,
+            population: 6,
+            predicate: ExistencePredicate::PendingViolation,
+        };
+        let hostile = [
+            (
+                ServerOp::ObserveRow {
+                    start: NodeId(4),
+                    values: vec![1],
+                },
+                "an ObserveRow of 1 values from node 4, which does not cover it",
+            ),
+            (
+                ServerOp::ObserveRow {
+                    start: NodeId(3),
+                    values: vec![1, 2],
+                },
+                "an ObserveRow of 2 values from node 3",
+            ),
+            (
+                ServerOp::Unicast {
+                    node: NodeId(0),
+                    msg: ServerMessage::Probe,
+                },
+                "a unicast naming node 0, outside its range",
+            ),
+            (
+                ServerOp::Membership {
+                    events: vec![MembershipEvent::Join(NodeId(9))],
+                },
+                "a Membership naming node 9, outside its range",
+            ),
+            (
+                ServerOp::Unicast {
+                    node: NodeId(5),
+                    msg: round,
+                },
+                "a unicast ExistenceRound",
+            ),
+            (
+                ServerOp::Unicast {
+                    node: NodeId(5),
+                    msg: ServerMessage::BroadcastGroup(NodeGroup::Upper),
+                },
+                "a unicast BroadcastGroup",
+            ),
+            (
+                ServerOp::Broadcast {
+                    msg: ServerMessage::Probe,
+                },
+                "a broadcast Probe",
+            ),
+            (
+                ServerOp::Broadcast {
+                    msg: ServerMessage::AssignFilter(Filter::at_most(3)),
+                },
+                "a broadcast AssignFilter",
+            ),
+        ];
+        for (op, expected) in hostile {
+            let refusal = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ShardClient::new(4, 99, vec![0; 2]).apply(op.clone(), 99, &mut Vec::new())
+            }))
+            .expect_err("a hostile op must end the client");
+            let refusal = refusal
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(
+                refusal.starts_with("shard client for nodes 4..6: refused ")
+                    && refusal.contains(expected),
+                "{op:?}: {refusal}"
+            );
         }
     }
 
@@ -2167,7 +2321,7 @@ mod tests {
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
         let addr = listener.local_addr().expect("addr");
         let client = std::thread::spawn(move || {
-            run_shard_client(addr, 0, 5, None, ShardNodes::new(0, 5, vec![0; 2]))
+            run_shard_client(addr, 0, 5, None, ShardClient::new(0, 5, vec![0; 2]))
         });
         let (stream, _) = listener.accept().expect("accept");
         let mut reader = stream.try_clone().expect("clone");

@@ -2,18 +2,21 @@
 //! across a fixed worker pool.
 //!
 //! [`ShardedEngine`] partitions the node population into `W` contiguous id
-//! ranges (*shards*). Each shard owns a node table (`crate::node_table`)
-//! over its range — its slice of the struct-of-arrays node state
+//! ranges (*shards*). Each shard is a `Shard` (`crate::node_table`, the type
+//! the remote engine's TCP shard clients hold too): a node table over its
+//! range — its slice of the struct-of-arrays node state
 //! ([`NodeStateSoA`](topk_model::soa::NodeStateSoA)), the keystream table of
 //! its nodes' random streams, a pending-violation set and a warm/cold radix
-//! value index, the same
-//! structures [`IndexedEngine`](crate::IndexedEngine) keeps in its one table
-//! — and is permanently affined to one worker thread of a fixed pool. Both
-//! engines run one collect-and-flip kernel: a shard collects its part of a
-//! run's active set in the run's first round and reuses it until the
-//! predicate changes or a mutator writes the shard's node state. The server
-//! side (the [`Network`] implementation) routes each operation to the shards
-//! it involves and merges their per-shard reply buffers.
+//! value index, the same structures
+//! [`IndexedEngine`](crate::IndexedEngine) keeps in its one table — plus its
+//! dense and sparse delivery paths, and it is permanently affined to one
+//! worker thread of a fixed pool. Every table engine runs one
+//! collect-and-flip kernel: a shard collects its part of a run's active set
+//! in the run's first round and reuses it until the predicate changes or a
+//! mutator writes the shard's node state. This module keeps the pool, the
+//! routing and the merge: the server side (the [`Network`] implementation)
+//! routes each operation to the shards it involves and merges their
+//! per-shard reply buffers.
 //!
 //! ## Why the merge is bit-identical to the baseline
 //!
@@ -72,7 +75,7 @@
 
 use crate::network::Network;
 use crate::node::Coin;
-use crate::node_table::NodeTable;
+use crate::node_table::Shard;
 use crate::partition;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use std::fmt;
@@ -113,144 +116,21 @@ enum ShardOp {
     GroupAll(NodeGroup, Option<FilterParams>),
 }
 
-/// A contiguous range of nodes: the indexed engine's node table plus the
-/// shard's staging buffers.
-struct Shard {
-    table: NodeTable,
-    /// Scratch: pending-flag transitions reported by `advance_row`.
-    transitions: Vec<u32>,
-    /// Scratch: value-changed ids reported by `advance_row_tracked` when the
-    /// warm index is maintained across a dense row.
-    changed_ids: Vec<u32>,
-    /// Per-shard reply buffer, merged by the server in shard order.
-    replies: Vec<NodeMessage>,
-    /// Staging buffer for the dense row when dispatching to a worker.
-    row: Vec<Value>,
-    /// Staging buffer for routed sparse changes (local id, value).
-    sparse: Vec<(u32, Value)>,
-    /// Regime estimate for `NodeStateSoA::advance_row`: whether the last
-    /// dense row changed at least 1/64 of the shard (see `DENSE_BIAS_SHIFT`).
-    dense_biased: bool,
-    /// Whether an inline bulk sparse pass wrote deferred values into this
-    /// shard (its pending flags must be refreshed before the step completes).
-    touched: bool,
-}
-
-/// A shard is *dense-biased* while at least `len >> DENSE_BIAS_SHIFT` of its
-/// nodes changed in the previous dense row (1/64: roughly where the cost of
-/// an unpredictable skip branch overtakes the cost of unconditional stores).
-const DENSE_BIAS_SHIFT: u32 = 6;
-
-impl Shard {
-    fn new(offset: usize, len: usize, master_seed: u64) -> Shard {
-        Shard {
-            table: NodeTable::new(offset, len, master_seed),
-            transitions: Vec::new(),
-            changed_ids: Vec::new(),
-            replies: Vec::new(),
-            row: Vec::new(),
-            sparse: Vec::new(),
-            // Runs start with calibration rows that change everything.
-            dense_biased: true,
-            touched: false,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Dense observation delivery over the shard's slice of the row.
-    ///
-    /// Index policy: in the quiet regime a warm value index is kept warm —
-    /// `advance_row_tracked` reports exactly the changed ids and each one is
-    /// an `O(1)` bucket move. In the dense regime (≥ 1/64 of the shard
-    /// changing per step) per-id maintenance would approach the cost of a
-    /// full rebuild while forfeiting the vectorised dense kernel, so the
-    /// index is dropped cold instead and the next threshold round rebuilds
-    /// it once.
-    fn advance_dense(&mut self, row: &[Value]) {
-        let table = &mut self.table;
-        let changed = if table.index.is_warm() && !self.dense_biased {
-            let changed =
-                table
-                    .state
-                    .advance_row_tracked(row, &mut self.transitions, &mut self.changed_ids);
-            for &i in &self.changed_ids {
-                table.index.note_update(i, table.state.value(i as usize));
-            }
-            changed
-        } else {
-            let changed = table
-                .state
-                .advance_row(row, &mut self.transitions, self.dense_biased);
-            if changed > 0 {
-                table.index.invalidate();
-            }
-            changed
-        };
-        table.note_transitions(&self.transitions);
-        // Feed the observed change rate back as the next step's loop hint
-        // (workload regimes are temporally correlated).
-        self.dense_biased = changed >= (self.len() >> DENSE_BIAS_SHIFT).max(1);
-    }
-
-    /// Applies the staged sparse changes in order (last entry per node wins).
-    ///
-    /// Short change lists go through the per-node path (touching only the
-    /// changed nodes). A list covering a sizeable fraction of the shard is a
-    /// dense step in disguise: values are applied with the invariant deferred,
-    /// then one zipped pass re-establishes every pending flag — the same
-    /// column traffic as a dense advance instead of one scattered filter
-    /// lookup per change. Both paths produce identical state (the bulk pass
-    /// nets out intermediate transitions; the final flags and pending set are
-    /// a pure function of the final values).
-    fn advance_sparse(&mut self) {
-        let table = &mut self.table;
-        if self.sparse.len() * 4 >= table.len() {
-            let mut changed = false;
-            for &(i, v) in &self.sparse {
-                if table.state.value(i as usize) != v {
-                    table.state.set_value_deferred(i as usize, v);
-                    changed = true;
-                }
-            }
-            if changed {
-                // Deferred writes bypass `apply_value`, so the index cannot
-                // be maintained per id here; drop it cold.
-                table.index.invalidate();
-            }
-            self.refresh_after_deferred();
-        } else {
-            for &(i, v) in &self.sparse {
-                if table.state.value(i as usize) != v {
-                    table.apply_value(i, v);
-                }
-            }
-        }
-        self.sparse.clear();
-    }
-
-    /// Re-establishes the pending invariant and index after a batch of
-    /// `NodeStateSoA::set_value_deferred` writes.
-    fn refresh_after_deferred(&mut self) {
-        self.table.state.refresh_pending_bulk(&mut self.transitions);
-        self.table.note_transitions(&self.transitions);
-    }
-
-    fn execute(&mut self, op: ShardOp) {
-        match op {
+impl ShardOp {
+    /// Runs the op on `shard` — on a pool worker or inline, the same code.
+    fn execute(self, shard: &mut Shard) {
+        match self {
             ShardOp::AdvanceDense => {
-                let row = std::mem::take(&mut self.row);
-                self.advance_dense(&row);
-                self.row = row;
+                let row = std::mem::take(&mut shard.row);
+                shard.advance_dense(&row);
+                shard.row = row;
             }
-            ShardOp::AdvanceSparse => self.advance_sparse(),
+            ShardOp::AdvanceSparse => shard.advance_sparse(),
             ShardOp::Round { coin, predicate } => {
-                self.table.round_into(coin, predicate, &mut self.replies)
+                shard.table.round_into(coin, predicate, &mut shard.replies);
             }
-            ShardOp::Params(p) => self.table.set_params(p),
-            ShardOp::GroupAll(g, params) => self.table.set_group_all(g, params),
+            ShardOp::Params(p) => shard.table.set_params(p),
+            ShardOp::GroupAll(g, params) => shard.table.set_group_all(g, params),
         }
     }
 }
@@ -276,7 +156,7 @@ impl WorkerPool {
                 .name(format!("topk-shard-{w}"))
                 .spawn(move || {
                     for (mut shard, op) in rx.iter() {
-                        shard.execute(op);
+                        op.execute(&mut shard);
                         if done_tx.send((w, shard)).is_err() {
                             break;
                         }
@@ -434,7 +314,7 @@ impl ShardedEngine {
         if self.involved.len() <= 1 || !self.parallel {
             for idx in 0..self.involved.len() {
                 let s = self.involved[idx];
-                self.shards[s].as_mut().expect("shard at home").execute(op);
+                op.execute(self.shards[s].as_mut().expect("shard at home"));
             }
             return;
         }
@@ -566,10 +446,7 @@ impl Network for ShardedEngine {
                 MembershipEvent::Leave(node) => {
                     self.population.apply(event);
                     let (s, local) = self.locate(node);
-                    let table = &mut self.shard_mut(s).table;
-                    if table.state.value(local) != 0 {
-                        table.apply_value(local as u32, 0);
-                    }
+                    self.shard_mut(s).table.observe(local as u32, 0);
                 }
                 MembershipEvent::Join(node) => {
                     let generation = self.population.apply(event);

@@ -432,8 +432,9 @@ proptest! {
     /// together every eight rounds, and the batches are full. Observations
     /// change the replies in between, and a Leave/Join reseeds one slot's
     /// stream mid-stream. Replies and `CommStats` must equal the baseline's
-    /// after every operation, on the indexed engine and on 1 and 3 shards
-    /// with inline and parallel dispatch.
+    /// after every operation, on the indexed engine, on 1 and 3 shards
+    /// with inline and parallel dispatch, and on the remote engine's TCP
+    /// shard clients at 1 and 3 connections.
     #[test]
     fn keystream_batches_match_baseline(
         which in 0usize..3,
@@ -451,6 +452,10 @@ proptest! {
                     Box::new(ShardedEngine::with_dispatch(n, seed, workers, dispatch)),
                 ));
             }
+            engines.push((
+                format!("remote, {workers} connections"),
+                Box::new(RemoteEngine::with_shards(n, seed, workers)),
+            ));
         }
         // Observe, put every node in violation, then one round after each
         // script entry, behind the entry's mutation if it has one.
