@@ -295,15 +295,17 @@ fn max_n(engine: EngineKind, quick: bool) -> usize {
     }
 }
 
-/// The least timed work per row, or per point of the scaling curve when
-/// `curve` is set. A quick remote row's 30 steps can take under 5 ms on a
-/// silent workload, and a quick curve point's 50 steps 7–18 ms: too short a
-/// window for a rate that two runs agree on. So quick remote rows and quick
-/// curve points run on until a quarter second of timed work; every other
-/// row and point runs exactly its steps.
-fn min_window(engine: EngineKind, curve: bool, quick: bool) -> Duration {
-    if quick && (curve || engine == EngineKind::Remote) {
-        Duration::from_millis(250)
+/// The least timed work of a quick remote row and of a quick scaling-curve
+/// point. A quick remote row's 30 steps can take under 5 ms on a silent
+/// workload, and a quick curve point's 50 steps 7–18 ms: too short a window
+/// for a rate that two runs agree on.
+const QUICK_WINDOW: Duration = Duration::from_millis(250);
+
+/// The least timed work per row: quick remote rows run on until
+/// [`QUICK_WINDOW`] of timed work; every other row runs exactly its steps.
+fn min_window(engine: EngineKind, quick: bool) -> Duration {
+    if quick && engine == EngineKind::Remote {
+        QUICK_WINDOW
     } else {
         Duration::ZERO
     }
@@ -553,7 +555,9 @@ fn scaling_worker_counts(quick: bool) -> &'static [usize] {
 fn measure_scaling(quick: bool, log: impl Fn(&str)) -> Vec<ScalingRow> {
     let n: usize = if quick { 100_000 } else { 1_000_000 };
     let steps = min_steps(EngineKind::Sharded, n, quick);
-    let window = min_window(EngineKind::Sharded, true, quick);
+    // Quick points run on until `QUICK_WINDOW`; full points run exactly
+    // their steps.
+    let window = if quick { QUICK_WINDOW } else { Duration::ZERO };
     let mut rows: Vec<ScalingRow> = Vec::new();
     let mut one_sps = 0.0_f64;
     for &workers in scaling_worker_counts(quick) {
@@ -612,7 +616,7 @@ pub fn run_throughput(quick: bool, log: impl Fn(&str)) -> ThroughputReport {
                     continue;
                 }
                 let steps = min_steps(engine, n, quick);
-                let window = min_window(engine, false, quick);
+                let window = min_window(engine, quick);
                 for mode in [DeliveryMode::Dense, DeliveryMode::Sparse] {
                     let row = measure(generator, n, engine, WORKERS, mode, steps, window, SEED);
                     log(&format!(

@@ -161,7 +161,7 @@ impl Network for DeterministicEngine {
         let coin = Coin::new(round, population);
         replies.clear();
         for node in &mut self.nodes {
-            if let Some(reply) = node.existence_round(coin, predicate).flatten() {
+            if let Some(reply) = node.existence_round(coin, predicate) {
                 self.meter.record(MessageKind::Upstream);
                 replies.push(reply);
             }

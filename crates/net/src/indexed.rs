@@ -114,14 +114,6 @@ impl IndexedEngine {
     pub fn index_rebuilds(&self) -> u64 {
         self.table.index_rebuilds
     }
-
-    /// Records a new observation for node `i` unless it already holds `v`.
-    #[inline]
-    fn observe(&mut self, i: usize, v: Value) {
-        if self.table.state.value(i) != v {
-            self.table.apply_value(i as u32, v);
-        }
-    }
 }
 
 impl Network for IndexedEngine {
@@ -143,7 +135,7 @@ impl Network for IndexedEngine {
             } else {
                 0
             };
-            self.observe(i, v);
+            self.table.observe(i as u32, v);
         }
         self.meter.record_time_step();
     }
@@ -151,7 +143,7 @@ impl Network for IndexedEngine {
     fn advance_time_sparse(&mut self, changes: &[(NodeId, Value)]) {
         for &(node, v) in changes {
             let v = if self.population.is_live(node) { v } else { 0 };
-            self.observe(node.index(), v);
+            self.table.observe(node.index() as u32, v);
         }
         self.meter.record_time_step();
     }
@@ -163,7 +155,7 @@ impl Network for IndexedEngine {
                     self.population.apply(event);
                     // The leaver observes 0; skipping the write when the value
                     // is already 0 leaves the pending invariant untouched.
-                    self.observe(node.index(), 0);
+                    self.table.observe(node.index() as u32, 0);
                 }
                 MembershipEvent::Join(node) => {
                     let generation = self.population.apply(event);

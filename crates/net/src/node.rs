@@ -136,9 +136,7 @@ impl SimNode {
                 round,
                 population,
                 predicate,
-            } => self
-                .existence_round(Coin::new(round, population), predicate)
-                .flatten(),
+            } => self.existence_round(Coin::new(round, population), predicate),
             ServerMessage::EndExistenceRun => None,
         }
     }
@@ -165,21 +163,19 @@ impl SimNode {
     /// Participates in one round of an existence run: if the predicate holds
     /// locally, send a message when `coin` (the round's [`Coin`]) comes up.
     ///
-    /// Returns `None` when the predicate fails — the node neither replies nor
-    /// draws randomness — and otherwise `Some` of the coin's outcome, so a
-    /// caller learns in the same call whether the node is active at all.
+    /// When the predicate fails the node neither replies nor draws
+    /// randomness.
     pub(crate) fn existence_round(
         &mut self,
         coin: Coin,
         predicate: ExistencePredicate,
-    ) -> Option<Option<NodeMessage>> {
-        if !predicate.evaluate(self.id, self.value, self.pending_violation) {
+    ) -> Option<NodeMessage> {
+        if !predicate.evaluate(self.id, self.value, self.pending_violation)
+            || !coin.flip(&mut self.rng)
+        {
             return None;
         }
-        if !coin.flip(&mut self.rng) {
-            return Some(None);
-        }
-        Some(Some(match (predicate, self.pending_violation) {
+        Some(match (predicate, self.pending_violation) {
             (ExistencePredicate::PendingViolation, Some(direction)) => {
                 NodeMessage::ViolationReport {
                     node: self.id,
@@ -191,7 +187,7 @@ impl SimNode {
                 node: self.id,
                 value: self.value,
             },
-        }))
+        })
     }
 }
 

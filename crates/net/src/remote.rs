@@ -549,9 +549,7 @@ impl RemoteEngine {
                 Some(
                     std::thread::Builder::new()
                         .name(format!("topk-shard-{s}"))
-                        .spawn(move || {
-                            run_shard_client(addr, s as u32, master_seed, faults, client)
-                        })
+                        .spawn(move || run_shard_client(addr, s as u32, faults, client))
                         .expect("remote transport: cannot spawn shard client"),
                 )
             })
@@ -821,13 +819,12 @@ impl RemoteEngine {
         let gens: Vec<u32> = (lo..hi)
             .map(|i| self.population.generation(NodeId(i)))
             .collect();
-        let master_seed = self.master_seed;
         let faults = self.faults;
-        let client = ShardClient::new(lo, master_seed, gens);
+        let client = ShardClient::new(lo, self.master_seed, gens);
         self.handles[s] = Some(
             std::thread::Builder::new()
                 .name(format!("topk-shard-{s}"))
-                .spawn(move || run_shard_client(addr, s as u32, master_seed, faults, client))
+                .spawn(move || run_shard_client(addr, s as u32, faults, client))
                 .expect("remote transport: cannot spawn shard client"),
         );
         let (mut conn, shard) =
@@ -1289,8 +1286,9 @@ fn accept_with_policy(listener: &TcpListener, policy: &RetryPolicy) -> TcpStream
 /// The state one shard client drives: the sharded engine's [`Shard`] over
 /// the client's id range, the membership generation of each slot (all zeros
 /// for an initial connection; the population's current generations for a
-/// reconnect), and the last broadcast parameters — one shared copy, as the
-/// in-process table engines keep it.
+/// reconnect), the last broadcast parameters — one shared copy, as the
+/// in-process table engines keep it — and the master seed a joiner's stream
+/// is reseeded from.
 ///
 /// Built on the thread that spawns the client and moved into it. Memory a
 /// thread frees in its own malloc arena (glibc's per-thread arenas) stays
@@ -1301,6 +1299,7 @@ struct ShardClient {
     shard: Shard,
     gens: Vec<u32>,
     params: Option<FilterParams>,
+    master_seed: u64,
 }
 
 impl ShardClient {
@@ -1317,6 +1316,7 @@ impl ShardClient {
             shard,
             gens,
             params: None,
+            master_seed,
         }
     }
 
@@ -1348,7 +1348,7 @@ impl ShardClient {
     ///
     /// Returns whether the op was an existence round in which no node's
     /// predicate held: the round's collected active set is empty.
-    fn apply(&mut self, op: ServerOp, master_seed: u64, replies: &mut Vec<NodeMessage>) -> bool {
+    fn apply(&mut self, op: ServerOp, replies: &mut Vec<NodeMessage>) -> bool {
         match op {
             ServerOp::ObserveRow { start, values } => {
                 let ids = self.shard.table.ids();
@@ -1416,7 +1416,7 @@ impl ShardClient {
                         MembershipEvent::Join(_) => {
                             let gen = &mut self.gens[i as usize];
                             *gen += 1;
-                            self.shard.table.rejoin(i, master_seed, *gen);
+                            self.shard.table.rejoin(i, self.master_seed, *gen);
                         }
                         MembershipEvent::Leave(_) => self.shard.table.observe(i, 0),
                     }
@@ -1456,7 +1456,6 @@ impl ShardClient {
 fn run_shard_client(
     addr: SocketAddr,
     shard: u32,
-    master_seed: u64,
     faults: Option<(u64, u32)>,
     mut client: ShardClient,
 ) {
@@ -1499,7 +1498,7 @@ fn run_shard_client(
                 // is active in: the idle signal of the reply.
                 let mut idle = false;
                 for op in ops {
-                    idle = client.apply(op, master_seed, &mut replies);
+                    idle = client.apply(op, &mut replies);
                 }
                 if wants_reply {
                     // The drop coin applies to the first transmission only;
@@ -1913,7 +1912,7 @@ mod tests {
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
         let addr = listener.local_addr().expect("addr");
         let client = std::thread::spawn(move || {
-            run_shard_client(addr, 0, 99, None, ShardClient::new(0, 99, vec![0; 2]))
+            run_shard_client(addr, 0, None, ShardClient::new(0, 99, vec![0; 2]))
         });
         let (mut stream, _) = listener.accept().expect("accept");
         let (join, _) = read_frame(&mut stream).expect("join");
@@ -2053,15 +2052,20 @@ mod tests {
     fn dense_and_sparse_delivery_leave_identical_node_state() {
         // Two client shards: one re-observes every value of each row, the
         // other sees only the entries that changed. Filters, groups and
-        // parameters move in between so pending violations appear and clear,
-        // and threshold rounds keep the value index warm between rows.
+        // parameters move in between so pending violations appear and clear.
+        // Rows cycle through four regimes: two noisy rows (about a quarter of
+        // the values move, so the sparse side takes both its per-node and its
+        // bulk path), a still row and a row that moves one value. The AtLeast
+        // round after the second noisy row warms the value index and the
+        // still row ends the dense side's dense-biased regime, so the
+        // one-change row takes the tracked dense path over a warm index.
         let (lo, len, seed) = (4usize, 16usize, 99u64);
         let fresh = || ShardClient::new(lo, seed, vec![0; len]);
         let (mut dense, mut sparse) = (fresh(), fresh());
         let both = |op: ServerOp, a: &mut ShardClient, b: &mut ShardClient| {
             let (mut ra, mut rb) = (Vec::new(), Vec::new());
-            let ia = a.apply(op.clone(), seed, &mut ra);
-            let ib = b.apply(op, seed, &mut rb);
+            let ia = a.apply(op.clone(), &mut ra);
+            let ib = b.apply(op, &mut rb);
             assert_eq!((ra, ia), (rb, ib));
         };
         let mut prev = vec![0u64; len];
@@ -2092,12 +2096,21 @@ mod tests {
                 _ => ServerOp::Unicast { node, msg },
             };
             both(op, &mut dense, &mut sparse);
-            // About a quarter of the values move each step, so the sparse
-            // side takes both its per-node and its bulk path.
-            let row: Vec<Value> = prev
-                .iter()
-                .map(|&v| if next() % 4 == 0 { next() % 120 } else { v })
-                .collect();
+            let mut row = prev.clone();
+            match step % 4 {
+                0 | 1 => {
+                    for v in &mut row {
+                        if next() % 4 == 0 {
+                            *v = next() % 120;
+                        }
+                    }
+                }
+                2 => {}
+                _ => {
+                    let i = next() as usize % len;
+                    row[i] = (row[i] + 1 + next() % 119) % 120;
+                }
+            }
             let changes: Vec<(NodeId, Value)> = (lo..)
                 .zip(row.iter().zip(&prev))
                 .filter(|(_, (new, old))| new != old)
@@ -2108,9 +2121,16 @@ mod tests {
                 start: NodeId(lo),
                 values: row.clone(),
             };
-            assert!(!dense.apply(observe_row, seed, &mut none));
-            assert!(!sparse.apply(ServerOp::ObserveSparse { changes }, seed, &mut none));
+            assert!(!dense.apply(observe_row, &mut none));
+            assert!(!sparse.apply(ServerOp::ObserveSparse { changes }, &mut none));
             assert!(none.is_empty());
+            if step % 4 == 3 {
+                // The untracked path drops the index cold on any change.
+                assert!(
+                    dense.shard.table.index.is_warm(),
+                    "step {step}: the one-change row took the untracked path"
+                );
+            }
             let (a, b) = (&dense.shard.table, &sparse.shard.table);
             for i in 0..len {
                 assert_eq!(a.state.value(i), b.state.value(i));
@@ -2142,7 +2162,7 @@ mod tests {
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
         let addr = listener.local_addr().expect("addr");
         let client = std::thread::spawn(move || {
-            run_shard_client(addr, 1, 99, None, ShardClient::new(4, 99, vec![0; 2]))
+            run_shard_client(addr, 1, None, ShardClient::new(4, 99, vec![0; 2]))
         });
         let (mut stream, _) = listener.accept().expect("accept");
         let (join, _) = read_frame(&mut stream).expect("join");
@@ -2243,7 +2263,7 @@ mod tests {
         ];
         for (op, expected) in hostile {
             let refusal = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ShardClient::new(4, 99, vec![0; 2]).apply(op.clone(), 99, &mut Vec::new())
+                ShardClient::new(4, 99, vec![0; 2]).apply(op.clone(), &mut Vec::new())
             }))
             .expect_err("a hostile op must end the client");
             let refusal = refusal
@@ -2321,7 +2341,7 @@ mod tests {
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
         let addr = listener.local_addr().expect("addr");
         let client = std::thread::spawn(move || {
-            run_shard_client(addr, 0, 5, None, ShardClient::new(0, 5, vec![0; 2]))
+            run_shard_client(addr, 0, None, ShardClient::new(0, 5, vec![0; 2]))
         });
         let (stream, _) = listener.accept().expect("accept");
         let mut reader = stream.try_clone().expect("clone");
