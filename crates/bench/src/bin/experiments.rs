@@ -95,6 +95,49 @@ fn default_out(stem: &str, quick: bool) -> PathBuf {
     })
 }
 
+/// The file a report is staged in before it replaces `out`: beside it, so
+/// the final rename stays within one file system.
+fn staging_path(out: &Path) -> PathBuf {
+    let name = out.file_name().map_or_else(
+        || "report".into(),
+        |name| name.to_string_lossy().into_owned(),
+    );
+    out.with_file_name(format!(".{name}.partial"))
+}
+
+/// Prints `cannot write PATH: ERROR` and exits 1.
+fn cannot_write(path: &Path, error: impl std::fmt::Display) -> ! {
+    eprintln!("cannot write {}: {error}", path.display());
+    std::process::exit(1)
+}
+
+/// Checks, before anything is measured, that a report can be written to
+/// `out`: its staging file can be created beside it and `out` is not a
+/// directory. Leaves no file behind and never touches an existing report.
+fn check_writable_or_exit(out: &Path) {
+    if out.is_dir() {
+        cannot_write(out, "it is a directory");
+    }
+    let staging = staging_path(out);
+    if let Err(e) = std::fs::write(&staging, "") {
+        cannot_write(out, e);
+    }
+    let _ = std::fs::remove_file(&staging);
+}
+
+/// Writes a complete report to `out`: into the staging file first, then
+/// renamed over `out`, so an existing report is only ever replaced whole.
+/// Fails like [`check_writable_or_exit`].
+fn write_report_or_exit(out: &Path, contents: &str) {
+    let staging = staging_path(out);
+    if let Err(e) = std::fs::write(&staging, contents).and_then(|()| std::fs::rename(&staging, out))
+    {
+        let _ = std::fs::remove_file(&staging);
+        cannot_write(out, e);
+    }
+    eprintln!("wrote {}", out.display());
+}
+
 /// The campaign's scenario library, relative to the working directory.
 const LIBRARY: &str = "scenarios";
 
@@ -151,10 +194,10 @@ fn report_competitive_floors(
 }
 
 fn run_campaign_bench(quick: bool, out: PathBuf, baseline: Option<PathBuf>) -> ! {
+    check_writable_or_exit(&out);
     let library = load_library_or_exit();
     let report = campaign::run_campaign(&library, quick, |line| eprintln!("{line}"));
-    std::fs::write(&out, campaign::to_json(&report)).expect("write campaign json");
-    eprintln!("wrote {}", out.display());
+    write_report_or_exit(&out, &campaign::to_json(&report));
     if let Some(path) = baseline {
         // The ratchet: hold the freshly measured cells to the ceilings
         // committed for the same (file, protocol) keys.
@@ -197,9 +240,9 @@ fn check_competitive_floors_only(path: PathBuf) -> ! {
 }
 
 fn run_throughput_bench(quick: bool, out: PathBuf) -> ! {
+    check_writable_or_exit(&out);
     let report = throughput::run_throughput(quick, |line| eprintln!("{line}"));
-    std::fs::write(&out, throughput::to_json(&report)).expect("write throughput json");
-    eprintln!("wrote {}", out.display());
+    write_report_or_exit(&out, &throughput::to_json(&report));
     print_speedups(&report.rows);
     report_floors(&report)
 }
@@ -588,6 +631,15 @@ fn main() {
         std::process::exit(2);
     }
 
+    if let Some(dir) = &json_dir {
+        // The tables are staged beside their files: probe with one staging
+        // file before anything is measured.
+        let probe = staging_path(&dir.join("tables"));
+        if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&probe, "")) {
+            cannot_write(dir, e);
+        }
+        let _ = std::fs::remove_file(&probe);
+    }
     let run = |id: &str| wanted.is_empty() || wanted.iter().any(|w| w == id);
     let mut tables: Vec<ExperimentTable> = Vec::new();
     if run("e1") {
@@ -619,11 +671,9 @@ fn main() {
         println!("{table}");
     }
     if let Some(dir) = json_dir {
-        std::fs::create_dir_all(&dir).expect("create json output directory");
         for table in &tables {
             let path = dir.join(format!("{}.json", table.id.to_lowercase()));
-            std::fs::write(&path, table.to_json()).expect("write json table");
-            eprintln!("wrote {}", path.display());
+            write_report_or_exit(&path, &table.to_json());
         }
     }
 }

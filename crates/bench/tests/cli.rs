@@ -1,8 +1,8 @@
 //! Command-line contract of the `experiments` binary: flag combinations a
 //! mode cannot honour are usage errors (exit status 2) before any work runs,
-//! never silently ignored, and an invalid scenario file or a report the
-//! check modes cannot read fails in one line (exit status 1) instead of
-//! panicking.
+//! never silently ignored, and an invalid scenario file, a report the check
+//! modes cannot read or an output path a measuring mode cannot write fails
+//! in one line (exit status 1) instead of panicking.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -120,6 +120,38 @@ fn check_modes_fail_in_one_line_on_json_that_is_not_a_report() {
             Some(r#"{"bench": "something else", "rows": 3}"#),
         );
     }
+}
+
+/// Runs a measuring mode with `--out` under a directory that does not exist
+/// and asserts that it fails before measuring: exit 1 within a second, one
+/// stderr line naming the path, no panic.
+fn assert_unwritable_out_fails_up_front(mode: &str) {
+    let dir = std::env::temp_dir().join(format!("no-such-dir-{}", std::process::id()));
+    let out_path = dir.join("report.json");
+    let shown = out_path.to_str().expect("temp path is UTF-8");
+    let started = Instant::now();
+    let out = experiments(&[mode, "--quick", "--out", shown]);
+    let elapsed = started.elapsed();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{mode} --out {shown}: {stderr}");
+    assert!(elapsed < Duration::from_secs(1), "{mode} took {elapsed:?}");
+    assert_eq!(stderr.lines().count(), 1, "{mode} --out {shown}: {stderr}");
+    assert!(
+        stderr.starts_with(&format!("cannot write {shown}: ")),
+        "{mode} --out {shown}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{mode} --out {shown}: {stderr}");
+    assert!(!dir.exists(), "{mode} created {}", dir.display());
+}
+
+#[test]
+fn throughput_fails_up_front_on_an_unwritable_out_path() {
+    assert_unwritable_out_fails_up_front("--throughput");
+}
+
+#[test]
+fn campaign_fails_up_front_on_an_unwritable_out_path() {
+    assert_unwritable_out_fails_up_front("--campaign");
 }
 
 /// Runs `--scenario` on a temporary file holding `text` and returns the

@@ -16,7 +16,7 @@
 //! what a `SimNode` computes by construction.
 
 use crate::filter::{Filter, Violation};
-use crate::rule::NodeGroup;
+use crate::rule::{filter_for, FilterParams, NodeGroup};
 use crate::types::{NodeId, Value};
 
 /// Per-node simulation state in struct-of-arrays layout.
@@ -26,7 +26,7 @@ use crate::types::{NodeId, Value};
 /// * `values` — the value each node observed most recently,
 /// * `filter_lo` / `filter_hi` — the filter interval (the upper bound is
 ///   `None` for `∞`, mirroring [`Filter`]'s structural infinity),
-/// * `groups` — the group the server last assigned,
+/// * `groups` — the group the server last assigned (as a [`group_code`]),
 /// * `pending` — the violation the node is waiting to report, if any.
 ///
 /// Invariant: `pending[i]` always equals `filter(i).check(value(i))`; every
@@ -53,7 +53,10 @@ pub struct NodeStateSoA {
     /// distinction) stays in `filter_hi`; this column is only read by
     /// [`NodeStateSoA::advance_row`].
     check_hi: Vec<Value>,
-    groups: Vec<NodeGroup>,
+    /// Groups as flat codes (see [`group_code`]), so a broadcast derives
+    /// its filters from a table of the eight groups instead of matching on
+    /// a `NodeGroup` per node. The public API speaks `NodeGroup` throughout.
+    groups: Vec<u8>,
     /// Pending violations as flat codes (see [`encode`]/[`decode`]): `u8`
     /// arithmetic lets the bulk passes accumulate "any flag changed in this
     /// chunk?" with a branch-free XOR instead of matching on an `Option` per
@@ -77,9 +80,11 @@ pub struct NodeStateSoA {
     /// Chunks whose zone-map entries are stale (a filter changed); recomputed
     /// lazily by the next bulk pass that wants the fast path.
     ///
-    /// Soundness of the lazy protocol (audited): [`NodeStateSoA::set_filter`]
-    /// is the *only* mutator of the filter columns and it unconditionally
-    /// marks the chunk dirty *before* returning, and every zone-map reader
+    /// Soundness of the lazy protocol (audited): the filter columns have two
+    /// writers, and both mark chunks dirty unconditionally *before*
+    /// returning. [`NodeStateSoA::set_filter`] (and `reset_node`, through
+    /// the same helper) marks its node's chunk; [`NodeStateSoA::broadcast`]
+    /// marks every chunk and rebuilds none. Every zone-map reader
     /// ([`NodeStateSoA::advance_row`]'s dense pass and
     /// [`NodeStateSoA::refresh_pending_bulk`]) rebuilds a dirty chunk before
     /// consulting `chunk_lo_max`/`chunk_hi_min`. A filter that widens in the
@@ -141,6 +146,40 @@ fn code_of(lo: Value, hi: Value, v: Value) -> u8 {
     ((v > hi) as u8) | (((v < lo) as u8) << 1)
 }
 
+/// Every [`NodeGroup`], indexed by its [`group_code`].
+const GROUPS: [NodeGroup; 8] = [
+    NodeGroup::Upper,
+    NodeGroup::Lower,
+    NodeGroup::V1,
+    NodeGroup::V2 {
+        s1: false,
+        s2: false,
+    },
+    NodeGroup::V2 {
+        s1: true,
+        s2: false,
+    },
+    NodeGroup::V2 {
+        s1: false,
+        s2: true,
+    },
+    NodeGroup::V2 { s1: true, s2: true },
+    NodeGroup::V3,
+];
+
+/// Flat encoding of a [`NodeGroup`] for the group column: its index in
+/// [`GROUPS`] (a unit test pins the round trip).
+#[inline]
+fn group_code(group: NodeGroup) -> u8 {
+    match group {
+        NodeGroup::Upper => 0,
+        NodeGroup::Lower => 1,
+        NodeGroup::V1 => 2,
+        NodeGroup::V2 { s1, s2 } => 3 + u8::from(s1) + 2 * u8::from(s2),
+        NodeGroup::V3 => 7,
+    }
+}
+
 /// Chunk width of the bulk passes: wide enough that the branch-free inner
 /// loop vectorises, narrow enough that a dirty chunk's scalar fixup stays
 /// cheap.
@@ -198,7 +237,7 @@ impl NodeStateSoA {
             filter_lo: vec![Filter::FULL.lo(); n],
             filter_hi: vec![Filter::FULL.hi(); n],
             check_hi: vec![Value::MAX; n],
-            groups: vec![NodeGroup::Lower; n],
+            groups: vec![group_code(NodeGroup::Lower); n],
             pending: vec![0; n],
             chunk_lo_max: vec![0; chunks],
             chunk_hi_min: vec![Value::MAX; chunks],
@@ -298,7 +337,7 @@ impl NodeStateSoA {
     /// The group of node `i`.
     #[inline]
     pub fn group(&self, i: usize) -> NodeGroup {
-        self.groups[i]
+        GROUPS[usize::from(self.groups[i])]
     }
 
     /// The violation node `i` is waiting to report, if any.
@@ -339,7 +378,7 @@ impl NodeStateSoA {
     #[inline]
     pub fn set_group(&mut self, i: usize, group: NodeGroup) {
         self.writes += 1;
-        self.groups[i] = group;
+        self.groups[i] = group_code(group);
     }
 
     /// Re-evaluates the pending-violation flag of node `i` from its current
@@ -370,7 +409,7 @@ impl NodeStateSoA {
         self.values[i] = 0;
         self.write_filter(i, Filter::FULL);
         self.refresh_code(i);
-        self.groups[i] = NodeGroup::Lower;
+        self.groups[i] = group_code(NodeGroup::Lower);
     }
 
     /// Iterates over `(node, filter)` pairs (for bulk inspection APIs).
@@ -575,39 +614,132 @@ impl NodeStateSoA {
                     continue;
                 }
             }
-            if end - base == CHUNK {
-                // Same fixed-width kernels as the dense advance; the values
-                // were already written by `set_value_deferred`, so only the
-                // code re-derivation and change detection remain.
-                let mut codes = [0u64; CHUNK];
-                band_codes(
-                    self.filter_lo[base..end].try_into().expect("full chunk"),
-                    self.check_hi[base..end].try_into().expect("full chunk"),
-                    self.values[base..end].try_into().expect("full chunk"),
-                    &mut codes,
-                );
-                let delta = chunk_delta(
-                    &codes,
-                    self.pending[base..end].try_into().expect("full chunk"),
-                );
-                if delta != 0 {
-                    for (off, &code) in codes.iter().enumerate() {
-                        let i = base + off;
-                        if code as u8 != self.pending[i] {
-                            self.store_code(i, code as u8);
-                            transitions.push(i as u32);
-                        }
-                    }
-                }
-            } else {
-                for i in base..end {
-                    let code = code_of(self.filter_lo[i], self.check_hi[i], self.values[i]);
-                    if code != self.pending[i] {
-                        self.store_code(i, code);
+            // The values were already written by `set_value_deferred`, so
+            // only the code re-derivation and change detection remain.
+            self.rederive_codes(base, end, transitions);
+            base = end;
+        }
+    }
+
+    /// Re-derives the pending codes of nodes `base..end` (one chunk, or the
+    /// ragged tail) from the value and filter columns, storing each code that
+    /// changed and recording its node in `transitions`. A full chunk runs the
+    /// fixed-width kernels of the dense advance; their scalar fix-up runs only
+    /// when some flag in the chunk actually flipped.
+    fn rederive_codes(&mut self, base: usize, end: usize, transitions: &mut Vec<u32>) {
+        if end - base == CHUNK {
+            let mut codes = [0u64; CHUNK];
+            band_codes(
+                self.filter_lo[base..end].try_into().expect("full chunk"),
+                self.check_hi[base..end].try_into().expect("full chunk"),
+                self.values[base..end].try_into().expect("full chunk"),
+                &mut codes,
+            );
+            let delta = chunk_delta(
+                &codes,
+                self.pending[base..end].try_into().expect("full chunk"),
+            );
+            if delta != 0 {
+                for (off, &code) in codes.iter().enumerate() {
+                    let i = base + off;
+                    if code as u8 != self.pending[i] {
+                        self.store_code(i, code as u8);
                         transitions.push(i as u32);
                     }
                 }
             }
+        } else {
+            for i in base..end {
+                let code = code_of(self.filter_lo[i], self.check_hi[i], self.values[i]);
+                if code != self.pending[i] {
+                    self.store_code(i, code);
+                    transitions.push(i as u32);
+                }
+            }
+        }
+    }
+
+    /// A whole broadcast in one pass over the columns: every node takes
+    /// `group`, if one is given, and then, if `params` are given, the filter
+    /// that [`filter_for`] derives from its group and `params`. Records the
+    /// nodes whose pending flag changed into `transitions` (cleared first),
+    /// in ascending order.
+    ///
+    /// Semantically identical to calling [`NodeStateSoA::set_group`] and
+    /// [`NodeStateSoA::set_filter`] per node. `broadcast(None, Some(p), _)` is
+    /// a parameter broadcast; `broadcast(Some(g), last, _)` is a group
+    /// broadcast under the last broadcast parameters `last`, and without any
+    /// (`last = None`) it writes only the group column, because a group alone
+    /// never changes a filter or a flag.
+    ///
+    /// A group broadcast fills the filter columns with its one filter. There
+    /// are eight groups, so a parameter broadcast takes each node's filter
+    /// from a table of eight entries indexed by its group code, chunk by
+    /// chunk. Each chunk's flags are then re-derived with the same
+    /// fixed-width kernels as [`NodeStateSoA::refresh_pending_bulk`]. Every
+    /// chunk's zone-map entry is marked dirty, as [`NodeStateSoA::set_filter`]
+    /// marks its node's, and the next bulk pass that wants it rebuilds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state holds more than `u32::MAX` nodes.
+    pub fn broadcast(
+        &mut self,
+        group: Option<NodeGroup>,
+        params: Option<FilterParams>,
+        transitions: &mut Vec<u32>,
+    ) {
+        assert!(
+            self.len() <= u32::MAX as usize,
+            "node count exceeds u32 index range"
+        );
+        self.writes += 1;
+        transitions.clear();
+        if let Some(group) = group {
+            self.groups.fill(group_code(group));
+        }
+        let Some(params) = params else {
+            return;
+        };
+        self.chunk_dirty.fill(true);
+        // A group broadcast gives every node one filter, so its columns are
+        // fills; a parameter broadcast looks each node's up by group code.
+        let by_group = match group {
+            Some(group) => {
+                let filter = filter_for(group, &params);
+                self.filter_lo.fill(filter.lo());
+                self.filter_hi.fill(filter.hi());
+                self.check_hi.fill(filter.hi_or_max());
+                None
+            }
+            None => {
+                let filters = GROUPS.map(|g| filter_for(g, &params));
+                Some((
+                    filters.map(|f| f.lo()),
+                    filters.map(|f| f.hi()),
+                    filters.map(|f| f.hi_or_max()),
+                ))
+            }
+        };
+        let n = self.len();
+        let mut base = 0;
+        while base < n {
+            let end = (base + CHUNK).min(n);
+            if let Some((lo, hi, check_hi)) = &by_group {
+                let columns = self.groups[base..end]
+                    .iter()
+                    .zip(&mut self.filter_lo[base..end])
+                    .zip(&mut self.filter_hi[base..end])
+                    .zip(&mut self.check_hi[base..end]);
+                for (((&code, lo_i), hi_i), check_i) in columns {
+                    // Codes are below 8: the mask only spares the bounds check.
+                    let g = usize::from(code & 7);
+                    *lo_i = lo[g];
+                    *hi_i = hi[g];
+                    *check_i = check_hi[g];
+                }
+            }
+            self.rederive_codes(base, end, transitions);
             base = end;
         }
     }

@@ -78,6 +78,9 @@ pub struct FaultyTransport<N: Network> {
     /// churn can engage mid-run.
     mirror: NodeStateSoA,
     params: Option<FilterParams>,
+    /// Scratch: the mirror flags a broadcast flipped (unread: the mirror is
+    /// a replay target, not a violation source).
+    flipped: Vec<u32>,
     /// The value each node should currently observe (crashes freeze the
     /// node's real value below this).
     intended: Vec<Value>,
@@ -111,6 +114,7 @@ impl<N: Network> FaultyTransport<N> {
             active,
             mirror: NodeStateSoA::new(n),
             params: None,
+            flipped: Vec::new(),
             intended: Vec::new(),
             down: vec![None; n],
             down_count: 0,
@@ -365,10 +369,7 @@ impl<N: Network> Network for FaultyTransport<N> {
         // Broadcasts are reliable (see the module docs): forward verbatim,
         // mirror the derived filters as the rejoin replay target.
         self.params = Some(params);
-        for i in 0..self.mirror.len() {
-            let f = filter_for(self.mirror.group(i), &params);
-            self.mirror.set_filter(i, f);
-        }
+        self.mirror.broadcast(None, Some(params), &mut self.flipped);
         self.inner.broadcast_params(params);
     }
 
@@ -381,9 +382,8 @@ impl<N: Network> Network for FaultyTransport<N> {
     }
 
     fn broadcast_group(&mut self, group: NodeGroup) {
-        for i in 0..self.mirror.len() {
-            self.mirror_group(i, group);
-        }
+        self.mirror
+            .broadcast(Some(group), self.params, &mut self.flipped);
         self.inner.broadcast_group(group);
     }
 

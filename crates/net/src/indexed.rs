@@ -177,7 +177,7 @@ impl Network for IndexedEngine {
     fn broadcast_params(&mut self, params: FilterParams) {
         self.meter.record(MessageKind::Broadcast);
         self.params = Some(params);
-        self.table.set_params(params);
+        self.table.broadcast(None, Some(params));
     }
 
     fn assign_group(&mut self, node: NodeId, group: NodeGroup) {
@@ -188,7 +188,7 @@ impl Network for IndexedEngine {
 
     fn broadcast_group(&mut self, group: NodeGroup) {
         self.meter.record(MessageKind::Broadcast);
-        self.table.set_group_all(group, self.params);
+        self.table.broadcast(Some(group), self.params);
     }
 
     fn assign_filter(&mut self, node: NodeId, filter: Filter) {

@@ -130,23 +130,32 @@ impl Keystream {
     /// gathers, at the front of the scratch list, the streams the draw left
     /// without a whole `u64`; returns how many. Every id is written and only
     /// a stale one is kept, so the gather has no branch to miss.
+    ///
+    /// The columns are taken apart into slices before the loop, the
+    /// per-stream ones cut to one length, so a draw checks its stream index
+    /// once and reloads no column from `self`.
     fn draw_and_gather(&mut self, ids: &[u32], mut each: impl FnMut(u32, u64)) -> usize {
         if self.stale.len() < ids.len() {
             self.stale.resize(ids.len(), 0);
         }
+        let streams = self.pos.len();
+        let input = &mut self.input[..streams];
+        let buffer = &mut self.buffer[..streams];
+        let pos = &mut self.pos[..];
+        let gathered = &mut self.stale[..];
         let mut stale = 0;
         for &i in ids {
             let s = i as usize;
-            if self.pos[s] >= STALE {
+            if pos[s] >= STALE {
                 // Not drawn from since it was seeded (module docs).
-                self.refill_one(s);
+                refill_row(&mut input[s], &mut buffer[s], &mut pos[s]);
             }
-            let p = usize::from(self.pos[s]);
-            let words = &self.buffer[s][p..p + 2];
+            let p = usize::from(pos[s]);
+            let words = &buffer[s][p..p + 2];
             let draw = u64::from(words[0]) | u64::from(words[1]) << 32;
             let next = p as u8 + 2;
-            self.pos[s] = next;
-            self.stale[stale] = i;
+            pos[s] = next;
+            gathered[stale] = i;
             stale += usize::from(next >= STALE);
             each(i, draw);
         }
@@ -183,15 +192,20 @@ impl Keystream {
         }
     }
 
-    /// Refills stream `i` with the one-lane kernel: the unread last word of
-    /// the old block moves to slot 0, and the new block fills slots 1–16.
+    /// Refills stream `i` with the one-lane kernel (see [`refill_row`]).
     fn refill_one(&mut self, i: usize) {
-        let block = chacha8(&self.input[i]);
-        let row = &mut self.buffer[i];
-        row[0] = row[16];
-        row[1..].copy_from_slice(&block);
-        advance(&mut self.input[i], &mut self.pos[i]);
+        refill_row(&mut self.input[i], &mut self.buffer[i], &mut self.pos[i]);
     }
+}
+
+/// Refills one stream with the one-lane kernel, given its input row, buffer
+/// row and word index: the unread last word of the old block moves to slot
+/// 0, and the new block fills slots 1–16.
+fn refill_row(input: &mut [u32; 12], row: &mut [u32; 17], pos: &mut u8) {
+    let block = chacha8(input);
+    row[0] = row[16];
+    row[1..].copy_from_slice(&block);
+    advance(input, pos);
 }
 
 /// Moves a stream on past the block just written to slots 1–16 of its

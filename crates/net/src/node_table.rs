@@ -60,8 +60,12 @@ pub(crate) struct NodeTable {
     /// Number of full index builds so far (see
     /// [`IndexedEngine::index_rebuilds`](crate::IndexedEngine::index_rebuilds)).
     pub(crate) index_rebuilds: u64,
+    /// Scratch: the local ids whose pending flag a bulk pass flipped.
+    transitions: Vec<u32>,
     /// Local ids satisfying the predicate in `active_for`.
     active: Vec<u32>,
+    /// Scratch: the local ids whose coin came up in the last round.
+    winners: Vec<u32>,
     /// The predicate `active` was collected for and the state's write count
     /// at that moment; `None` until the first round.
     active_for: Option<(ExistencePredicate, u64)>,
@@ -81,7 +85,9 @@ impl NodeTable {
             pending: BTreeSet::new(),
             index: ValueIndex::new(offset, len),
             index_rebuilds: 0,
+            transitions: Vec::new(),
             active: Vec::new(),
+            winners: Vec::new(),
             active_for: None,
         }
     }
@@ -110,10 +116,10 @@ impl NodeTable {
         }
     }
 
-    /// Brings the pending set up to date with the local ids whose flag a
-    /// bulk pass reported as flipped.
-    pub(crate) fn note_transitions(&mut self, transitions: &[u32]) {
-        for &i in transitions {
+    /// Brings the pending set up to date with the local ids whose flag the
+    /// last bulk pass reported in `transitions` as flipped.
+    fn note_transitions(&mut self) {
+        for &i in &self.transitions {
             if self.state.pending(i as usize).is_some() {
                 self.pending.insert(i);
             } else {
@@ -158,19 +164,23 @@ impl NodeTable {
         }
     }
 
-    /// Re-derives every node's filter from new broadcast parameters.
-    pub(crate) fn set_params(&mut self, params: FilterParams) {
-        for i in 0..self.len() as u32 {
-            let f = filter_for(self.state.group(i as usize), &params);
-            self.apply_filter(i, f);
-        }
+    /// A broadcast to every node in one pass over the columns: new
+    /// parameters (`broadcast(None, Some(p))`) re-derive every filter from
+    /// its node's group, and a group (`broadcast(Some(g), last)`) goes to
+    /// every node under the last broadcast parameters. See
+    /// `NodeStateSoA::broadcast`; the pending set follows the flags it
+    /// reports as flipped.
+    pub(crate) fn broadcast(&mut self, group: Option<NodeGroup>, params: Option<FilterParams>) {
+        self.state.broadcast(group, params, &mut self.transitions);
+        self.note_transitions();
     }
 
-    /// Assigns `group` to every node.
-    pub(crate) fn set_group_all(&mut self, group: NodeGroup, params: Option<FilterParams>) {
-        for i in 0..self.len() as u32 {
-            self.assign_group(i, group, params);
-        }
+    /// Re-derives the pending flags after a batch of
+    /// `NodeStateSoA::set_value_deferred` writes, and the pending set with
+    /// them.
+    pub(crate) fn refresh_after_deferred(&mut self) {
+        self.state.refresh_pending_bulk(&mut self.transitions);
+        self.note_transitions();
     }
 
     /// Re-creates local node `i` as the generation-`generation` joiner of its
@@ -214,16 +224,21 @@ impl NodeTable {
             self.collect_active(predicate);
             self.active_for = Some(key);
         }
-        replies.clear();
-        let (offset, state) = (self.offset, &self.state);
+        // The draw pass only gathers the winners' ids, so its per-draw body
+        // stays a compare; the replies are built from them afterwards.
+        let winners = &mut self.winners;
+        winners.clear();
         self.keystream.draw_each(&self.active, |i, draw| {
-            if !coin.accepts(draw) {
-                return;
+            if coin.accepts(draw) {
+                winners.push(i);
             }
+        });
+        replies.clear();
+        replies.extend(winners.iter().map(|&i| {
             let i = i as usize;
-            let node = NodeId(offset + i);
-            let value = state.value(i);
-            replies.push(match (predicate, state.pending(i)) {
+            let node = NodeId(self.offset + i);
+            let value = self.state.value(i);
+            match (predicate, self.state.pending(i)) {
                 (ExistencePredicate::PendingViolation, Some(direction)) => {
                     NodeMessage::ViolationReport {
                         node,
@@ -232,9 +247,9 @@ impl NodeTable {
                     }
                 }
                 _ => NodeMessage::ExistenceResponse { node, value },
-            });
-        });
-        // Threshold/rank actives come in radix-bucket order; replies must
+            }
+        }));
+        // Threshold/rank actives may come in radix-bucket order; replies must
         // come out in id order (the baseline's). Per-node streams are
         // independent, so the draw order itself does not matter.
         if !matches!(predicate, ExistencePredicate::PendingViolation) {
@@ -283,8 +298,6 @@ impl NodeTable {
 /// shard client of the remote engine each hold one.
 pub(crate) struct Shard {
     pub(crate) table: NodeTable,
-    /// Scratch: pending-flag transitions reported by `advance_row`.
-    transitions: Vec<u32>,
     /// Scratch: value-changed ids reported by `advance_row_tracked` when the
     /// warm index is maintained across a dense row.
     changed_ids: Vec<u32>,
@@ -313,7 +326,6 @@ impl Shard {
     pub(crate) fn new(offset: usize, len: usize, master_seed: u64) -> Shard {
         Shard {
             table: NodeTable::new(offset, len, master_seed),
-            transitions: Vec::new(),
             changed_ids: Vec::new(),
             replies: Vec::new(),
             row: Vec::new(),
@@ -343,7 +355,7 @@ impl Shard {
             let changed =
                 table
                     .state
-                    .advance_row_tracked(row, &mut self.transitions, &mut self.changed_ids);
+                    .advance_row_tracked(row, &mut table.transitions, &mut self.changed_ids);
             for &i in &self.changed_ids {
                 table.index.note_update(i, table.state.value(i as usize));
             }
@@ -351,13 +363,13 @@ impl Shard {
         } else {
             let changed = table
                 .state
-                .advance_row(row, &mut self.transitions, self.dense_biased);
+                .advance_row(row, &mut table.transitions, self.dense_biased);
             if changed > 0 {
                 table.index.invalidate();
             }
             changed
         };
-        table.note_transitions(&self.transitions);
+        table.note_transitions();
         // Feed the observed change rate back as the next step's loop hint
         // (workload regimes are temporally correlated).
         self.dense_biased = changed >= (self.len() >> DENSE_BIAS_SHIFT).max(1);
@@ -388,19 +400,12 @@ impl Shard {
                 // be maintained per id here; drop it cold.
                 table.index.invalidate();
             }
-            self.refresh_after_deferred();
+            table.refresh_after_deferred();
         } else {
             for &(i, v) in &self.sparse {
                 table.observe(i, v);
             }
         }
         self.sparse.clear();
-    }
-
-    /// Re-establishes the pending invariant and index after a batch of
-    /// `NodeStateSoA::set_value_deferred` writes.
-    pub(crate) fn refresh_after_deferred(&mut self) {
-        self.table.state.refresh_pending_bulk(&mut self.transitions);
-        self.table.note_transitions(&self.transitions);
     }
 }

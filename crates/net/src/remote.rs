@@ -386,6 +386,9 @@ pub struct RemoteEngine {
     mirror: NodeStateSoA,
     /// Last broadcast parameters (for the mirror's filter re-derivation).
     params: Option<FilterParams>,
+    /// Scratch: the mirror flags a broadcast flipped (the mirror keeps no
+    /// pending set, so they go unread).
+    flipped: Vec<u32>,
     /// One connection per shard, indexed by shard; `bounds[s]..bounds[s+1]`
     /// is the node range of shard `s`. `None` while a shard is disconnected
     /// (between [`RemoteEngine::disconnect_shard`] and
@@ -567,6 +570,7 @@ impl RemoteEngine {
         RemoteEngine {
             mirror: NodeStateSoA::new(n),
             params: None,
+            flipped: Vec::new(),
             conns: slots,
             bounds,
             handles,
@@ -977,10 +981,7 @@ impl Network for RemoteEngine {
         self.meter.record(MessageKind::Broadcast);
         self.broadcast_command(ServerMessage::BroadcastParams(params));
         self.params = Some(params);
-        for i in 0..self.mirror.len() {
-            let f = filter_for(self.mirror.group(i), &params);
-            self.mirror.set_filter(i, f);
-        }
+        self.mirror.broadcast(None, Some(params), &mut self.flipped);
     }
 
     fn assign_group(&mut self, node: NodeId, group: NodeGroup) {
@@ -999,9 +1000,8 @@ impl Network for RemoteEngine {
     fn broadcast_group(&mut self, group: NodeGroup) {
         self.meter.record(MessageKind::Broadcast);
         self.broadcast_command(ServerMessage::BroadcastGroup(group));
-        for i in 0..self.mirror.len() {
-            self.mirror_group(i, group);
-        }
+        self.mirror
+            .broadcast(Some(group), self.params, &mut self.flipped);
     }
 
     fn assign_filter(&mut self, node: NodeId, filter: Filter) {
@@ -1382,9 +1382,11 @@ impl ShardClient {
                 }
                 ServerMessage::BroadcastParams(p) => {
                     self.params = Some(p);
-                    self.shard.table.set_params(p);
+                    self.shard.table.broadcast(None, Some(p));
                 }
-                ServerMessage::BroadcastGroup(g) => self.shard.table.set_group_all(g, self.params),
+                ServerMessage::BroadcastGroup(g) => {
+                    self.shard.table.broadcast(Some(g), self.params)
+                }
                 ServerMessage::EndExistenceRun => {}
                 msg => self.refuse(format_args!("a broadcast {msg:?}")),
             },

@@ -110,10 +110,9 @@ enum ShardOp {
         coin: Coin,
         predicate: ExistencePredicate,
     },
-    /// Re-derive every node's filter from new broadcast parameters.
-    Params(FilterParams),
-    /// Assign a group to every node (re-deriving filters if params exist).
-    GroupAll(NodeGroup, Option<FilterParams>),
+    /// A broadcast to every node: a group if given, then filters from the
+    /// parameters if given (see `NodeTable::broadcast`).
+    Broadcast(Option<NodeGroup>, Option<FilterParams>),
 }
 
 impl ShardOp {
@@ -129,8 +128,7 @@ impl ShardOp {
             ShardOp::Round { coin, predicate } => {
                 shard.table.round_into(coin, predicate, &mut shard.replies);
             }
-            ShardOp::Params(p) => shard.table.set_params(p),
-            ShardOp::GroupAll(g, params) => shard.table.set_group_all(g, params),
+            ShardOp::Broadcast(group, params) => shard.table.broadcast(group, params),
         }
     }
 }
@@ -419,7 +417,7 @@ impl Network for ShardedEngine {
                 let shard = self.shards[s].as_mut().expect("shard at home");
                 if shard.touched {
                     shard.touched = false;
-                    shard.refresh_after_deferred();
+                    shard.table.refresh_after_deferred();
                 }
             }
             self.meter.record_time_step();
@@ -471,7 +469,7 @@ impl Network for ShardedEngine {
         self.meter.record(MessageKind::Broadcast);
         self.params = Some(params);
         self.involve_all();
-        self.run_involved(ShardOp::Params(params));
+        self.run_involved(ShardOp::Broadcast(None, Some(params)));
     }
 
     fn assign_group(&mut self, node: NodeId, group: NodeGroup) {
@@ -487,7 +485,7 @@ impl Network for ShardedEngine {
         self.meter.record(MessageKind::Broadcast);
         let params = self.params;
         self.involve_all();
-        self.run_involved(ShardOp::GroupAll(group, params));
+        self.run_involved(ShardOp::Broadcast(Some(group), params));
     }
 
     fn assign_filter(&mut self, node: NodeId, filter: Filter) {

@@ -37,6 +37,7 @@
 //! an `O(1)` flag — and the next query rebuilds, reusing every bucket's
 //! capacity.
 
+use std::cmp::Ordering;
 use topk_model::types::{value_order, NodeId, Value};
 
 /// Number of radix buckets: key 0 for value 0, then 256 mantissa slices for
@@ -206,8 +207,29 @@ impl ValueIndex {
     /// key order, via the occupancy bitmap.
     #[inline]
     fn for_each_occupied_in(&self, lo: usize, hi: usize, mut f: impl FnMut(usize)) {
+        self.try_for_each_occupied_in(lo, hi, |k| {
+            f(k);
+            true
+        });
+    }
+
+    /// [`ValueIndex::for_each_occupied_in`] that stops at the first key for
+    /// which `f` returns `false`; returns whether it visited them all. The
+    /// walk ends at the last key the table holds, since no bucket past it
+    /// is occupied.
+    #[inline]
+    fn try_for_each_occupied_in(
+        &self,
+        lo: usize,
+        hi: usize,
+        mut f: impl FnMut(usize) -> bool,
+    ) -> bool {
+        let Some(last) = self.buckets.len().checked_sub(1) else {
+            return true;
+        };
+        let hi = hi.min(last);
         if lo > hi {
-            return;
+            return true;
         }
         let (w_lo, w_hi) = (lo / 64, hi / 64);
         for w in w_lo..=w_hi {
@@ -220,10 +242,13 @@ impl ValueIndex {
             }
             while word != 0 {
                 let b = word.trailing_zeros() as usize;
-                f(w * 64 + b);
+                if !f(w * 64 + b) {
+                    return false;
+                }
                 word &= word - 1;
             }
         }
+        true
     }
 
     /// Appends the local ids of all values `> t` to `out`.
@@ -287,6 +312,12 @@ impl ValueIndex {
     /// nothing. Interior buckets are appended wholesale; the (at most two)
     /// boundary buckets are filtered with the exact `value_order` predicate,
     /// which also resolves equal-value id tie-breaks.
+    ///
+    /// A window open on one side or both usually holds nearly everyone:
+    /// Lemma 2.6's search opens each top-`m` step with `(None, upper)`,
+    /// whose complement is the few nodes found so far. Such a window is
+    /// collected through its complement instead (see
+    /// [`ValueIndex::collect_by_complement`]), in ascending id order.
     pub fn collect_rank_window(
         &self,
         above: Option<(Value, NodeId)>,
@@ -295,17 +326,17 @@ impl ValueIndex {
         out: &mut Vec<u32>,
     ) {
         debug_assert!(self.warm, "query on a cold index");
+        if (above.is_none() || below.is_none())
+            && self.collect_by_complement(above, below, values, out)
+        {
+            return;
+        }
         let k_lo = above.map_or(0, |(v, _)| bucket_of(v));
         let k_hi = below.map_or(BUCKETS - 1, |(v, _)| bucket_of(v));
         self.for_each_occupied_in(k_lo, k_hi, |k| {
             if k == k_lo || k == k_hi {
                 for &id in &self.buckets[k] {
-                    let key = (values[id as usize], NodeId(self.offset + id as usize));
-                    let ok_above =
-                        above.map_or(true, |b| value_order(key, b) == std::cmp::Ordering::Greater);
-                    let ok_below =
-                        below.map_or(true, |b| value_order(key, b) == std::cmp::Ordering::Less);
-                    if ok_above && ok_below {
+                    if self.in_window(id, above, below, values) {
                         out.push(id);
                     }
                 }
@@ -314,7 +345,89 @@ impl ValueIndex {
             }
         });
     }
+
+    /// Whether local id `id` ranks strictly between `above` and `below`.
+    #[inline]
+    fn in_window(
+        &self,
+        id: u32,
+        above: Option<(Value, NodeId)>,
+        below: Option<(Value, NodeId)>,
+        values: &[Value],
+    ) -> bool {
+        let key = (values[id as usize], NodeId(self.offset + id as usize));
+        above.map_or(true, |b| value_order(key, b) == Ordering::Greater)
+            && below.map_or(true, |b| value_order(key, b) == Ordering::Less)
+    }
+
+    /// Collects a window bounded on one side at most by its complement: the
+    /// ids at or beyond its one bound. It walks the buckets on that side of
+    /// the bound, filtering the boundary bucket exactly, and gives up as
+    /// soon as more than [`COMPLEMENT_CAP`] ids lie outside, having written
+    /// nothing; a window narrower than that pays at most a few bucket
+    /// visits. Otherwise it appends every local id except those, in
+    /// ascending order, and returns `true`. An unbounded window has an empty
+    /// complement and takes the whole id range.
+    fn collect_by_complement(
+        &self,
+        above: Option<(Value, NodeId)>,
+        below: Option<(Value, NodeId)>,
+        values: &[Value],
+        out: &mut Vec<u32>,
+    ) -> bool {
+        let mut outside = [0u32; COMPLEMENT_CAP];
+        let mut count = 0;
+        let keys = match (above, below) {
+            (Some(_), Some(_)) => return false,
+            (None, None) => None,
+            (Some((v, _)), None) => Some((0, bucket_of(v))),
+            (None, Some((v, _))) => Some((bucket_of(v), BUCKETS - 1)),
+        };
+        if let Some((lo, hi)) = keys {
+            let boundary = if above.is_some() { hi } else { lo };
+            let fits = self.try_for_each_occupied_in(lo, hi, |k| {
+                let bucket = &self.buckets[k];
+                if k != boundary {
+                    let Some(slots) = outside.get_mut(count..count + bucket.len()) else {
+                        return false;
+                    };
+                    slots.copy_from_slice(bucket);
+                    count += bucket.len();
+                    return true;
+                }
+                for &id in bucket {
+                    if !self.in_window(id, above, below, values) {
+                        let Some(slot) = outside.get_mut(count) else {
+                            return false;
+                        };
+                        *slot = id;
+                        count += 1;
+                    }
+                }
+                true
+            });
+            if !fits {
+                return false;
+            }
+        }
+        let outside = &mut outside[..count];
+        outside.sort_unstable();
+        let mut next = 0;
+        for &id in outside.iter() {
+            out.extend(next..id);
+            next = id + 1;
+        }
+        out.extend(next..self.key_of.len() as u32);
+        true
+    }
 }
+
+/// The most ids a one-sided rank window may leave outside and still be
+/// collected by its complement ([`ValueIndex::collect_rank_window`]). Lemma
+/// 2.6's `(None, upper)` window leaves out the `m ≤ k + 1` nodes found so
+/// far, so this covers every `k` below 32; a larger complement falls back to
+/// the bucket walk, which gives the same ids.
+const COMPLEMENT_CAP: usize = 32;
 
 #[cfg(test)]
 mod tests {
