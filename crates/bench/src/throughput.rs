@@ -295,16 +295,17 @@ fn max_n(engine: EngineKind, quick: bool) -> usize {
     }
 }
 
-/// The least timed work of a quick remote row and of a quick scaling-curve
-/// point. A quick remote row's 30 steps can take under 5 ms on a silent
-/// workload, and a quick curve point's 50 steps 7–18 ms: too short a window
-/// for a rate that two runs agree on.
+/// The least timed work of every quick row and quick scaling-curve point.
+/// A quick remote row's 30 steps can take under 5 ms on a silent workload,
+/// a quick curve point's 50 steps 7–18 ms, and the in-process rows the
+/// quick `sharded >= 1.2x indexed` bar reads their 50 steps in well under
+/// that: too short a window for a rate that two runs agree on.
 const QUICK_WINDOW: Duration = Duration::from_millis(250);
 
-/// The least timed work per row: quick remote rows run on until
-/// [`QUICK_WINDOW`] of timed work; every other row runs exactly its steps.
-fn min_window(engine: EngineKind, quick: bool) -> Duration {
-    if quick && engine == EngineKind::Remote {
+/// The least timed work per row and curve point: a quick one runs on until
+/// [`QUICK_WINDOW`] of timed work; a full one runs exactly its steps.
+fn min_window(quick: bool) -> Duration {
+    if quick {
         QUICK_WINDOW
     } else {
         Duration::ZERO
@@ -555,9 +556,7 @@ fn scaling_worker_counts(quick: bool) -> &'static [usize] {
 fn measure_scaling(quick: bool, log: impl Fn(&str)) -> Vec<ScalingRow> {
     let n: usize = if quick { 100_000 } else { 1_000_000 };
     let steps = min_steps(EngineKind::Sharded, n, quick);
-    // Quick points run on until `QUICK_WINDOW`; full points run exactly
-    // their steps.
-    let window = if quick { QUICK_WINDOW } else { Duration::ZERO };
+    let window = min_window(quick);
     let mut rows: Vec<ScalingRow> = Vec::new();
     let mut one_sps = 0.0_f64;
     for &workers in scaling_worker_counts(quick) {
@@ -616,7 +615,7 @@ pub fn run_throughput(quick: bool, log: impl Fn(&str)) -> ThroughputReport {
                     continue;
                 }
                 let steps = min_steps(engine, n, quick);
-                let window = min_window(engine, quick);
+                let window = min_window(quick);
                 for mode in [DeliveryMode::Dense, DeliveryMode::Sparse] {
                     let row = measure(generator, n, engine, WORKERS, mode, steps, window, SEED);
                     log(&format!(

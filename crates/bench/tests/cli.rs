@@ -140,7 +140,10 @@ fn assert_unwritable_out_fails_up_front(mode: &str) {
         stderr.starts_with(&format!("cannot write {shown}: ")),
         "{mode} --out {shown}: {stderr}"
     );
-    assert!(!stderr.contains("panicked"), "{mode} --out {shown}: {stderr}");
+    assert!(
+        !stderr.contains("panicked"),
+        "{mode} --out {shown}: {stderr}"
+    );
     assert!(!dir.exists(), "{mode} created {}", dir.display());
 }
 

@@ -26,7 +26,7 @@ use crate::types::{NodeId, Value};
 /// * `values` — the value each node observed most recently,
 /// * `filter_lo` / `filter_hi` — the filter interval (the upper bound is
 ///   `None` for `∞`, mirroring [`Filter`]'s structural infinity),
-/// * `groups` — the group the server last assigned (as a [`group_code`]),
+/// * `groups` — the group the server last assigned (as a flat code),
 /// * `pending` — the violation the node is waiting to report, if any.
 ///
 /// Invariant: `pending[i]` always equals `filter(i).check(value(i))`; every
@@ -841,7 +841,7 @@ mod tests {
         let mut s = NodeStateSoA::new(3);
         let mut scratch = (Vec::new(), Vec::new());
         type Mutator = fn(&mut NodeStateSoA, &mut (Vec<u32>, Vec<u32>));
-        let mutators: [(&str, Mutator); 9] = [
+        let mutators: [(&str, Mutator); 10] = [
             ("set_value", |s, _| {
                 s.set_value(0, 5);
             }),
@@ -862,6 +862,9 @@ mod tests {
             }),
             ("advance_row_tracked", |s, (t, c)| {
                 s.advance_row_tracked(&[4, 5, 6], t, c);
+            }),
+            ("broadcast", |s, (t, _)| {
+                s.broadcast(Some(NodeGroup::V1), None, t);
             }),
         ];
         for (name, mutate) in mutators {
@@ -887,6 +890,79 @@ mod tests {
             before,
             "reads and the zone-map knob are not writes"
         );
+    }
+
+    #[test]
+    fn group_codes_round_trip() {
+        for (code, &group) in GROUPS.iter().enumerate() {
+            assert_eq!(usize::from(group_code(group)), code, "{group:?}");
+        }
+        let mut s = NodeStateSoA::new(1);
+        for group in GROUPS {
+            s.set_group(0, group);
+            assert_eq!(s.group(0), group);
+        }
+    }
+
+    #[test]
+    fn broadcast_matches_per_node_writes() {
+        // Two full chunks plus a ragged tail, every group, every parameter
+        // family, both broadcast kinds: the state and the reported flag
+        // changes equal per-node `set_group`/`set_filter`.
+        let n = CHUNK * 2 + 9;
+        let mut seed = 0xb0ad_ca57u64;
+        let mut bulk = NodeStateSoA::new(n);
+        let mut scalar = NodeStateSoA::new(n);
+        for i in 0..n {
+            let v = lcg(&mut seed) % 100;
+            let g = GROUPS[(lcg(&mut seed) % 8) as usize];
+            for s in [&mut bulk, &mut scalar] {
+                s.set_value(i, v);
+                s.set_group(i, g);
+            }
+        }
+        let params = [
+            FilterParams::Separator { lo: 40, hi: 60 },
+            FilterParams::Dense {
+                l_r: 30,
+                u_r: 50,
+                z_lo: 20,
+                z_hi: 70,
+            },
+            FilterParams::SubDense {
+                l_r: 30,
+                l_rp: 45,
+                u_rp: 40,
+                z_lo: 20,
+                z_hi: 70,
+            },
+        ];
+        let mut last = None;
+        let mut transitions = Vec::new();
+        for round in 0..12 {
+            let p = params[round % 3];
+            let group = (round % 2 == 1).then(|| GROUPS[round % 8]);
+            let applied = if group.is_some() { last } else { Some(p) };
+            let mut expected = Vec::new();
+            for i in 0..n {
+                let before = scalar.pending(i);
+                if let Some(g) = group {
+                    scalar.set_group(i, g);
+                }
+                if let Some(p) = applied {
+                    scalar.set_filter(i, filter_for(scalar.group(i), &p));
+                }
+                if scalar.pending(i) != before {
+                    expected.push(i as u32);
+                }
+            }
+            bulk.broadcast(group, applied, &mut transitions);
+            assert_eq!(bulk, scalar, "round {round}");
+            assert_eq!(transitions, expected, "round {round}");
+            if group.is_none() {
+                last = Some(p);
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! * an observation moves one id between two buckets — `O(1)` per update
 //!   (one `swap_remove`, one push, two bitmap bits), no sorting ever;
 //! * a threshold query walks an occupancy bitmap and concatenates whole
-//!   buckets, touching only the two *boundary* buckets element-wise.
+//!   buckets, touching only the two *boundary* buckets element-wise;
+//! * a rank window open on one side that leaves few ids outside (Lemma
+//!   2.6's search below the nodes found so far) walks only the buckets of
+//!   that complement and appends the rest of the id range, in id order.
 //!
 //! ## Why bucket order is enough
 //!
@@ -313,11 +316,13 @@ impl ValueIndex {
     /// boundary buckets are filtered with the exact `value_order` predicate,
     /// which also resolves equal-value id tie-breaks.
     ///
-    /// A window open on one side or both usually holds nearly everyone:
+    /// A window open on at least one side often holds nearly everyone:
     /// Lemma 2.6's search opens each top-`m` step with `(None, upper)`,
-    /// whose complement is the few nodes found so far. Such a window is
-    /// collected through its complement instead (see
-    /// [`ValueIndex::collect_by_complement`]), in ascending id order.
+    /// whose complement is the few nodes found so far. When at most 32 ids
+    /// lie outside such a window, they are found by walking the buckets
+    /// beyond its bound, and the rest of the id range is appended in
+    /// ascending order. The ids are the same either way; only their order
+    /// differs, and the engines use them as a set.
     pub fn collect_rank_window(
         &self,
         above: Option<(Value, NodeId)>,
@@ -574,6 +579,71 @@ mod tests {
                 sorted_ids(want),
                 "window {above:?}..{below:?}"
             );
+        }
+    }
+
+    #[test]
+    fn open_windows_match_the_sorted_reference() {
+        // Bottom-open, top-open and unbounded windows, with heavy ties and a
+        // global offset. A window that leaves at most `COMPLEMENT_CAP` ids
+        // outside is collected through its complement, in ascending id
+        // order; every other comes from the bucket walk. Both must select
+        // exactly the reference's ids, once each.
+        for offset in [0usize, 1000] {
+            let mut seed = 0xbe11 ^ offset as u64;
+            let n = 300;
+            let values: Vec<Value> = (0..n)
+                .map(|i| match i % 3 {
+                    0 => lcg(&mut seed) % 12,
+                    _ => random_value(&mut seed),
+                })
+                .collect();
+            let mut idx = ValueIndex::new(offset, n);
+            idx.ensure_warm(&values);
+            let reference = sorted_reference(offset, &values);
+            let key = |r: usize| {
+                let (v, i) = reference[r];
+                (v, NodeId(offset + i as usize))
+            };
+            // Ranks near both ends (small complements), in the middle, and
+            // ties: the reference puts equal values in id order.
+            let ranks = [
+                0,
+                1,
+                5,
+                30,
+                31,
+                32,
+                33,
+                40,
+                150,
+                n - 34,
+                n - 33,
+                n - 2,
+                n - 1,
+            ];
+            let mut out = Vec::new();
+            for r in ranks {
+                for (above, below) in [(None, Some(key(r))), (Some(key(r)), None), (None, None)] {
+                    out.clear();
+                    idx.collect_rank_window(above, below, &values, &mut out);
+                    let inside = |&&(v, i): &&(Value, u32)| {
+                        let me = (v, NodeId(offset + i as usize));
+                        above.map_or(true, |b| value_order(me, b) == Ordering::Greater)
+                            && below.map_or(true, |b| value_order(me, b) == Ordering::Less)
+                    };
+                    let want: Vec<u32> = reference.iter().filter(inside).map(|&(_, i)| i).collect();
+                    let what = format!("offset {offset}, window {above:?}..{below:?}");
+                    assert_eq!(out.len(), want.len(), "{what}: an id twice or missing");
+                    assert_eq!(sorted_ids(out.clone()), sorted_ids(want.clone()), "{what}");
+                    if n - want.len() <= COMPLEMENT_CAP {
+                        assert!(
+                            out.windows(2).all(|w| w[0] < w[1]),
+                            "{what}: a complement collection comes out in id order"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -23,9 +23,12 @@
 //! active sets (collect once, reuse while the predicate and the node state
 //! stand still) get their own battery of back-to-back rounds, and so do the
 //! keystream table's eight-stream refills, at populations of 9, 37 and 300
-//! where rounds that every node joins fill whole batches. 256 randomized
+//! where rounds that every node joins fill whole batches, and so do the
+//! one-pass broadcasts and the complement collections of open rank windows,
+//! at 200 nodes, where node state spans several 64-node chunks. 256 randomized
 //! schedules are checked per in-process battery (32 for the keystream
-//! battery's longer schedules, 64 for the loopback battery, which pays real
+//! battery's longer schedules, 24 for the broadcast battery's larger
+//! population, 64 for the loopback battery, which pays real
 //! socket round-trips per operation), plus full monitor runs on random
 //! traces.
 //!
@@ -603,6 +606,109 @@ proptest! {
         prop_assert_eq!(&r_base, &r_rem, "remote run reports diverge");
         prop_assert_eq!(m_base.output(), m_rem.output());
         prop_assert_eq!(base.peek_filters(), remote.peek_filters());
+    }
+}
+
+/// Population of the broadcast battery: three full 64-node chunks of node
+/// state plus a ragged tail, so one-pass broadcasts cross chunk boundaries.
+const BROADCAST_POPULATION: usize = 200;
+
+/// Applies one broadcast-battery operation and returns its replies: rows,
+/// group unicasts, both broadcast kinds under all three parameter families,
+/// and existence runs whose rank windows are open at the bottom, at the top
+/// or on both sides, so that whole-population collections take their
+/// complement path.
+fn apply_broadcast_op(net: &mut dyn Network, (kind, x, y): BatchOp) -> Vec<NodeMessage> {
+    let n = BROADCAST_POPULATION;
+    let node = NodeId((x % n as u64) as usize);
+    match kind % 5 {
+        0 => {
+            let row: Vec<Value> = (0..n as u64).map(|i| (x + i * y) % 997).collect();
+            net.advance_time(&row);
+        }
+        1 => net.assign_group(node, group_from(y)),
+        2 => net.broadcast_group(group_from(x)),
+        3 => net.broadcast_params(params_from(x, y)),
+        _ => {
+            let bound = Some((y % 997, node));
+            let predicate = match y % 4 {
+                0 => ExistencePredicate::PendingViolation,
+                1 => ExistencePredicate::RankWindow {
+                    above: None,
+                    below: bound,
+                },
+                2 => ExistencePredicate::RankWindow {
+                    above: bound,
+                    below: None,
+                },
+                _ => ExistencePredicate::RankWindow {
+                    above: None,
+                    below: None,
+                },
+            };
+            return existence(net, predicate).responses;
+        }
+    }
+    Vec::new()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Broadcasts across chunk boundaries. The table engines apply a
+    /// broadcast to every node in one pass over the node-state columns, 64
+    /// nodes a chunk, and the remote engine's server mirror takes the same
+    /// pass. At 200 nodes, after random rows, group unicasts, group and
+    /// parameter broadcasts, the replies of every existence run and the
+    /// `CommStats` must equal the baseline's after every operation, and the
+    /// filters, values and groups at the end: on the indexed engine, on 1
+    /// and 3 shards, and on the remote engine at 1 and 3 connections.
+    #[test]
+    fn broadcasts_across_chunks_match_baseline(
+        ops in proptest::collection::vec((0u8..5, 0u64..2000, 0u64..2000), 8..40),
+        seed in 0u64..10_000,
+    ) {
+        let n = BROADCAST_POPULATION;
+        let mut base = DeterministicEngine::new(n, seed);
+        let mut engines: Vec<(String, Box<dyn Network>)> =
+            vec![("indexed".to_string(), Box::new(IndexedEngine::new(n, seed)))];
+        for workers in [1, 3] {
+            engines.push((
+                format!("{workers} shards"),
+                Box::new(ShardedEngine::with_dispatch(n, seed, workers, Dispatch::Inline)),
+            ));
+            engines.push((
+                format!("remote, {workers} connections"),
+                Box::new(RemoteEngine::with_shards(n, seed, workers)),
+            ));
+        }
+        for (step, &op) in ops.iter().enumerate() {
+            let expected = apply_broadcast_op(&mut base, op);
+            for (name, net) in &mut engines {
+                prop_assert_eq!(
+                    &expected,
+                    &apply_broadcast_op(net.as_mut(), op),
+                    "{}: replies diverge at op {} {:?}",
+                    name,
+                    step,
+                    op
+                );
+                prop_assert_eq!(base.stats(), net.stats(), "{}: stats at op {}", name, step);
+            }
+        }
+        for (name, net) in &mut engines {
+            prop_assert_eq!(base.peek_filters(), net.peek_filters(), "{}: filters", name);
+            prop_assert_eq!(base.peek_values(), net.peek_values(), "{}: values", name);
+            for i in 0..n {
+                prop_assert_eq!(
+                    base.peek_group(NodeId(i)),
+                    net.peek_group(NodeId(i)),
+                    "{}: group of node {}",
+                    name,
+                    i
+                );
+            }
+        }
     }
 }
 
