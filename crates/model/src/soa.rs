@@ -11,9 +11,10 @@
 //! The type lives in `topk-model` because it is pure data layout — the single
 //! source of truth for "what state a node carries" that engines in `topk-net`
 //! build indexes on top of. It has no randomness and no protocol logic; the
-//! violation semantics are delegated to [`Filter::check_parts`] — the same
-//! single definition behind [`Filter::check`], so the flags are identical to
-//! what a `SimNode` computes by construction.
+//! violation semantics are those of [`Filter::check_parts`] — the same
+//! single definition behind [`Filter::check`] — computed by one branch-free
+//! expression that a unit test pins to it, so the flags are identical to what
+//! a `SimNode` computes.
 
 use crate::filter::{Filter, Violation};
 use crate::rule::{filter_for, FilterParams, NodeGroup};
@@ -24,8 +25,9 @@ use crate::types::{NodeId, Value};
 /// Columns, all of length `n`:
 ///
 /// * `values` — the value each node observed most recently,
-/// * `filter_lo` / `filter_hi` — the filter interval (the upper bound is
-///   `None` for `∞`, mirroring [`Filter`]'s structural infinity),
+/// * `filter_lo` / `check_hi` / `unbounded` — the filter interval: its lower
+///   bound, its upper bound with `∞` collapsed to [`Value::MAX`], and whether
+///   that bound is `∞` (mirroring [`Filter`]'s structural infinity),
 /// * `groups` — the group the server last assigned (as a flat code),
 /// * `pending` — the violation the node is waiting to report, if any.
 ///
@@ -41,23 +43,23 @@ use crate::types::{NodeId, Value};
 pub struct NodeStateSoA {
     values: Vec<Value>,
     filter_lo: Vec<Value>,
-    filter_hi: Vec<Option<Value>>,
-    /// Derived column: `filter_hi` with `∞` collapsed to [`Value::MAX`].
+    /// The filter's upper bound with `∞` collapsed to [`Value::MAX`].
     ///
     /// `Filter::check_parts(lo, Some(Value::MAX), v)` and
     /// `Filter::check_parts(lo, None, v)` are indistinguishable (no value
-    /// exceeds `Value::MAX`), so the violation check can run on this flat
-    /// `u64` column — one branchless compare per node instead of `Option`
-    /// unpacking — without ever diverging from the `Filter` semantics. The
-    /// exact bound (including the `bounded(x, Value::MAX)` vs `at_least(x)`
-    /// distinction) stays in `filter_hi`; this column is only read by
-    /// [`NodeStateSoA::advance_row`].
+    /// exceeds `Value::MAX`), so the violation check runs on this flat `u64`
+    /// column — one branchless compare per node instead of `Option`
+    /// unpacking — without ever diverging from the `Filter` semantics.
     check_hi: Vec<Value>,
+    /// Whether the upper bound is `∞`: the one bit of the exact filter
+    /// (`at_least(x)` against `bounded(x, Value::MAX)`) that `check_hi`
+    /// leaves out. Only [`NodeStateSoA::filter`] reads it.
+    unbounded: Vec<bool>,
     /// Groups as flat codes (see [`group_code`]), so a broadcast derives
     /// its filters from a table of the eight groups instead of matching on
     /// a `NodeGroup` per node. The public API speaks `NodeGroup` throughout.
     groups: Vec<u8>,
-    /// Pending violations as flat codes (see [`encode`]/[`decode`]): `u8`
+    /// Pending violations as flat codes (see [`decode`]): `u8`
     /// arithmetic lets the bulk passes accumulate "any flag changed in this
     /// chunk?" with a branch-free XOR instead of matching on an `Option` per
     /// node. The public API speaks `Option<Violation>` throughout.
@@ -110,7 +112,8 @@ impl PartialEq for NodeStateSoA {
     fn eq(&self, other: &Self) -> bool {
         self.values == other.values
             && self.filter_lo == other.filter_lo
-            && self.filter_hi == other.filter_hi
+            && self.check_hi == other.check_hi
+            && self.unbounded == other.unbounded
             && self.groups == other.groups
             && self.pending == other.pending
     }
@@ -118,17 +121,8 @@ impl PartialEq for NodeStateSoA {
 
 impl Eq for NodeStateSoA {}
 
-/// Flat encoding of `Option<Violation>` for the pending column.
-#[inline]
-fn encode(flag: Option<Violation>) -> u8 {
-    match flag {
-        None => 0,
-        Some(Violation::FromBelow) => 1,
-        Some(Violation::FromAbove) => 2,
-    }
-}
-
-/// Inverse of [`encode`].
+/// The violation a pending code stands for: 0 none, 1 from below, 2 from
+/// above (the codes [`code_of`] computes).
 #[inline]
 fn decode(code: u8) -> Option<Violation> {
     match code {
@@ -139,8 +133,8 @@ fn decode(code: u8) -> Option<Violation> {
 }
 
 /// The violation code of value `v` under `[lo, hi]` (`hi` with `∞` already
-/// collapsed to `Value::MAX`): branch-free, and equal to
-/// `encode(Filter::check_parts(lo, …, v))` — a unit test pins the agreement.
+/// collapsed to `Value::MAX`): branch-free, and [`decode`]s to
+/// `Filter::check_parts(lo, …, v)` — a unit test pins the agreement.
 #[inline]
 fn code_of(lo: Value, hi: Value, v: Value) -> u8 {
     ((v > hi) as u8) | (((v < lo) as u8) << 1)
@@ -235,8 +229,8 @@ impl NodeStateSoA {
         NodeStateSoA {
             values: vec![0; n],
             filter_lo: vec![Filter::FULL.lo(); n],
-            filter_hi: vec![Filter::FULL.hi(); n],
-            check_hi: vec![Value::MAX; n],
+            check_hi: vec![Filter::FULL.hi_or_max(); n],
+            unbounded: vec![Filter::FULL.hi().is_none(); n],
             groups: vec![group_code(NodeGroup::Lower); n],
             pending: vec![0; n],
             chunk_lo_max: vec![0; chunks],
@@ -324,13 +318,14 @@ impl NodeStateSoA {
         self.values[i]
     }
 
-    /// The filter of node `i`, reassembled from the `lo`/`hi` columns.
+    /// The filter of node `i`, reassembled from its columns.
     #[inline]
     pub fn filter(&self, i: usize) -> Filter {
-        match self.filter_hi[i] {
-            Some(hi) => Filter::bounded(self.filter_lo[i], hi)
-                .expect("stored filters are valid by construction"),
-            None => Filter::at_least(self.filter_lo[i]),
+        if self.unbounded[i] {
+            Filter::at_least(self.filter_lo[i])
+        } else {
+            Filter::bounded(self.filter_lo[i], self.check_hi[i])
+                .expect("stored filters are valid by construction")
         }
     }
 
@@ -368,8 +363,8 @@ impl NodeStateSoA {
     #[inline]
     fn write_filter(&mut self, i: usize, filter: Filter) {
         self.filter_lo[i] = filter.lo();
-        self.filter_hi[i] = filter.hi();
         self.check_hi[i] = filter.hi_or_max();
+        self.unbounded[i] = filter.hi().is_none();
         self.chunk_dirty[i / CHUNK] = true;
     }
 
@@ -393,9 +388,9 @@ impl NodeStateSoA {
     /// mutators that already counted themselves.
     #[inline]
     fn refresh_code(&mut self, i: usize) -> Option<Violation> {
-        let flag = Filter::check_parts(self.filter_lo[i], self.filter_hi[i], self.values[i]);
-        self.store_code(i, encode(flag));
-        flag
+        let code = code_of(self.filter_lo[i], self.check_hi[i], self.values[i]);
+        self.store_code(i, code);
+        decode(code)
     }
 
     /// Resets slot `i` to the fresh-node state of [`NodeStateSoA::new`]:
@@ -708,16 +703,16 @@ impl NodeStateSoA {
             Some(group) => {
                 let filter = filter_for(group, &params);
                 self.filter_lo.fill(filter.lo());
-                self.filter_hi.fill(filter.hi());
                 self.check_hi.fill(filter.hi_or_max());
+                self.unbounded.fill(filter.hi().is_none());
                 None
             }
             None => {
                 let filters = GROUPS.map(|g| filter_for(g, &params));
                 Some((
                     filters.map(|f| f.lo()),
-                    filters.map(|f| f.hi()),
                     filters.map(|f| f.hi_or_max()),
+                    filters.map(|f| f.hi().is_none()),
                 ))
             }
         };
@@ -725,18 +720,18 @@ impl NodeStateSoA {
         let mut base = 0;
         while base < n {
             let end = (base + CHUNK).min(n);
-            if let Some((lo, hi, check_hi)) = &by_group {
+            if let Some((lo, check_hi, unbounded)) = &by_group {
                 let columns = self.groups[base..end]
                     .iter()
                     .zip(&mut self.filter_lo[base..end])
-                    .zip(&mut self.filter_hi[base..end])
-                    .zip(&mut self.check_hi[base..end]);
-                for (((&code, lo_i), hi_i), check_i) in columns {
+                    .zip(&mut self.check_hi[base..end])
+                    .zip(&mut self.unbounded[base..end]);
+                for (((&code, lo_i), check_i), unbounded_i) in columns {
                     // Codes are below 8: the mask only spares the bounds check.
                     let g = usize::from(code & 7);
                     *lo_i = lo[g];
-                    *hi_i = hi[g];
                     *check_i = check_hi[g];
+                    *unbounded_i = unbounded[g];
                 }
             }
             self.rederive_codes(base, end, transitions);
@@ -1032,7 +1027,6 @@ mod tests {
                         via_filter,
                         "lo={lo} hi={hi} v={v}"
                     );
-                    assert_eq!(encode(via_filter), code_of(lo, hi, v));
                 }
                 // hi = MAX must behave like the unbounded filter.
                 assert_eq!(
