@@ -699,7 +699,7 @@ impl NodeStateSoA {
         self.chunk_dirty.fill(true);
         // A group broadcast gives every node one filter, so its columns are
         // fills; a parameter broadcast looks each node's up by group code.
-        let by_group = match group {
+        let table = match group {
             Some(group) => {
                 let filter = filter_for(group, &params);
                 self.filter_lo.fill(filter.lo());
@@ -720,7 +720,7 @@ impl NodeStateSoA {
         let mut base = 0;
         while base < n {
             let end = (base + CHUNK).min(n);
-            if let Some((lo, check_hi, unbounded)) = &by_group {
+            if let Some((lo, check_hi, unbounded)) = &table {
                 let columns = self.groups[base..end]
                     .iter()
                     .zip(&mut self.filter_lo[base..end])
