@@ -68,6 +68,13 @@ impl Filter {
         Ok(Filter { lo, hi: Some(hi) })
     }
 
+    /// The filter with the given bounds, unchecked: for callers in this
+    /// crate that reassemble a filter from the parts of one they stored.
+    #[inline]
+    pub(crate) fn from_parts(lo: Value, hi: Option<Value>) -> Filter {
+        Filter { lo, hi }
+    }
+
     /// Creates the upper-unbounded filter `[lo, ∞)`.
     pub fn at_least(lo: Value) -> Filter {
         Filter { lo, hi: None }

@@ -318,15 +318,13 @@ impl NodeStateSoA {
         self.values[i]
     }
 
-    /// The filter of node `i`, reassembled from its columns.
+    /// The filter of node `i`, reassembled from its columns without a
+    /// branch on the flag: peeks read every node's filter, and a mix of
+    /// bounded and unbounded filters would mispredict it.
     #[inline]
     pub fn filter(&self, i: usize) -> Filter {
-        if self.unbounded[i] {
-            Filter::at_least(self.filter_lo[i])
-        } else {
-            Filter::bounded(self.filter_lo[i], self.check_hi[i])
-                .expect("stored filters are valid by construction")
-        }
+        let hi = (!self.unbounded[i]).then_some(self.check_hi[i]);
+        Filter::from_parts(self.filter_lo[i], hi)
     }
 
     /// The group of node `i`.

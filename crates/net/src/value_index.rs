@@ -331,9 +331,7 @@ impl ValueIndex {
         out: &mut Vec<u32>,
     ) {
         debug_assert!(self.warm, "query on a cold index");
-        if (above.is_none() || below.is_none())
-            && self.collect_by_complement(above, below, values, out)
-        {
+        if self.collect_by_complement(above, below, values, out) {
             return;
         }
         let k_lo = above.map_or(0, |(v, _)| bucket_of(v));
@@ -372,7 +370,8 @@ impl ValueIndex {
     /// nothing; a window narrower than that pays at most a few bucket
     /// visits. Otherwise it appends every local id except those, in
     /// ascending order, and returns `true`. An unbounded window has an empty
-    /// complement and takes the whole id range.
+    /// complement and takes the whole id range; a window bounded on both
+    /// sides returns `false` at once.
     fn collect_by_complement(
         &self,
         above: Option<(Value, NodeId)>,
@@ -380,14 +379,14 @@ impl ValueIndex {
         values: &[Value],
         out: &mut Vec<u32>,
     ) -> bool {
-        let mut outside = [0u32; COMPLEMENT_CAP];
-        let mut count = 0;
         let keys = match (above, below) {
             (Some(_), Some(_)) => return false,
             (None, None) => None,
             (Some((v, _)), None) => Some((0, bucket_of(v))),
             (None, Some((v, _))) => Some((bucket_of(v), BUCKETS - 1)),
         };
+        let mut outside = [0u32; COMPLEMENT_CAP];
+        let mut count = 0;
         if let Some((lo, hi)) = keys {
             let boundary = if above.is_some() { hi } else { lo };
             let fits = self.try_for_each_occupied_in(lo, hi, |k| {
