@@ -302,8 +302,17 @@ fn max_n(engine: EngineKind, quick: bool) -> usize {
 /// that: too short a window for a rate that two runs agree on.
 const QUICK_WINDOW: Duration = Duration::from_millis(250);
 
+/// The most measured steps a row or curve point runs to fill its window.
+/// Generation, row diffing and filter peeks stay off the clock, and on a row
+/// whose engine step takes well under a microsecond they are most of the
+/// loop: filling 0.25 s of timed work there took about 10⁶ steps, and a
+/// quick run 326 s instead of 20. The rows the bars read, the remote rows
+/// and the curve points fill their window in at most about 5,000 steps.
+const WINDOW_MAX_STEPS: u64 = 20_000;
+
 /// The least timed work per row and curve point: a quick one runs on until
-/// [`QUICK_WINDOW`] of timed work; a full one runs exactly its steps.
+/// [`QUICK_WINDOW`] of timed work, or [`WINDOW_MAX_STEPS`]; a full one runs
+/// exactly its steps.
 fn min_window(quick: bool) -> Duration {
     if quick {
         QUICK_WINDOW
@@ -331,7 +340,7 @@ struct LoopOutcome {
 /// The monitoring loop every measurement drives: calibrate filters, warm up,
 /// then time observation delivery plus the per-step violation check and
 /// repairs, for at least `steps` steps and until the timed work adds up to
-/// at least `window`. Generic over the engine so that the remote engine's
+/// at least `window` or the steps reach [`WINDOW_MAX_STEPS`]. Generic over the engine so that the remote engine's
 /// transport counters can be snapshotted when the warm-up ends, via
 /// `at_warmup_end`.
 fn drive<N: Network>(
@@ -379,7 +388,9 @@ fn drive<N: Network>(
     let mut violations = 0u64;
 
     let mut step = 0;
-    while step < WARMUP_STEPS + steps || elapsed < window {
+    while step < WARMUP_STEPS + steps
+        || (elapsed < window && step < WARMUP_STEPS + WINDOW_MAX_STEPS)
+    {
         if step == WARMUP_STEPS {
             elapsed = Duration::ZERO;
             total_changed = 0;
