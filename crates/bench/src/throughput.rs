@@ -340,9 +340,9 @@ struct LoopOutcome {
 /// The monitoring loop every measurement drives: calibrate filters, warm up,
 /// then time observation delivery plus the per-step violation check and
 /// repairs, for at least `steps` steps and until the timed work adds up to
-/// at least `window` or the steps reach [`WINDOW_MAX_STEPS`]. Generic over the engine so that the remote engine's
-/// transport counters can be snapshotted when the warm-up ends, via
-/// `at_warmup_end`.
+/// at least `window` or the steps reach [`WINDOW_MAX_STEPS`]. Generic over
+/// the engine so that the remote engine's transport counters can be
+/// snapshotted when the warm-up ends, via `at_warmup_end`.
 fn drive<N: Network>(
     net: &mut N,
     workload: &mut dyn AdaptiveWorkload,

@@ -133,7 +133,7 @@ impl Keystream {
     ///
     /// The columns are taken apart into slices before the loop, the
     /// per-stream ones cut to one length, so a draw checks its stream index
-    /// once and reloads no column from `self`.
+    /// against one length and reloads no column through `self`.
     fn draw_and_gather(&mut self, ids: &[u32], mut each: impl FnMut(u32, u64)) -> usize {
         if self.stale.len() < ids.len() {
             self.stale.resize(ids.len(), 0);
