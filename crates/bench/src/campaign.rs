@@ -11,16 +11,16 @@
 //! one workload, and [`run_file`] turns it into [`Cell`]s: one per protocol,
 //! or a single cell for a file with a `queries` plan. There is one runner
 //! ([`run_cell`]): the indexed engine — wrapped in a [`FaultyTransport`] when
-//! the file has a fault plan — driven by `run_with_membership_observed` with
-//! the file's membership schedule, if any. OPT (`topk-offline`) decomposes
-//! exactly the rows the driver delivered, so adaptive families (the
-//! Theorem 5.1 adversary) are measured on the trace they realised against
-//! each protocol's filters, and churned populations on the masked rows the
-//! model holds. A file's *companion* — its fault and/or membership plan —
-//! adds a [`Degradation`] block measured against the *clean twin*, the same
-//! file run without its companion. A query plan runs jointly on one shared
-//! engine and is measured against the same queries run independently
-//! ([`Amortization`]).
+//! the file has a fault plan — driven by `run_query_set_observed` as a
+//! one-query set, with the file's membership schedule, if any. OPT
+//! (`topk-offline`) decomposes exactly the rows the driver delivered, so
+//! adaptive families (the Theorem 5.1 adversary) are measured on the trace
+//! they realised against each protocol's filters, and churned populations on
+//! the masked rows the model holds. A file's *companion* — its fault and/or
+//! membership plan — adds a [`Degradation`] block measured against the
+//! *clean twin*, the same file run without its companion. A query plan runs
+//! jointly on one shared engine and is measured against the same queries run
+//! independently ([`Amortization`]).
 //!
 //! [`run_campaign`] writes `BENCH_competitive.json` ([`CompetitiveReport`]):
 //! one cell per (file name, protocol), each carrying the CRC-32 [`digest`] of
@@ -42,8 +42,10 @@ use crate::scenario::{scenario_to_json, ScenarioFile};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use topk_core::monitor::{run_with_membership_observed, Monitor, RunReport, StepObservation};
-use topk_core::queryset::{run_query_set, QuerySet};
+use topk_core::monitor::Monitor;
+use topk_core::queryset::{
+    run_query_set, run_query_set_observed, QuerySet, QuerySetReport, QueryStepObservation,
+};
 use topk_core::{CombinedMonitor, DenseMonitor, ExactTopKMonitor, HalfEpsMonitor, TopKMonitor};
 use topk_gen::{
     AdaptiveWorkload, ChurnFlatlineWorkload, CorrelatedBurstWorkload, GapWorkload,
@@ -612,25 +614,28 @@ pub struct CompetitiveReport {
 }
 
 /// Drives `file` under `protocol` on `net`: its workload for `steps` steps
-/// and its membership schedule, if any. The one driver behind every campaign
-/// cell and every recorded trace.
+/// and its membership schedule, if any, as a one-query [`QuerySet`]. The one
+/// driver behind every campaign cell and every recorded trace.
 pub(crate) fn drive(
     file: &ScenarioFile,
     protocol: ProtocolKind,
     net: &mut dyn Network,
-    observer: impl FnMut(StepObservation<'_>),
-) -> RunReport {
+    observer: impl FnMut(QueryStepObservation<'_>),
+) -> QuerySetReport {
     let spec = &file.spec;
     let mut workload = spec.generator.build(spec.n, spec.k, spec.eps, spec.seed);
-    let mut monitor = protocol.build_monitor(spec.k, spec.eps);
+    let mut set = QuerySet::new(spec.n);
+    set.register(
+        QuerySpec::new(spec.k, spec.eps, protocol.name()),
+        protocol.build_monitor(spec.k, spec.eps),
+    );
     let schedule = file
         .membership
         .map(|plan| plan.build(spec.n, spec.steps as u64));
     let mut emitted = 0usize;
-    run_with_membership_observed(
-        monitor.as_mut(),
+    run_query_set_observed(
+        &mut set,
         net,
-        spec.eps,
         |filters| {
             if emitted == spec.steps {
                 return None;
@@ -649,7 +654,7 @@ pub(crate) fn drive(
 
 /// One run of a file under one protocol, with what the observer collected.
 struct Observed {
-    report: RunReport,
+    report: QuerySetReport,
     /// The rows the driver delivered (masked under churn) — OPT's input.
     rows: Vec<Vec<Value>>,
     regime_messages: BTreeMap<String, u64>,
@@ -682,7 +687,7 @@ fn observe(file: &ScenarioFile, protocol: ProtocolKind) -> Observed {
     let mut rows: Vec<Vec<Value>> = Vec::with_capacity(spec.steps);
     let mut regime_messages: BTreeMap<String, u64> = BTreeMap::new();
     let (mut prev_total, mut leaves, mut joins) = (0u64, 0u64, 0u64);
-    let observer = |obs: StepObservation<'_>| {
+    let observer = |obs: QueryStepObservation<'_>| {
         rows.push(obs.row.to_vec());
         for event in obs.events {
             match event {
@@ -765,7 +770,7 @@ pub fn run_cell(file: &ScenarioFile, protocol: ProtocolKind, solver: &mut PhaseS
         digest: digest(file),
         protocol: protocol.name().to_string(),
         messages,
-        invalid_steps: run.report.invalid_steps,
+        invalid_steps: run.report.per_query[0].invalid_steps,
         competitive: Some(Competitive {
             rounds: run.report.stats.rounds,
             opt_lower: opt.lower_bound,

@@ -14,8 +14,9 @@
 //! with [`run_query_set_observed`], the driver the repository benchmark
 //! times. It diffs everything the trace asserts — per-step replies,
 //! validity, message counters, and the final stats/filters/values — bit for
-//! bit. Recordings come from the single-monitor driver, so every replay also
-//! pins the query-set driver's solo path to it byte for byte. An empty
+//! bit. Recordings and replays run the same step loop, so a replay on the
+//! recording engine reproduces the run exactly, and a replay on any other
+//! engine pins that engine to the recording byte for byte. An empty
 //! [`ReplayOutcome::mismatches`] means the engine reproduced the recorded run
 //! exactly; anything else names the first divergences in human-readable
 //! form. The golden corpus under `tests/traces/` runs every trace through all
@@ -30,8 +31,7 @@ use crate::campaign::{drive, ProtocolKind};
 use crate::scenario::ScenarioFile;
 use std::fmt;
 use std::path::Path;
-use topk_core::monitor::RunReport;
-use topk_core::queryset::{run_query_set_observed, QuerySet};
+use topk_core::queryset::{run_query_set_observed, QuerySet, QuerySetReport};
 use topk_model::prelude::*;
 use topk_wire::{
     read_all_records, write_record, TraceEnd, TraceHeader, TraceRecord, TraceStep, WireError,
@@ -99,7 +99,10 @@ impl ReplayOutcome {
 /// (wrapped in a [`FaultyTransport`](topk_net::FaultyTransport) when the
 /// scenario carries a fault plan) — the same driver the campaign cells run
 /// through — returning the driver's report and the complete record stream.
-pub fn record_run(file: &ScenarioFile, protocol: ProtocolKind) -> (RunReport, Vec<TraceRecord>) {
+pub fn record_run(
+    file: &ScenarioFile,
+    protocol: ProtocolKind,
+) -> (QuerySetReport, Vec<TraceRecord>) {
     let spec = &file.spec;
     let mut net = build_engine(EngineKind::Indexed, spec.n, spec.seed, file.fault.as_ref());
     let mut records = vec![TraceRecord::Header(TraceHeader {
@@ -116,15 +119,16 @@ pub fn record_run(file: &ScenarioFile, protocol: ProtocolKind) -> (RunReport, Ve
             step: obs.step,
             events: obs.events.to_vec(),
             row: obs.row.to_vec(),
-            output: obs.output.to_vec(),
-            valid: obs.valid,
+            output: obs.outputs[0].clone(),
+            valid: obs.valid[0],
             messages_total: obs.messages_total,
         }));
     });
+    let solo = &report.per_query[0];
     records.push(TraceRecord::End(TraceEnd {
         steps: report.steps,
-        invalid_steps: report.invalid_steps,
-        inexact_steps: report.inexact_steps,
+        invalid_steps: solo.invalid_steps,
+        inexact_steps: solo.inexact_steps,
         stats: report.stats.clone(),
         filters: net.peek_filters(),
         values: net.peek_values(),

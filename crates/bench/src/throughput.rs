@@ -436,9 +436,11 @@ fn drive<N: Network>(
                 net.assign_filter(node, widened);
             }
         }
-        elapsed += t0.elapsed();
+        // One clock read closes the step, so the two phases sum to it.
+        let t_step = t0.elapsed();
+        elapsed += t_step;
         phase_advance += t_advance;
-        phase_detect += t0.elapsed() - t_advance;
+        phase_detect += t_step - t_advance;
 
         prev = row;
         net.peek_filters_into(&mut filters);

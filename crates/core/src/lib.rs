@@ -17,7 +17,8 @@
 //! | [`dense`] | Theorem 5.8 (Lemmas 5.2–5.7) | `DenseProtocol` and `SubProtocol` for inputs with a dense ε-neighbourhood |
 //! | [`combined`] | Theorem 5.8 | the dispatcher that runs `TopKProtocol` when the output is unique and `DenseProtocol` otherwise |
 //! | [`half_eps`] | Corollary 5.9 | the cheaper algorithm that is competitive against an adversary with error ε' ≤ ε/2 |
-//! | [`monitor`] | — | the common `Monitor` trait and the step driver used by examples, tests and benchmarks |
+//! | [`monitor`] | — | the common `Monitor` trait and the single-monitor drivers used by examples and tests |
+//! | [`queryset`] | — | many concurrent queries over one population, and the one step loop every driver runs |
 //!
 //! ## Quick start
 //!
@@ -59,10 +60,7 @@ pub use combined::CombinedMonitor;
 pub use dense::DenseMonitor;
 pub use exact_topk::ExactTopKMonitor;
 pub use half_eps::HalfEpsMonitor;
-pub use monitor::{
-    run_adaptive, run_on_rows, run_with_membership, run_with_membership_observed, Monitor,
-    RunReport, StepObservation,
-};
+pub use monitor::{run_adaptive, run_on_rows, run_with_membership, Monitor, RunReport};
 pub use queryset::{
     run_query_set, run_query_set_observed, QueryRunReport, QuerySet, QuerySetReport,
     QueryStepObservation,

@@ -1,13 +1,17 @@
-//! The common monitoring interface and the step driver.
+//! The common monitoring interface and the single-monitor drivers.
 //!
 //! Every online algorithm in this crate implements [`Monitor`]: it is given the
 //! network after each observation step and must afterwards report a candidate
 //! output set of `k` nodes. The driver functions [`run_on_rows`] (pre-recorded
-//! workloads) and [`run_adaptive`] (adaptive adversaries that see the filters)
-//! feed observations, invoke the monitor, validate every output against the
-//! ε-top-k definition of Sect. 2 and collect the [`RunReport`] the experiments
-//! are built from.
+//! workloads), [`run_adaptive`] (adaptive adversaries that see the filters) and
+//! [`run_with_membership`] (plus a membership schedule) drive one borrowed
+//! monitor over the whole population and collect the [`RunReport`] the
+//! experiments are built from. They are wrappers of the one step loop,
+//! [`run_query_set_observed`](crate::queryset::run_query_set_observed), which
+//! feeds observations, invokes the monitor and validates every output against
+//! the ε-top-k definition of Sect. 2.
 
+use crate::queryset::{drive, Driven};
 use topk_model::prelude::*;
 use topk_net::Network;
 
@@ -46,10 +50,6 @@ pub struct RunReport {
     pub inexact_steps: u64,
     /// Communication statistics accumulated by the engine.
     pub stats: CommStats,
-    /// Largest value observed over the run (`Δ`).
-    pub delta: Value,
-    /// Largest ε-neighbourhood size observed over the run (`σ`).
-    pub sigma: usize,
 }
 
 impl RunReport {
@@ -73,10 +73,8 @@ pub fn run_on_rows(
     rows: impl IntoIterator<Item = Vec<Value>>,
     validation_eps: Epsilon,
 ) -> RunReport {
-    run_adaptive(monitor, net, validation_eps, {
-        let mut iter = rows.into_iter();
-        move |_filters: &[Filter]| iter.next()
-    })
+    let mut iter = rows.into_iter();
+    run_adaptive(monitor, net, validation_eps, move |_filters| iter.next())
 }
 
 /// Drives `monitor` with an adaptive source: `next_row` sees the filters
@@ -108,50 +106,19 @@ pub fn run_adaptive(
     validation_eps: Epsilon,
     next_row: impl FnMut(&[Filter]) -> Option<Vec<Value>>,
 ) -> RunReport {
-    // A run without membership events: the population stays full and the
-    // driver's masking is a no-op.
     run_with_membership(monitor, net, validation_eps, next_row, |_| Vec::new())
 }
 
-/// Everything the driver knows about one completed observation step, handed to
-/// the observer of [`run_with_membership_observed`].
-///
-/// The campaign runner uses this to attribute message cost to *workload
-/// phases* (e.g. the quiet/dense/adversarial segments of a regime-switching
-/// generator): `messages_total` is cumulative, so the delta between two
-/// consecutive observations is exactly what the step between them cost.
-#[derive(Debug, Clone, Copy)]
-pub struct StepObservation<'a> {
-    /// 0-based index of the step that just completed.
-    pub step: u64,
-    /// The observations delivered at this step.
-    pub row: &'a [Value],
-    /// Membership events applied before this step's row was delivered
-    /// (empty on steps without membership change).
-    pub events: &'a [MembershipEvent],
-    /// The monitor's output after processing the step.
-    pub output: &'a [NodeId],
-    /// Whether the output was a valid ε-top-k set for this row.
-    pub valid: bool,
-    /// Cumulative message count over the run, *including* this step.
-    pub messages_total: u64,
-}
-
-/// Drives `monitor` over an adaptive source *and* a membership schedule.
-///
+/// Drives `monitor` over an adaptive source *and* a membership schedule:
 /// `events_at(step)` returns the [`MembershipEvent`]s taking effect at the
-/// given 0-based step; they are applied — to the engine via
-/// [`Network::apply_membership`] and to a driver-owned [`Population`] copy —
-/// *before* the step's observation row is delivered, so a joiner observes
-/// the row of the step it joins at. Validation is against the *masked* row
-/// (dead slots pinned to `0`): that is the value vector the model actually
-/// holds, and the ε-top-k definition applies to it unchanged.
+/// given 0-based step. The events and the row masking follow
+/// [`run_query_set_observed`](crate::queryset::run_query_set_observed)'s solo
+/// run.
 ///
 /// # Panics
 ///
-/// Panics on a malformed schedule (joining a live slot, a dead slot
-/// leaving) — the same panic every engine raises, so driver and engine can
-/// never silently disagree on who is live.
+/// Panics on a malformed schedule (joining a live slot, a dead slot leaving)
+/// or a row whose length differs from `net.n()`.
 pub fn run_with_membership(
     monitor: &mut dyn Monitor,
     net: &mut dyn Network,
@@ -159,86 +126,28 @@ pub fn run_with_membership(
     next_row: impl FnMut(&[Filter]) -> Option<Vec<Value>>,
     events_at: impl FnMut(u64) -> Vec<MembershipEvent>,
 ) -> RunReport {
-    run_with_membership_observed(monitor, net, validation_eps, next_row, events_at, |_| {})
-}
-
-/// [`run_with_membership`] with a per-step observer.
-///
-/// The observer runs after the monitor processed the step and the output was
-/// validated — it sees the row, the output, the validity verdict and the
-/// cumulative message count, but cannot influence the run (the adaptive
-/// adversary contract stays with `next_row`).
-pub fn run_with_membership_observed(
-    monitor: &mut dyn Monitor,
-    net: &mut dyn Network,
-    validation_eps: Epsilon,
-    mut next_row: impl FnMut(&[Filter]) -> Option<Vec<Value>>,
-    mut events_at: impl FnMut(u64) -> Vec<MembershipEvent>,
-    mut observer: impl FnMut(StepObservation<'_>),
-) -> RunReport {
+    let everyone: Vec<NodeId> = (0..net.n()).map(NodeId).collect();
     let k = monitor.k();
-    let mut population = Population::new(net.n());
-    let mut report = RunReport {
-        steps: 0,
-        invalid_steps: 0,
-        inexact_steps: 0,
-        stats: CommStats::default(),
-        delta: 0,
-        sigma: 0,
+    let query = Driven {
+        monitor,
+        k,
+        eps: validation_eps,
+        subset: &everyone,
     };
-    // One filter buffer for the whole run, refilled in place every step.
-    let mut filters: Vec<Filter> = Vec::new();
-    loop {
-        net.peek_filters_into(&mut filters);
-        let Some(mut row) = next_row(&filters) else {
-            break;
-        };
-        let events = events_at(report.steps);
-        if !events.is_empty() {
-            for &event in &events {
-                population.apply(event);
-            }
-            net.apply_membership(&events);
-        }
-        // The engines mask dead slots themselves; masking here too makes the
-        // validated/observed row the model's value vector, not the raw
-        // workload output.
-        if population.live_count() != population.n() {
-            population.mask_row(&mut row);
-        }
-        net.advance_time(&row);
-        monitor.process_step(net);
-        let output = monitor.output();
-        let view = TopKView::new(&row, k, validation_eps);
-        let valid = view.validate_output(&output).is_valid();
-        if !valid {
-            report.invalid_steps += 1;
-        }
-        if !view.validate_exact(&output) {
-            report.inexact_steps += 1;
-        }
-        // `CostMeter::total_messages` is an O(1) running counter, so this
-        // per-step path takes no CommStats snapshot and no map traversal.
-        let messages_total = net.meter().total_messages();
-        observer(StepObservation {
-            step: report.steps,
-            row: &row,
-            events: &events,
-            output: &output,
-            valid,
-            messages_total,
-        });
-        report.steps += 1;
-        report.delta = report.delta.max(row.iter().copied().max().unwrap_or(0));
-        report.sigma = report.sigma.max(view.sigma());
+    let report = drive(&mut [query], net, next_row, events_at, |_| {});
+    let solo = &report.per_query[0];
+    RunReport {
+        steps: report.steps,
+        invalid_steps: solo.invalid_steps,
+        inexact_steps: solo.inexact_steps,
+        stats: report.stats,
     }
-    report.stats = net.stats();
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queryset::{run_query_set_observed, QuerySet};
     use topk_net::DeterministicEngine;
 
     /// A trivial (and expensive) reference monitor: probes every node every step
@@ -310,7 +219,6 @@ mod tests {
         assert_eq!(report.inexact_steps, 0);
         // 3 steps × 3 probes × 2 messages each.
         assert_eq!(report.messages(), 18);
-        assert_eq!(report.delta, 3);
         assert_eq!(monitor.name(), "probe-all");
     }
 
@@ -326,23 +234,34 @@ mod tests {
         assert_eq!(report.messages(), 0);
     }
 
+    /// A solo query set of one probe-all monitor over `n` nodes.
+    fn probe_all_set(n: usize) -> QuerySet {
+        let mut set = QuerySet::new(n);
+        set.register(
+            QuerySpec::new(1, Epsilon::HALF, "probe-all"),
+            Box::new(ProbeAllMonitor::new(1, Epsilon::HALF)),
+        );
+        assert!(set.is_solo());
+        set
+    }
+
     #[test]
     fn observer_sees_every_step_with_cumulative_messages() {
         let rows = vec![vec![1, 2, 3], vec![3, 2, 1], vec![2, 3, 1]];
         let mut net = DeterministicEngine::new(3, 1);
-        let mut monitor = ProbeAllMonitor::new(1, Epsilon::HALF);
+        let mut set = probe_all_set(3);
         let mut seen: Vec<(u64, u64, bool)> = Vec::new();
         let mut iter = rows.into_iter();
-        let report = run_with_membership_observed(
-            &mut monitor,
+        let report = run_query_set_observed(
+            &mut set,
             &mut net,
-            Epsilon::HALF,
             move |_| iter.next(),
             |_| Vec::new(),
             |obs| {
                 assert_eq!(obs.row.len(), 3);
-                assert_eq!(obs.output.len(), 1);
-                seen.push((obs.step, obs.messages_total, obs.valid));
+                assert_eq!(obs.outputs[0].len(), 1);
+                assert_eq!(obs.units, [obs.messages_total * SPLIT_SCALE]);
+                seen.push((obs.step, obs.messages_total, obs.valid[0]));
                 if let Some(prev) = seen.len().checked_sub(2) {
                     assert!(
                         seen[prev].1 <= obs.messages_total,
@@ -363,23 +282,37 @@ mod tests {
         // against the masked row, and the probes must see the masked values.
         let rows = vec![vec![1, 2, 1000]; 5];
         let mut net = DeterministicEngine::new(3, 1);
-        let mut monitor = ProbeAllMonitor::new(1, Epsilon::HALF);
+        let mut set = probe_all_set(3);
         let mut iter = rows.into_iter();
-        let mut observed: Vec<(u64, Vec<Value>, Vec<NodeId>)> = Vec::new();
-        let report = run_with_membership_observed(
-            &mut monitor,
+        let mut observed: Vec<(u64, Vec<Value>, Vec<NodeId>, usize)> = Vec::new();
+        let report = run_query_set_observed(
+            &mut set,
             &mut net,
-            Epsilon::HALF,
             move |_| iter.next(),
             |step| match step {
                 1 => vec![MembershipEvent::Leave(NodeId(2))],
                 3 => vec![MembershipEvent::Join(NodeId(2))],
                 _ => Vec::new(),
             },
-            |obs| observed.push((obs.step, obs.row.to_vec(), obs.output.to_vec())),
+            |obs| {
+                observed.push((
+                    obs.step,
+                    obs.row.to_vec(),
+                    obs.outputs[0].clone(),
+                    obs.events.len(),
+                ))
+            },
         );
         assert_eq!(report.steps, 5);
-        assert_eq!(report.invalid_steps, 0, "masked validation must hold");
+        assert_eq!(
+            report.per_query[0].invalid_steps, 0,
+            "masked validation must hold"
+        );
+        assert_eq!(
+            observed.iter().map(|o| o.3).collect::<Vec<_>>(),
+            [0, 1, 0, 1, 0],
+            "each step names the events applied before it"
+        );
         assert_eq!(observed[0].1, vec![1, 2, 1000]);
         assert_eq!(observed[1].1, vec![1, 2, 0], "dead slot masked");
         assert_eq!(observed[2].1, vec![1, 2, 0]);
@@ -397,17 +330,17 @@ mod tests {
     #[should_panic(expected = "already live")]
     fn membership_driver_rejects_malformed_schedules() {
         let mut net = DeterministicEngine::new(2, 1);
-        let mut monitor = ProbeAllMonitor::new(1, Epsilon::HALF);
+        let mut set = probe_all_set(2);
         let mut steps = 0;
-        run_with_membership(
-            &mut monitor,
+        run_query_set_observed(
+            &mut set,
             &mut net,
-            Epsilon::HALF,
             move |_| {
                 steps += 1;
                 (steps <= 2).then(|| vec![1, 2])
             },
             |_| vec![MembershipEvent::Join(NodeId(0))],
+            |_| {},
         );
     }
 
@@ -426,6 +359,5 @@ mod tests {
             }
         });
         assert_eq!(report.steps, 3);
-        assert_eq!(report.sigma, 2);
     }
 }

@@ -28,17 +28,19 @@
 //!   fixed-point units. The runner asserts the ledger invariant — per-query
 //!   units sum to `SPLIT_SCALE ×` the engine's message total — after every
 //!   run.
-//! * **Single-query equivalence.** A `QuerySet` of one full-population query
-//!   delegates to [`run_with_membership_observed`] and therefore reproduces
-//!   the legacy single-monitor run *byte for byte* — same replies, same
-//!   `CommStats`, same filters, values and RNG streams on every engine. The
-//!   differential battery and the golden-trace corpus enforce this.
+//! * **One step loop.** [`run_query_set_observed`] is the only step loop of
+//!   this crate; the single-monitor drivers of [`crate::monitor`] are
+//!   wrappers of it. A *solo* set — one query over all `n` nodes — hands its
+//!   monitor the engine itself, so the run is byte for byte the plain
+//!   single-monitor run (same replies, `CommStats`, filters, values and RNG
+//!   streams on every engine); the differential battery and the golden-trace
+//!   corpus enforce this. Every other set hands each monitor its query view.
 //!
-//! Membership churn composed with multi-query monitoring is out of scope:
-//! the multi-query driver rejects non-empty membership schedules (the solo
-//! path supports them unchanged).
+//! Membership churn composed with multi-query monitoring is out of scope: a
+//! multi-query run rejects non-empty membership schedules (a solo run applies
+//! them).
 
-use crate::monitor::{run_with_membership_observed, Monitor};
+use crate::monitor::Monitor;
 use topk_model::message::ExistencePredicate;
 use topk_model::prelude::*;
 use topk_model::rule::filter_for;
@@ -135,8 +137,8 @@ impl QuerySet {
         &self.queries[q.index()].subset
     }
 
-    /// Whether this set takes the bit-identical single-query fast path: one
-    /// query covering the full population.
+    /// Whether this set runs solo: one query covering the full population,
+    /// whose monitor programs against the engine itself.
     pub fn is_solo(&self) -> bool {
         self.queries.len() == 1 && self.queries[0].subset.len() == self.n
     }
@@ -171,8 +173,6 @@ pub struct QuerySetReport {
     pub steps: u64,
     /// Communication statistics of the shared engine (the *joint* wire cost).
     pub stats: CommStats,
-    /// Largest value observed over the run.
-    pub delta: Value,
     /// Per-query reports, in registration order.
     pub per_query: Vec<QueryRunReport>,
     /// Every violation-report delivery `(query, global node)` of the run, in
@@ -195,12 +195,22 @@ impl QuerySetReport {
 
 /// Everything the driver knows about one completed observation step of a
 /// query-set run, handed to the observer of [`run_query_set_observed`].
+///
+/// The campaign runner uses this to attribute message cost to *workload
+/// phases* (e.g. the quiet/dense/adversarial segments of a regime-switching
+/// generator): `messages_total` is cumulative, so the difference between two
+/// consecutive observations is exactly what the step between them cost.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryStepObservation<'a> {
     /// 0-based index of the step that just completed.
     pub step: u64,
-    /// The observations delivered at this step (global, full population).
+    /// The observations delivered at this step (global, full population;
+    /// dead slots masked to `0` under membership churn).
     pub row: &'a [Value],
+    /// Membership events applied before this step's row was delivered
+    /// (empty on steps without membership change, and always in a
+    /// multi-query run).
+    pub events: &'a [MembershipEvent],
     /// Each query's output after the step, mapped to *global* node ids, in
     /// registration order.
     pub outputs: &'a [Vec<NodeId>],
@@ -235,15 +245,29 @@ pub fn run_query_set(
 /// The full query-set driver: adaptive source, membership schedule and
 /// per-step observer.
 ///
+/// Each step peeks the filters and asks `next_row` for the row, applies the
+/// step's membership events (`events_at(step)`), delivers the row, runs every
+/// monitor, validates each query's output against the ε-top-k definition of
+/// its own subset, and hands the observer a [`QueryStepObservation`]. The
+/// observer cannot influence the run (the adaptive adversary contract stays
+/// with `next_row`).
+///
 /// `net` must be a fresh engine (no prior traffic) — the attribution ledger
-/// accounts the engine's whole message total. A set of one full-population
-/// query runs on the bit-identical legacy path and supports membership
-/// events; a genuinely multi-query set rejects non-empty schedules.
+/// accounts the engine's whole message total. A solo set
+/// ([`QuerySet::is_solo`]) applies membership events — to the engine via
+/// [`Network::apply_membership`] and to a driver-owned [`Population`] copy —
+/// *before* the step's row is delivered, so a joiner observes the row of the
+/// step it joins at, and validates against the *masked* row (dead slots
+/// pinned to `0`), the value vector the model actually holds. A multi-query
+/// set rejects non-empty schedules.
 ///
 /// # Panics
 ///
-/// Panics if the set is empty, a row length differs from the population, or a
-/// multi-query run is given membership events.
+/// Panics if the set is empty, the engine's size differs from the set's, a
+/// row length differs from the population, a multi-query run is given
+/// membership events, or a schedule is malformed (joining a live slot, a dead
+/// slot leaving — the same panic every engine raises, so driver and engine
+/// can never silently disagree on who is live).
 pub fn run_query_set_observed(
     set: &mut QuerySet,
     net: &mut dyn Network,
@@ -259,52 +283,27 @@ pub fn run_query_set_observed(
         set.n(),
         net.n()
     );
-    if set.is_solo() {
-        run_solo(set, net, next_row, events_at, observer)
-    } else {
-        run_multi(set, net, next_row, events_at, observer)
-    }
+    let mut queries: Vec<Driven<'_>> = set
+        .queries
+        .iter_mut()
+        .map(|rq| Driven {
+            monitor: rq.monitor.as_mut(),
+            k: rq.spec.k,
+            eps: rq.spec.eps,
+            subset: &rq.subset,
+        })
+        .collect();
+    drive(&mut queries, net, next_row, events_at, observer)
 }
 
-/// The single-query fast path: delegates to the legacy driver so the run is
-/// byte-for-byte the legacy monitor run (same replies, `CommStats`, filters,
-/// values and RNG streams on every engine).
-fn run_solo(
-    set: &mut QuerySet,
-    net: &mut dyn Network,
-    next_row: impl FnMut(&[Filter]) -> Option<Vec<Value>>,
-    events_at: impl FnMut(u64) -> Vec<MembershipEvent>,
-    mut observer: impl FnMut(QueryStepObservation<'_>),
-) -> QuerySetReport {
-    let rq = &mut set.queries[0];
-    let eps = rq.spec.eps;
-    let report =
-        run_with_membership_observed(rq.monitor.as_mut(), net, eps, next_row, events_at, |obs| {
-            let outputs = [obs.output.to_vec()];
-            let valid = [obs.valid];
-            let units = [obs.messages_total * SPLIT_SCALE];
-            observer(QueryStepObservation {
-                step: obs.step,
-                row: obs.row,
-                outputs: &outputs,
-                valid: &valid,
-                messages_total: obs.messages_total,
-                units: &units,
-            });
-        });
-    QuerySetReport {
-        steps: report.steps,
-        delta: report.delta,
-        per_query: vec![QueryRunReport {
-            query: QueryId(0),
-            steps: report.steps,
-            invalid_steps: report.invalid_steps,
-            inexact_steps: report.inexact_steps,
-            units: report.stats.total_messages() * SPLIT_SCALE,
-        }],
-        stats: report.stats,
-        deliveries: Vec::new(),
-    }
+/// One query as the step loop drives it: its monitor, borrowed, the `k` and
+/// ε its outputs are validated with, and its resolved node subset.
+pub(crate) struct Driven<'m> {
+    pub(crate) monitor: &'m mut dyn Monitor,
+    pub(crate) k: usize,
+    pub(crate) eps: Epsilon,
+    /// Sorted, deduplicated global node ids.
+    pub(crate) subset: &'m [NodeId],
 }
 
 /// Server-side mirror of one query's node-facing state: what a dedicated
@@ -390,8 +389,7 @@ impl StepPool {
 }
 
 /// All shared state of a multi-query run; [`QueryView`] borrows it per query.
-struct MultiState<'n> {
-    net: &'n mut dyn Network,
+struct MultiState {
     mirrors: Vec<QueryMirror>,
     /// Queries covering each global node, in registration order.
     cover: Vec<Vec<u32>>,
@@ -400,9 +398,43 @@ struct MultiState<'n> {
     deliveries: Vec<(QueryId, NodeId)>,
     scratch: Vec<NodeMessage>,
     push_buf: Vec<(NodeId, Filter)>,
+    /// The engine's message total when the run began.
+    start_messages: u64,
 }
 
-impl MultiState<'_> {
+impl MultiState {
+    fn new(queries: &[Driven<'_>], n: usize, start_messages: u64) -> MultiState {
+        let mut cover: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut mirrors = Vec::with_capacity(queries.len());
+        for (qi, query) in queries.iter().enumerate() {
+            let subset: Vec<usize> = query.subset.iter().map(|id| id.index()).collect();
+            let mut local_of = vec![None; n];
+            for (l, &g) in subset.iter().enumerate() {
+                local_of[g] = Some(l as u32);
+                cover[g].push(qi as u32);
+            }
+            let m = subset.len();
+            mirrors.push(QueryMirror {
+                subset,
+                local_of,
+                bands: vec![Filter::FULL; m],
+                groups: vec![NodeGroup::Lower; m],
+                params: None,
+                run_had_physical: false,
+            });
+        }
+        MultiState {
+            mirrors,
+            cover,
+            pool: StepPool::new(n),
+            ledger: QueryCostLedger::new(queries.len()),
+            deliveries: Vec::new(),
+            scratch: Vec::new(),
+            push_buf: Vec::new(),
+            start_messages,
+        }
+    }
+
     /// The intersection of every covering query's band for global node `g`.
     fn effective(&self, g: usize) -> Filter {
         let mut f = Filter::FULL;
@@ -413,47 +445,47 @@ impl MultiState<'_> {
         }
         f
     }
-
-    /// Pushes the recomputed effective filter of one node on behalf of query
-    /// `q`'s own charged unicast.
-    fn push_one_charged(&mut self, q: usize, l: usize) {
-        let g = self.mirrors[q].subset[l];
-        let eff = self.effective(g);
-        self.net
-            .assign_query_filter(QueryId(q as u32), NodeId(g), eff);
-        self.ledger.charge_exclusive(QueryId(q as u32), 1);
-    }
-
-    /// Pushes the recomputed effective filters of query `q`'s whole subset
-    /// free of charge (the nodes recompute locally after a broadcast).
-    fn push_all_free(&mut self, q: usize) {
-        let mut pairs = std::mem::take(&mut self.push_buf);
-        pairs.clear();
-        for l in 0..self.mirrors[q].subset.len() {
-            let g = self.mirrors[q].subset[l];
-            pairs.push((NodeId(g), self.effective(g)));
-        }
-        self.net.load_query_filters(&pairs);
-        self.push_buf = pairs;
-    }
 }
 
 /// The `|S_q|`-node [`Network`] one query's monitor programs against: node
 /// ids are local subset ranks, bands are the query's own mirrors, and every
 /// transport call is translated to shared-engine traffic with per-query
 /// attribution. See the module docs for the translation rules.
-struct QueryView<'n, 's> {
-    st: &'s mut MultiState<'n>,
+struct QueryView<'a> {
+    net: &'a mut dyn Network,
+    st: &'a mut MultiState,
     q: usize,
 }
 
-impl QueryView<'_, '_> {
+impl QueryView<'_> {
     fn qid(&self) -> QueryId {
         QueryId(self.q as u32)
     }
 
     fn to_global(&self, local: NodeId) -> NodeId {
         NodeId(self.st.mirrors[self.q].subset[local.index()])
+    }
+
+    /// Pushes the recomputed effective filter of one node on behalf of this
+    /// query's own charged unicast.
+    fn push_one_charged(&mut self, l: usize) {
+        let g = self.st.mirrors[self.q].subset[l];
+        let eff = self.st.effective(g);
+        self.net.assign_query_filter(self.qid(), NodeId(g), eff);
+        self.st.ledger.charge_exclusive(self.qid(), 1);
+    }
+
+    /// Pushes the recomputed effective filters of this query's whole subset
+    /// free of charge (the nodes recompute locally after a broadcast).
+    fn push_all_free(&mut self) {
+        let st = &mut *self.st;
+        let mut pairs = std::mem::take(&mut st.push_buf);
+        pairs.clear();
+        for &g in &st.mirrors[self.q].subset {
+            pairs.push((NodeId(g), st.effective(g)));
+        }
+        self.net.load_query_filters(&pairs);
+        st.push_buf = pairs;
     }
 
     /// Translates local [`ExistencePredicate`] coordinates to global ones.
@@ -494,13 +526,13 @@ impl QueryView<'_, '_> {
         hits.sort_by_key(|h| h.1);
         // The reconstruction is free of physical traffic but still occupies
         // one protocol round.
-        st.net.meter().record_round();
+        self.net.meter().record_round();
         for (ei, l, value, direction) in hits {
             let entry = &mut st.pool.entries[ei];
             if !entry.charged {
                 // First consumer of a pooled stray: the report goes on the
                 // wire after all.
-                st.net.meter().record(MessageKind::Upstream);
+                self.net.meter().record(MessageKind::Upstream);
                 entry.charged = true;
             }
             match entry.ledger_entry {
@@ -535,7 +567,7 @@ fn with_sender(msg: &NodeMessage, node: NodeId) -> NodeMessage {
     }
 }
 
-impl Network for QueryView<'_, '_> {
+impl Network for QueryView<'_> {
     fn n(&self) -> usize {
         self.st.mirrors[self.q].subset.len()
     }
@@ -551,16 +583,14 @@ impl Network for QueryView<'_, '_> {
     }
 
     fn broadcast_params(&mut self, params: FilterParams) {
-        let st = &mut *self.st;
-        let qid = QueryId(self.q as u32);
-        st.net.meter().record(MessageKind::Broadcast);
-        st.ledger.charge_exclusive(qid, 1);
-        let mirror = &mut st.mirrors[self.q];
+        self.net.meter().record(MessageKind::Broadcast);
+        self.st.ledger.charge_exclusive(self.qid(), 1);
+        let mirror = &mut self.st.mirrors[self.q];
         mirror.params = Some(params);
         for l in 0..mirror.bands.len() {
             mirror.bands[l] = filter_for(mirror.groups[l], &params);
         }
-        st.push_all_free(self.q);
+        self.push_all_free();
     }
 
     fn assign_group(&mut self, node: NodeId, group: NodeGroup) {
@@ -570,28 +600,26 @@ impl Network for QueryView<'_, '_> {
         if let Some(p) = mirror.params {
             mirror.bands[l] = filter_for(group, &p);
         }
-        self.st.push_one_charged(self.q, l);
+        self.push_one_charged(l);
     }
 
     fn broadcast_group(&mut self, group: NodeGroup) {
-        let st = &mut *self.st;
-        let qid = QueryId(self.q as u32);
-        st.net.meter().record(MessageKind::Broadcast);
-        st.ledger.charge_exclusive(qid, 1);
-        let mirror = &mut st.mirrors[self.q];
+        self.net.meter().record(MessageKind::Broadcast);
+        self.st.ledger.charge_exclusive(self.qid(), 1);
+        let mirror = &mut self.st.mirrors[self.q];
         for l in 0..mirror.groups.len() {
             mirror.groups[l] = group;
             if let Some(p) = mirror.params {
                 mirror.bands[l] = filter_for(group, &p);
             }
         }
-        st.push_all_free(self.q);
+        self.push_all_free();
     }
 
     fn assign_filter(&mut self, node: NodeId, filter: Filter) {
         let l = node.index();
         self.st.mirrors[self.q].bands[l] = filter;
-        self.st.push_one_charged(self.q, l);
+        self.push_one_charged(l);
     }
 
     fn load_query_filters(&mut self, filters: &[(NodeId, Filter)]) {
@@ -603,13 +631,13 @@ impl Network for QueryView<'_, '_> {
             let g = self.st.mirrors[self.q].subset[l];
             let eff = self.st.effective(g);
             let pair = [(NodeId(g), eff)];
-            self.st.net.load_query_filters(&pair);
+            self.net.load_query_filters(&pair);
         }
     }
 
     fn probe(&mut self, node: NodeId) -> Value {
         let g = self.to_global(node);
-        let v = self.st.net.probe(g);
+        let v = self.net.probe(g);
         self.st.ledger.charge_exclusive(self.qid(), 2);
         v
     }
@@ -631,10 +659,10 @@ impl Network for QueryView<'_, '_> {
         let phys_pred = self.remap_predicate(predicate);
         let qid = self.qid();
         let st = &mut *self.st;
+        let net = &mut *self.net;
         st.mirrors[self.q].run_had_physical = true;
         let mut raw = std::mem::take(&mut st.scratch);
-        st.net
-            .existence_round_into(round, population, phys_pred, &mut raw);
+        net.existence_round_into(round, population, phys_pred, &mut raw);
         let queries = st.mirrors.len();
         for msg in &raw {
             let g = msg.sender().index();
@@ -673,7 +701,7 @@ impl Network for QueryView<'_, '_> {
                         // not this query's band (or sits outside the subset).
                         // Pool it for a later consumer and retract the charge
                         // until one exists.
-                        st.net.meter().retract(MessageKind::Upstream, 1);
+                        net.meter().retract(MessageKind::Upstream, 1);
                         let _ = st.pool.upsert(g, v, queries);
                     }
                 }
@@ -686,7 +714,7 @@ impl Network for QueryView<'_, '_> {
                         st.ledger.charge_exclusive(qid, 1);
                         replies.push(with_sender(msg, NodeId(l as usize)));
                     }
-                    None => st.net.meter().retract(MessageKind::Upstream, 1),
+                    None => net.meter().retract(MessageKind::Upstream, 1),
                 }
             }
         }
@@ -694,26 +722,25 @@ impl Network for QueryView<'_, '_> {
     }
 
     fn end_existence_run(&mut self) {
-        let st = &mut *self.st;
-        if st.mirrors[self.q].run_had_physical {
-            st.net.end_existence_run();
-            st.ledger.charge_exclusive(QueryId(self.q as u32), 1);
+        if self.st.mirrors[self.q].run_had_physical {
+            self.net.end_existence_run();
+            self.st.ledger.charge_exclusive(self.qid(), 1);
         }
         // A fully pool-served run was physically silent: no node took part,
         // so no end-of-run announcement is needed (or charged).
     }
 
     fn meter(&mut self) -> &mut CostMeter {
-        self.st.net.meter()
+        self.net.meter()
     }
 
     fn stats(&self) -> CommStats {
-        self.st.net.stats()
+        self.net.stats()
     }
 
     fn peek_value(&self, node: NodeId) -> Value {
         let g = self.to_global(node);
-        self.st.net.peek_value(g)
+        self.net.peek_value(g)
     }
 
     fn peek_filter(&self, node: NodeId) -> Filter {
@@ -725,56 +752,44 @@ impl Network for QueryView<'_, '_> {
     }
 }
 
-/// The genuinely multi-query driver. See the module docs for the semantics.
-fn run_multi(
-    set: &mut QuerySet,
+/// How a set's monitors reach the engine.
+enum Hosting {
+    /// One query over every node: its monitor programs against the engine
+    /// itself, and the driver keeps its own copy of who is live.
+    Solo(Population),
+    /// Every other set: each monitor programs against its [`QueryView`].
+    Views(MultiState),
+}
+
+/// The step loop behind every run of this crate: [`run_query_set_observed`]
+/// and the single-monitor wrappers of [`crate::monitor`]. See
+/// [`run_query_set_observed`] for the step's order and its checks.
+pub(crate) fn drive(
+    queries: &mut [Driven<'_>],
     net: &mut dyn Network,
     mut next_row: impl FnMut(&[Filter]) -> Option<Vec<Value>>,
     mut events_at: impl FnMut(u64) -> Vec<MembershipEvent>,
     mut observer: impl FnMut(QueryStepObservation<'_>),
 ) -> QuerySetReport {
     let n = net.n();
-    let queries = set.queries.len();
-    let mut cover: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut mirrors = Vec::with_capacity(queries);
-    for (qi, rq) in set.queries.iter().enumerate() {
-        let subset: Vec<usize> = rq.subset.iter().map(|id| id.index()).collect();
-        let mut local_of = vec![None; n];
-        for (l, &g) in subset.iter().enumerate() {
-            local_of[g] = Some(l as u32);
-            cover[g].push(qi as u32);
-        }
-        let m = subset.len();
-        mirrors.push(QueryMirror {
-            subset,
-            local_of,
-            bands: vec![Filter::FULL; m],
-            groups: vec![NodeGroup::Lower; m],
-            params: None,
-            run_had_physical: false,
-        });
-    }
-    let mut st = MultiState {
-        net,
-        mirrors,
-        cover,
-        pool: StepPool::new(n),
-        ledger: QueryCostLedger::new(queries),
-        deliveries: Vec::new(),
-        scratch: Vec::new(),
-        push_buf: Vec::new(),
+    let mut hosting = if queries.len() == 1 && queries[0].subset.len() == n {
+        Hosting::Solo(Population::new(n))
+    } else {
+        let start_messages = net.meter().total_messages();
+        Hosting::Views(MultiState::new(queries, n, start_messages))
     };
-    let start_messages = st.net.meter().total_messages();
     let mut steps = 0u64;
-    let mut delta: Value = 0;
-    let mut invalid = vec![0u64; queries];
-    let mut inexact = vec![0u64; queries];
+    let mut invalid = vec![0u64; queries.len()];
+    let mut inexact = vec![0u64; queries.len()];
+    // Buffers refilled in place every step.
     let mut filters: Vec<Filter> = Vec::new();
-    let mut outputs: Vec<Vec<NodeId>> = vec![Vec::new(); queries];
-    let mut valid = vec![true; queries];
+    let mut outputs: Vec<Vec<NodeId>> = vec![Vec::new(); queries.len()];
+    let mut valid = vec![true; queries.len()];
+    let mut local_row: Vec<Value> = Vec::new();
+    let mut solo_units = [0u64];
     loop {
-        st.net.peek_filters_into(&mut filters);
-        let Some(row) = next_row(&filters) else {
+        net.peek_filters_into(&mut filters);
+        let Some(mut row) = next_row(&filters) else {
             break;
         };
         assert_eq!(
@@ -783,64 +798,114 @@ fn run_multi(
             "observation row has {} entries for {n} nodes",
             row.len()
         );
-        assert!(
-            events_at(steps).is_empty(),
-            "membership churn under multi-query monitoring is not supported (see docs/QUERIES.md)"
-        );
-        st.net.advance_time(&row);
-        st.pool.reset();
-        for (qi, rq) in set.queries.iter_mut().enumerate() {
-            let mut view = QueryView { st: &mut st, q: qi };
-            rq.monitor.process_step(&mut view);
+        let events = events_at(steps);
+        match &mut hosting {
+            Hosting::Solo(population) => {
+                if !events.is_empty() {
+                    for &event in &events {
+                        population.apply(event);
+                    }
+                    net.apply_membership(&events);
+                }
+                // The engines mask dead slots themselves; masking here too
+                // makes the validated/observed row the model's value vector,
+                // not the raw workload output.
+                if population.live_count() != n {
+                    population.mask_row(&mut row);
+                }
+                net.advance_time(&row);
+                queries[0].monitor.process_step(net);
+            }
+            Hosting::Views(st) => {
+                assert!(
+                    events.is_empty(),
+                    "membership churn under multi-query monitoring is not supported (see docs/QUERIES.md)"
+                );
+                net.advance_time(&row);
+                st.pool.reset();
+                for (q, query) in queries.iter_mut().enumerate() {
+                    let mut view = QueryView {
+                        net: &mut *net,
+                        st: &mut *st,
+                        q,
+                    };
+                    query.monitor.process_step(&mut view);
+                }
+                st.ledger.settle_step();
+            }
         }
-        st.ledger.settle_step();
-        for (qi, rq) in set.queries.iter().enumerate() {
-            let local_row: Vec<Value> = rq.subset.iter().map(|id| row[id.index()]).collect();
-            let out_local = rq.monitor.output();
-            let view = TopKView::new(&local_row, rq.spec.k, rq.spec.eps);
-            valid[qi] = view.validate_output(&out_local).is_valid();
-            if !valid[qi] {
-                invalid[qi] += 1;
+        for (q, query) in queries.iter().enumerate() {
+            let values = match hosting {
+                Hosting::Solo(_) => &row,
+                Hosting::Views(_) => {
+                    local_row.clear();
+                    local_row.extend(query.subset.iter().map(|id| row[id.index()]));
+                    &local_row
+                }
+            };
+            let out_local = query.monitor.output();
+            let view = TopKView::new(values, query.k, query.eps);
+            valid[q] = view.validate_output(&out_local).is_valid();
+            if !valid[q] {
+                invalid[q] += 1;
             }
             if !view.validate_exact(&out_local) {
-                inexact[qi] += 1;
+                inexact[q] += 1;
             }
-            outputs[qi].clear();
-            outputs[qi].extend(out_local.iter().map(|l| rq.subset[l.index()]));
+            outputs[q].clear();
+            outputs[q].extend(out_local.iter().map(|l| query.subset[l.index()]));
         }
-        let messages_total = st.net.meter().total_messages();
+        // `CostMeter::total_messages` is an O(1) running counter, so this
+        // per-step path takes no CommStats snapshot and no map traversal.
+        let messages_total = net.meter().total_messages();
+        let units: &[u64] = match &hosting {
+            Hosting::Solo(_) => {
+                solo_units[0] = messages_total * SPLIT_SCALE;
+                &solo_units
+            }
+            Hosting::Views(st) => st.ledger.per_query_units(),
+        };
         observer(QueryStepObservation {
             step: steps,
             row: &row,
+            events: &events,
             outputs: &outputs,
             valid: &valid,
             messages_total,
-            units: st.ledger.per_query_units(),
+            units,
         });
         steps += 1;
-        delta = delta.max(row.iter().copied().max().unwrap_or(0));
     }
-    let wire = st.net.meter().total_messages() - start_messages;
-    assert_eq!(
-        st.ledger.total_units(),
-        wire * SPLIT_SCALE,
-        "split-charge ledger must sum to the attributed wire total"
-    );
-    let per_query = (0..queries)
-        .map(|qi| QueryRunReport {
-            query: QueryId(qi as u32),
+    if let Hosting::Views(st) = &hosting {
+        let wire = net.meter().total_messages() - st.start_messages;
+        assert_eq!(
+            st.ledger.total_units(),
+            wire * SPLIT_SCALE,
+            "split-charge ledger must sum to the attributed wire total"
+        );
+    }
+    let stats = net.stats();
+    let (units, deliveries) = match hosting {
+        // A solo query is charged the whole wire total.
+        Hosting::Solo(_) => (vec![stats.total_messages() * SPLIT_SCALE], Vec::new()),
+        Hosting::Views(st) => (st.ledger.per_query_units().to_vec(), st.deliveries),
+    };
+    let per_query = units
+        .into_iter()
+        .enumerate()
+        .map(|(q, units)| QueryRunReport {
+            query: QueryId(q as u32),
             steps,
-            invalid_steps: invalid[qi],
-            inexact_steps: inexact[qi],
-            units: st.ledger.units(QueryId(qi as u32)),
+            invalid_steps: invalid[q],
+            inexact_steps: inexact[q],
+            units,
         })
         .collect();
     QuerySetReport {
         steps,
-        stats: st.net.stats(),
-        delta,
+        stats,
         per_query,
-        deliveries: std::mem::take(&mut st.deliveries),
+        deliveries,
     }
 }
 
@@ -904,7 +969,6 @@ mod tests {
 
         assert_eq!(report.steps, legacy_report.steps);
         assert_eq!(report.stats, legacy_report.stats);
-        assert_eq!(report.delta, legacy_report.delta);
         assert_eq!(
             report.per_query[0].invalid_steps,
             legacy_report.invalid_steps

@@ -310,9 +310,6 @@ pub(crate) struct Shard {
     /// Regime estimate for `NodeStateSoA::advance_row`: whether the last
     /// dense row changed at least 1/64 of the shard (see `DENSE_BIAS_SHIFT`).
     dense_biased: bool,
-    /// Whether an inline bulk sparse pass wrote deferred values into this
-    /// shard (its pending flags must be refreshed before the step completes).
-    pub(crate) touched: bool,
 }
 
 /// A shard is *dense-biased* while at least `len >> DENSE_BIAS_SHIFT` of its
@@ -332,7 +329,6 @@ impl Shard {
             sparse: Vec::new(),
             // Runs start with calibration rows that change everything.
             dense_biased: true,
-            touched: false,
         }
     }
 

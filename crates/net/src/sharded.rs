@@ -397,32 +397,8 @@ impl Network for ShardedEngine {
     }
 
     fn advance_time_sparse(&mut self, changes: &[(NodeId, Value)]) {
-        if !self.parallel && changes.len() * 4 >= self.n.max(1) {
-            // Inline bulk: a change list covering a sizeable fraction of the
-            // population is a dense step in disguise. Apply the values
-            // straight to the owning shards (no staging buffers), then
-            // re-establish each touched shard's pending invariant with one
-            // zone-mapped bulk pass.
-            for &(node, v) in changes {
-                let (s, local) = self.locate(node);
-                let v = if self.population.is_live(node) { v } else { 0 };
-                let shard = self.shards[s].as_mut().expect("shard at home");
-                if shard.table.state.value(local) != v {
-                    shard.table.state.set_value_deferred(local, v);
-                    shard.table.index.invalidate();
-                    shard.touched = true;
-                }
-            }
-            for s in 0..self.shards.len() {
-                let shard = self.shards[s].as_mut().expect("shard at home");
-                if shard.touched {
-                    shard.touched = false;
-                    shard.table.refresh_after_deferred();
-                }
-            }
-            self.meter.record_time_step();
-            return;
-        }
+        // Each shard applies its staged changes itself and picks its bulk or
+        // per-node path from its own share of the list.
         for &(node, v) in changes {
             let (s, local) = self.locate(node);
             let v = if self.population.is_live(node) { v } else { 0 };
@@ -741,16 +717,18 @@ mod tests {
 
     #[test]
     fn bulk_and_per_node_sparse_paths_agree() {
-        // A change list covering most of one shard takes the bulk pending
-        // refresh; the same values delivered one step at a time take the
-        // per-node path. Final state must be identical.
-        let mut bulk = ShardedEngine::with_dispatch(8, 3, 2, Dispatch::Inline);
-        let mut scalar = ShardedEngine::with_dispatch(8, 3, 2, Dispatch::Inline);
+        // A change list covering a quarter or more of a shard takes the bulk
+        // pending refresh; the same values delivered one step at a time take
+        // the per-node path. Final state must be identical.
+        let mut bulk = ShardedEngine::with_dispatch(16, 3, 2, Dispatch::Inline);
+        let mut scalar = ShardedEngine::with_dispatch(16, 3, 2, Dispatch::Inline);
         for net in [&mut bulk, &mut scalar] {
-            net.advance_time(&[10, 20, 30, 40, 50, 60, 70, 80]);
+            let row: Vec<Value> = (1..=16).map(|i| 10 * i).collect();
+            net.advance_time(&row);
             net.broadcast_params(FilterParams::Separator { lo: 45, hi: 45 });
         }
-        // All four nodes of shard 0 change at once (bulk), shard 1 untouched.
+        // Four of shard 0's eight nodes change at once (bulk), one at a time
+        // (per node); shard 1 untouched.
         let changes = [
             (NodeId(0), 50u64),
             (NodeId(1), 5),
@@ -763,8 +741,8 @@ mod tests {
         }
         assert_eq!(bulk.peek_values(), scalar.peek_values());
         assert_eq!(bulk.pending_count(), scalar.pending_count());
-        let a = bulk.existence_round(10, 8, ExistencePredicate::PendingViolation);
-        let b = scalar.existence_round(10, 8, ExistencePredicate::PendingViolation);
+        let a = bulk.existence_round(10, 16, ExistencePredicate::PendingViolation);
+        let b = scalar.existence_round(10, 16, ExistencePredicate::PendingViolation);
         assert_eq!(a, b);
     }
 }

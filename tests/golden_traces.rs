@@ -15,10 +15,10 @@
 //! 2. **Replay agreement** — each committed trace, re-driven through all four
 //!    engines (`topk_bench::replay::EngineKind::ALL`), reproduces every
 //!    recorded reply, validity verdict, cumulative message count and the
-//!    final `CommStats`/filter/value state bit for bit. Replay drives a
-//!    `QuerySet` of one full-population query while the recordings come from
-//!    the single-monitor driver, so the same check pins the query-set
-//!    driver's solo path to the legacy monitor runs byte for byte.
+//!    final `CommStats`/filter/value state bit for bit. Recording and replay
+//!    both drive a `QuerySet` of one full-population query through the one
+//!    step loop, so (1) pins that loop to the committed bytes and (2) pins
+//!    every engine to them.
 //!
 //! The corpus cells are deliberately tiny (n = 24, 12 steps) so the whole
 //! battery stays a sub-second affair per engine; the point is behavioural

@@ -3,7 +3,7 @@
 //! Three properties pin the `QuerySet` layer to its contract:
 //!
 //! 1. **Single-query equivalence** — a `QuerySet` of one full-population
-//!    query reproduces the legacy single-monitor run bit for bit (same
+//!    query reproduces `run_on_rows` over a borrowed monitor bit for bit (same
 //!    `CommStats`, same per-node filters and values, same validity counters)
 //!    on all four engines under every protocol. The golden-trace corpus
 //!    enforces the same property against committed recordings; this battery
@@ -65,7 +65,6 @@ fn a_query_set_of_one_matches_the_legacy_run_on_every_engine() {
             let ctx = format!("{} on {}", protocol.name(), kind.name());
             assert_eq!(report.steps, legacy.steps, "{ctx}: steps");
             assert_eq!(report.stats, legacy.stats, "{ctx}: CommStats");
-            assert_eq!(report.delta, legacy.delta, "{ctx}: delta");
             assert_eq!(
                 report.per_query[0].invalid_steps, legacy.invalid_steps,
                 "{ctx}: invalid steps"
@@ -137,7 +136,7 @@ proptest! {
         let right = NodeSubset::range(split, n - split);
         // Strictly below the subset size: the combined protocol's dispatch
         // probes the top-(k+1), so k = |subset| is out of its domain (as in
-        // the legacy single-query world, where it needs k < n).
+        // a single-monitor run, where it needs k < n).
         let k_left = 1 + k_seed % (split - 1).min(3);
         let k_right = 1 + k_seed % (n - split - 1).min(3);
         let specs = [
